@@ -30,7 +30,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import cube_sphere, flat_torus, klein_bottle, strat_cover, verify
+from . import cube_sphere, flat_torus, klein_bottle, strat_cover
 from .render import RenderSpec, dump_csv, dump_json, fraction_str, point_str, svg_path_chart
 
 __all__ = ["main"]
@@ -422,6 +422,10 @@ def _default_seed() -> int:
 
 
 def cmd_verify(args) -> int:
+    # Imported here so that numpy, which only the verify oracles use, is not
+    # loaded by the other commands.
+    from . import verify
+
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         reports = verify.run_suite(args.suite, seed=seed, trials=args.trials)

@@ -44,13 +44,6 @@ class CutEdge:
     def as_polyline(self) -> Polyline:
         return Polyline(self.points)
 
-    def squared_chord_lengths(self) -> tuple[Fraction, ...]:
-        poly = self.as_polyline()
-        out = []
-        for a, b in zip(poly.vertices, poly.vertices[1:]):
-            out.append(sum((u - v) ** 2 for u, v in zip(a, b)))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class CutLocusGraph:

@@ -21,7 +21,7 @@ from itertools import combinations, product
 
 from .cutgraph import CutEdge, CutLocusGraph, CutVertex
 from .metric_core import Polyline, _frac
-from .planning import PlannerResult, nearest_lift_permutation
+from .planning import PlannerResult, loop_monodromy
 from .strat_cover import PosetElement, StratPoset, torus_corner_poset
 
 __all__ = [
@@ -116,14 +116,37 @@ def _check_pair(x: TorusPoint, y: TorusPoint) -> None:
         raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
 
 
+def _nearest_translates(base, target, periods) -> list[tuple[Fraction, ...]]:
+    """Per coordinate, the displacements from ``base`` to the nearest
+    translates ``target_i + m * periods_i`` (``m`` an integer).
+
+    The lattice is rectangular, so each coordinate rounds to its nearest
+    period on its own: one displacement in (-p/2, p/2), or both -p/2 and p/2
+    on an exact half-period tie.  ``base`` may be any lift, reduced or not;
+    periods are positive integers.  Choices are listed in increasing order.
+    """
+    out = []
+    for b, t, p in zip(base, target, periods):
+        d = t - b
+        d -= p * (d.numerator // (p * d.denominator))
+        twice, width = 2 * d.numerator, p * d.denominator
+        if twice < width:
+            out.append((d,))
+        elif twice > width:
+            out.append((d - p,))
+        else:
+            out.append((d - p, d))
+    return out
+
+
+def _choices(x: TorusPoint, y: TorusPoint) -> list[tuple[Fraction, ...]]:
+    _check_pair(x, y)
+    return _nearest_translates(x.coords, y.coords, (1,) * x.n)
+
+
 def antipodal_indices(x: TorusPoint, y: TorusPoint) -> tuple[int, ...]:
     """Coordinates where ``y`` sits exactly opposite ``x`` (offset 1/2)."""
-    _check_pair(x, y)
-    return tuple(
-        i
-        for i, (a, b) in enumerate(zip(x.coords, y.coords))
-        if _reduce(b - a) == _HALF
-    )
+    return tuple(i for i, c in enumerate(_choices(x, y)) if len(c) == 2)
 
 
 def torus_stratum(x: TorusPoint, y: TorusPoint) -> int:
@@ -137,19 +160,7 @@ def torus_geodesics(x: TorusPoint, y: TorusPoint) -> tuple[TorusGeodesic, ...]:
     Exactly ``2^(k-1)`` entries for ``k = torus_stratum(x, y)``, all of equal
     squared length.
     """
-    _check_pair(x, y)
-    per_coord: list[tuple[Fraction, ...]] = []
-    for a, b in zip(x.coords, y.coords):
-        delta = _reduce(b - a)
-        if delta == _HALF:
-            per_coord.append((-_HALF, _HALF))
-        elif delta < _HALF:
-            per_coord.append((delta,))
-        else:
-            per_coord.append((delta - 1,))
-    return tuple(
-        TorusGeodesic(x, disp) for disp in sorted(product(*per_coord))
-    )
+    return tuple(TorusGeodesic(x, disp) for disp in product(*_choices(x, y)))
 
 
 @dataclass(frozen=True)
@@ -219,21 +230,12 @@ def torus_plan(x: TorusPoint, y: TorusPoint) -> PlannerResult:
     Domain index is ``torus_stratum(x, y) - 1``; the chosen geodesic always
     belongs to ``torus_geodesics(x, y)``.
     """
-    _check_pair(x, y)
-    opposite = antipodal_indices(x, y)
-    disp = []
-    for i, (a, b) in enumerate(zip(x.coords, y.coords)):
-        delta = _reduce(b - a)
-        if i in opposite:
-            disp.append(_HALF)
-        elif delta < _HALF:
-            disp.append(delta)
-        else:
-            disp.append(delta - 1)
-    chosen = TorusGeodesic(x, tuple(disp))
+    choices = _choices(x, y)
+    opposite = sum(len(c) == 2 for c in choices)
+    chosen = TorusGeodesic(x, tuple(c[-1] for c in choices))
     return PlannerResult(
-        domain=len(opposite),
-        count=2 ** len(opposite),
+        domain=opposite,
+        count=2 ** opposite,
         rule="plus_half" if opposite else "unique",
         geodesic=chosen,
     )
@@ -258,37 +260,15 @@ def torus_loop_monodromy(steps: int, x2=Fraction(1, 2)) -> tuple[int, ...]:
     This is the orientable control: the result is always the identity.
     Mirrors the Klein-bottle monodromy contract, including ``steps >= 8``.
     """
-    if steps < 8:
-        raise ValueError("need steps >= 8 for unambiguous matching")
     x2 = _frac(x2)
 
-    def minimal_lifts(t: Fraction) -> list[tuple[Fraction, Fraction]]:
-        base = (t, x2)
-        target = (_reduce(t + _HALF), _reduce(x2 + _HALF))
-        # Enumerate integer translates of the target near the lifted base.
-        cands = []
-        for du in range(-2, 4):
-            for dv in range(-2, 4):
-                p = (target[0] + du, target[1] + dv)
-                d = (p[0] - base[0]) ** 2 + (p[1] - base[1]) ** 2
-                cands.append((d, p))
-        best = min(d for d, _ in cands)
-        return sorted(p for d, p in cands if d == best)
+    def lifts_at(j: int) -> list[tuple[Fraction, ...]]:
+        base = (Fraction(j, steps), x2)
+        target = tuple(c + _HALF for c in base)
+        return [
+            tuple(b + d for b, d in zip(base, disp))
+            for disp in product(*_nearest_translates(base, target, (1, 1)))
+        ]
 
-    prev = minimal_lifts(Fraction(0))
-    if len(prev) != 4:
-        raise RuntimeError("loop basepoint is not a four-geodesic pair")
-    start = list(prev)
-    total = tuple(range(4))
-    for j in range(1, steps + 1):
-        cur = minimal_lifts(Fraction(j, steps))
-        step_perm = nearest_lift_permutation(prev, cur)
-        total = tuple(total[step_perm[m]] for m in range(4))
-        prev = cur
-    # Close the loop: the final lifts are the initial ones shifted by (1, 0).
-    shifted = [(p[0] + 1, p[1]) for p in start]
-    closing = nearest_lift_permutation(shifted, prev)
-    sigma: list[int] = [0, 0, 0, 0]
-    for m in range(4):
-        sigma[total[m]] = closing[m]
-    return tuple(sigma)
+    # The final lifts are the initial ones shifted by (1, 0).
+    return loop_monodromy(lifts_at, steps, lambda p: (p[0] + 1, p[1]))

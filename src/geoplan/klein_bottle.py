@@ -5,7 +5,12 @@ i.e. the quotient of the plane by the group generated by the glide
 ``alpha: (u,v) -> (u+1, 1-v)`` and the translation ``beta: (u,v) -> (u, v+1)``.
 Geodesics between two points correspond to straight segments from a fixed
 lift of the start to the deck orbit of the end; the minimizing ones realize
-the least squared length over the orbit.
+the least squared length over the orbit.  The translations ``alpha^2`` and
+``beta`` span the lattice 2Z x Z, of index two in the deck group, so the
+orbit of ``y`` is the union of the lattice translates of ``y`` and of
+``alpha(y)``.  The minimizing lifts are therefore the nearest translates in
+those two cosets (the torus rule with periods (2, 1)), keeping the coset
+with the smaller distance, or both on a tie.
 
 The cut locus of a basepoint is the projected boundary of its Dirichlet cell,
 computed exactly by intersecting bisector half-planes with rational
@@ -21,13 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .cutgraph import CutEdge, CutLocusGraph, CutVertex
+from .flat_torus import _nearest_translates
 from .metric_core import Polyline, _frac, dist_sq
 from .planning import (
-    AmbiguousMatchError,
     PlannerResult,
-    nearest_lift_permutation,
+    loop_monodromy,
     permutation_cycles,
     permutation_order,
 )
@@ -49,6 +55,9 @@ __all__ = [
 ]
 
 _HALF = Fraction(1, 2)
+
+#: Periods of the translation subgroup <alpha^2, beta> = 2Z x Z.
+_PERIODS = (2, 1)
 
 Point2 = tuple[Fraction, Fraction]
 
@@ -161,7 +170,8 @@ def klein_lift_orbit(
     """Orbit points ``alpha^a beta^b . y`` for |a|, |b| <= window.
 
     The deck group acts freely, so all points are distinct; the list is
-    sorted by point for determinism.
+    sorted by point for determinism.  The cut locus clips the Dirichlet cell
+    against this orbit; geodesics use the two-coset rule instead.
     """
     if window < 1:
         raise ValueError("window must be a positive integer")
@@ -178,26 +188,41 @@ def klein_lift_orbit(
     return tuple(out)
 
 
-def klein_geodesics(
-    x: KleinPoint, y: KleinPoint, window: int = 2
-) -> tuple[KleinGeodesic, ...]:
-    """All minimizing geodesics from ``x`` to ``y``.
+def _minimal_lifts(base: Point2, y: KleinPoint) -> list[Point2]:
+    """Lifts of ``y`` nearest to the plane point ``base`` (any lift, reduced
+    or not), sorted: the nearest 2Z x Z translates of ``y`` and of
+    ``alpha(y)``, from whichever coset comes closer (both on a tie)."""
+    u, v = y.coords
+    best = None
+    lifts: list[Point2] = []
+    for target in ((u, v), (u + 1, 1 - v)):
+        choices = _nearest_translates(base, target, _PERIODS)
+        d = sum(c[0] * c[0] for c in choices)
+        if best is None or d < best:
+            best, lifts = d, []
+        if d == best:
+            lifts.extend((base[0] + du, base[1] + dv) for du, dv in product(*choices))
+    return sorted(lifts)
 
-    Enumerates the deck orbit of ``y`` within ``window`` fundamental domains
-    (two suffice: the bottle's diameter is below one domain width) and keeps
-    every lift achieving the exact minimal squared distance from the
-    canonical lift of ``x``.  Between one and four geodesics exist.
+
+def _deck_to(y: KleinPoint, lift: Point2) -> DeckElement:
+    """The deck element carrying the canonical lift of ``y`` to ``lift``."""
+    u, v = y.coords
+    a = int(lift[0] - u)
+    return DeckElement(a, int(lift[1] - v if a % 2 == 0 else 1 - v - lift[1]))
+
+
+def klein_geodesics(x: KleinPoint, y: KleinPoint) -> tuple[KleinGeodesic, ...]:
+    """All minimizing geodesics from ``x`` to ``y``, sorted by end lift.
+
+    The end lifts are the minimal lifts of ``y`` measured from the canonical
+    lift of ``x``; each carries the deck element that produces it.  Between
+    one and four geodesics exist.
     """
-    x_lift = x.coords
-    orbit = klein_lift_orbit(y, window)
-    best = min(dist_sq(x_lift, p) for _, p in orbit)
-    geos = [
-        KleinGeodesic(x_lift, p, g)
-        for g, p in orbit
-        if dist_sq(x_lift, p) == best
-    ]
-    geos.sort(key=lambda g: g.end_lift)
-    return tuple(geos)
+    return tuple(
+        KleinGeodesic(x.coords, p, _deck_to(y, p))
+        for p in _minimal_lifts(x.coords, y)
+    )
 
 
 def klein_stratum(x: KleinPoint, y: KleinPoint) -> int:
@@ -417,18 +442,6 @@ class MonodromyResult:
         }
 
 
-def _minimal_lifts_from(x_lift: Point2, y: KleinPoint) -> list[Point2]:
-    """Minimal lifts of ``y`` measured from an (unreduced) lift of ``x``."""
-    center = x_lift[0].numerator // x_lift[0].denominator
-    cands = []
-    for a in range(center - 2, center + 3):
-        for b in range(-2, 3):
-            p = DeckElement(a, b).apply(y.coords)
-            cands.append((dist_sq(x_lift, p), p))
-    best = min(d for d, _ in cands)
-    return sorted(p for d, p in cands if d == best)
-
-
 def klein_monodromy(x2, steps: int) -> MonodromyResult:
     """Track the four geodesics around the loop ``x(t) = (t, x2)``.
 
@@ -442,48 +455,20 @@ def klein_monodromy(x2, steps: int) -> MonodromyResult:
     x2 = _frac(x2)
     if x2 not in (Fraction(0), _HALF):
         raise ValueError("the four-geodesic loop requires x2 in {0, 1/2}")
-    if steps < 8:
-        raise ValueError("need steps >= 8 for unambiguous matching")
 
     def lifts_at(j: int) -> list[Point2]:
         t = Fraction(j, steps)
-        x_lift = (t, x2)
-        y = KleinPoint.make((t + _HALF, x2 + _HALF))
-        lifts = _minimal_lifts_from(x_lift, y)
-        if len(lifts) != 4:
-            raise RuntimeError(f"expected 4 minimal lifts at step {j}")
-        return lifts
+        return _minimal_lifts((t, x2), KleinPoint.make((t + _HALF, x2 + _HALF)))
 
-    start = lifts_at(0)
-    x0 = (Fraction(0), x2)
-    labels = tuple(
-        ("U" if p[1] > x0[1] else "D") + ("R" if p[0] > x0[0] else "L")
-        for p in start
-    )
-    total = tuple(range(4))
-    prev = start
-    try:
-        for j in range(1, steps + 1):
-            cur = lifts_at(j)
-            step_perm = nearest_lift_permutation(prev, cur)
-            total = tuple(total[step_perm[m]] for m in range(4))
-            prev = cur
-    except AmbiguousMatchError as exc:
-        raise AmbiguousMatchError(
-            f"{exc}; rerun with a finer loop (steps > {steps})"
-        ) from exc
     # Identify the final frame with the initial one: the lift of x has moved
     # by the deck element carrying (0, x2) to (1, x2).
-    b_loop = 1 - 2 * x2
-    g_loop = DeckElement(1, int(b_loop))
-    shifted = [g_loop.apply(p) for p in start]
-    if sorted(shifted) != sorted(prev):
-        raise RuntimeError("loop closure failed: final lifts differ from expected")
-    closing = nearest_lift_permutation(shifted, prev)
-    sigma = [0, 0, 0, 0]
-    for m in range(4):
-        sigma[total[m]] = closing[m]
-    return MonodromyResult(tuple(sigma), labels)
+    g_loop = DeckElement(1, int(1 - 2 * x2))
+    permutation = loop_monodromy(lifts_at, steps, g_loop.apply)
+    labels = tuple(
+        ("U" if p[1] > x2 else "D") + ("R" if p[0] > 0 else "L")
+        for p in lifts_at(0)
+    )
+    return MonodromyResult(permutation, labels)
 
 
 def klein_local_poset(kind: str) -> StratPoset:

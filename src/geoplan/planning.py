@@ -1,8 +1,9 @@
 """Shared planner-output records and geodesic-tracking helpers.
 
 The space modules return a :class:`PlannerResult` from their ``*_plan``
-functions, and the loop-monodromy routines track minimal lifts step by step
-with :func:`nearest_lift_permutation`, refusing to guess when a matching is
+functions, and both loop monodromies run through :func:`loop_monodromy`,
+which tracks minimal lifts step by step with
+:func:`nearest_lift_permutation`, refusing to guess when a matching is
 ambiguous.
 """
 
@@ -10,15 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .metric_core import dist_sq
 
 __all__ = [
     "AmbiguousMatchError",
     "PlannerResult",
-    "compose_permutations",
-    "identity_permutation",
+    "loop_monodromy",
     "nearest_lift_permutation",
     "permutation_cycles",
     "permutation_order",
@@ -74,22 +74,41 @@ def nearest_lift_permutation(
     return tuple(perm)
 
 
-def identity_permutation(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
-def compose_permutations(
-    first: Sequence[int], second: Sequence[int]
+def loop_monodromy(
+    lifts_at: Callable[[int], Sequence[Sequence[Fraction]]],
+    steps: int,
+    close: Callable[[Sequence[Fraction]], Sequence[Fraction]],
 ) -> tuple[int, ...]:
-    """Apply ``first`` then ``second``: result[j] = first[second[j]].
+    """Permutation of the minimal lifts after one trip around a loop.
 
-    With the nearest-lift convention ``perm[j] = parent of new j``, composing
-    step permutations in order yields, for each final lift, its original
-    ancestor.
+    ``lifts_at(j)`` returns the sorted minimal lifts at step ``j`` of
+    ``0..steps``; each step is matched to the last by
+    :func:`nearest_lift_permutation`.  ``close`` is the deck transformation
+    carrying the lifts of step 0 onto those of step ``steps``.  Entry ``i``
+    of the result is the index of the step-0 lift that lift ``i`` arrives at.
     """
-    if len(first) != len(second):
-        raise ValueError("permutation sizes differ")
-    return tuple(first[second[j]] for j in range(len(second)))
+    if steps < 8:
+        raise ValueError("need steps >= 8 for unambiguous matching")
+    start = prev = lifts_at(0)
+    ancestor = tuple(range(len(start)))
+    try:
+        for j in range(1, steps + 1):
+            cur = lifts_at(j)
+            step_perm = nearest_lift_permutation(prev, cur)
+            ancestor = tuple(ancestor[i] for i in step_perm)
+            prev = cur
+    except AmbiguousMatchError as exc:
+        raise AmbiguousMatchError(
+            f"{exc}; rerun with a finer loop (steps > {steps})"
+        ) from exc
+    shifted = [close(p) for p in start]
+    if sorted(shifted) != sorted(prev):
+        raise RuntimeError("loop closure failed: final lifts differ from expected")
+    closing = nearest_lift_permutation(shifted, prev)
+    sigma = [0] * len(start)
+    for m, i in enumerate(ancestor):
+        sigma[i] = closing[m]
+    return tuple(sigma)
 
 
 def permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -322,3 +322,15 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lower_bound"] == 1
+
+
+def test_import_leaves_verify_and_numpy_unloaded():
+    code = (
+        "import sys, geoplan.cli; "
+        "print(sorted(m for m in ('geoplan.verify', 'numpy') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoplan.klein_bottle import (
     IDENTITY,
     DeckElement,
     KleinPoint,
+    _minimal_lifts,
     klein_cut_locus,
     klein_geodesics,
     klein_lift_orbit,
@@ -23,6 +26,21 @@ from geoplan.strat_cover import lower_bound, validate_poset
 
 F = Fraction
 H = F(1, 2)
+
+
+def orbit_scan(base, y):
+    """Brute-force oracle: the minimizing (end lift, deck element) pairs over
+    the deck orbit of ``y`` within window 3, measured from ``base``."""
+    orbit = klein_lift_orbit(y, window=3)
+    best = min(dist_sq(base, p) for _, p in orbit)
+    return [(p, g) for g, p in orbit if dist_sq(base, p) == best]
+
+
+def core_pairs(x, y):
+    return [(g.end_lift, g.deck) for g in klein_geodesics(x, y)]
+
+
+rationals = st.fractions(min_value=-2, max_value=2, max_denominator=64)
 
 
 class TestDeckGroup:
@@ -106,16 +124,35 @@ class TestGeodesics:
             assert g.end == y
             assert KleinPoint.reduce_lift(g.deck.apply(y.coords)) == y
 
-    def test_window_two_is_sufficient(self):
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(rationals, rationals), st.tuples(rationals, rationals))
+    def test_core_matches_orbit_scan_on_random_pairs(self, xc, yc):
+        x, y = KleinPoint.make(xc), KleinPoint.make(yc)
+        assert core_pairs(x, y) == orbit_scan(x.coords, y)
+
+    def test_core_matches_orbit_scan_on_cut_locus(self):
         rng = random.Random(31)
-        for _ in range(50):
-            x = KleinPoint.make((F(rng.randrange(16), 16), F(rng.randrange(16), 16)))
+        seen = set()
+        for _ in range(40):
+            x2 = rng.choice([F(0), H]) if rng.random() < 0.3 else F(rng.randrange(40), 40)
+            x = KleinPoint.make((F(rng.randrange(40), 40), x2))
+            graph = klein_cut_locus(x)
+            targets = [v.point for v in graph.vertices]
+            for edge in graph.edges:
+                targets.append(edge.as_polyline().evaluate(F(rng.randrange(1, 10), 10)))
+            for point in targets:
+                y = KleinPoint.reduce_lift(point)
+                expected = orbit_scan(x.coords, y)
+                assert core_pairs(x, y) == expected
+                seen.add(len(expected))
+        assert seen == {2, 3, 4}
+
+    def test_core_matches_orbit_scan_from_unreduced_lifts(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            base = (F(rng.randrange(-64, 64), 32), F(rng.randrange(-32, 64), 32))
             y = KleinPoint.make((F(rng.randrange(16), 16), F(rng.randrange(16), 16)))
-            small = klein_geodesics(x, y, window=2)
-            large = klein_geodesics(x, y, window=3)
-            assert [(g.end_lift, g.deck) for g in small] == [
-                (g.end_lift, g.deck) for g in large
-            ]
+            assert _minimal_lifts(base, y) == [p for p, _ in orbit_scan(base, y)]
 
     def test_lift_orbit_covers_the_window(self):
         y = KleinPoint.make((F(1, 4), F(1, 4)))
