@@ -9,6 +9,13 @@ the shared edges of the sequence, in order, without running through a cube
 corner mid-path.  The global minimizers over all short face sequences are the
 geodesics.
 
+Every unfolding map is a quarter turn plus an integer shift, so each
+face sequence is cached once as small integer data, and each query scales
+its two endpoints to integer charts.  Sequences are then ranked by the
+squared length of their unfolded segment and tested for admissibility
+best-first, in integers, stopping after the first length that has an
+admissible candidate; fractions are built only for the returned paths.
+
 For opposite-face pairs there are twelve candidate unfoldings with closed
 squared-length formulas; the module evaluates those formulas exactly, keeps
 the correspondence between formula index and face sequence (derived by exact
@@ -24,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
-from .metric_core import Polyline, _frac, dist_sq
+from .metric_core import Polyline, _frac
 from .strat_cover import CUBE_CORNER_LIMITS, StratPoset
 from .strat_cover import cube_corner_poset as _corner_poset
 
@@ -70,6 +78,11 @@ _FRAMES: dict[str, tuple[Vec3, Vec3, Vec3]] = {
 }
 
 _AXIS = {"x": 0, "y": 1, "z": 2}
+
+#: Face frames with the center doubled, so that every entry is an integer.
+_INT_FRAMES: dict[str, tuple[tuple[int, ...], Vec3, Vec3]] = {
+    face: (tuple(int(2 * v) for v in c), eu, ev) for face, (c, eu, ev) in _FRAMES.items()
+}
 
 
 def _chart_to_space(face: str, u: Fraction, v: Fraction) -> Vec3:
@@ -131,16 +144,20 @@ class CubePoint:
         uu, vv = _space_to_chart(owner, p)
         return cls(owner, uu, vv)
 
-    @property
+    @cached_property
     def point(self) -> Vec3:
         return _chart_to_space(self.face, self.u, self.v)
 
-    def faces(self) -> tuple[str, ...]:
+    @cached_property
+    def _faces(self) -> tuple[str, ...]:
         return containing_faces(self.point)
+
+    def faces(self) -> tuple[str, ...]:
+        return self._faces
 
     def chart_in(self, face: str) -> Vec2:
         """Chart coordinates within another containing face."""
-        if face not in containing_faces(self.point):
+        if face not in self._faces:
             raise ValueError(f"point does not lie on face {face!r}")
         return _space_to_chart(face, self.point)
 
@@ -167,45 +184,6 @@ def _shared_edge(f: str, g: str) -> tuple[Vec3, Vec3]:
     return tuple(sorted(points))
 
 
-def _cross2(a: Vec2, b: Vec2) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-class _Isometry:
-    """Exact planar rigid motion p -> R(p - anchor) + image."""
-
-    __slots__ = ("r00", "r01", "r10", "r11", "t0", "t1")
-
-    def __init__(self, r00, r01, r10, r11, t0, t1):
-        self.r00, self.r01, self.r10, self.r11 = r00, r01, r10, r11
-        self.t0, self.t1 = t0, t1
-
-    @classmethod
-    def identity(cls) -> "_Isometry":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(one, zero, zero, one, zero, zero)
-
-    @classmethod
-    def matching(cls, b0: Vec2, b1: Vec2, a0: Vec2, a1: Vec2) -> "_Isometry":
-        """The rotation+translation sending b0 -> a0 and b1 -> a1."""
-        db = (b1[0] - b0[0], b1[1] - b0[1])
-        da = (a1[0] - a0[0], a1[1] - a0[1])
-        norm = db[0] ** 2 + db[1] ** 2
-        if norm != da[0] ** 2 + da[1] ** 2:
-            raise ValueError("segments of unequal length cannot be matched")
-        c = (db[0] * da[0] + db[1] * da[1]) / norm
-        s = _cross2(db, da) / norm
-        t0 = a0[0] - (c * b0[0] - s * b0[1])
-        t1 = a0[1] - (s * b0[0] + c * b0[1])
-        return cls(c, -s, s, c, t0, t1)
-
-    def __call__(self, p: Vec2) -> Vec2:
-        return (
-            self.r00 * p[0] + self.r01 * p[1] + self.t0,
-            self.r10 * p[0] + self.r11 * p[1] + self.t1,
-        )
-
-
 @dataclass(frozen=True)
 class UnfoldedPath:
     """An admissible unfolded candidate: the face sequence, the straight
@@ -228,81 +206,173 @@ class UnfoldedPath:
 
     def face_outlines(self) -> tuple[tuple[Vec2, ...], ...]:
         """Planar outline of each face square in the unfolded strip."""
-        corners = (
-            (-_HALF, -_HALF),
-            (_HALF, -_HALF),
-            (_HALF, _HALF),
-            (-_HALF, _HALF),
-            (-_HALF, -_HALF),
+        corners = ((-1, -1), (1, -1), (1, 1), (-1, 1), (-1, -1))
+        maps, _ = _unfold_maps(self.face_sequence)
+        return tuple(
+            tuple((Fraction(u, 2), Fraction(v, 2)) for u, v in (_apply(m, *c) for c in corners))
+            for m in maps
         )
-        transforms = _unfold_transforms(self.face_sequence)
-        return tuple(tuple(t(c) for c in corners) for t in transforms)
+
+
+# ---------------------------------------------------------------------------
+# Integer unfolding
+#
+# In doubled chart coordinates (face squares [-1, 1]^2, so unfolded face
+# centers sit at even and cube corners at odd integer points) every
+# unfolding map is a quarter turn plus an integer shift, stored as
+# (cos, sin, shift_u, shift_v).  A query scales both
+# endpoints by ``scale = 2 * half`` so that their charts are integers too;
+# a doubled map then acts on scaled charts with its shift multiplied by
+# ``half``.  All admissibility tests are integer cross-multiplications.
+# ---------------------------------------------------------------------------
+
+_Map = tuple[int, int, int, int]
+#: Crossed edge: doubled planar start and direction in the unfolded strip,
+#: doubled surface start and direction of the same edge.
+_Edge = tuple[int, int, int, int, tuple[int, int, int], tuple[int, int, int]]
+
+
+def _scaled_chart(face: str, p: Vec3, scale: int) -> tuple[int, int]:
+    """Chart coordinates of ``p`` in ``face`` times ``scale``; the scale must
+    clear every denominator of ``p`` (and be even)."""
+    c2, eu, ev = _INT_FRAMES[face]
+    d = [
+        p[i].numerator * (scale // p[i].denominator) - (scale // 2) * c2[i]
+        for i in range(3)
+    ]
+    return (
+        d[0] * eu[0] + d[1] * eu[1] + d[2] * eu[2],
+        d[0] * ev[0] + d[1] * ev[1] + d[2] * ev[2],
+    )
+
+
+def _apply(m: _Map, a: int, b: int, half: int = 1) -> tuple[int, int]:
+    c, s, t0, t1 = m
+    return (c * a - s * b + half * t0, s * a + c * b + half * t1)
+
+
+def _unfold_maps(seq: tuple[str, ...]) -> tuple[tuple[_Map, ...], tuple[_Edge, ...]]:
+    """Doubled unfolding map of every face of ``seq`` and every crossed edge."""
+    maps: list[_Map] = [(1, 0, 0, 0)]
+    edges: list[_Edge] = []
+    for f, g in zip(seq, seq[1:]):
+        e0, e1 = _shared_edge(f, g)
+        a0 = _apply(maps[-1], *_scaled_chart(f, e0, 2))
+        a1 = _apply(maps[-1], *_scaled_chart(f, e1, 2))
+        b0 = _scaled_chart(g, e0, 2)
+        b1 = _scaled_chart(g, e1, 2)
+        da = (a1[0] - a0[0], a1[1] - a0[1])
+        db = (b1[0] - b0[0], b1[1] - b0[1])
+        # both edges have doubled length 2, so cos and sin are exact quarters
+        c = (db[0] * da[0] + db[1] * da[1]) // 4
+        s = (db[0] * da[1] - db[1] * da[0]) // 4
+        r0, r1 = _apply((c, s, 0, 0), *b0)
+        maps.append((c, s, a0[0] - r0, a0[1] - r1))
+        start = tuple(int(2 * v) for v in e0)
+        edges.append((*a0, *da, start, tuple(int(2 * w) - v for v, w in zip(start, e1))))
+    return tuple(maps), tuple(edges)
 
 
 @lru_cache(maxsize=None)
-def _unfold_transforms(seq: tuple[str, ...]) -> tuple[_Isometry, ...]:
-    out = [_Isometry.identity()]
-    for f, g in zip(seq, seq[1:]):
-        e0, e1 = _shared_edge(f, g)
-        a0, a1 = _space_to_chart(f, e0), _space_to_chart(f, e1)
-        b0, b1 = _space_to_chart(g, e0), _space_to_chart(g, e1)
-        prev = out[-1]
-        out.append(_Isometry.matching(b0, b1, prev(a0), prev(a1)))
-    return tuple(out)
+def _unfolding(seq: tuple[str, ...]) -> tuple[_Map, tuple[_Edge, ...]]:
+    """The per-sequence cache: the last face's map and the crossed edges
+    (the first face's map is the identity)."""
+    maps, edges = _unfold_maps(seq)
+    return maps[-1], edges
 
 
-def _unfold_path(x: CubePoint, y: CubePoint, seq: tuple[str, ...]) -> UnfoldedPath | None:
-    """Unfold the face sequence and test admissibility exactly.
+class _Query:
+    """Both endpoints of one query with integer charts in each containing face."""
 
-    Returns None when the straight segment leaves the strip of faces, crosses
-    an edge outside its span, crosses out of order, or passes through a cube
-    corner in mid-path.  Crossings at the very start or end of the segment
-    may sit on edge endpoints (paths may begin or end at a corner).
+    __slots__ = ("x", "y", "half", "scale", "x_charts", "y_charts")
+
+    def __init__(self, x: CubePoint, y: CubePoint):
+        self.x, self.y = x, y
+        self.half = lcm(*(c.denominator for c in (x.u, x.v, y.u, y.v)))
+        self.scale = 2 * self.half
+        self.x_charts = {f: _scaled_chart(f, x.point, self.scale) for f in x.faces()}
+        self.y_charts = {f: _scaled_chart(f, y.point, self.scale) for f in y.faces()}
+
+    def endpoints(self, seq: tuple[str, ...]) -> tuple[int, int, int, int]:
+        """Scaled planar start and end of the unfolded segment."""
+        last, _ = _unfolding(seq)
+        p = self.x_charts[seq[0]]
+        return (*p, *_apply(last, *self.y_charts[seq[-1]], self.half))
+
+    def length_sq(self, seq: tuple[str, ...]) -> int:
+        """Planar squared length of the unfolding, times ``scale**2``."""
+        px, py, qx, qy = self.endpoints(seq)
+        return (qx - px) ** 2 + (qy - py) ** 2
+
+
+def _crossings(query: _Query, seq: tuple[str, ...]) -> list[tuple[int, int]] | None:
+    """Admissibility of the unfolded segment, decided in integers.
+
+    Returns the edge parameter ``s`` of every crossing as (numerator,
+    positive denominator), or None when the segment is degenerate, leaves
+    the strip of faces, crosses an edge outside its span, crosses out of
+    order or twice at one mid-path instant, or passes through a cube corner
+    in mid-path.  Crossings at the very start or end of the segment may sit
+    on edge endpoints (paths may begin or end at a corner).
     """
-    transforms = _unfold_transforms(seq)
-    p = transforms[0](x.chart_in(seq[0]))
-    q = transforms[-1](y.chart_in(seq[-1]))
-    direction = (q[0] - p[0], q[1] - p[1])
-    crossings: list[tuple[Fraction, Vec3]] = []
-    if len(seq) > 1 and p == q:
+    _, edges = _unfolding(seq)
+    px, py, qx, qy = query.endpoints(seq)
+    dx, dy = qx - px, qy - py
+    if len(seq) > 1 and dx == dy == 0:
         return None
-    prev_t: Fraction | None = None
-    for i in range(len(seq) - 1):
-        e0, e1 = _shared_edge(seq[i], seq[i + 1])
-        a0 = transforms[i](_space_to_chart(seq[i], e0))
-        a1 = transforms[i](_space_to_chart(seq[i], e1))
-        edge_dir = (a1[0] - a0[0], a1[1] - a0[1])
-        denom = _cross2(direction, edge_dir)
-        if denom == 0:
+    half = query.half
+    out: list[tuple[int, int]] = []
+    prev_tn = prev_d = 0
+    for ax, ay, ex, ey, _, _ in edges:
+        ox, oy = half * ax - px, half * ay - py
+        d = dx * ey - dy * ex
+        if d == 0:
             return None
-        offset = (a0[0] - p[0], a0[1] - p[1])
-        t = _cross2(offset, edge_dir) / denom
-        s = _cross2(offset, direction) / denom
-        if not 0 <= t <= 1:
+        tn = ox * ey - oy * ex
+        sn = ox * dy - oy * dx
+        if d < 0:
+            d, tn, sn = -d, -tn, -sn
+        # t = tn / d is the position along the segment, s = sn / (half * d)
+        # the position along the edge
+        if not 0 <= tn <= d:
             return None
-        if prev_t is not None and t < prev_t:
-            return None
-        if prev_t is not None and t == prev_t and t != 0 and t != 1:
-            return None
-        if t in (0, 1):
-            if not 0 <= s <= 1:
+        if out:
+            later, earlier = tn * prev_d, prev_tn * d
+            if later < earlier or (later == earlier and 0 < tn < d):
                 return None
-        elif not 0 < s < 1:
+        sd = half * d
+        if tn == 0 or tn == d:
+            if not 0 <= sn <= sd:
+                return None
+        elif not 0 < sn < sd:
             return None
-        prev_t = t
-        cross_point: Vec3 = tuple(e0[k] + s * (e1[k] - e0[k]) for k in range(3))
-        crossings.append((t, cross_point))
-    points: list[Vec3] = [x.point]
-    for _, cp in crossings:
+        out.append((sn, sd))
+        prev_tn, prev_d = tn, d
+    return out
+
+
+def _unfold_path(query: _Query, seq: tuple[str, ...]) -> UnfoldedPath | None:
+    """Unfold the face sequence; None when it is not admissible (see
+    :func:`_crossings`).  Fractions are built only for an admissible path."""
+    crossings = _crossings(query, seq)
+    if crossings is None:
+        return None
+    _, edges = _unfolding(seq)
+    x, y = query.x.point, query.y.point
+    points: list[Vec3] = [x]
+    for (sn, sd), (*_, start, step) in zip(crossings, edges):
+        cp: Vec3 = tuple(Fraction(a * sd + sn * b, 2 * sd) for a, b in zip(start, step))
         if cp != points[-1]:
             points.append(cp)
-    if y.point != points[-1] or len(points) == 1:
-        points.append(y.point)
+    if y != points[-1] or len(points) == 1:
+        points.append(y)
+    px, py, qx, qy = query.endpoints(seq)
+    m = query.scale
     return UnfoldedPath(
         face_sequence=seq,
-        planar_start=p,
-        planar_end=q,
-        squared_length=dist_sq(p, q),
+        planar_start=(Fraction(px, m), Fraction(py, m)),
+        planar_end=(Fraction(qx, m), Fraction(qy, m)),
+        squared_length=Fraction((qx - px) ** 2 + (qy - py) ** 2, m * m),
         trace=tuple(points),
     )
 
@@ -330,10 +400,12 @@ def cube_geodesics(
 ) -> tuple[UnfoldedPath, ...]:
     """All shortest paths between two surface points.
 
-    Unfolds every simple face sequence (up to ``max_faces`` faces, which is
+    Ranks every simple face sequence (up to ``max_faces`` faces, which is
     sufficient: the surface diameter is below three face widths of travel)
-    between faces containing the endpoints, keeps the admissible candidates,
-    and returns the minimizers, deduplicated by exact surface trace.
+    between faces containing the endpoints by the planar length of its
+    unfolded segment, tests admissibility best-first, and stops after the
+    first length with an admissible candidate.  Those minimizers are
+    returned, deduplicated by exact surface trace.
     """
     if x.point == y.point:
         chart = x.chart_in(x.face)
@@ -346,15 +418,22 @@ def cube_geodesics(
                 trace=(x.point,),
             ),
         )
-    candidates: list[UnfoldedPath] = []
-    for seq in _face_sequences(x.faces(), y.faces(), max_faces):
-        path = _unfold_path(x, y, seq)
+    query = _Query(x, y)
+    ranked = sorted(
+        ((query.length_sq(seq), seq) for seq in _face_sequences(x.faces(), y.faces(), max_faces)),
+        key=lambda item: item[0],
+    )
+    minimal: list[UnfoldedPath] = []
+    best = None
+    for length, seq in ranked:
+        if minimal and length != best:
+            break
+        path = _unfold_path(query, seq)
         if path is not None:
-            candidates.append(path)
-    if not candidates:
+            minimal.append(path)
+            best = length
+    if not minimal:
         raise RuntimeError("no admissible unfolding found (raise max_faces)")
-    best = min(c.squared_length for c in candidates)
-    minimal = [c for c in candidates if c.squared_length == best]
     minimal.sort(key=lambda c: (c.trace, len(c.face_sequence), c.face_sequence))
     unique: list[UnfoldedPath] = []
     seen: set[tuple[Vec3, ...]] = set()
@@ -427,12 +506,8 @@ def _index_sequences() -> tuple[tuple[str, ...], ...]:
     for seq in seqs:
         values = []
         for x1, x2, y1, y2 in samples:
-            x = CubePoint.make("z-", x1, x2)
-            y = CubePoint.make("z+", y1, y2)
-            transforms = _unfold_transforms(seq)
-            p = transforms[0](x.chart_in(seq[0]))
-            q = transforms[-1](y.chart_in(seq[-1]))
-            values.append(dist_sq(p, q))
+            query = _Query(CubePoint.make("z-", x1, x2), CubePoint.make("z+", y1, y2))
+            values.append(Fraction(query.length_sq(seq), query.scale ** 2))
         profiles[tuple(values)] = seq
     out = []
     for idx in range(12):
@@ -488,11 +563,8 @@ def opposite_face_table(x, y) -> CandidateTable:
     for c in (x1, x2, y1, y2):
         if not -_HALF < c < _HALF:
             raise ValueError("opposite-face charts require interior points")
-    xp = CubePoint.make("z-", x1, x2)
-    yp = CubePoint.make("z+", y1, y2)
-    admissible = tuple(
-        _unfold_path(xp, yp, seq) is not None for seq in _index_sequences()
-    )
+    query = _Query(CubePoint.make("z-", x1, x2), CubePoint.make("z+", y1, y2))
+    admissible = tuple(_crossings(query, seq) is not None for seq in _index_sequences())
     return CandidateTable(
         x=(x1, x2),
         y=(y1, y2),
@@ -509,9 +581,8 @@ def candidate_path(x, y, index: int) -> UnfoldedPath | None:
         raise ValueError("candidate index must lie in 1..12")
     x1, x2 = (_frac(c) for c in x)
     y1, y2 = (_frac(c) for c in y)
-    xp = CubePoint.make("z-", x1, x2)
-    yp = CubePoint.make("z+", y1, y2)
-    return _unfold_path(xp, yp, _index_sequences()[index - 1])
+    query = _Query(CubePoint.make("z-", x1, x2), CubePoint.make("z+", y1, y2))
+    return _unfold_path(query, _index_sequences()[index - 1])
 
 
 def diagonal_table(x_d, y_d) -> tuple[Fraction, ...]:
@@ -656,7 +727,7 @@ def _family_corner_trace(family: str, idx: int) -> tuple[Vec3, ...]:
     """
     p, q = corner_pair()
     seq = _index_sequences()[idx - 1]
-    path = _unfold_path(p, q, seq)
+    path = _unfold_path(_Query(p, q), seq)
     if path is None:
         raise RuntimeError(f"candidate {idx} is not admissible at the corner pair")
     times = {"A": 0, "B": 1, "C": 2}[family]

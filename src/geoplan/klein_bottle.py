@@ -323,10 +323,11 @@ def klein_cut_locus(x: KleinPoint) -> CutLocusGraph:
                 break
         else:
             classes.append((kp, [i]))
+    equidistant = [equidistant_elements(v) for v in cell]
     vertex_index = {}
     vertices = []
     for ci, (point, members) in enumerate(classes):
-        mult = 1 + len(equidistant_elements(cell[members[0]]))
+        mult = 1 + len(equidistant[members[0]])
         vertices.append(CutVertex(point.coords, mult))
         for m in members:
             vertex_index[m] = ci
@@ -335,12 +336,7 @@ def klein_cut_locus(x: KleinPoint) -> CutLocusGraph:
     n = len(cell)
     edge_info: dict[tuple[int, int], DeckElement] = {}
     for i in range(n):
-        v0, v1 = cell[i], cell[(i + 1) % n]
-        shared = [
-            g
-            for g in equidistant_elements(v0)
-            if g in equidistant_elements(v1)
-        ]
+        shared = [g for g in equidistant[i] if g in equidistant[(i + 1) % n]]
         if len(shared) != 1:
             raise RuntimeError("cell edge does not lie on a unique bisector")
         edge_info[(i, (i + 1) % n)] = shared[0]

@@ -332,6 +332,7 @@ def torus_corner_poset(n: int) -> StratPoset:
         elements.append(
             PosetElement(_sign_pattern_id(pattern), level, tuple(sorted(sheets)))
         )
+    sheets_by_id = {e.id: e.sheets for e in elements}
     for pattern in all_patterns:
         for i, c in enumerate(pattern):
             if c == "o":
@@ -340,8 +341,7 @@ def torus_corner_poset(n: int) -> StratPoset:
             bigger[i] = "o"
             src = _sign_pattern_id(pattern)
             dst = _sign_pattern_id(tuple(bigger))
-            src_sheets = next(e.sheets for e in elements if e.id == src)
-            covers.append(CoverMap(src, dst, {s: s for s in src_sheets}))
+            covers.append(CoverMap(src, dst, {s: s for s in sheets_by_id[src]}))
     elements.sort(key=lambda e: (e.level, e.id))
     covers.sort(key=lambda c: (c.src, c.dst))
     return StratPoset(elements, covers)

@@ -1,14 +1,20 @@
 """Cube boundary surface: unfolding geodesics, the twelve-candidate table,
 diagonal and corner behavior, witness pairs, corner limits."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geoplan.cube_sphere import (
     FACES,
     CubePoint,
+    _face_sequences,
+    _Query,
+    _unfold_path,
     candidate_path,
     containing_faces,
     corner_limit_geodesics,
@@ -36,6 +42,46 @@ H = F(1, 2)
 
 def interior(rng: random.Random) -> Fraction:
     return F(rng.randrange(-29, 30), 60)
+
+
+def exhaustive_geodesics(x: CubePoint, y: CubePoint, max_faces: int = 5):
+    """Reference without pruning: unfold every face sequence, keep the
+    admissible minimum, deduplicate by trace."""
+    query = _Query(x, y)
+    paths = [
+        path
+        for seq in _face_sequences(x.faces(), y.faces(), max_faces)
+        if (path := _unfold_path(query, seq)) is not None
+    ]
+    best = min(p.squared_length for p in paths)
+    minimal = sorted(
+        (p for p in paths if p.squared_length == best),
+        key=lambda c: (c.trace, len(c.face_sequence), c.face_sequence),
+    )
+    unique = {}
+    for p in minimal:
+        unique.setdefault(p.trace, p)
+    return [(p.trace, p.squared_length) for p in unique.values()]
+
+
+def assert_matches_exhaustive(x: CubePoint, y: CubePoint) -> None:
+    geos = cube_geodesics(x, y)
+    assert [(g.trace, g.squared_length) for g in geos] == exhaustive_geodesics(x, y)
+    for g in geos:
+        # the trace runs over the surface and is as long as the planar segment
+        assert g.trace[0] == x.point and g.trace[-1] == y.point
+        for p, q in zip(g.trace, g.trace[1:]):
+            assert set(containing_faces(p)) & set(containing_faces(q))
+        length = sum(math.dist(p, q) for p, q in zip(g.trace, g.trace[1:]))
+        assert math.isclose(length, math.sqrt(g.squared_length), rel_tol=1e-9)
+
+
+# Chart coordinates on cube edges (+-1/2), on the face midlines, and inside.
+chart_coords = st.one_of(
+    st.sampled_from([-H, H, F(0)]),
+    st.fractions(min_value=-H, max_value=H, max_denominator=97),
+)
+surface_points = st.tuples(st.sampled_from(FACES), chart_coords, chart_coords)
 
 
 class TestPoints:
@@ -114,6 +160,39 @@ class TestGeodesics:
             a = [(g.trace, g.squared_length) for g in cube_geodesics(x, y, max_faces=5)]
             b = [(g.trace, g.squared_length) for g in cube_geodesics(x, y, max_faces=6)]
             assert a == b
+
+
+    @settings(max_examples=250, deadline=None)
+    @given(surface_points, surface_points)
+    @example(("z-", -H, -H), ("z+", H, -H))
+    @example(("x-", -H, -H), ("x+", H, H))
+    def test_best_first_matches_exhaustive_unfolding(self, a, b):
+        x, y = CubePoint.make(*a), CubePoint.make(*b)
+        if x.point == y.point:
+            return
+        assert_matches_exhaustive(x, y)
+
+    def test_mid_path_corner_pass_is_rejected(self):
+        # x on the x-/y- edge, y a cube corner: unfolded over (y-, z-) the
+        # segment runs along the strip boundary through the corner (-H, -H, -H)
+        x = CubePoint.make("y-", F(1, 6), -H)
+        y = CubePoint.make("y+", -H, H)
+        assert _unfold_path(_Query(x, y), ("y-", "z-")) is None
+
+    def test_huge_coprime_denominators(self):
+        dens = (10**12 + 39, 10**12 + 61, 10**12 - 11, 10**12 + 3)
+        assert all(math.gcd(a, b) == 1 for i, a in enumerate(dens) for b in dens[i + 1:])
+        rng = random.Random(31)
+        cases = 0
+        for face_x, face_y in (("z-", "z+"), ("z-", "x+"), ("y+", "y+"), ("x-", "y-")):
+            for _ in range(6):
+                u = [F(rng.randrange(-d // 2 + 1, d // 2), d) for d in dens]
+                if cases % 3 == 1:
+                    u[0] = rng.choice((-H, H))  # start on a cube edge
+                x = CubePoint.make(face_x, u[0], u[1])
+                y = CubePoint.make(face_y, u[2], u[3])
+                assert_matches_exhaustive(x, y)
+                cases += 1
 
 
 class TestCandidateTable:
