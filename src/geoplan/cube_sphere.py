@@ -134,8 +134,11 @@ class CubePoint:
     def make(cls, face: str, u, v) -> "CubePoint":
         if face not in _FRAMES:
             raise ValueError(f"unknown face {face!r}")
-        point = _chart_to_space(face, _frac(u), _frac(v))
-        return cls.from_space(point)
+        u, v = _frac(u), _frac(v)
+        if abs(u) < _HALF and abs(v) < _HALF:
+            # A strictly interior chart point lies on its own face only.
+            return cls(face, u, v)
+        return cls.from_space(_chart_to_space(face, u, v))
 
     @classmethod
     def from_space(cls, point) -> "CubePoint":

@@ -13,13 +13,15 @@ those two cosets (the torus rule with periods (2, 1)), keeping the coset
 with the smaller distance, or both on a tie.
 
 The cut locus of a basepoint is the projected boundary of its Dirichlet cell,
-computed exactly by intersecting bisector half-planes with rational
-arithmetic.  It is a wedge of two circles when the basepoint's second
-coordinate is 0 or 1/2 and a theta-graph otherwise; the pair space
-accordingly splits into strata ``S_1 .. S_4`` by geodesic count.  An optimal
-planner uses five domains, and dragging a four-geodesic pair around the
-glide loop permutes the geodesics nontrivially (the up/down swap), which is
-the obstruction showing four domains cannot suffice.
+computed exactly by intersecting bisector half-planes.  The basepoint is
+scaled once to integers and the cell is clipped in homogeneous integer
+vertices; only the returned points are Fractions.  The cut locus is a wedge
+of two circles when the basepoint's second coordinate is 0 or 1/2 and a
+theta-graph otherwise; the pair space accordingly splits into strata
+``S_1 .. S_4`` by geodesic count.  An optimal planner uses five domains, and
+dragging a four-geodesic pair around the glide loop permutes the geodesics
+nontrivially (the up/down swap), which is the obstruction showing four
+domains cannot suffice.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from .cutgraph import CutEdge, CutLocusGraph, CutVertex
 from .flat_torus import _nearest_translates
@@ -170,8 +173,9 @@ def klein_lift_orbit(
     """Orbit points ``alpha^a beta^b . y`` for |a|, |b| <= window.
 
     The deck group acts freely, so all points are distinct; the list is
-    sorted by point for determinism.  The cut locus clips the Dirichlet cell
-    against this orbit; geodesics use the two-coset rule instead.
+    sorted by point for determinism.  This Fraction scan is the independent
+    oracle of ``verify`` and the tests; geodesics use the two-coset rule and
+    the cut locus its own scaled integer orbit.
     """
     if window < 1:
         raise ValueError("window must be a positive integer")
@@ -231,28 +235,65 @@ def klein_stratum(x: KleinPoint, y: KleinPoint) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Cut locus via exact half-plane intersection
+# Cut locus via exact half-plane intersection on scaled integers
 # ---------------------------------------------------------------------------
+#
+# A query is scaled once by D = lcm of the denominators of x, so that D*x and
+# every orbit point D*g(x) are integers and each bisector
+# 2(Q - X).Z <= |Q|^2 - |X|^2 has integer coefficients.  Cell vertices are
+# homogeneous integer triples (x, y, w) standing for (x/w, y/w) in scaled
+# units, kept with w > 0 and gcd 1 so that equal points are equal triples.
+
+HomPoint = tuple[int, int, int]
 
 
-def _clip(polygon: list[Point2], normal: Point2, offset: Fraction) -> list[Point2]:
-    """Sutherland-Hodgman clip of a convex polygon by ``normal . z <= offset``."""
-    if not polygon:
-        return []
-    out: list[Point2] = []
+def _hom(x: int, y: int, w: int) -> HomPoint:
+    """The normal form of a homogeneous point: ``w > 0``, entries coprime."""
+    if w < 0:
+        x, y, w = -x, -y, -w
+    g = gcd(x, y, w)
+    return (x // g, y // g, w // g)
+
+
+ScaledOrbit = list[tuple[DeckElement, tuple[int, int]]]
+
+
+def _scaled_orbit(x: KleinPoint) -> tuple[int, ScaledOrbit]:
+    """The scale ``D`` and the orbit points ``D * g(x)`` for |a|, |b| <= 2,
+    sorted by point (the order of :func:`klein_lift_orbit`)."""
+    u, v = x.coords
+    d = lcm(u.denominator, v.denominator)
+    sx, sy = u.numerator * (d // u.denominator), v.numerator * (d // v.denominator)
+    orbit = [
+        (DeckElement(a, b), (sx + a * d, d - sy - b * d if a % 2 else sy + b * d))
+        for a in range(-2, 3)
+        for b in range(-2, 3)
+    ]
+    orbit.sort(key=lambda item: item[1])
+    return d, orbit
+
+
+def _clip_scaled(
+    polygon: list[HomPoint], nx: int, ny: int, offset: int
+) -> list[HomPoint]:
+    """Sutherland-Hodgman clip of a convex polygon by ``nx*x + ny*y <= offset``.
+
+    A segment ``C -> N`` with clip values ``a`` and ``b`` of opposite signs
+    crosses the line at the homogeneous point ``b*C - a*N``.
+    """
+    vals = [nx * p[0] + ny * p[1] - offset * p[2] for p in polygon]
+    if all(val <= 0 for val in vals):
+        return polygon
+    out: list[HomPoint] = []
     n = len(polygon)
     for i in range(n):
         cur, nxt = polygon[i], polygon[(i + 1) % n]
-        cur_val = normal[0] * cur[0] + normal[1] * cur[1] - offset
-        nxt_val = normal[0] * nxt[0] + normal[1] * nxt[1] - offset
-        if cur_val <= 0:
+        a, b = vals[i], vals[(i + 1) % n]
+        if a <= 0:
             out.append(cur)
-        if (cur_val < 0 < nxt_val) or (nxt_val < 0 < cur_val):
-            t = cur_val / (cur_val - nxt_val)
-            out.append(
-                (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
-            )
-    cleaned: list[Point2] = []
+        if (a < 0 < b) or (b < 0 < a):
+            out.append(_hom(*(b * c - a * m for c, m in zip(cur, nxt))))
+    cleaned: list[HomPoint] = []
     for p in out:
         if not cleaned or cleaned[-1] != p:
             cleaned.append(p)
@@ -261,36 +302,53 @@ def _clip(polygon: list[Point2], normal: Point2, offset: Fraction) -> list[Point
     return cleaned
 
 
-def _cross(o: Point2, p: Point2, q: Point2) -> Fraction:
-    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+def _det(p: HomPoint, q: HomPoint, r: HomPoint) -> int:
+    """Zero exactly when the three homogeneous points are collinear."""
+    return (
+        p[0] * (q[1] * r[2] - q[2] * r[1])
+        - p[1] * (q[0] * r[2] - q[2] * r[0])
+        + p[2] * (q[0] * r[1] - q[1] * r[0])
+    )
 
 
-def _dirichlet_cell(
-    x_lift: Point2, orbit: tuple[tuple[DeckElement, Point2], ...]
-) -> list[Point2]:
-    """Vertices (counterclockwise) of the Dirichlet cell of ``x_lift``."""
-    box = 1
-    polygon: list[Point2] = [
-        (x_lift[0] - box, x_lift[1] - box),
-        (x_lift[0] + box, x_lift[1] - box),
-        (x_lift[0] + box, x_lift[1] + box),
-        (x_lift[0] - box, x_lift[1] + box),
+def _reduced(v: HomPoint, d: int) -> HomPoint:
+    """:meth:`KleinPoint.reduce_lift` of a scaled vertex, on its integers.
+
+    The shifts are unimodular, so the result is again in normal form and
+    two vertices project to the same bottle point exactly when their
+    reductions are equal."""
+    vx, vy, w = v
+    s = w * d
+    shift, ux = divmod(vx, s)
+    if shift % 2 == 1:
+        vy = s - vy
+    return (ux, vy % s, w)
+
+
+def _scaled_cell(d: int, base: tuple[int, int], orbit: ScaledOrbit) -> list[HomPoint]:
+    """Vertices (counterclockwise) of the Dirichlet cell of the scaled lift
+    ``base``, clipped against the scaled ``orbit``."""
+    bx, by = base
+    polygon: list[HomPoint] = [
+        (bx - d, by - d, 1),
+        (bx + d, by - d, 1),
+        (bx + d, by + d, 1),
+        (bx - d, by + d, 1),
     ]
-    base_norm = x_lift[0] ** 2 + x_lift[1] ** 2
-    for g, q in orbit:
-        if g == IDENTITY:
-            continue
-        normal = (2 * (q[0] - x_lift[0]), 2 * (q[1] - x_lift[1]))
-        offset = q[0] ** 2 + q[1] ** 2 - base_norm
-        polygon = _clip(polygon, normal, offset)
+    base_norm = bx * bx + by * by
+    for g, (qx, qy) in orbit:
+        if g != IDENTITY:
+            polygon = _clip_scaled(
+                polygon, 2 * (qx - bx), 2 * (qy - by), qx * qx + qy * qy - base_norm
+            )
     # Drop collinear chain points so that every remaining vertex is a true
     # corner where two distinct bisectors meet.
-    cleaned: list[Point2] = []
     n = len(polygon)
-    for i in range(n):
-        if _cross(polygon[i - 1], polygon[i], polygon[(i + 1) % n]) != 0:
-            cleaned.append(polygon[i])
-    return cleaned
+    return [
+        polygon[i]
+        for i in range(n)
+        if _det(polygon[i - 1], polygon[i], polygon[(i + 1) % n]) != 0
+    ]
 
 
 def klein_cut_locus(x: KleinPoint) -> CutLocusGraph:
@@ -301,34 +359,38 @@ def klein_cut_locus(x: KleinPoint) -> CutLocusGraph:
     four-geodesic vertex) and a hexagon otherwise (projecting to a
     theta-graph with two three-geodesic vertices).  Edge interiors always
     carry two geodesics; each edge records the deck gluing that produces the
-    second one.
+    second one.  The cell is clipped, and each vertex's equidistant orbit
+    points found, on the scaled integers; only the returned points are
+    Fractions.
     """
-    x_lift = x.coords
-    orbit = klein_lift_orbit(x, 2)
-    cell = _dirichlet_cell(x_lift, orbit)
-    if not (4 <= len(cell) <= 6):
-        raise RuntimeError(f"unexpected Dirichlet cell with {len(cell)} vertices")
+    d, orbit = _scaled_orbit(x)
+    base = next(q for g, q in orbit if g == IDENTITY)
+    hom_cell = _scaled_cell(d, base, orbit)
+    if not (4 <= len(hom_cell) <= 6):
+        raise RuntimeError(f"unexpected Dirichlet cell with {len(hom_cell)} vertices")
+    cell = [(Fraction(vx, w * d), Fraction(vy, w * d)) for vx, vy, w in hom_cell]
 
-    def equidistant_elements(v: Point2) -> list[DeckElement]:
-        base = dist_sq(v, x_lift)
-        return [g for g, q in orbit if g != IDENTITY and dist_sq(v, q) == base]
+    def equidistant_elements(v: HomPoint) -> list[DeckElement]:
+        vx, vy, w = v
+        ex, ey = vx - w * base[0], vy - w * base[1]
+        radius = ex * ex + ey * ey
+        out = []
+        for g, (qx, qy) in orbit:
+            ex, ey = vx - w * qx, vy - w * qy
+            if ex * ex + ey * ey == radius and g != IDENTITY:
+                out.append(g)
+        return out
 
     # Group cell vertices into bottle points.
-    classes: list[tuple[KleinPoint, list[int]]] = []
-    for i, v in enumerate(cell):
-        kp = KleinPoint.reduce_lift(v)
-        for point, members in classes:
-            if point == kp:
-                members.append(i)
-                break
-        else:
-            classes.append((kp, [i]))
-    equidistant = [equidistant_elements(v) for v in cell]
+    classes: dict[HomPoint, list[int]] = {}
+    for i, v in enumerate(hom_cell):
+        classes.setdefault(_reduced(v, d), []).append(i)
+    equidistant = [equidistant_elements(v) for v in hom_cell]
     vertex_index = {}
     vertices = []
-    for ci, (point, members) in enumerate(classes):
+    for ci, ((ux, uy, w), members) in enumerate(classes.items()):
         mult = 1 + len(equidistant[members[0]])
-        vertices.append(CutVertex(point.coords, mult))
+        vertices.append(CutVertex((Fraction(ux, w * d), Fraction(uy, w * d)), mult))
         for m in members:
             vertex_index[m] = ci
 

@@ -4,16 +4,16 @@ The space modules return a :class:`PlannerResult` from their ``*_plan``
 functions, and both loop monodromies run through :func:`loop_monodromy`,
 which tracks minimal lifts step by step with
 :func:`nearest_lift_permutation`, refusing to guess when a matching is
-ambiguous.
+ambiguous.  The matching puts the lifts of one step on a common
+denominator and compares exact integer squared distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Any, Callable, Sequence
-
-from .metric_core import dist_sq
 
 __all__ = [
     "AmbiguousMatchError",
@@ -53,15 +53,26 @@ def nearest_lift_permutation(
     Returns ``perm`` with ``perm[j] = i`` meaning ``new[j]`` continues
     ``prev[i]``.  Raises :class:`AmbiguousMatchError` on a distance tie or if
     the assignment fails to be a bijection; callers control step size so that
-    an honest error beats a silent wrong permutation.
+    an honest error beats a silent wrong permutation.  All lifts of the step
+    are put on one common denominator, so distances compare as integers.
     """
     if len(prev) != len(new):
         raise AmbiguousMatchError(
             f"lift count changed from {len(prev)} to {len(new)}"
         )
+    scale = lcm(*(c.denominator for p in (*prev, *new) for c in p))
+
+    def scaled(p: Sequence[Fraction]) -> list[int]:
+        return [c.numerator * (scale // c.denominator) for c in p]
+
+    anchors = [scaled(p) for p in prev]
     perm: list[int] = []
     for j, q in enumerate(new):
-        dists = [dist_sq(p, q) for p in prev]
+        target = scaled(q)
+        dists = [
+            sum((a - b) * (a - b) for a, b in zip(p, target, strict=True))
+            for p in anchors
+        ]
         best = min(dists)
         hits = [i for i, d in enumerate(dists) if d == best]
         if len(hits) != 1:
@@ -130,6 +141,4 @@ def permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def permutation_order(perm: Sequence[int]) -> int:
-    from math import lcm
-
     return lcm(*(len(c) for c in permutation_cycles(perm))) if perm else 1

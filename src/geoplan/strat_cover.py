@@ -202,7 +202,7 @@ def inconsistent_at(p: StratPoset, element_id: str) -> bool:
     empty intersection."""
     if element_id not in p.by_id:
         raise KeyError(element_id)
-    incoming = p.incoming(element_id)
+    incoming = p._incoming[element_id]
     if not incoming:
         return False
     images = [c.image() for c in incoming]
@@ -249,14 +249,9 @@ def lower_bound(p: StratPoset) -> BoundReport:
         )
     bottom = min(p.levels)
     n_levels = p.level_count()
-    inconsistent = tuple(
-        e.id for e in p.elements if inconsistent_at(p, e.id)
-    )
-    consistent = tuple(
-        e.id
-        for e in p.elements
-        if e.level > bottom and not inconsistent_at(p, e.id)
-    )
+    verdicts = [(e, inconsistent_at(p, e.id)) for e in p.elements]
+    inconsistent = tuple(e.id for e, bad in verdicts if bad)
+    consistent = tuple(e.id for e, bad in verdicts if e.level > bottom and not bad)
     bound = n_levels - 1 if not consistent else None
     return BoundReport(
         levels=n_levels,

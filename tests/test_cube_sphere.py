@@ -13,6 +13,7 @@ from geoplan.cube_sphere import (
     FACES,
     CubePoint,
     _face_sequences,
+    _chart_to_space,
     _Query,
     _unfold_path,
     candidate_path,
@@ -96,6 +97,19 @@ class TestPoints:
     def test_chart_round_trip(self):
         p = CubePoint.make("y+", F(1, 3), F(-1, 4))
         assert CubePoint.from_space(p.point) == p
+
+    def test_make_agrees_with_the_space_round_trip(self):
+        grid = [-H, F(-1, 3), F(0), F(2, 7), F(10**12 - 1, 2 * 10**12 + 1), H]
+        for face in FACES:
+            for u in grid:
+                for v in grid:
+                    point = CubePoint.make(face, u, v)
+                    assert point == CubePoint.from_space(_chart_to_space(face, u, v))
+                    if abs(u) < H and abs(v) < H:
+                        assert (point.face, point.u, point.v) == (face, u, v)
+        for u, v in [(F(3, 5), F(0)), (F(0), F(-3, 5))]:
+            with pytest.raises(ValueError):
+                CubePoint.make("x+", u, v)
 
     def test_off_surface_rejected(self):
         with pytest.raises(ValueError):

@@ -43,6 +43,28 @@ def core_pairs(x, y):
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=64)
 
 
+@st.composite
+def basepoint_coordinate(draw):
+    """A coordinate as given to ``KleinPoint.make``: negative or beyond
+    [0, 1) as often as not, with small, ~10^6 or ~10^12 denominators, and
+    sometimes as an unreduced fraction string."""
+    d = draw(
+        st.one_of(
+            st.integers(1, 64),
+            st.integers(10**6 - 50, 10**6 + 50),
+            st.integers(10**12 - 50, 10**12 + 50),
+        )
+    )
+    value = F(draw(st.integers(-3 * d, 3 * d)), d)
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 9))
+        return f"{value.numerator * k}/{value.denominator * k}"
+    return value
+
+
+special_second = st.sampled_from([0, H, -H, F(3, 2), 2, "-2/4", "6/4"])
+
+
 class TestDeckGroup:
     def test_glide_squared_is_translation(self):
         alpha = DeckElement(1, 0)
@@ -200,6 +222,24 @@ class TestCutLocusDichotomy:
             poly = edge.as_polyline()
             target = KleinPoint.reduce_lift(poly.evaluate(F(1, 3)))
             assert len(klein_geodesics(x, target)) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        basepoint_coordinate(),
+        st.one_of(special_second, basepoint_coordinate()),
+    )
+    def test_cut_locus_matches_orbit_scan(self, x1, x2):
+        x = KleinPoint.make((x1, x2))
+        graph = klein_cut_locus(x)
+        expected = [4] if x.coords[1] in (0, H) else [3, 3]
+        assert sorted(v.multiplicity for v in graph.vertices) == expected
+        for v in graph.vertices:
+            y = KleinPoint.reduce_lift(v.point)
+            assert len(orbit_scan(x.coords, y)) == v.multiplicity
+        for edge in graph.edges:
+            (p0, p1), (q0, q1) = edge.points
+            mid = KleinPoint.reduce_lift(((p0 + q0) / 2, (p1 + q1) / 2))
+            assert len(orbit_scan(x.coords, mid)) == 2
 
 
 class TestPlanner:
