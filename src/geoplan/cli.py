@@ -19,6 +19,12 @@ Subcommands
 ``FACE:u,v`` with ``FACE`` one of x-,x+,y-,y+,z-,z+, or the named diagonal
 corner pair ``corner:p`` / ``corner:q``.
 
+Outputs per space: ``geodesics`` json and csv everywhere, svg where the space
+has a planar chart (torus:2, klein, cube); ``cutlocus`` json for torus:N and
+klein, csv where the cut locus is a graph (torus:1, torus:2, klein), svg for
+torus:2 and klein; ``plan`` json for torus:N and klein.  The cube has no cut
+locus or planner output.  Any other request exits with code 2.
+
 Exit codes: 0 on success, 1 when a verification or bound check fails, 2 on
 usage or input-parsing errors.  All outputs are byte-stable across runs.
 """
@@ -28,7 +34,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Any, Callable
 
 from . import cube_sphere, flat_torus, klein_bottle, strat_cover
 from .render import RenderSpec, dump_csv, dump_json, fraction_str, point_str, svg_path_chart
@@ -60,19 +69,6 @@ def _parse_coords(text: str, n: int) -> tuple[Fraction, ...]:
     return tuple(_parse_rational(p) for p in parts)
 
 
-def _parse_space(text: str) -> tuple[str, int | None]:
-    if text == "klein":
-        return ("klein", 2)
-    if text == "cube":
-        return ("cube", None)
-    if text.startswith("torus:"):
-        suffix = text[len("torus:"):]
-        if not suffix.isdigit() or int(suffix) < 1:
-            raise UsageError(f"torus dimension must be a positive integer: {text!r}")
-        return ("torus", int(suffix))
-    raise UsageError(f"unknown space {text!r}; expected torus:N, klein, or cube")
-
-
 def _parse_cube_point(text: str) -> cube_sphere.CubePoint:
     if text == "corner:p":
         return cube_sphere.corner_pair()[0]
@@ -84,39 +80,19 @@ def _parse_cube_point(text: str) -> cube_sphere.CubePoint:
             f"cube points look like FACE:u,v with FACE in {'/'.join(cube_sphere.FACES)},"
             f" or corner:p / corner:q; got {text!r}"
         )
-    u, v = _parse_coords(rest, 2)
+    return cube_sphere.CubePoint.make(face, *_parse_coords(rest, 2))
+
+
+def _parse_point(space: _Space, text: str):
     try:
-        return cube_sphere.CubePoint.make(face, u, v)
+        return space.parse(text)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _parse_point(space: str, n: int | None, text: str):
-    try:
-        if space == "torus":
-            return flat_torus.TorusPoint.make(_parse_coords(text, n))
-        if space == "klein":
-            return klein_bottle.KleinPoint.make(_parse_coords(text, 2))
-        return _parse_cube_point(text)
-    except UsageError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _format_point(space: str, point) -> str:
-    if space == "cube":
-        return f"{point.face}:{point.u},{point.v}"
-    return point_str(point.coords)
 
 
 def _render_spec(args) -> RenderSpec:
     try:
-        return RenderSpec(
-            out=args.out,
-            format=getattr(args, "format", "json"),
-            resolution=getattr(args, "resolution", 8),
-        )
+        return RenderSpec(out=args.out, format=args.format, resolution=args.resolution)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -130,7 +106,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Geodesic documents
+# One record per space
 # ---------------------------------------------------------------------------
 
 def _torus_geodesic_doc(g: flat_torus.TorusGeodesic) -> dict:
@@ -160,60 +136,138 @@ def _cube_geodesic_doc(g: cube_sphere.UnfoldedPath) -> dict:
     }
 
 
+def _flat_chart(segment: Callable, x, geodesics, spec: RenderSpec) -> str:
+    """Each geodesic's ``segment`` in the unit-square chart of the universal
+    cover, with the basepoint marked."""
+    return svg_path_chart([segment(g) for g in geodesics], [], [(x.coords, 1)], spec)
+
+
+def _cube_chart(x, geodesics, spec: RenderSpec) -> str:
+    """Each geodesic in its own unfolding, over the outlines of its faces."""
+    outlines = [line for g in geodesics for line in g.face_outlines()]
+    segments = [list(g.planar_segment) for g in geodesics]
+    return svg_path_chart(segments, [], [], spec, (-0.5, -0.5, 0.5, 0.5), outlines)
+
+
+def _torus_cut_locus(x: flat_torus.TorusPoint) -> tuple[dict, Any]:
+    locus = flat_torus.torus_cut_locus(x)
+    strata = [
+        {
+            "fixed": list(s.fixed),
+            "dimension": s.dimension,
+            "geodesic_count": s.geodesic_count,
+            "level": s.level,
+            "representative": list(s.representative.coords),
+        }
+        for s in locus.strata
+    ]
+    graph = locus.graph
+    return {"strata": strata, "graph": asdict(graph) if graph is not None else None}, graph
+
+
+def _klein_cut_locus(x: klein_bottle.KleinPoint) -> tuple[dict, Any]:
+    graph = klein_bottle.klein_cut_locus(x)
+    shape = "wedge" if len(graph.vertices) == 1 else "theta"
+    return {"shape": shape, "graph": asdict(graph)}, graph
+
+
+@dataclass(frozen=True)
+class _Space:
+    """What the commands use of one space.  ``chart`` is None where the space
+    has no planar chart, so no svg output; ``plan``, ``cut_locus`` and
+    ``lift_point`` are None where it has no planner or cut locus.  Points
+    show as their coordinates and the stratum is the geodesic count unless
+    the space says otherwise."""
+
+    parse: Callable[[str], Any]
+    geodesics: Callable  # (x, y) -> minimizing geodesics
+    geodesic_doc: Callable[[Any], dict]
+    chart: Callable | None  # (x, geodesics, spec) -> svg text
+    show: Callable[[Any], str] = lambda p: point_str(p.coords)
+    stratum: Callable = lambda x, y, geodesics: len(geodesics)
+    plan: Callable | None = None  # (x, y) -> PlannerResult
+    cut_locus: Callable | None = None  # x -> (document fields, graph or None)
+    lift_point: Callable | None = None  # universal-cover point -> point
+
+
+def _space(text: str) -> _Space:
+    """The record of the space named ``text`` on the command line: the only
+    code that tells the spaces apart."""
+    if text == "klein":
+        return _Space(
+            parse=lambda s: klein_bottle.KleinPoint.make(_parse_coords(s, 2)),
+            geodesics=klein_bottle.klein_geodesics,
+            geodesic_doc=_klein_geodesic_doc,
+            chart=partial(_flat_chart, lambda g: [g.start_lift, g.end_lift]),
+            plan=klein_bottle.klein_plan,
+            cut_locus=_klein_cut_locus,
+            lift_point=klein_bottle.KleinPoint.reduce_lift,
+        )
+    if text == "cube":
+        return _Space(
+            parse=_parse_cube_point,
+            geodesics=cube_sphere.cube_geodesics,
+            geodesic_doc=_cube_geodesic_doc,
+            chart=_cube_chart,
+            show=lambda p: f"{p.face}:{p.u},{p.v}",
+        )
+    if not text.startswith("torus:"):
+        raise UsageError(f"unknown space {text!r}; expected torus:N, klein, or cube")
+    suffix = text[len("torus:"):]
+    if not suffix.isdigit() or int(suffix) < 1:
+        raise UsageError(f"torus dimension must be a positive integer: {text!r}")
+    n = int(suffix)
+    return _Space(
+        parse=lambda s: flat_torus.TorusPoint.make(_parse_coords(s, n)),
+        geodesics=flat_torus.torus_geodesics,
+        geodesic_doc=_torus_geodesic_doc,
+        chart=partial(_flat_chart, lambda g: list(g.lift().vertices)) if n == 2 else None,
+        stratum=lambda x, y, geodesics: flat_torus.torus_stratum(x, y),
+        plan=flat_torus.torus_plan,
+        cut_locus=_torus_cut_locus,
+        lift_point=flat_torus.TorusPoint.make,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Geodesics
+# ---------------------------------------------------------------------------
+
+def _csv_row(x: str, y: str, stratum: int, geodesics) -> dict:
+    return {
+        "x": x,
+        "y": y,
+        "stratum": stratum,
+        "count": len(geodesics),
+        "min_sq_length": fraction_str(min(g.squared_length for g in geodesics)),
+    }
+
+
 def cmd_geodesics(args) -> int:
-    space, n = _parse_space(args.space)
+    space = _space(args.space)
     spec = _render_spec(args)
-    x = _parse_point(space, n, args.x)
-    y = _parse_point(space, n, args.y)
-    if space == "torus":
-        geos = flat_torus.torus_geodesics(x, y)
-        stratum = flat_torus.torus_stratum(x, y)
-        entries = [_torus_geodesic_doc(g) for g in geos]
-        segments = [list(g.lift().vertices) for g in geos]
-        marks = [(x.coords, 1)]
-    elif space == "klein":
-        geos = klein_bottle.klein_geodesics(x, y)
-        stratum = klein_bottle.klein_stratum(x, y)
-        entries = [_klein_geodesic_doc(g) for g in geos]
-        segments = [[g.start_lift, g.end_lift] for g in geos]
-        marks = [(x.coords, 1)]
-    else:
-        geos = cube_sphere.cube_geodesics(x, y)
-        stratum = len(geos)
-        entries = [_cube_geodesic_doc(g) for g in geos]
-        segments = [list(g.planar_segment) for g in geos]
-        marks = []
+    x = _parse_point(space, args.x)
+    y = _parse_point(space, args.y)
+    geos = space.geodesics(x, y)
     doc = {
         "command": "geodesics",
         "space": args.space,
-        "x": _format_point(space, x),
-        "y": _format_point(space, y),
-        "stratum": stratum,
+        "x": space.show(x),
+        "y": space.show(y),
+        "stratum": space.stratum(x, y, geos),
         "count": len(geos),
         "min_sq_length": min(g.squared_length for g in geos),
-        "geodesics": entries,
+        "geodesics": [space.geodesic_doc(g) for g in geos],
     }
     if spec.format == "json":
         _emit(dump_json(doc), spec.out)
-        return 0
-    if spec.format == "csv":
-        row = {
-            "x": doc["x"],
-            "y": doc["y"],
-            "stratum": stratum,
-            "count": len(geos),
-            "min_sq_length": fraction_str(doc["min_sq_length"]),
-        }
+    elif spec.format == "csv":
+        row = _csv_row(doc["x"], doc["y"], doc["stratum"], geos)
         _emit(dump_csv([row], _CSV_COLUMNS), spec.out)
-        return 0
-    if space == "torus" and n != 2:
-        raise UsageError("svg rendering of torus geodesics requires torus:2")
-    outlines = None
-    domain = (0.0, 0.0, 1.0, 1.0)
-    if space == "cube":
-        outlines = [line for g in geos for line in g.face_outlines()]
-        domain = (-0.5, -0.5, 0.5, 0.5)
-    _emit(svg_path_chart(segments, [], marks, spec, domain, outlines), spec.out)
+    elif space.chart is None:
+        raise UsageError("svg rendering of geodesics requires torus:2, klein or cube")
+    else:
+        _emit(space.chart(x, geos, spec), spec.out)
     return 0
 
 
@@ -221,110 +275,44 @@ def cmd_geodesics(args) -> int:
 # Cut locus
 # ---------------------------------------------------------------------------
 
-def _graph_doc(graph) -> dict:
-    return {
-        "vertices": [
-            {"point": list(v.point), "multiplicity": v.multiplicity}
-            for v in graph.vertices
-        ],
-        "edges": [
-            {
-                "start_vertex": e.start_vertex,
-                "end_vertex": e.end_vertex,
-                "points": [list(p) for p in e.points],
-                "multiplicity": e.multiplicity,
-                "gluing": e.gluing,
-            }
-            for e in graph.edges
-        ],
-    }
-
-
-def _edge_samples(edge, resolution: int):
-    poly = edge.as_polyline()
-    return [poly.evaluate(Fraction(k, resolution - 1)) for k in range(resolution)]
-
-
-def _cutlocus_rows(space: str, x, graph, resolution: int) -> list[dict]:
-    """One CSV row per sampled cut-locus point, counts re-derived honestly."""
-
-    def geodesics_to(lift):
-        if space == "torus":
-            target = flat_torus.TorusPoint.make(lift)
-            return target, flat_torus.torus_geodesics(x, target)
-        target = klein_bottle.KleinPoint.reduce_lift(lift)
-        return target, klein_bottle.klein_geodesics(x, target)
-
-    rows = []
-    base = point_str(x.coords)
+def _cutlocus_rows(space: _Space, x, graph, resolution: int) -> list[dict]:
+    """One CSV row per distinct sampled cut-locus point, counts re-derived honestly."""
     samples = [v.point for v in graph.vertices]
     for edge in graph.edges:
-        samples.extend(_edge_samples(edge, resolution))
+        poly = edge.as_polyline()
+        samples.extend(poly.evaluate(Fraction(k, resolution - 1)) for k in range(resolution))
+    base = space.show(x)
+    rows = []
     seen = set()
     for lift in samples:
-        target, geos = geodesics_to(lift)
-        key = point_str(target.coords)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(
-            {
-                "x": base,
-                "y": key,
-                "stratum": len(geos),
-                "count": len(geos),
-                "min_sq_length": fraction_str(min(g.squared_length for g in geos)),
-            }
-        )
+        target = space.lift_point(lift)
+        key = space.show(target)
+        if key not in seen:
+            seen.add(key)
+            geos = space.geodesics(x, target)
+            rows.append(_csv_row(base, key, len(geos), geos))
     return rows
 
 
 def cmd_cutlocus(args) -> int:
-    space, n = _parse_space(args.space)
-    if space == "cube":
+    space = _space(args.space)
+    if space.cut_locus is None:
         raise UsageError("cut locus output is available for torus:N and klein only")
     spec = _render_spec(args)
-    x = _parse_point(space, n, args.x)
-    if space == "torus":
-        locus = flat_torus.torus_cut_locus(x)
-        graph = locus.graph
-        doc = {
-            "command": "cutlocus",
-            "space": args.space,
-            "x": point_str(x.coords),
-            "strata": [
-                {
-                    "fixed": list(s.fixed),
-                    "dimension": s.dimension,
-                    "geodesic_count": s.geodesic_count,
-                    "level": s.level,
-                    "representative": list(s.representative.coords),
-                }
-                for s in locus.strata
-            ],
-            "graph": _graph_doc(graph) if graph is not None else None,
-        }
-    else:
-        graph = klein_bottle.klein_cut_locus(x)
-        doc = {
-            "command": "cutlocus",
-            "space": args.space,
-            "x": point_str(x.coords),
-            "shape": "wedge" if len(graph.vertices) == 1 else "theta",
-            "graph": _graph_doc(graph),
-        }
+    x = _parse_point(space, args.x)
+    fields, graph = space.cut_locus(x)
+    doc = {"command": "cutlocus", "space": args.space, "x": space.show(x), **fields}
     if spec.format == "json":
         _emit(dump_json(doc), spec.out)
-        return 0
-    if graph is None:
-        raise UsageError(f"{spec.format} cut-locus output requires torus:2 or klein")
-    if spec.format == "csv":
+    elif spec.format == "svg" and space.chart is None:
+        raise UsageError("svg cut-locus output requires torus:2 or klein")
+    elif graph is None:
+        raise UsageError("csv cut-locus output requires torus:1, torus:2 or klein")
+    elif spec.format == "csv":
         _emit(dump_csv(_cutlocus_rows(space, x, graph, spec.resolution), _CSV_COLUMNS), spec.out)
-        return 0
-    cut_lines = [list(e.points) for e in graph.edges]
-    marks = [(v.point, v.multiplicity) for v in graph.vertices]
-    marks.append((x.coords, 1))
-    _emit(svg_path_chart([], cut_lines, marks, spec), spec.out)
+    else:
+        marks = [(v.point, v.multiplicity) for v in graph.vertices] + [(x.coords, 1)]
+        _emit(svg_path_chart([], [list(e.points) for e in graph.edges], marks, spec), spec.out)
     return 0
 
 
@@ -333,26 +321,21 @@ def cmd_cutlocus(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_plan(args) -> int:
-    space, n = _parse_space(args.space)
-    if space == "cube":
+    space = _space(args.space)
+    if space.plan is None:
         raise UsageError("the planner is available for torus:N and klein only")
-    x = _parse_point(space, n, args.x)
-    y = _parse_point(space, n, args.y)
-    if space == "torus":
-        result = flat_torus.torus_plan(x, y)
-        geodesic = _torus_geodesic_doc(result.geodesic)
-    else:
-        result = klein_bottle.klein_plan(x, y)
-        geodesic = _klein_geodesic_doc(result.geodesic)
+    x = _parse_point(space, args.x)
+    y = _parse_point(space, args.y)
+    result = space.plan(x, y)
     doc = {
         "command": "plan",
         "space": args.space,
-        "x": point_str(x.coords),
-        "y": point_str(y.coords),
+        "x": space.show(x),
+        "y": space.show(y),
         "domain": result.domain,
         "count": result.count,
         "rule": result.rule,
-        "geodesic": geodesic,
+        "geodesic": space.geodesic_doc(result.geodesic),
     }
     _emit(dump_json(doc), args.out)
     return 0

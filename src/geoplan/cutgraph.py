@@ -52,11 +52,5 @@ class CutLocusGraph:
     vertices: tuple[CutVertex, ...]
     edges: tuple[CutEdge, ...] = field(default=())
 
-    def degree(self, vertex_index: int) -> int:
-        d = 0
-        for e in self.edges:
-            d += (e.start_vertex == vertex_index) + (e.end_vertex == vertex_index)
-        return d
-
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(v.multiplicity for v in self.vertices)

@@ -101,10 +101,6 @@ class TorusGeodesic:
     def end(self) -> TorusPoint:
         return self.start.translate(self.displacement)
 
-    def point_at(self, t) -> TorusPoint:
-        t = _frac(t)
-        return self.start.translate(tuple(t * d for d in self.displacement))
-
     def lift(self) -> Polyline:
         a = self.start.coords
         b = tuple(c + d for c, d in zip(a, self.displacement))

@@ -156,13 +156,6 @@ class KleinGeodesic:
     def end(self) -> KleinPoint:
         return KleinPoint.reduce_lift(self.end_lift)
 
-    def point_at(self, t) -> KleinPoint:
-        t = _frac(t)
-        d = self.displacement
-        return KleinPoint.reduce_lift(
-            (self.start_lift[0] + t * d[0], self.start_lift[1] + t * d[1])
-        )
-
     def lift(self) -> Polyline:
         return Polyline((self.start_lift, self.end_lift))
 

@@ -40,7 +40,6 @@ __all__ = [
     "sqrt_exact",
     "sqrt_leq_sqrt_sum",
     "sqrt_within",
-    "sup_distance",
     "sup_distance_sq",
 ]
 
@@ -325,11 +324,3 @@ def sup_distance_sq(p: Polyline, q: Polyline, samples: int = 0) -> Fraction:
     if p.dimension != q.dimension:
         raise ValueError("polylines live in different charts")
     return max(dist_sq(p.evaluate(t), q.evaluate(t)) for t in _merged_grid(p, q, samples))
-
-
-def sup_distance(p: Polyline, q: Polyline, samples: int = 0) -> float:
-    """Sup distance as a float report; use :func:`sup_distance_sq` to compare
-    exactly."""
-    import math
-
-    return math.sqrt(float(sup_distance_sq(p, q, samples)))

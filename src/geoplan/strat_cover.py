@@ -34,7 +34,6 @@ __all__ = [
     "StratPoset",
     "ValidationReport",
     "builtin_poset",
-    "builtin_names",
     "circle_poset",
     "cube_corner_poset",
     "from_document",
@@ -106,9 +105,6 @@ class StratPoset:
                 self._incoming[c.dst].append(c)
             if c.src in self._outgoing:
                 self._outgoing[c.src].append(c)
-
-    def incoming(self, element_id: str) -> list[CoverMap]:
-        return list(self._incoming.get(element_id, []))
 
     def outgoing(self, element_id: str) -> list[CoverMap]:
         return list(self._outgoing.get(element_id, []))
@@ -223,10 +219,6 @@ class BoundReport:
     consistent_above_bottom: tuple[str, ...]
     valid: bool
     errors: tuple[str, ...]
-
-    @property
-    def applicable(self) -> bool:
-        return self.lower_bound is not None
 
 
 def lower_bound(p: StratPoset) -> BoundReport:
@@ -434,10 +426,6 @@ _BUILTIN_FLAGS = {
     "klein_S4": PosetFlags(False, True, True),
     "cube_corner": PosetFlags(False, False, False),
 }
-
-
-def builtin_names() -> tuple[str, ...]:
-    return ("circle", "torus_corner:<n>", "klein_S4", "cube_corner")
 
 
 def builtin_poset(name: str) -> tuple[StratPoset, PosetFlags]:

@@ -333,8 +333,9 @@ def _klein_orbit_scan(x: KleinPoint, y: KleinPoint) -> list[tuple[tuple, DeckEle
     """Brute-force oracle: minimizing (end lift, deck element) pairs over the
     deck orbit of ``y`` within window 3, sorted by end lift."""
     orbit = klein_bottle.klein_lift_orbit(y, 3)
-    best = min(metric_core.dist_sq(x.coords, p) for _, p in orbit)
-    return sorted((p, g) for g, p in orbit if metric_core.dist_sq(x.coords, p) == best)
+    scanned = [(metric_core.dist_sq(x.coords, p), p, g) for g, p in orbit]
+    best = min(d for d, _, _ in scanned)
+    return sorted((p, g) for d, p, g in scanned if d == best)
 
 
 def klein_lift_oracle(seed: int, trials: int) -> CheckResult:

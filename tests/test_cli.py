@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, byte stability."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -301,6 +302,7 @@ class TestUsageErrors:
             ["cutlocus", "cube", "corner:p"],
             ["plan", "cube", "corner:p", "corner:q"],
             ["bound", "builtin:torus_corner:0"],
+            ["cutlocus", "torus:1", "1/3", "--format", "svg"],
         ],
     )
     def test_exit_code_two(self, capsys, argv):
@@ -312,6 +314,145 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+# Exit code and sha256 of stdout for each command x space x format, at the
+# default resolution and at the smallest one (2), and for the usage errors.
+# Any byte change in an artifact fails here: re-record a digest only for an
+# intended change of output.
+EMPTY = hashlib.sha256(b"").hexdigest()
+GOLDEN = [
+    ("geodesics torus:1 1/3 5/6", 0,
+     "f1d957450e52ab9f87d71eb2d4ab094909b5418ca7eb656aedcade99234da868"),
+    ("geodesics torus:1 1/3 5/6 --format csv", 0,
+     "bd5c8aafb0801f150d9dcbc50b15023f1f7bfa9ad910eb8a08abf7a519db6d02"),
+    ("geodesics torus:1 1/3 5/6 --format svg", 2, EMPTY),
+    ("geodesics torus:1 0 1/5", 0,
+     "8a39db9b0e1724717f1be5fc1c540250acbe7e4fa6d53bff80792857d62e7bc1"),
+    ("geodesics torus:2 0,0 1/2,1/2", 0,
+     "c2318d55192ec9329a8f7efafe4d4eadb0f3d031a1ddcb0c424d8a472b26fa21"),
+    ("geodesics torus:2 0,0 1/2,1/2 --format csv", 0,
+     "ea92d2523dca3484a27565a12f1309000656223e7752283509d10f7d1c92871b"),
+    ("geodesics torus:2 0,0 1/2,1/2 --format svg", 0,
+     "b776455d26a6eaa07c8989abca6672517bc71fb76112dcbf06562e39c521330b"),
+    ("geodesics torus:2 0,0 1/2,1/2 --format svg --resolution 2", 0,
+     "d26c6bf08db0e4a904f4bc9aa5cfaf3ce5e505f47a77f968a70ac0ccc7a4cecc"),
+    ("geodesics torus:2 1/7,2/9 3/5,5/7", 0,
+     "6bb7703ffdac045c9dee127b5d6f8e6d42d0a479e3b56bb0f12d27cef99fe100"),
+    ("geodesics torus:3 0,0,0 1/2,1/3,1/2", 0,
+     "d5a970f5164c4a158c94cb5b9cb453bfa563ec48f7faee0b3e06c74c2a1d4ead"),
+    ("geodesics torus:3 0,0,0 1/2,1/3,1/2 --format csv", 0,
+     "3a5bc524c407c0704ae6e3edd1a5b73b8244ca066bf5874ff959f4f5eef1cae0"),
+    ("geodesics torus:3 0,0,0 1/2,1/3,1/2 --format svg", 2, EMPTY),
+    ("geodesics klein 1/2,1/2 0,0", 0,
+     "4e5323daba7c44ff785597e3226546c982d5c19920db8485be77d9de88029148"),
+    ("geodesics klein 1/2,1/2 0,0 --format csv", 0,
+     "eb7e2bb6b31ee74219c0167788d01d5e4da88542a419fdaed6f4228c2f17ca36"),
+    ("geodesics klein 1/2,1/2 0,0 --format svg", 0,
+     "48d4b57cff63c0427e36352f42a385e7c4a45db6ca3475ade68489223247081d"),
+    ("geodesics klein 1/2,1/2 0,0 --format svg --resolution 2", 0,
+     "3cb87828bdcab2d17d9f9fc6c1c8e921dfe1f49c13209ce72e67cfd86619d472"),
+    ("geodesics klein 1/7,2/9 3/5,5/7", 0,
+     "6ade873793740dce3a46be3c1f5beee8c87e2d2ce90688ba798c1724eaf10ee7"),
+    ("geodesics klein 1/7,2/9 3/5,5/7 --format csv", 0,
+     "5589258ac41405257f087f17ebb319df167737468eb66c67c58ad5fbb2c914b6"),
+    ("geodesics klein 1/4,1/4 1/4,1/4", 0,
+     "a0b14916b1123fd934ddb5d2fc9cc076d72cc881f15d3e5352cf8b6195080145"),
+    ("geodesics cube corner:p corner:q", 0,
+     "8eeb61f8d362247fa5868f9306980c746bf8dd3d96797bfb0422fd2e78299cfd"),
+    ("geodesics cube corner:p corner:q --format csv", 0,
+     "62c7ebdf7978bc15696966ac1dcb8f4904a9515eacefba5de10654d50613f109"),
+    ("geodesics cube corner:p corner:q --format svg", 0,
+     "8321c249f4a8a32d39a98a7b17565e73596876de10bf5317079ef7288cbe8fc2"),
+    ("geodesics cube corner:p corner:q --format svg --resolution 2", 0,
+     "0e315ff68f8635947aaea1b511173dbc5cfde1c14c273edc8fb1fb07cd9706be"),
+    ("geodesics cube z-:-1/5,-1/5 z+:1/5,-1/5", 0,
+     "8fa84d9b7e5f1884ee56b6c3cf5e8519c77bbdd7abb3a976ee18945a1da02f4e"),
+    ("geodesics cube z-:-1/5,-1/5 z+:1/5,-1/5 --format csv", 0,
+     "070bc27e3c0325480bf9105ed8d2d7b33f826112fbe569a65e17456079bae5a3"),
+    ("geodesics cube z-:-1/5,-1/5 z+:1/5,-1/5 --format svg", 0,
+     "8f2f55c6c7de72b334f44fc8c7bde53e64a15e921b39e2a749b7a8058d31947d"),
+    ("geodesics cube x+:0,1/2 y-:1/3,-1/2", 0,
+     "4620fa2c588f25a48fd2e76a9441b69326d330b00cb9446ca0ed5b4838a40c7a"),
+    ("cutlocus torus:1 1/3", 0,
+     "496f6dc70a78d4deacd5d00be324ede1ad9b505459bebc1367a03f4a69fe3825"),
+    ("cutlocus torus:1 1/3 --format csv", 0,
+     "bd5c8aafb0801f150d9dcbc50b15023f1f7bfa9ad910eb8a08abf7a519db6d02"),
+    ("cutlocus torus:1 1/3 --format csv --resolution 2", 0,
+     "bd5c8aafb0801f150d9dcbc50b15023f1f7bfa9ad910eb8a08abf7a519db6d02"),
+    ("cutlocus torus:1 1/3 --format svg", 2, EMPTY),
+    ("cutlocus torus:2 1/5,2/7", 0,
+     "80e355020f751634a5c268ce409c7d3f531d6cebceae004a672493126ed4b4b6"),
+    ("cutlocus torus:2 1/5,2/7 --format csv", 0,
+     "975a0eed75c46a85e409edacefbddea5d12ae0f3b14027b88e4e9a5a6076cb2a"),
+    ("cutlocus torus:2 1/5,2/7 --format csv --resolution 2", 0,
+     "c75c275705b39191ee55c452f86e752593f794820c1aab1277c7142e2dc47174"),
+    ("cutlocus torus:2 1/5,2/7 --format svg", 0,
+     "6398ce04d10cb0b80298d334f1201d8c4a6cfd46ce8e8f3941938ec8bdd3d3ea"),
+    ("cutlocus torus:2 1/5,2/7 --format svg --resolution 2", 0,
+     "f0157c71f8aa63c2d9b57a7f6d0737a442df64df927d5b3334f8d27d00673d14"),
+    ("cutlocus torus:3 0,1/2,1/3", 0,
+     "07ef2039d5f8b7ff972244ceb6a95aa0a1e5b64682dccc7dd890f5dbd39e5ad0"),
+    ("cutlocus torus:3 0,1/2,1/3 --format csv", 2, EMPTY),
+    ("cutlocus torus:3 0,1/2,1/3 --format svg", 2, EMPTY),
+    ("cutlocus klein 1/2,1/2", 0,
+     "bf275ea871d08a4d27ef469ede9c48c0d7dc39455ae43e50a76b44ef67138b1a"),
+    ("cutlocus klein 1/2,1/2 --format csv", 0,
+     "523f5d5758f4fc27e9188f4dfefbcad5f9546bb4c41bc532735155f8e35925c8"),
+    ("cutlocus klein 1/2,1/2 --format csv --resolution 2", 0,
+     "eb7e2bb6b31ee74219c0167788d01d5e4da88542a419fdaed6f4228c2f17ca36"),
+    ("cutlocus klein 1/2,1/2 --format svg", 0,
+     "0391ec81c44bc71d8f5e894c63ceea328dc6dd1ec0439370a72a3b85c8c6d584"),
+    ("cutlocus klein 1/2,1/2 --format svg --resolution 2", 0,
+     "069ef67f25292974dee8fb702175aff27ddeb71181ad86c5e8485e3148931c0d"),
+    ("cutlocus klein 1/2,3/10", 0,
+     "46faad965cc0b53e6e513d5b253913570142e5a22a09ec3683a0d38abc5274b6"),
+    ("cutlocus klein 1/2,3/10 --format csv", 0,
+     "8fbf6051f1376bc45e54744b09d9de0e71c07c3fba7a28ad515fa429d826f268"),
+    ("cutlocus klein 1/2,3/10 --format csv --resolution 2", 0,
+     "5b2020ae677235d75dd3b39d4af9c3f6dbcda8076dc22b117251d0d6e6e3ed9a"),
+    ("cutlocus klein 1/2,3/10 --format svg", 0,
+     "a018102586865fd3f364cc765053adc26cb5ddbb82a3f6c17cf2358a1b11805c"),
+    ("cutlocus klein 1/3,0", 0,
+     "8833c02d1c60d7fb6ee5abc9cc75e3a381445af7a0cb0a63715e202b518d2bcb"),
+    ("cutlocus cube corner:p", 2, EMPTY),
+    ("cutlocus cube corner:p --format csv", 2, EMPTY),
+    ("plan torus:1 0 1/2", 0, "61304b04ac4ed22890fa5c8025ae2f299c2e13bb6b0c0bdbbfd2691a67661652"),
+    ("plan torus:2 0,0 1/2,1/5", 0,
+     "a2fe9884554d53bc107f43ccc5e30be15ccef465d2c31f5084e3bd60e1307ff9"),
+    ("plan torus:2 0,0 1/10,1/10", 0,
+     "25cca86d08d0a452d71e737a077cc9086ccdae7befd4534187de49bf809020f4"),
+    ("plan torus:3 0,0,0 1/2,1/2,1/2", 0,
+     "5c9a0f5431400607efb067aa41dbeaf2d48cef263cccef31aebc37bcc21f03ef"),
+    ("plan klein 1/2,1/2 0,1/4", 0,
+     "0811a15ba9e6ea32d09828e03fe8deda4223b765107179e8ba2e2d9564b8c3e7"),
+    ("plan klein 1/2,1/2 0,0", 0,
+     "4d028bb126aa2976ae84386c36a573611a45310a891fcc5f64d6083721c585bc"),
+    ("plan klein 1/7,2/9 3/5,5/7", 0,
+     "457743de22b46fdeb74ad8d818c31a43880d551b1694eaec700a0796b9b92312"),
+    ("plan cube corner:p corner:q", 2, EMPTY),
+    ("geodesics mobius 0,0 1,1", 2, EMPTY),
+    ("geodesics torus:0 0 0", 2, EMPTY),
+    ("geodesics torus:x 0 0", 2, EMPTY),
+    ("geodesics torus:2 0,0 1/2", 2, EMPTY),
+    ("geodesics torus:2 0,0 a,b", 2, EMPTY),
+    ("geodesics torus:2 0,0 1/0,0", 2, EMPTY),
+    ("geodesics klein 0,0 1/2", 2, EMPTY),
+    ("geodesics cube w+:0,0 z+:0,0", 2, EMPTY),
+    ("geodesics cube z-:0,0 z+:3/4,0", 2, EMPTY),
+    ("geodesics cube z-:0 z+:0,0", 2, EMPTY),
+    ("geodesics klein 0,0 1/2,1/2 --resolution 1", 2, EMPTY),
+    ("cutlocus klein 1/2,1/2 --format svg --resolution 1", 2, EMPTY),
+    ("cutlocus klein 1/2,1/2 --format png", 2, EMPTY),
+    ("plan klein 0,0 0", 2, EMPTY),
+    ("plan torus:2 0,0 1/2,1/2 --format json", 2, EMPTY),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[argv for argv, _, _ in GOLDEN])
+def test_golden_output(capsys, argv, code, digest):
+    got, out, _ = run_cli(capsys, argv.split())
+    assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
 
 
 def test_console_script_entry_point():
