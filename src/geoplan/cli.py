@@ -290,7 +290,7 @@ def _cutlocus_rows(space: _Space, x, graph, resolution: int) -> list[dict]:
         if key not in seen:
             seen.add(key)
             geos = space.geodesics(x, target)
-            rows.append(_csv_row(base, key, len(geos), geos))
+            rows.append(_csv_row(base, key, space.stratum(x, target, geos), geos))
     return rows
 
 
@@ -374,11 +374,7 @@ def cmd_bound(args) -> int:
         "lower_bound": report.lower_bound,
         "inconsistent": list(report.inconsistent_ids),
         "consistent_above_bottom": list(report.consistent_above_bottom),
-        "flags": {
-            "trivial_coverings": flags.trivial_coverings,
-            "locally_compact": flags.locally_compact,
-            "nonempty_intersections": flags.nonempty_intersections,
-        },
+        "flags": asdict(flags),
         "upper_bound_if_trivial": upper,
         "equality": (
             report.lower_bound == upper
@@ -405,8 +401,8 @@ def _default_seed() -> int:
 
 
 def cmd_verify(args) -> int:
-    # Imported here so that numpy, which only the verify oracles use, is not
-    # loaded by the other commands.
+    # Imported here so that the other commands do not load the verification
+    # suites and their oracles.
     from . import verify
 
     seed = args.seed if args.seed is not None else _default_seed()

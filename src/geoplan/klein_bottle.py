@@ -166,23 +166,15 @@ def klein_lift_orbit(
     """Orbit points ``alpha^a beta^b . y`` for |a|, |b| <= window.
 
     The deck group acts freely, so all points are distinct; the list is
-    sorted by point for determinism.  This Fraction scan is the independent
+    sorted by point for determinism.  These points feed the orbit-scan
     oracle of ``verify`` and the tests; geodesics use the two-coset rule and
     the cut locus its own scaled integer orbit.
     """
     if window < 1:
         raise ValueError("window must be a positive integer")
-    out = []
-    seen: set[Point2] = set()
-    for a in range(-window, window + 1):
-        for b in range(-window, window + 1):
-            g = DeckElement(a, b)
-            p = g.apply(y.coords)
-            if p not in seen:
-                seen.add(p)
-                out.append((g, p))
-    out.sort(key=lambda item: (item[1], item[0].a, item[0].b))
-    return tuple(out)
+    ks = range(-window, window + 1)
+    orbit = [(g, g.apply(y.coords)) for g in (DeckElement(a, b) for a in ks for b in ks)]
+    return tuple(sorted(orbit, key=lambda item: item[1]))
 
 
 def _minimal_lifts(base: Point2, y: KleinPoint) -> list[Point2]:

@@ -23,7 +23,7 @@ the geometry modules re-derive and cross-check in their own test suites.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations, product
 
 __all__ = [
@@ -156,7 +156,7 @@ def validate_poset(p: StratPoset) -> ValidationReport:
         if len(set(e.sheets)) != len(e.sheets):
             errors.append(f"element {e.id!r} repeats a sheet label")
     levels = {e.level for e in p.elements if isinstance(e.level, int) and e.level >= 1}
-    if levels and levels != set(range(min(levels), max(levels) + 1)):
+    if levels and len(levels) != max(levels) - min(levels) + 1:
         errors.append(f"levels {sorted(levels)} are not contiguous")
     pairs: set[tuple[str, str]] = set()
     for c in p.covers:
@@ -465,42 +465,44 @@ def to_document(p: StratPoset, flags: PosetFlags) -> dict:
             {"src": c.src, "dst": c.dst, "map": dict(sorted(c.mapping.items()))}
             for c in p.covers
         ],
-        "flags": {
-            "trivial_coverings": flags.trivial_coverings,
-            "locally_compact": flags.locally_compact,
-            "nonempty_intersections": flags.nonempty_intersections,
-        },
+        "flags": asdict(flags),
     }
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind`` (a boolean is no integer)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def from_document(doc: dict) -> tuple[StratPoset, PosetFlags]:
-    """Parse the interchange schema; raises ``ValueError`` on malformed input."""
-    if not isinstance(doc, dict):
-        raise ValueError("document must be a JSON object")
+    """Parse the interchange schema; raises ``ValueError`` on a missing key or
+    a value of the wrong JSON type.  Ids and map values are read as strings;
+    the poset axioms are left to :func:`validate_poset`."""
+    _typed(doc, dict, "document")
     try:
         elements = [
             PosetElement(
-                id=str(e["id"]),
-                level=int(e["level"]),
-                sheets=tuple(str(s) for s in e["sheets"]),
+                id=str(_typed(e, dict, "element")["id"]),
+                level=_typed(e["level"], int, "level"),
+                sheets=tuple(_typed(s, str, "sheet") for s in _typed(e["sheets"], list, "sheets")),
             )
-            for e in doc["elements"]
+            for e in _typed(doc["elements"], list, "elements")
         ]
         covers = [
             CoverMap(
-                src=str(c["src"]),
+                src=str(_typed(c, dict, "cover")["src"]),
                 dst=str(c["dst"]),
-                mapping={str(k): str(v) for k, v in c["map"].items()},
+                mapping={str(k): str(v) for k, v in _typed(c["map"], dict, "map").items()},
             )
-            for c in doc.get("covers", [])
+            for c in _typed(doc.get("covers", []), list, "covers")
         ]
-        raw_flags = doc.get("flags", {})
+        raw = _typed(doc.get("flags", {}), dict, "flags")
         flags = PosetFlags(
-            trivial_coverings=bool(raw_flags.get("trivial_coverings", False)),
-            locally_compact=bool(raw_flags.get("locally_compact", False)),
-            nonempty_intersections=bool(raw_flags.get("nonempty_intersections", False)),
+            *(_typed(raw.get(f.name, False), bool, f.name) for f in fields(PosetFlags))
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed poset document: {exc}") from exc
     return StratPoset(elements, covers), flags
 
@@ -508,6 +510,6 @@ def from_document(doc: dict) -> tuple[StratPoset, PosetFlags]:
 def loads_document(text: str) -> tuple[StratPoset, PosetFlags]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     return from_document(doc)

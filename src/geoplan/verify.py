@@ -5,12 +5,12 @@ exact laws are asserted exactly (rational arithmetic end to end), metric
 comparisons go through the squared-distance predicates of ``metric_core``.
 Suites are deterministic for a fixed seed and shard cleanly by trial count.
 
-The torus suite carries an independent brute-force oracle: geodesic counts
-are recomputed by minimizing over an integer lattice of lifts with vectorized
-integer arithmetic, so the closed-form classifier is confirmed against plain
-distance minimization rather than against itself.  The Klein suite does the
-same with a brute-force scan of the deck orbit, which shares no code with the
-two-coset nearest-lift rule behind ``klein_geodesics``.
+The torus and Klein suites carry one independent brute-force oracle,
+:func:`_orbit_minimizers`: it scans a finite window of lifts (lattice
+translates on the torus, the deck orbit on the Klein bottle) and keeps the
+nearest by exact integer squared distance.  So the closed-form classifier and
+the two-coset nearest-lift rule are confirmed against plain distance
+minimization rather than against themselves.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from itertools import product
+from operator import add
 
 from . import cube_sphere, flat_torus, klein_bottle, metric_core, strat_cover
 from .flat_torus import TorusPoint
@@ -108,44 +108,51 @@ def _rand_coords(rng: random.Random, n: int) -> tuple[Fraction, ...]:
     return tuple(_rand_frac(rng) for _ in range(n))
 
 
+def _orbit_minimizers(base, points) -> list[int]:
+    """Indices of the ``points`` nearest to ``base``, in the order given: the
+    brute-force oracle of the flat quotients.  All points go on one integer
+    scale, the lcm of their denominators (ints stay as they are), and whole
+    points are compared by squared distance; nothing is rounded per
+    coordinate, so no rule is shared with the nearest-translate core."""
+    scale = math.lcm(*(c.denominator for p in (base, *points) for c in p))
+    if scale != 1:
+        base, *points = [[c.numerator * (scale // c.denominator) for c in p]
+                         for p in (base, *points)]
+    dists = [sum([(c - o) ** 2 for c, o in zip(p, base)]) for p in points]
+    best = min(dists)
+    return [i for i, d in enumerate(dists) if d == best]
+
+
 # ---------------------------------------------------------------------------
 # Torus suite
 # ---------------------------------------------------------------------------
 
 
-def _lattice_offsets(n: int) -> np.ndarray:
-    axes = [np.arange(-2, 3)] * n
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+def _lattice_lifts(y, window: int) -> list[tuple[int, ...]]:
+    """The lifts ``y + _DEN * k`` of an integer sample, k in [-window, window]^n."""
+    steps = range(-_DEN * window, _DEN * window + 1, _DEN)
+    return [tuple(map(add, y, ks)) for ks in product(steps, repeat=len(y))]
 
 
 def torus_count_law(seed: int, trials: int, n: int) -> CheckResult:
     """count == 2^(k-1) from the classifier, and equals the number of
-    minimizing lattice lifts in the window [-2, 2]^n (integer brute force)."""
+    minimizing lattice lifts in the window [-1, 1]^n (integer brute force).
+
+    The window is exact: samples lie in [0, 1), so each coordinate
+    difference d has |d| < 1, hence |d +- 2| > 1 > |d| and no lift with an
+    offset of 2 or more in any coordinate can be minimal."""
     check = CheckResult(name=f"count_law_n{n}", trials=trials)
-    rng = np.random.default_rng(seed + n)
-    xs = rng.integers(0, _DEN, size=(trials, n))
-    ys = rng.integers(0, _DEN, size=(trials, n))
-    antipodal = rng.random(size=(trials, n)) < 0.25
-    ys = np.where(antipodal, (xs + _DEN // 2) % _DEN, ys)
-    offsets = _lattice_offsets(n) * _DEN
-    chunk = max(1, 2_000_000 // max(1, offsets.shape[0] * n))
-    brute = np.empty(trials, dtype=np.int64)
-    for lo in range(0, trials, chunk):
-        hi = min(trials, lo + chunk)
-        diff = ys[lo:hi, None, :] + offsets[None, :, :] - xs[lo:hi, None, :]
-        sq = np.sum(diff * diff, axis=-1)
-        best = sq.min(axis=1)
-        brute[lo:hi] = (sq == best[:, None]).sum(axis=1)
-    for row in range(trials):
-        x = TorusPoint.make([Fraction(int(v), _DEN) for v in xs[row]])
-        y = TorusPoint.make([Fraction(int(v), _DEN) for v in ys[row]])
+    rng = random.Random(seed + n)
+    for _ in range(trials):
+        xs = [rng.randrange(_DEN) for _ in range(n)]
+        ys = [(a + _DEN // 2) % _DEN if rng.random() < 0.25 else rng.randrange(_DEN) for a in xs]
+        brute = len(_orbit_minimizers(xs, _lattice_lifts(ys, 1)))
+        x = TorusPoint.make([Fraction(v, _DEN) for v in xs])
+        y = TorusPoint.make([Fraction(v, _DEN) for v in ys])
         k = flat_torus.torus_stratum(x, y)
         geos = flat_torus.torus_geodesics(x, y)
-        if len(geos) != 2 ** (k - 1) or len(geos) != int(brute[row]):
-            check.fail(
-                f"x={x.coords} y={y.coords}: k={k}, "
-                f"count={len(geos)}, brute={int(brute[row])}"
-            )
+        if len(geos) != 2 ** (k - 1) or len(geos) != brute:
+            check.fail(f"x={x.coords} y={y.coords}: k={k}, count={len(geos)}, brute={brute}")
     return check
 
 
@@ -329,13 +336,12 @@ def torus_local_poset_shape(seed: int, trials: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _klein_orbit_scan(x: KleinPoint, y: KleinPoint) -> list[tuple[tuple, DeckElement]]:
-    """Brute-force oracle: minimizing (end lift, deck element) pairs over the
-    deck orbit of ``y`` within window 3, sorted by end lift."""
+def _klein_orbit_scan(base, y: KleinPoint) -> list[tuple[tuple, DeckElement]]:
+    """Brute-force oracle: the (end lift, deck element) pairs nearest to the
+    plane point ``base`` over the deck orbit of ``y`` within window 3,
+    sorted by end lift."""
     orbit = klein_bottle.klein_lift_orbit(y, 3)
-    scanned = [(metric_core.dist_sq(x.coords, p), p, g) for g, p in orbit]
-    best = min(d for d, _, _ in scanned)
-    return sorted((p, g) for d, p, g in scanned if d == best)
+    return [(orbit[i][1], orbit[i][0]) for i in _orbit_minimizers(base, [p for _, p in orbit])]
 
 
 def klein_lift_oracle(seed: int, trials: int) -> CheckResult:
@@ -347,7 +353,7 @@ def klein_lift_oracle(seed: int, trials: int) -> CheckResult:
         x = KleinPoint.make(_rand_coords(rng, 2))
         y = KleinPoint.make(_rand_coords(rng, 2))
         got = [(g.end_lift, g.deck) for g in klein_bottle.klein_geodesics(x, y)]
-        if got != _klein_orbit_scan(x, y):
+        if got != _klein_orbit_scan(x.coords, y):
             check.fail(f"geodesics differ from the orbit scan at {x.coords}->{y.coords}")
     return check
 
@@ -414,7 +420,7 @@ def klein_cut_dichotomy(seed: int, trials: int) -> CheckResult:
             continue
         for vertex in graph.vertices:
             v = KleinPoint.make(vertex.point)
-            count = len(_klein_orbit_scan(x, v))
+            count = len(_klein_orbit_scan(x.coords, v))
             if count != vertex.multiplicity:
                 check.fail(f"multiplicity {vertex.multiplicity} vs oracle {count}")
     return check

@@ -1,13 +1,18 @@
 """Command-line interface: subcommands, formats, exit codes, byte stability."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoplan.cli import main
+from geoplan.cube_sphere import FACES
 
 
 def run_cli(capsys, argv):
@@ -185,6 +190,42 @@ class TestBoundCommand:
         code, _, err = run_cli(capsys, ["bound", "builtin:mystery"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "cover_map,flags,level,sheets",
+        [
+            ([["s", "s"]], {}, 1, ["s"]),
+            ({"s": "s"}, ["trivial_coverings"], 1, ["s"]),
+            ({"s": "s"}, {"trivial_coverings": "false"}, 1, ["s"]),
+            ({"s": "s"}, {}, 1.5, ["s"]),
+            ({"s": "s"}, {}, True, ["s"]),
+            ({"st": "st"}, {}, 1, "st"),
+        ],
+        ids=["list-map", "list-flags", "string-flag", "float-level", "bool-level", "string-sheets"],
+    )
+    def test_wrongly_typed_document_is_usage_error(
+        self, capsys, tmp_path, cover_map, flags, level, sheets
+    ):
+        doc = {
+            "elements": [
+                {"id": "a", "level": level, "sheets": sheets},
+                {"id": "b", "level": 2, "sheets": ["s"]},
+            ],
+            "covers": [{"src": "a", "dst": "b", "map": cover_map}],
+            "flags": flags,
+        }
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["bound", str(path)])
+        assert (code, out) == (2, "")
+        assert "malformed poset document" in err
+
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, _, err = run_cli(capsys, ["bound", str(path)])
+        assert code == 2
+        assert "invalid JSON" in err
+
 
 class TestVerifyCommand:
     def test_suite_passes(self, capsys):
@@ -267,7 +308,7 @@ class TestFormatsAndStability:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "x,y,stratum,count,min_sq_length"
-        assert '"0,0","1/2,1/2",4,4,1/2' in lines
+        assert '"0,0","1/2,1/2",3,4,1/2' in lines
         # interior samples of both wedge loops carry two geodesics
         assert sum(1 for line in lines[1:] if ",2,2," in line) == 4
 
@@ -286,6 +327,26 @@ class TestFormatsAndStability:
             ["cutlocus", "klein", "1/2,1/2", "--format", "svg", "--resolution", "1"],
         )
         assert code == 2
+
+
+def run_quiet(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+#: Coordinate-like text: rational syntax, separators and stray characters,
+#: plus arbitrary short unicode text; never an exponent marker.
+COORD_TEXT = st.text(alphabet="0123456789/.,-+ :_x", max_size=12) | st.text(
+    alphabet=st.characters(blacklist_characters="eE"), max_size=8
+)
+
+SAFE = {"torus:1": "1/3", "torus:2": "1/3,1/4", "klein": "1/3,1/4", "cube": "z+:0,0"}
+
+
+def _point_text(space: str, data, text: str) -> str:
+    if space != "cube":
+        return text
+    return data.draw(st.sampled_from(FACES)) + ":" + text
 
 
 class TestUsageErrors:
@@ -308,6 +369,25 @@ class TestUsageErrors:
     def test_exit_code_two(self, capsys, argv):
         code, _, err = run_cli(capsys, argv)
         assert code == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(space=st.sampled_from(["torus:1", "torus:2", "klein", "cube"]), data=st.data())
+    def test_coordinate_text_never_fails_with_one(self, space, data):
+        """Any coordinate text is answered (0) or refused as usage (2).
+        Exponent notation is left out: ``1e99999999`` is a valid rational
+        that is merely huge."""
+        text = data.draw(COORD_TEXT)
+        argv = ["geodesics", space, _point_text(space, data, text), SAFE[space]]
+        assert run_quiet(argv) in (0, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(space=st.sampled_from(["torus:1", "torus:2", "klein", "cube"]), data=st.data())
+    def test_garbage_coordinate_text_is_usage_error(self, space, data):
+        text = data.draw(COORD_TEXT)
+        cut = data.draw(st.integers(0, len(text)))
+        garbage = text[:cut] + data.draw(st.sampled_from("#;!?@q")) + text[cut:]
+        argv = ["geodesics", space, SAFE[space], _point_text(space, data, garbage)]
+        assert run_quiet(argv) == 2
 
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify"]) == 2
@@ -384,9 +464,9 @@ GOLDEN = [
     ("cutlocus torus:2 1/5,2/7", 0,
      "80e355020f751634a5c268ce409c7d3f531d6cebceae004a672493126ed4b4b6"),
     ("cutlocus torus:2 1/5,2/7 --format csv", 0,
-     "975a0eed75c46a85e409edacefbddea5d12ae0f3b14027b88e4e9a5a6076cb2a"),
+     "3c468171b6ec6ad77ddcdb23baf14ed27fdb76e6f0a3b4ea68fd6e05096c1c73"),
     ("cutlocus torus:2 1/5,2/7 --format csv --resolution 2", 0,
-     "c75c275705b39191ee55c452f86e752593f794820c1aab1277c7142e2dc47174"),
+     "591138070c4e85315bc8d704fe458dc869eb8da9ddd3dc0d036ebf81e8b65ae4"),
     ("cutlocus torus:2 1/5,2/7 --format svg", 0,
      "6398ce04d10cb0b80298d334f1201d8c4a6cfd46ce8e8f3941938ec8bdd3d3ea"),
     ("cutlocus torus:2 1/5,2/7 --format svg --resolution 2", 0,

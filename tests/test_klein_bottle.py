@@ -23,17 +23,10 @@ from geoplan.klein_bottle import (
 )
 from geoplan.metric_core import dist_sq
 from geoplan.strat_cover import lower_bound, validate_poset
+from geoplan.verify import _klein_orbit_scan as orbit_scan
 
 F = Fraction
 H = F(1, 2)
-
-
-def orbit_scan(base, y):
-    """Brute-force oracle: the minimizing (end lift, deck element) pairs over
-    the deck orbit of ``y`` within window 3, measured from ``base``."""
-    orbit = klein_lift_orbit(y, window=3)
-    best = min(dist_sq(base, p) for _, p in orbit)
-    return [(p, g) for g, p in orbit if dist_sq(base, p) == best]
 
 
 def core_pairs(x, y):

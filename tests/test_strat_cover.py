@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoplan.strat_cover import (
     CoverMap,
@@ -269,3 +271,57 @@ class TestDocuments:
         del doc["flags"]
         _, flags = from_document(doc)
         assert flags == PosetFlags(False, False, False)
+
+
+SCHEMA_KEYS = [
+    "elements", "covers", "flags", "id", "level", "sheets", "src", "dst", "map",
+    "trivial_coverings", "locally_compact", "nonempty_intersections",
+]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(SCHEMA_KEYS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=20,
+)
+
+
+@st.composite
+def damaged_documents(draw):
+    """A valid poset document with one value, at any depth, replaced by an
+    arbitrary JSON value."""
+    doc = to_document(*builtin_poset("torus_corner:1"))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        node[key] = draw(json_values)
+        return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(json_values, damaged_documents()))
+def test_any_json_value_parses_or_raises_value_error(doc):
+    try:
+        poset, flags = loads_document(json.dumps(doc))
+    except ValueError:
+        return
+    report = lower_bound(poset)
+    if report.valid:
+        upper_bound_if_trivial(poset, flags)
+
+
+def test_far_apart_levels_are_reported_not_enumerated():
+    doc = to_document(*builtin_poset("circle"))
+    doc["elements"][0]["level"] = 10**18
+    report = lower_bound(from_document(doc)[0])
+    assert not report.valid
+    assert any("not contiguous" in e for e in report.errors)

@@ -1,5 +1,10 @@
 """Self-verification suites: determinism, coverage, failure reporting."""
 
+import random
+import subprocess
+import sys
+from fractions import Fraction
+
 import pytest
 
 from geoplan import verify
@@ -44,3 +49,54 @@ def test_failures_are_counted_and_detailed():
     assert not check.passed
     assert check.failures == 2
     assert check.detail == "first problem"
+
+
+def test_orbit_minimizers_scale_mixed_denominators():
+    base = (Fraction(1, 3), 0)
+    points = [(Fraction(5, 6), 0), (Fraction(-1, 6), 0), (0, Fraction(1, 2)), (1, 1)]
+    assert verify._orbit_minimizers(base, points) == [0, 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unit_lattice_window_is_exact(n):
+    """Count-law samples lie in [0, 1), so offsets of 2 are never minimal:
+    the [-1, 1]^n and [-2, 2]^n scans find the same minimizers."""
+    rng = random.Random(n)
+    den = verify._DEN
+    counts = set()
+    for _ in range(200):
+        x = [rng.randrange(den) for _ in range(n)]
+        y = [rng.randrange(den) for _ in range(n)]
+        for i in range(n):
+            if rng.random() < 0.5:
+                y[i] = (x[i] + den // 2) % den
+        narrow = verify._lattice_lifts(y, 1)
+        wide = verify._lattice_lifts(y, 2)
+        got = [narrow[i] for i in verify._orbit_minimizers(x, narrow)]
+        assert got == [wide[i] for i in verify._orbit_minimizers(x, wide)]
+        counts.add(len(got))
+    assert max(counts) > 1
+
+
+STDLIB_ONLY = """
+import importlib, pkgutil, sys
+startup = set(sys.modules)
+import geoplan
+for info in pkgutil.iter_modules(geoplan.__path__):
+    importlib.import_module("geoplan." + info.name)
+from geoplan import verify
+assert all(report.passed for report in verify.run_suite("all", trials=2))
+loaded = {name.partition(".")[0] for name in set(sys.modules) - startup}
+print(sorted(loaded - {"geoplan"} - set(sys.stdlib_module_names)))
+"""
+
+
+def test_package_loads_only_the_standard_library():
+    """Every geoplan module, and a run of every suite, loads nothing beyond
+    the standard library (modules the interpreter loaded at startup, such as
+    site hooks, are not counted)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", STDLIB_ONLY], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
