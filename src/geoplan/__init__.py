@@ -1,10 +1,14 @@
 """Exact geodesic counting, cut loci and motion planners on flat spaces.
 
-Subpackages cover polyline metrics (``metric_core``), the flat n-torus
-(``flat_torus``), the flat Klein bottle (``klein_bottle``), the boundary of
-the unit cube (``cube_sphere``), and the stratified-covering poset engine for
-planner-count bounds (``strat_cover``).  Everything is rational arithmetic;
-square roots appear only in final readouts.
+Modules: polyline metrics (``metric_core``); the flat quotients, with the
+shared point base and geodesic record and the flat n-torus (``flat_torus``);
+the flat Klein bottle (``klein_bottle``); the boundary of the unit cube
+(``cube_sphere``); the stratified-covering poset engine for planner-count
+bounds (``strat_cover``); planner results and loop tracking (``planning``);
+cut-locus graphs (``cutgraph``); JSON, CSV and SVG output (``render``); the
+verification suites (``verify``); and the ``geoplan`` command (``cli``).
+Everything is rational arithmetic; square roots appear only in final
+readouts.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ Subcommands
 
 ``SPACE`` is ``torus:N`` (flat N-torus), ``klein`` (flat Klein bottle), or
 ``cube`` (boundary of the unit cube).  Coordinates are exact rationals:
-``p/q`` fractions or terminating decimals, comma-separated.  Cube points are
-``FACE:u,v`` with ``FACE`` one of x-,x+,y-,y+,z-,z+, or the named diagonal
-corner pair ``corner:p`` / ``corner:q``.
+``p/q`` fractions or terminating decimals (decimal exponent at most 1000),
+comma-separated.  Cube points are ``FACE:u,v`` with ``FACE`` one of
+x-,x+,y-,y+,z-,z+, or the named diagonal corner pair ``corner:p`` /
+``corner:q``.
 
 Outputs per space: ``geodesics`` json and csv everywhere, svg where the space
 has a planar chart (torus:2, klein, cube); ``cutlocus`` json for torus:N and
@@ -36,7 +37,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Any, Callable
 
 from . import cube_sphere, flat_torus, klein_bottle, strat_cover
@@ -45,6 +45,11 @@ from .render import RenderSpec, dump_csv, dump_json, fraction_str, point_str, sv
 __all__ = ["main"]
 
 _CSV_COLUMNS = ["x", "y", "stratum", "count", "min_sq_length"]
+
+#: Largest decimal exponent of a coordinate: ``Fraction`` builds an int of
+#: that many digits.  A klein cut-locus csv prints about four times as many,
+#: and ``str`` refuses ints beyond 4300 digits (``1e-1100`` already fails).
+_MAX_EXPONENT = 1000
 
 
 class UsageError(ValueError):
@@ -56,6 +61,11 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _parse_rational(text: str) -> Fraction:
+    exponent = text.strip().lower().partition("e")[2]
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    too_long = len(digits) > len(str(_MAX_EXPONENT))
+    if digits.isdecimal() and (too_long or int(digits) > _MAX_EXPONENT):
+        raise UsageError(f"exponent {exponent} of {text!r} exceeds the cap of {_MAX_EXPONENT}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -109,15 +119,15 @@ def _emit(text: str, out: str | None) -> None:
 # One record per space
 # ---------------------------------------------------------------------------
 
-def _torus_geodesic_doc(g: flat_torus.TorusGeodesic) -> dict:
+def _torus_geodesic_doc(g: flat_torus.FlatGeodesic) -> dict:
     return {
         "displacement": list(g.displacement),
-        "end_lift": [a + d for a, d in zip(g.start.coords, g.displacement)],
+        "end_lift": list(g.end_lift),
         "squared_length": g.squared_length,
     }
 
 
-def _klein_geodesic_doc(g: klein_bottle.KleinGeodesic) -> dict:
+def _klein_geodesic_doc(g: flat_torus.FlatGeodesic) -> dict:
     return {
         "start_lift": list(g.start_lift),
         "end_lift": list(g.end_lift),
@@ -136,10 +146,11 @@ def _cube_geodesic_doc(g: cube_sphere.UnfoldedPath) -> dict:
     }
 
 
-def _flat_chart(segment: Callable, x, geodesics, spec: RenderSpec) -> str:
-    """Each geodesic's ``segment`` in the unit-square chart of the universal
+def _flat_chart(x, geodesics, spec: RenderSpec) -> str:
+    """Each geodesic as its lift in the unit-square chart of the universal
     cover, with the basepoint marked."""
-    return svg_path_chart([segment(g) for g in geodesics], [], [(x.coords, 1)], spec)
+    segments = [[g.start_lift, g.end_lift] for g in geodesics]
+    return svg_path_chart(segments, [], [(x.coords, 1)], spec)
 
 
 def _cube_chart(x, geodesics, spec: RenderSpec) -> str:
@@ -174,8 +185,8 @@ def _klein_cut_locus(x: klein_bottle.KleinPoint) -> tuple[dict, Any]:
 @dataclass(frozen=True)
 class _Space:
     """What the commands use of one space.  ``chart`` is None where the space
-    has no planar chart, so no svg output; ``plan``, ``cut_locus`` and
-    ``lift_point`` are None where it has no planner or cut locus.  Points
+    has no planar chart, so no svg output; ``plan`` and ``cut_locus`` are
+    None where it has no planner or cut locus.  Points
     show as their coordinates and the stratum is the geodesic count unless
     the space says otherwise."""
 
@@ -187,7 +198,6 @@ class _Space:
     stratum: Callable = lambda x, y, geodesics: len(geodesics)
     plan: Callable | None = None  # (x, y) -> PlannerResult
     cut_locus: Callable | None = None  # x -> (document fields, graph or None)
-    lift_point: Callable | None = None  # universal-cover point -> point
 
 
 def _space(text: str) -> _Space:
@@ -198,10 +208,9 @@ def _space(text: str) -> _Space:
             parse=lambda s: klein_bottle.KleinPoint.make(_parse_coords(s, 2)),
             geodesics=klein_bottle.klein_geodesics,
             geodesic_doc=_klein_geodesic_doc,
-            chart=partial(_flat_chart, lambda g: [g.start_lift, g.end_lift]),
+            chart=_flat_chart,
             plan=klein_bottle.klein_plan,
             cut_locus=_klein_cut_locus,
-            lift_point=klein_bottle.KleinPoint.reduce_lift,
         )
     if text == "cube":
         return _Space(
@@ -221,11 +230,10 @@ def _space(text: str) -> _Space:
         parse=lambda s: flat_torus.TorusPoint.make(_parse_coords(s, n)),
         geodesics=flat_torus.torus_geodesics,
         geodesic_doc=_torus_geodesic_doc,
-        chart=partial(_flat_chart, lambda g: list(g.lift().vertices)) if n == 2 else None,
+        chart=_flat_chart if n == 2 else None,
         stratum=lambda x, y, geodesics: flat_torus.torus_stratum(x, y),
         plan=flat_torus.torus_plan,
         cut_locus=_torus_cut_locus,
-        lift_point=flat_torus.TorusPoint.make,
     )
 
 
@@ -285,7 +293,7 @@ def _cutlocus_rows(space: _Space, x, graph, resolution: int) -> list[dict]:
     rows = []
     seen = set()
     for lift in samples:
-        target = space.lift_point(lift)
+        target = x.make(lift)
         key = space.show(target)
         if key not in seen:
             seen.add(key)

@@ -35,8 +35,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .metric_core import Polyline, _frac
-from .strat_cover import CUBE_CORNER_LIMITS, StratPoset
-from .strat_cover import cube_corner_poset as _corner_poset
+from .strat_cover import CUBE_CORNER_LIMITS
 
 __all__ = [
     "CandidateTable",
@@ -49,7 +48,6 @@ __all__ = [
     "corner_limit_geodesics",
     "corner_limit_table",
     "corner_pair",
-    "cube_corner_poset",
     "cube_geodesics",
     "diagonal_table",
     "minimal_stable_k",
@@ -771,8 +769,3 @@ def corner_limit_geodesics() -> dict[str, tuple[Vec3, ...]]:
     if oracle != set(label_to_trace.values()):
         raise RuntimeError("corner limits differ from the corner geodesic set")
     return label_to_trace
-
-
-def cube_corner_poset() -> StratPoset:
-    """Local poset at the opposite-corner pair (see ``strat_cover``)."""
-    return _corner_poset()

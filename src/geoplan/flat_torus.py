@@ -1,4 +1,9 @@
-"""Geodesics, strata, cut loci and the optimal planner on the flat n-torus.
+"""Flat quotients R^n / Γ with a rectangular lattice, and geodesics, strata,
+cut loci and the optimal planner on the flat n-torus.
+
+Minimal lifts are the nearest lattice translates of one orbit point per
+coset of the lattice (:class:`FlatPoint`), keeping the closest coset or
+every tied one; each is a :class:`FlatGeodesic`, here and in ``klein_bottle``.
 
 The torus is the product of ``n`` circles of circumference 1; distances come
 from the flat product metric.  A geodesic between ``x`` and ``y`` moves every
@@ -25,9 +30,10 @@ from .planning import PlannerResult, loop_monodromy
 from .strat_cover import PosetElement, StratPoset, torus_corner_poset
 
 __all__ = [
+    "FlatGeodesic",
+    "FlatPoint",
     "TorusCutLocus",
     "TorusCutStratum",
-    "TorusGeodesic",
     "TorusPoint",
     "torus_cut_locus",
     "torus_geodesics",
@@ -45,71 +51,67 @@ def _reduce(value: Fraction) -> Fraction:
 
 
 @dataclass(frozen=True)
-class TorusPoint:
-    """A point with rational coordinates reduced to [0, 1) per circle."""
+class FlatPoint:
+    """A point of R^n / Γ reduced to [0, 1)^n.  Subclasses supply ``make``
+    (reduce any lift), the lattice ``periods``, ``cosets()`` (one orbit point
+    per coset of the lattice in Γ) and ``deck_to(base, displacement)`` (the
+    element of Γ carrying the point to ``base + displacement``, or None)."""
 
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if not self.coords:
-            raise ValueError("torus dimension must be at least 1")
+            raise ValueError("dimension must be at least 1")
+        if len(self.coords) != len(self.periods):
+            raise ValueError(f"{type(self).__name__} has {len(self.periods)} coordinates")
         for c in self.coords:
             if not isinstance(c, Fraction):
-                raise TypeError("coordinates must be Fractions; use TorusPoint.make")
-            if not 0 <= c < 1:
+                raise TypeError(f"coordinates must be Fractions; use {type(self).__name__}.make")
+            if not 0 <= c.numerator < c.denominator:
                 raise ValueError(f"coordinate {c} not reduced to [0, 1)")
-
-    @classmethod
-    def make(cls, values) -> "TorusPoint":
-        return cls(tuple(_reduce(_frac(v)) for v in values))
 
     @property
     def n(self) -> int:
         return len(self.coords)
 
-    def translate(self, displacement) -> "TorusPoint":
-        if len(displacement) != self.n:
-            raise ValueError("dimension mismatch")
-        return TorusPoint.make(
-            tuple(c + _frac(d) for c, d in zip(self.coords, displacement))
-        )
-
 
 @dataclass(frozen=True)
-class TorusGeodesic:
-    """A minimizing geodesic recorded by its start and lift displacement.
+class FlatGeodesic:
+    """A minimizing geodesic: the segment from the canonical lift of
+    ``start`` by ``displacement`` (each entry within half a lattice period)
+    to ``deck`` applied to the canonical lift of ``end`` (``deck`` is None
+    on the torus)."""
 
-    Each displacement entry lies in [-1/2, 1/2]; projecting
-    ``start + t * displacement`` mod 1 traces the geodesic.
-    """
-
-    start: TorusPoint
+    start: FlatPoint
     displacement: tuple[Fraction, ...]
+    deck: object
 
     def __post_init__(self) -> None:
-        if len(self.displacement) != self.start.n:
+        periods = self.start.periods
+        if len(self.displacement) != len(periods):
             raise ValueError("dimension mismatch")
-        for d in self.displacement:
-            if not -_HALF <= d <= _HALF:
-                raise ValueError(f"displacement {d} exceeds the shortest arc")
+        for d, p in zip(self.displacement, periods):
+            if 2 * abs(d.numerator) > p * d.denominator:
+                raise ValueError(f"displacement {d} exceeds half a period {p}")
+
+    @property
+    def start_lift(self) -> tuple[Fraction, ...]:
+        return self.start.coords
+
+    @property
+    def end_lift(self) -> tuple[Fraction, ...]:
+        return tuple(a + d for a, d in zip(self.start.coords, self.displacement))
 
     @property
     def squared_length(self) -> Fraction:
         return sum((d * d for d in self.displacement), Fraction(0))
 
     @property
-    def end(self) -> TorusPoint:
-        return self.start.translate(self.displacement)
+    def end(self) -> FlatPoint:
+        return self.start.make(self.end_lift)
 
     def lift(self) -> Polyline:
-        a = self.start.coords
-        b = tuple(c + d for c, d in zip(a, self.displacement))
-        return Polyline((a, b)) if a != b else Polyline((a, a))
-
-
-def _check_pair(x: TorusPoint, y: TorusPoint) -> None:
-    if x.n != y.n:
-        raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
+        return Polyline((self.start_lift, self.end_lift))
 
 
 def _nearest_translates(base, target, periods) -> list[tuple[Fraction, ...]]:
@@ -135,9 +137,69 @@ def _nearest_translates(base, target, periods) -> list[tuple[Fraction, ...]]:
     return out
 
 
+def _nearest_lifts(base, cosets, periods) -> list[tuple[Fraction, ...]]:
+    """Displacements from ``base`` to the nearest orbit points, in
+    increasing order: the product of the per-coordinate choices of the
+    closest of ``cosets``, or of every tied one (only then sorted)."""
+    best, found = None, []
+    for target in cosets:
+        choices = _nearest_translates(base, target, periods)
+        if len(cosets) > 1:
+            d = sum(c[0] * c[0] for c in choices)
+            if best is None or d < best:
+                best, found = d, []
+            elif d > best:
+                continue
+        found.append(choices)
+    lifts = [disp for choices in found for disp in product(*choices)]
+    return lifts if len(found) == 1 else sorted(lifts)
+
+
+def _check_pair(x: FlatPoint, y: FlatPoint) -> None:
+    if x.n != y.n:
+        raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
+
+
+def _flat_geodesics(x: FlatPoint, y: FlatPoint) -> tuple[FlatGeodesic, ...]:
+    """All minimizing geodesics from ``x`` to ``y``, by increasing displacement."""
+    _check_pair(x, y)
+    return tuple(
+        FlatGeodesic(x, disp, y.deck_to(x.coords, disp))
+        for disp in _nearest_lifts(x.coords, y.cosets(), y.periods)
+    )
+
+
+def _loop_lifts(base, cosets, periods) -> list[tuple[Fraction, ...]]:
+    """The nearest lifts themselves, ``base + displacement``, in increasing
+    order: what a loop monodromy tracks from step to step."""
+    return [
+        tuple(b + d for b, d in zip(base, disp))
+        for disp in _nearest_lifts(base, cosets, periods)
+    ]
+
+
+class TorusPoint(FlatPoint):
+    """A point with rational coordinates reduced to [0, 1) per circle: one
+    coset of the lattice Z^n."""
+
+    @classmethod
+    def make(cls, values) -> "TorusPoint":
+        return cls(tuple(_reduce(_frac(v)) for v in values))
+
+    @property
+    def periods(self) -> tuple[int, ...]:
+        return (1,) * len(self.coords)
+
+    def cosets(self) -> tuple[tuple[Fraction, ...]]:
+        return (self.coords,)
+
+    def deck_to(self, base, displacement) -> None:
+        return None
+
+
 def _choices(x: TorusPoint, y: TorusPoint) -> list[tuple[Fraction, ...]]:
     _check_pair(x, y)
-    return _nearest_translates(x.coords, y.coords, (1,) * x.n)
+    return _nearest_translates(x.coords, y.coords, x.periods)
 
 
 def antipodal_indices(x: TorusPoint, y: TorusPoint) -> tuple[int, ...]:
@@ -150,13 +212,13 @@ def torus_stratum(x: TorusPoint, y: TorusPoint) -> int:
     return 1 + len(antipodal_indices(x, y))
 
 
-def torus_geodesics(x: TorusPoint, y: TorusPoint) -> tuple[TorusGeodesic, ...]:
+def torus_geodesics(x: TorusPoint, y: TorusPoint) -> tuple[FlatGeodesic, ...]:
     """All minimizing geodesics, sorted lexicographically by displacement.
 
     Exactly ``2^(k-1)`` entries for ``k = torus_stratum(x, y)``, all of equal
     squared length.
     """
-    return tuple(TorusGeodesic(x, disp) for disp in product(*_choices(x, y)))
+    return _flat_geodesics(x, y)
 
 
 @dataclass(frozen=True)
@@ -228,7 +290,7 @@ def torus_plan(x: TorusPoint, y: TorusPoint) -> PlannerResult:
     """
     choices = _choices(x, y)
     opposite = sum(len(c) == 2 for c in choices)
-    chosen = TorusGeodesic(x, tuple(c[-1] for c in choices))
+    chosen = FlatGeodesic(x, tuple(c[-1] for c in choices), None)
     return PlannerResult(
         domain=opposite,
         count=2 ** opposite,
@@ -260,11 +322,7 @@ def torus_loop_monodromy(steps: int, x2=Fraction(1, 2)) -> tuple[int, ...]:
 
     def lifts_at(j: int) -> list[tuple[Fraction, ...]]:
         base = (Fraction(j, steps), x2)
-        target = tuple(c + _HALF for c in base)
-        return [
-            tuple(b + d for b, d in zip(base, disp))
-            for disp in product(*_nearest_translates(base, target, (1, 1)))
-        ]
+        return _loop_lifts(base, (tuple(c + _HALF for c in base),), (1, 1))
 
     # The final lifts are the initial ones shifted by (1, 0).
     return loop_monodromy(lifts_at, steps, lambda p: (p[0] + 1, p[1]))

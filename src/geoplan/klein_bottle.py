@@ -8,9 +8,11 @@ lift of the start to the deck orbit of the end; the minimizing ones realize
 the least squared length over the orbit.  The translations ``alpha^2`` and
 ``beta`` span the lattice 2Z x Z, of index two in the deck group, so the
 orbit of ``y`` is the union of the lattice translates of ``y`` and of
-``alpha(y)``.  The minimizing lifts are therefore the nearest translates in
-those two cosets (the torus rule with periods (2, 1)), keeping the coset
-with the smaller distance, or both on a tie.
+``alpha(y)``.  :class:`KleinPoint` is therefore a ``flat_torus.FlatPoint``
+with periods (2, 1) and those two coset points, and the geodesics are the
+shared ``FlatGeodesic`` records of the flat-quotient lift rule: the nearest
+translates in the closer coset, or in both on a tie, each tagged with the
+:class:`DeckElement` read back from its end lift.
 
 The cut locus of a basepoint is the projected boundary of its Dirichlet cell,
 computed exactly by intersecting bisector half-planes.  The basepoint is
@@ -28,39 +30,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 
 from .cutgraph import CutEdge, CutLocusGraph, CutVertex
-from .flat_torus import _nearest_translates
-from .metric_core import Polyline, _frac, dist_sq
+from .flat_torus import FlatGeodesic, FlatPoint, _flat_geodesics, _loop_lifts
+from .metric_core import _frac
 from .planning import (
     PlannerResult,
     loop_monodromy,
     permutation_cycles,
     permutation_order,
 )
-from .strat_cover import StratPoset, klein_s4_poset
 
 __all__ = [
     "DeckElement",
     "IDENTITY",
-    "KleinGeodesic",
     "KleinPoint",
     "MonodromyResult",
     "klein_cut_locus",
     "klein_geodesics",
     "klein_lift_orbit",
-    "klein_local_poset",
     "klein_monodromy",
     "klein_plan",
     "klein_stratum",
 ]
 
 _HALF = Fraction(1, 2)
-
-#: Periods of the translation subgroup <alpha^2, beta> = 2Z x Z.
-_PERIODS = (2, 1)
 
 Point2 = tuple[Fraction, Fraction]
 
@@ -97,30 +92,19 @@ class DeckElement:
 IDENTITY = DeckElement(0, 0)
 
 
-@dataclass(frozen=True)
-class KleinPoint:
-    """A point of the bottle, reduced to the fundamental square [0,1)^2."""
+class KleinPoint(FlatPoint):
+    """A point of the bottle, reduced to the fundamental square [0,1)^2: the
+    lattice 2Z x Z has two cosets in the deck group, those of y and
+    alpha(y)."""
 
-    coords: Point2
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != 2:
-            raise ValueError("Klein points are two-dimensional")
-        for c in self.coords:
-            if not isinstance(c, Fraction):
-                raise TypeError("coordinates must be Fractions; use KleinPoint.make")
-            if not 0 <= c < 1:
-                raise ValueError(f"coordinate {c} not reduced to [0, 1)")
+    #: Periods of the translation subgroup <alpha^2, beta> = 2Z x Z.
+    periods = (2, 1)
 
     @classmethod
     def make(cls, values) -> "KleinPoint":
+        """Project a plane point (any lift) to its fundamental-square
+        representative."""
         u, v = (_frac(c) for c in values)
-        return cls.reduce_lift((u, v))
-
-    @classmethod
-    def reduce_lift(cls, point) -> "KleinPoint":
-        """Project a plane point to its fundamental-square representative."""
-        u, v = (_frac(c) for c in point)
         shift = u.numerator // u.denominator
         u -= shift
         if shift % 2 == 1:
@@ -128,36 +112,16 @@ class KleinPoint:
         v -= v.numerator // v.denominator
         return cls((u, v))
 
+    def cosets(self) -> tuple[Point2, Point2]:
+        u, v = self.coords
+        return ((u, v), (u + 1, 1 - v))
 
-@dataclass(frozen=True)
-class KleinGeodesic:
-    """A minimizing geodesic as a straight segment between lifts."""
-
-    start_lift: Point2
-    end_lift: Point2
-    deck: DeckElement
-
-    @property
-    def squared_length(self) -> Fraction:
-        return dist_sq(self.start_lift, self.end_lift)
-
-    @property
-    def displacement(self) -> Point2:
-        return (
-            self.end_lift[0] - self.start_lift[0],
-            self.end_lift[1] - self.start_lift[1],
-        )
-
-    @property
-    def start(self) -> KleinPoint:
-        return KleinPoint.reduce_lift(self.start_lift)
-
-    @property
-    def end(self) -> KleinPoint:
-        return KleinPoint.reduce_lift(self.end_lift)
-
-    def lift(self) -> Polyline:
-        return Polyline((self.start_lift, self.end_lift))
+    def deck_to(self, base, displacement) -> DeckElement:
+        """The deck element carrying this point to ``base + displacement``."""
+        u, v = self.coords
+        a = int(base[0] + displacement[0] - u)
+        end_v = base[1] + displacement[1]
+        return DeckElement(a, int(end_v - v if a % 2 == 0 else 1 - v - end_v))
 
 
 def klein_lift_orbit(
@@ -177,41 +141,14 @@ def klein_lift_orbit(
     return tuple(sorted(orbit, key=lambda item: item[1]))
 
 
-def _minimal_lifts(base: Point2, y: KleinPoint) -> list[Point2]:
-    """Lifts of ``y`` nearest to the plane point ``base`` (any lift, reduced
-    or not), sorted: the nearest 2Z x Z translates of ``y`` and of
-    ``alpha(y)``, from whichever coset comes closer (both on a tie)."""
-    u, v = y.coords
-    best = None
-    lifts: list[Point2] = []
-    for target in ((u, v), (u + 1, 1 - v)):
-        choices = _nearest_translates(base, target, _PERIODS)
-        d = sum(c[0] * c[0] for c in choices)
-        if best is None or d < best:
-            best, lifts = d, []
-        if d == best:
-            lifts.extend((base[0] + du, base[1] + dv) for du, dv in product(*choices))
-    return sorted(lifts)
-
-
-def _deck_to(y: KleinPoint, lift: Point2) -> DeckElement:
-    """The deck element carrying the canonical lift of ``y`` to ``lift``."""
-    u, v = y.coords
-    a = int(lift[0] - u)
-    return DeckElement(a, int(lift[1] - v if a % 2 == 0 else 1 - v - lift[1]))
-
-
-def klein_geodesics(x: KleinPoint, y: KleinPoint) -> tuple[KleinGeodesic, ...]:
+def klein_geodesics(x: KleinPoint, y: KleinPoint) -> tuple[FlatGeodesic, ...]:
     """All minimizing geodesics from ``x`` to ``y``, sorted by end lift.
 
     The end lifts are the minimal lifts of ``y`` measured from the canonical
     lift of ``x``; each carries the deck element that produces it.  Between
     one and four geodesics exist.
     """
-    return tuple(
-        KleinGeodesic(x.coords, p, _deck_to(y, p))
-        for p in _minimal_lifts(x.coords, y)
-    )
+    return _flat_geodesics(x, y)
 
 
 def klein_stratum(x: KleinPoint, y: KleinPoint) -> int:
@@ -297,7 +234,7 @@ def _det(p: HomPoint, q: HomPoint, r: HomPoint) -> int:
 
 
 def _reduced(v: HomPoint, d: int) -> HomPoint:
-    """:meth:`KleinPoint.reduce_lift` of a scaled vertex, on its integers.
+    """:meth:`KleinPoint.make` of a scaled vertex, on its integers.
 
     The shifts are unimodular, so the result is again in normal form and
     two vertices project to the same bottle point exactly when their
@@ -501,7 +438,8 @@ def klein_monodromy(x2, steps: int) -> MonodromyResult:
 
     def lifts_at(j: int) -> list[Point2]:
         t = Fraction(j, steps)
-        return _minimal_lifts((t, x2), KleinPoint.make((t + _HALF, x2 + _HALF)))
+        y = KleinPoint.make((t + _HALF, x2 + _HALF))
+        return _loop_lifts((t, x2), y.cosets(), y.periods)
 
     # Identify the final frame with the initial one: the lift of x has moved
     # by the deck element carrying (0, x2) to (1, x2).
@@ -513,10 +451,3 @@ def klein_monodromy(x2, steps: int) -> MonodromyResult:
     )
     return MonodromyResult(permutation, labels)
 
-
-def klein_local_poset(kind: str) -> StratPoset:
-    """Local stratified-covering poset data; ``kind`` selects the pair type
-    (only four-geodesic pairs carry one here)."""
-    if kind != "S4_point":
-        raise ValueError(f"unknown local poset kind {kind!r}")
-    return klein_s4_poset()

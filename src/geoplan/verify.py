@@ -429,7 +429,7 @@ def klein_cut_dichotomy(seed: int, trials: int) -> CheckResult:
 def _cut_edge_point(edge, t: Fraction) -> KleinPoint:
     """Surface point at parameter ``t`` along a (straight) cut edge."""
     a, b = edge.points[0], edge.points[-1]
-    return KleinPoint.reduce_lift(tuple(p + t * (q - p) for p, q in zip(a, b)))
+    return KleinPoint.make(tuple(p + t * (q - p) for p, q in zip(a, b)))
 
 
 def _klein_domain_samples(rng: random.Random) -> list[tuple[KleinPoint, KleinPoint]]:

@@ -334,11 +334,9 @@ def run_quiet(argv) -> int:
         return main(argv)
 
 
-#: Coordinate-like text: rational syntax, separators and stray characters,
-#: plus arbitrary short unicode text; never an exponent marker.
-COORD_TEXT = st.text(alphabet="0123456789/.,-+ :_x", max_size=12) | st.text(
-    alphabet=st.characters(blacklist_characters="eE"), max_size=8
-)
+#: Coordinate-like text: rational syntax with exponents, separators and
+#: stray characters, plus arbitrary short unicode text.
+COORD_TEXT = st.text(alphabet="0123456789/.,-+ :_xeE", max_size=12) | st.text(max_size=8)
 
 SAFE = {"torus:1": "1/3", "torus:2": "1/3,1/4", "klein": "1/3,1/4", "cube": "z+:0,0"}
 
@@ -373,9 +371,8 @@ class TestUsageErrors:
     @settings(max_examples=200, deadline=None)
     @given(space=st.sampled_from(["torus:1", "torus:2", "klein", "cube"]), data=st.data())
     def test_coordinate_text_never_fails_with_one(self, space, data):
-        """Any coordinate text is answered (0) or refused as usage (2).
-        Exponent notation is left out: ``1e99999999`` is a valid rational
-        that is merely huge."""
+        """Any coordinate text is answered (0) or refused as usage (2),
+        including exponents beyond the cap such as ``1e99999999``."""
         text = data.draw(COORD_TEXT)
         argv = ["geodesics", space, _point_text(space, data, text), SAFE[space]]
         assert run_quiet(argv) in (0, 2)
@@ -388,6 +385,30 @@ class TestUsageErrors:
         garbage = text[:cut] + data.draw(st.sampled_from("#;!?@q")) + text[cut:]
         argv = ["geodesics", space, SAFE[space], _point_text(space, data, garbage)]
         assert run_quiet(argv) == 2
+
+    @pytest.mark.parametrize(
+        "text,code",
+        [("1e1000", 0), ("2.5E-1000", 0), ("1e+0001000", 0), ("1_0e1_0_00", 0),
+         ("1e1001", 2), ("1E-1001", 2), ("1e+00099999999999", 2)],
+    )
+    def test_exponent_cap(self, capsys, text, code):
+        got, _, err = run_cli(capsys, ["geodesics", "torus:1", text, "0"])
+        assert got == code
+        if code == 2:
+            assert "exceeds the cap of 1000" in err
+
+    def test_huge_exponent_exits_fast(self):
+        """At 20 million digits ``Fraction`` alone would take seconds; the
+        cap refuses the text before any integer is built."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "geoplan.cli", "geodesics", "torus:1", "1e20000000", "0"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 2
+        assert "exponent 20000000" in proc.stderr
+        assert "cap of 1000" in proc.stderr
 
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify"]) == 2

@@ -20,7 +20,6 @@ from geoplan.cube_sphere import (
     containing_faces,
     corner_limit_geodesics,
     corner_limit_table,
-    cube_corner_poset,
     cube_geodesics,
     diagonal_table,
     minimal_stable_k,
@@ -35,7 +34,7 @@ from geoplan.metric_core import (
     reparametrize_constant_speed,
     sup_distance_sq,
 )
-from geoplan.strat_cover import lower_bound
+from geoplan.strat_cover import cube_corner_poset, lower_bound
 
 F = Fraction
 H = F(1, 2)

@@ -1,13 +1,17 @@
-"""Flat torus: geodesic counts, cut loci, planner, monodromy control."""
+"""Flat torus: geodesic counts, cut loci, planner, monodromy control; the
+shared flat-quotient point and geodesic record on torus:1..4 and the Klein
+bottle."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoplan.flat_torus import (
-    TorusGeodesic,
+    FlatGeodesic,
     TorusPoint,
     antipodal_indices,
     torus_cut_locus,
@@ -17,6 +21,7 @@ from geoplan.flat_torus import (
     torus_plan,
     torus_stratum,
 )
+from geoplan.klein_bottle import DeckElement, KleinPoint, klein_geodesics, klein_plan
 from geoplan.metric_core import is_geodesic
 from geoplan.strat_cover import lower_bound, validate_poset
 
@@ -105,7 +110,13 @@ class TestCounts:
 class TestDisplacementInvariant:
     def test_displacement_bounded_by_half(self):
         with pytest.raises(ValueError):
-            TorusGeodesic(TorusPoint.make([0]), (F(3, 5),))
+            FlatGeodesic(TorusPoint.make([0]), (F(3, 5),), None)
+        # The Klein lattice 2Z x Z allows (1, 1/2) and nothing beyond it.
+        x = KleinPoint.make((0, 0))
+        FlatGeodesic(x, (F(1), H), DeckElement(1, 0))
+        for beyond in ((F(11, 10), F(0)), (F(0), F(3, 5))):
+            with pytest.raises(ValueError):
+                FlatGeodesic(x, beyond, DeckElement(1, 0))
 
 
 class TestCutLocus:
@@ -199,3 +210,61 @@ class TestLocalPoset:
             assert validate_poset(poset).ok
             assert poset.level_count() == n + 1
             assert lower_bound(poset).lower_bound == n
+
+
+#: point class, geodesics and planner of each flat quotient under test.
+SPACES = {
+    **{f"torus:{n}": (n, TorusPoint, torus_geodesics, torus_plan) for n in (1, 2, 3, 4)},
+    "klein": (2, KleinPoint, klein_geodesics, klein_plan),
+}
+
+
+@st.composite
+def coordinate(draw):
+    """A coordinate as given to ``make``: often negative or beyond [0, 1),
+    sometimes an unreduced fraction string."""
+    value = F(draw(st.integers(-96, 96)), draw(st.integers(1, 24)))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 9))
+        return f"{value.numerator * k}/{value.denominator * k}"
+    return value
+
+
+@st.composite
+def flat_pair(draw):
+    """A space and the raw coordinates of a pair in it; each coordinate of
+    ``y`` is either free or offset from ``x`` by a half period of the torus
+    or of the Klein lattice 2Z x Z, where geodesics tie."""
+    space = draw(st.sampled_from(sorted(SPACES)))
+    xs = [draw(coordinate()) for _ in range(SPACES[space][0])]
+    offsets = st.sampled_from([H, -H, F(1), F(3, 2)])
+    ys = [F(c) + draw(offsets) if draw(st.booleans()) else draw(coordinate()) for c in xs]
+    return space, xs, ys
+
+
+class TestFlatQuotientProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(flat_pair(), st.tuples(*[st.integers(-3, 3)] * 4))
+    def test_make_reduces_each_deck_orbit_to_one_point(self, pair, shift):
+        space, xs, _ = pair
+        n, point = SPACES[space][:2]
+        x = point.make(xs)
+        assert all(0 <= c < 1 for c in x.coords)
+        assert point.make(x.coords) == x
+        if point is KleinPoint:
+            moved = DeckElement(*shift[:2]).apply(xs)
+        else:
+            moved = [F(c) + s for c, s in zip(xs, shift[:n])]
+        assert point.make(moved) == x
+
+    @settings(max_examples=300, deadline=None)
+    @given(flat_pair())
+    def test_plan_chooses_one_of_the_geodesics(self, pair):
+        space, xs, ys = pair
+        _, point, geodesics, plan = SPACES[space]
+        x, y = point.make(xs), point.make(ys)
+        chosen = plan(x, y).geodesic
+        assert chosen.end == y
+        assert (chosen.displacement, chosen.deck) in {
+            (g.displacement, g.deck) for g in geodesics(x, y)
+        }

@@ -12,17 +12,16 @@ from geoplan.klein_bottle import (
     IDENTITY,
     DeckElement,
     KleinPoint,
-    _minimal_lifts,
     klein_cut_locus,
     klein_geodesics,
     klein_lift_orbit,
-    klein_local_poset,
     klein_monodromy,
     klein_plan,
     klein_stratum,
 )
+from geoplan.flat_torus import _loop_lifts
 from geoplan.metric_core import dist_sq
-from geoplan.strat_cover import lower_bound, validate_poset
+from geoplan.strat_cover import klein_s4_poset, lower_bound, validate_poset
 from geoplan.verify import _klein_orbit_scan as orbit_scan
 
 F = Fraction
@@ -99,9 +98,9 @@ class TestPoints:
         rng = random.Random(9)
         for _ in range(50):
             p = (F(rng.randrange(40), 40), F(rng.randrange(40), 40))
-            base = KleinPoint.reduce_lift(p)
+            base = KleinPoint.make(p)
             g = DeckElement(rng.randrange(-2, 3), rng.randrange(-2, 3))
-            assert KleinPoint.reduce_lift(g.apply(p)) == base
+            assert KleinPoint.make(g.apply(p)) == base
 
 
 class TestGeodesics:
@@ -137,7 +136,7 @@ class TestGeodesics:
         for g in klein_geodesics(x, y):
             assert g.start == x
             assert g.end == y
-            assert KleinPoint.reduce_lift(g.deck.apply(y.coords)) == y
+            assert KleinPoint.make(g.deck.apply(y.coords)) == y
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(rationals, rationals), st.tuples(rationals, rationals))
@@ -156,7 +155,7 @@ class TestGeodesics:
             for edge in graph.edges:
                 targets.append(edge.as_polyline().evaluate(F(rng.randrange(1, 10), 10)))
             for point in targets:
-                y = KleinPoint.reduce_lift(point)
+                y = KleinPoint.make(point)
                 expected = orbit_scan(x.coords, y)
                 assert core_pairs(x, y) == expected
                 seen.add(len(expected))
@@ -167,7 +166,8 @@ class TestGeodesics:
         for _ in range(200):
             base = (F(rng.randrange(-64, 64), 32), F(rng.randrange(-32, 64), 32))
             y = KleinPoint.make((F(rng.randrange(16), 16), F(rng.randrange(16), 16)))
-            assert _minimal_lifts(base, y) == [p for p, _ in orbit_scan(base, y)]
+            lifts = _loop_lifts(base, y.cosets(), y.periods)
+            assert lifts == [p for p, _ in orbit_scan(base, y)]
 
     def test_lift_orbit_covers_the_window(self):
         y = KleinPoint.make((F(1, 4), F(1, 4)))
@@ -205,7 +205,7 @@ class TestCutLocusDichotomy:
             x = KleinPoint.make((F(rng.randrange(20), 20), x2))
             graph = klein_cut_locus(x)
             for v in graph.vertices:
-                target = KleinPoint.reduce_lift(v.point)
+                target = KleinPoint.make(v.point)
                 assert len(klein_geodesics(x, target)) == v.multiplicity
 
     def test_edge_interiors_carry_two_geodesics(self):
@@ -213,7 +213,7 @@ class TestCutLocusDichotomy:
         graph = klein_cut_locus(x)
         for edge in graph.edges:
             poly = edge.as_polyline()
-            target = KleinPoint.reduce_lift(poly.evaluate(F(1, 3)))
+            target = KleinPoint.make(poly.evaluate(F(1, 3)))
             assert len(klein_geodesics(x, target)) == 2
 
     @settings(max_examples=150, deadline=None)
@@ -227,11 +227,11 @@ class TestCutLocusDichotomy:
         expected = [4] if x.coords[1] in (0, H) else [3, 3]
         assert sorted(v.multiplicity for v in graph.vertices) == expected
         for v in graph.vertices:
-            y = KleinPoint.reduce_lift(v.point)
+            y = KleinPoint.make(v.point)
             assert len(orbit_scan(x.coords, y)) == v.multiplicity
         for edge in graph.edges:
             (p0, p1), (q0, q1) = edge.points
-            mid = KleinPoint.reduce_lift(((p0 + q0) / 2, (p1 + q1) / 2))
+            mid = KleinPoint.make(((p0 + q0) / 2, (p1 + q1) / 2))
             assert len(orbit_scan(x.coords, mid)) == 2
 
 
@@ -320,7 +320,7 @@ class TestMonodromy:
 
 class TestLocalPoset:
     def test_s4_point_poset(self):
-        poset = klein_local_poset("S4_point")
+        poset = klein_s4_poset()
         assert validate_poset(poset).ok
         assert poset.level_count() == 4
         assert lower_bound(poset).lower_bound == 3

@@ -82,8 +82,12 @@ STDLIB_ONLY = """
 import importlib, pkgutil, sys
 startup = set(sys.modules)
 import geoplan
-for info in pkgutil.iter_modules(geoplan.__path__):
+modules = [geoplan] + [
     importlib.import_module("geoplan." + info.name)
+    for info in pkgutil.iter_modules(geoplan.__path__)
+]
+stale = [f"{m.__name__}.{name}" for m in modules for name in m.__all__ if not hasattr(m, name)]
+assert not stale, f"__all__ names that do not resolve: {stale}"
 from geoplan import verify
 assert all(report.passed for report in verify.run_suite("all", trials=2))
 loaded = {name.partition(".")[0] for name in set(sys.modules) - startup}
@@ -94,7 +98,8 @@ print(sorted(loaded - {"geoplan"} - set(sys.stdlib_module_names)))
 def test_package_loads_only_the_standard_library():
     """Every geoplan module, and a run of every suite, loads nothing beyond
     the standard library (modules the interpreter loaded at startup, such as
-    site hooks, are not counted)."""
+    site hooks, are not counted); every name in each module's ``__all__``
+    resolves."""
     proc = subprocess.run(
         [sys.executable, "-c", STDLIB_ONLY], capture_output=True, text=True
     )
