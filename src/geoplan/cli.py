@@ -15,8 +15,10 @@ Subcommands
 
 ``SPACE`` is ``torus:N`` (flat N-torus), ``klein`` (flat Klein bottle), or
 ``cube`` (boundary of the unit cube).  Coordinates are exact rationals:
-``p/q`` fractions or terminating decimals (decimal exponent at most 1000),
-comma-separated.  Cube points are ``FACE:u,v`` with ``FACE`` one of
+``p/q`` fractions or terminating decimals, comma-separated, and may be
+negative (``-1/2`` is a coordinate, not an option).  One coordinate writes
+at most 1050 digits counting its decimal exponent, and the exponent itself
+is at most 1000.  Cube points are ``FACE:u,v`` with ``FACE`` one of
 x-,x+,y-,y+,z-,z+, or the named diagonal corner pair ``corner:p`` /
 ``corner:q``.
 
@@ -34,21 +36,28 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
 from . import cube_sphere, flat_torus, klein_bottle, strat_cover
-from .render import RenderSpec, dump_csv, dump_json, fraction_str, point_str, svg_path_chart
+from .render import dump_csv, dump_json, fraction_str, point_str, svg_path_chart
 
 __all__ = ["main"]
 
 _CSV_COLUMNS = ["x", "y", "stratum", "count", "min_sq_length"]
 
-#: Largest decimal exponent of a coordinate: ``Fraction`` builds an int of
-#: that many digits.  A klein cut-locus csv prints about four times as many,
-#: and ``str`` refuses ints beyond 4300 digits (``1e-1100`` already fails).
+#: Largest size of a coordinate: its written digits plus its decimal
+#: exponent, about the digits of the integers ``Fraction`` builds from it.
+#: Outputs print products of up to four coordinate denominators and ``str``
+#: refuses ints beyond 4300 digits, so sizes above 1075 can end in a
+#: traceback (``cutlocus klein 1/3,1/<1075 sevens> --format csv``).
+_MAX_DIGITS = 1050
+
+#: Largest decimal exponent on its own, the cap of earlier releases: every
+#: coordinate it refused stays refused.
 _MAX_EXPONENT = 1000
 
 
@@ -61,11 +70,19 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _parse_rational(text: str) -> Fraction:
-    exponent = text.strip().lower().partition("e")[2]
+    mantissa, _, exponent = text.strip().lower().partition("e")
     digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
-    too_long = len(digits) > len(str(_MAX_EXPONENT))
-    if digits.isdecimal() and (too_long or int(digits) > _MAX_EXPONENT):
-        raise UsageError(f"exponent {exponent} of {text!r} exceeds the cap of {_MAX_EXPONENT}")
+    shift = 0
+    if digits.isdecimal():
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+            raise UsageError(f"exponent {exponent} of {text!r} exceeds the cap of {_MAX_EXPONENT}")
+        shift = int(digits)
+    size = sum(c.isdecimal() for c in mantissa) + shift
+    if size > _MAX_DIGITS:
+        raise UsageError(
+            f"a coordinate of {size} digits (written digits plus decimal exponent)"
+            f" exceeds the bound of {_MAX_DIGITS}"
+        )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -100,11 +117,10 @@ def _parse_point(space: _Space, text: str):
         raise UsageError(str(exc)) from exc
 
 
-def _render_spec(args) -> RenderSpec:
-    try:
-        return RenderSpec(out=args.out, format=args.format, resolution=args.resolution)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _resolution(args) -> int:
+    if args.resolution < 2:
+        raise UsageError("resolution must be >= 2")
+    return args.resolution
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -146,18 +162,18 @@ def _cube_geodesic_doc(g: cube_sphere.UnfoldedPath) -> dict:
     }
 
 
-def _flat_chart(x, geodesics, spec: RenderSpec) -> str:
+def _flat_chart(x, geodesics, resolution: int) -> str:
     """Each geodesic as its lift in the unit-square chart of the universal
     cover, with the basepoint marked."""
     segments = [[g.start_lift, g.end_lift] for g in geodesics]
-    return svg_path_chart(segments, [], [(x.coords, 1)], spec)
+    return svg_path_chart(segments, [], [(x.coords, 1)], resolution)
 
 
-def _cube_chart(x, geodesics, spec: RenderSpec) -> str:
+def _cube_chart(x, geodesics, resolution: int) -> str:
     """Each geodesic in its own unfolding, over the outlines of its faces."""
     outlines = [line for g in geodesics for line in g.face_outlines()]
     segments = [list(g.planar_segment) for g in geodesics]
-    return svg_path_chart(segments, [], [], spec, (-0.5, -0.5, 0.5, 0.5), outlines)
+    return svg_path_chart(segments, [], [], resolution, (-0.5, -0.5, 0.5, 0.5), outlines)
 
 
 def _torus_cut_locus(x: flat_torus.TorusPoint) -> tuple[dict, Any]:
@@ -193,7 +209,7 @@ class _Space:
     parse: Callable[[str], Any]
     geodesics: Callable  # (x, y) -> minimizing geodesics
     geodesic_doc: Callable[[Any], dict]
-    chart: Callable | None  # (x, geodesics, spec) -> svg text
+    chart: Callable | None  # (x, geodesics, resolution) -> svg text
     show: Callable[[Any], str] = lambda p: point_str(p.coords)
     stratum: Callable = lambda x, y, geodesics: len(geodesics)
     plan: Callable | None = None  # (x, y) -> PlannerResult
@@ -253,7 +269,7 @@ def _csv_row(x: str, y: str, stratum: int, geodesics) -> dict:
 
 def cmd_geodesics(args) -> int:
     space = _space(args.space)
-    spec = _render_spec(args)
+    resolution = _resolution(args)
     x = _parse_point(space, args.x)
     y = _parse_point(space, args.y)
     geos = space.geodesics(x, y)
@@ -267,15 +283,15 @@ def cmd_geodesics(args) -> int:
         "min_sq_length": min(g.squared_length for g in geos),
         "geodesics": [space.geodesic_doc(g) for g in geos],
     }
-    if spec.format == "json":
-        _emit(dump_json(doc), spec.out)
-    elif spec.format == "csv":
+    if args.format == "json":
+        _emit(dump_json(doc), args.out)
+    elif args.format == "csv":
         row = _csv_row(doc["x"], doc["y"], doc["stratum"], geos)
-        _emit(dump_csv([row], _CSV_COLUMNS), spec.out)
+        _emit(dump_csv([row], _CSV_COLUMNS), args.out)
     elif space.chart is None:
         raise UsageError("svg rendering of geodesics requires torus:2, klein or cube")
     else:
-        _emit(space.chart(x, geos, spec), spec.out)
+        _emit(space.chart(x, geos, resolution), args.out)
     return 0
 
 
@@ -306,21 +322,22 @@ def cmd_cutlocus(args) -> int:
     space = _space(args.space)
     if space.cut_locus is None:
         raise UsageError("cut locus output is available for torus:N and klein only")
-    spec = _render_spec(args)
+    resolution = _resolution(args)
     x = _parse_point(space, args.x)
     fields, graph = space.cut_locus(x)
     doc = {"command": "cutlocus", "space": args.space, "x": space.show(x), **fields}
-    if spec.format == "json":
-        _emit(dump_json(doc), spec.out)
-    elif spec.format == "svg" and space.chart is None:
+    if args.format == "json":
+        _emit(dump_json(doc), args.out)
+    elif args.format == "svg" and space.chart is None:
         raise UsageError("svg cut-locus output requires torus:2 or klein")
     elif graph is None:
         raise UsageError("csv cut-locus output requires torus:1, torus:2 or klein")
-    elif spec.format == "csv":
-        _emit(dump_csv(_cutlocus_rows(space, x, graph, spec.resolution), _CSV_COLUMNS), spec.out)
+    elif args.format == "csv":
+        _emit(dump_csv(_cutlocus_rows(space, x, graph, resolution), _CSV_COLUMNS), args.out)
     else:
         marks = [(v.point, v.multiplicity) for v in graph.vertices] + [(x.coords, 1)]
-        _emit(svg_path_chart([], [list(e.points) for e in graph.edges], marks, spec), spec.out)
+        edges = [list(e.points) for e in graph.edges]
+        _emit(svg_path_chart([], edges, marks, resolution), args.out)
     return 0
 
 
@@ -430,9 +447,11 @@ def cmd_verify(args) -> int:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_render_options(sub, formats=("json", "svg", "csv")) -> None:
+def _add_render_options(sub) -> None:
     sub.add_argument("--out", default=None, help="write to this path instead of stdout")
-    sub.add_argument("--format", choices=formats, default="json", help="output format")
+    sub.add_argument(
+        "--format", choices=("json", "svg", "csv"), default="json", help="output format"
+    )
     sub.add_argument(
         "--resolution",
         type=int,
@@ -441,8 +460,17 @@ def _add_render_options(sub, formats=("json", "svg", "csv")) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with ``-`` and then a digit or ``.``, such as
+    the coordinates ``-1/2`` and ``-.5,0``, as a positional, not an option."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geoplan",
         description="Geodesic counting, cut loci, and motion planning on flat surfaces.",
     )

@@ -156,12 +156,6 @@ class CubePoint:
     def faces(self) -> tuple[str, ...]:
         return self._faces
 
-    def chart_in(self, face: str) -> Vec2:
-        """Chart coordinates within another containing face."""
-        if face not in self._faces:
-            raise ValueError(f"point does not lie on face {face!r}")
-        return _space_to_chart(face, self.point)
-
 
 def _adjacent(f: str, g: str) -> bool:
     return f != g and f[0] != g[0]
@@ -409,7 +403,7 @@ def cube_geodesics(
     returned, deduplicated by exact surface trace.
     """
     if x.point == y.point:
-        chart = x.chart_in(x.face)
+        chart = (x.u, x.v)
         return (
             UnfoldedPath(
                 face_sequence=(x.face,),
@@ -676,13 +670,17 @@ def witness_sequences(i: int, j: int, k: int) -> tuple[WitnessPair, WitnessPair,
     return (s, r, t)
 
 
-def minimal_stable_k(i: int, j: int, search_limit: int = 64) -> int:
+#: Largest ``k`` that :func:`minimal_stable_k` tries.
+_STABLE_K_LIMIT = 64
+
+
+def minimal_stable_k(i: int, j: int) -> int:
     """Smallest ``k`` for which the third witness pair has a unique
     minimizing candidate (index 1), decided by exact comparison."""
-    for k in range(1, search_limit + 1):
+    for k in range(1, _STABLE_K_LIMIT + 1):
         if witness_sequences(i, j, k)[2].indices == (1,):
             return k
-    raise RuntimeError(f"no stable k below {search_limit}")
+    raise RuntimeError(f"no stable k below {_STABLE_K_LIMIT}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ The exactness policy, concretely:
   includes every collinear polyline and every polyline with rational-length
   chords -- and otherwise fall back to a deterministic ``APPROX_DIGITS``-digit
   integer-sqrt approximation;
-* tolerance comparisons like ``|sqrt(a) - sqrt(b)| <= tol`` are decided by
-  squaring, exactly.
+* the geodesic test compares squared distances for exact equality, so it
+  has no tolerance.
 """
 
 from __future__ import annotations
@@ -32,14 +32,10 @@ __all__ = [
     "chord_sq_lengths",
     "dist_sq",
     "is_geodesic",
-    "path_length",
     "reparametrize_constant_speed",
     "speed_profile",
     "sqrt_approx",
-    "sqrt_diff_within",
     "sqrt_exact",
-    "sqrt_leq_sqrt_sum",
-    "sqrt_within",
     "sup_distance_sq",
 ]
 
@@ -74,8 +70,9 @@ def sqrt_exact(x: Fraction) -> Fraction | None:
     return None
 
 
-def sqrt_approx(x: Fraction, digits: int = APPROX_DIGITS) -> Fraction:
-    """Deterministic rational approximation of sqrt(x), floor at ``digits``."""
+def sqrt_approx(x: Fraction) -> Fraction:
+    """Deterministic rational approximation of sqrt(x), floor at
+    ``APPROX_DIGITS`` digits."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("negative radicand")
@@ -83,43 +80,9 @@ def sqrt_approx(x: Fraction, digits: int = APPROX_DIGITS) -> Fraction:
     if exact is not None:
         return exact
     p, q = x.numerator, x.denominator
-    scale = 10 ** digits
+    scale = 10 ** APPROX_DIGITS
     # sqrt(p/q) = sqrt(p*q)/q, computed on integers.
     return Fraction(isqrt(p * q * scale * scale), q * scale)
-
-
-def sqrt_diff_within(a_sq: Fraction, b_sq: Fraction, tol: Fraction) -> bool:
-    """Decide ``|sqrt(a_sq) - sqrt(b_sq)| <= tol`` exactly."""
-    a, b, t = Fraction(a_sq), Fraction(b_sq), Fraction(tol)
-    if a < 0 or b < 0 or t < 0:
-        raise ValueError("arguments must be nonnegative")
-    s = a + b - t * t
-    if s <= 0:
-        return True
-    return s * s <= 4 * a * b
-
-
-def sqrt_within(a_sq: Fraction, target: Fraction, tol: Fraction) -> bool:
-    """Decide ``|sqrt(a_sq) - target| <= tol`` exactly (target rational)."""
-    a, c, t = Fraction(a_sq), Fraction(target), Fraction(tol)
-    if a < 0 or t < 0:
-        raise ValueError("arguments must be nonnegative")
-    hi = c + t
-    if hi < 0 or a > hi * hi:
-        return False
-    lo = c - t
-    return lo <= 0 or a >= lo * lo
-
-
-def sqrt_leq_sqrt_sum(a_sq: Fraction, b_sq: Fraction, c_sq: Fraction) -> bool:
-    """Decide ``sqrt(a_sq) <= sqrt(b_sq) + sqrt(c_sq)`` exactly."""
-    a, b, c = Fraction(a_sq), Fraction(b_sq), Fraction(c_sq)
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("arguments must be nonnegative")
-    s = a - b - c
-    if s <= 0:
-        return True
-    return s * s <= 4 * b * c
 
 
 class Polyline:
@@ -216,19 +179,25 @@ def chord_sq_lengths(p: Polyline) -> tuple[Fraction, ...]:
     )
 
 
+def _chord_ratios(sq: tuple[Fraction, ...]) -> list[Fraction] | None:
+    """Each chord's length as an exact multiple of the first chord's length,
+    or ``None`` when some ratio is irrational."""
+    ratios = []
+    for s in sq:
+        r = sqrt_exact(s / sq[0])
+        if r is None:
+            return None
+        ratios.append(r)
+    return ratios
+
+
 def speed_profile(p: Polyline) -> SpeedProfile:
     """Cumulative length fractions of ``p``, exact whenever possible."""
     if p.is_constant:
         return SpeedProfile(values=p.params, exact=True)
     sq = chord_sq_lengths(p)
-    base = sq[0]
-    ratios = [sqrt_exact(s / base) for s in sq]
-    if all(r is not None for r in ratios):
-        lengths = ratios  # chord i has length ratios[i] * sqrt(base)
-        exact = True
-    else:
-        lengths = [sqrt_approx(s) for s in sq]
-        exact = False
+    ratios = _chord_ratios(sq)
+    lengths = ratios if ratios is not None else [sqrt_approx(s) for s in sq]
     total = sum(lengths, Fraction(0))
     acc = Fraction(0)
     values = [Fraction(0)]
@@ -236,17 +205,7 @@ def speed_profile(p: Polyline) -> SpeedProfile:
         acc += length
         values.append(acc / total)
     values[-1] = Fraction(1)
-    return SpeedProfile(values=tuple(values), exact=exact)
-
-
-def path_length(p: Polyline) -> Fraction:
-    """Length of ``p``: exact when every chord length is rational, else a
-    deterministic ``APPROX_DIGITS``-digit approximation."""
-    total = Fraction(0)
-    for s in chord_sq_lengths(p):
-        r = sqrt_exact(s)
-        total += r if r is not None else sqrt_approx(s)
-    return total
+    return SpeedProfile(values=tuple(values), exact=ratios is not None)
 
 
 def reparametrize_constant_speed(p: Polyline) -> Polyline:
@@ -267,27 +226,23 @@ def _speed_sq(p: Polyline) -> Fraction:
     if p.is_constant:
         return Fraction(0)
     sq = chord_sq_lengths(p)
-    base = sq[0]
-    ratios = [sqrt_exact(s / base) for s in sq]
-    if all(r is not None for r in ratios):
-        total = sum(ratios, Fraction(0))
-        return total * total * base
-    return dist_sq(p.vertices[0], p.vertices[-1])
+    ratios = _chord_ratios(sq)
+    if ratios is None:
+        return dist_sq(p.vertices[0], p.vertices[-1])
+    total = sum(ratios, Fraction(0))
+    return total * total * sq[0]
 
 
-def is_geodesic(p: Polyline, samples: int = 32, tol=Fraction(0)) -> bool:
+def is_geodesic(p: Polyline, samples: int = 32) -> bool:
     """Test whether ``p`` runs at constant speed along distance-realizing
     lines in its chart: ``d(p(t), p(t')) = lambda * |t - t'|`` on a uniform
     parameter grid (breakpoints are always included in the grid).
 
-    With ``tol == 0`` the test is exact; it compares squared distances, so a
-    straight segment passes exactly regardless of irrational length.
+    The test is exact: it compares squared distances, so a straight segment
+    passes regardless of irrational length.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
-    tol = _frac(tol)
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
     lam_sq = _speed_sq(p)
     grid = sorted(
         {Fraction(k, samples - 1) for k in range(samples)} | set(p.params)
@@ -295,13 +250,8 @@ def is_geodesic(p: Polyline, samples: int = 32, tol=Fraction(0)) -> bool:
     points = [p.evaluate(t) for t in grid]
     for i in range(len(grid)):
         for j in range(i + 1, len(grid)):
-            a = dist_sq(points[i], points[j])
             dt = grid[j] - grid[i]
-            b = lam_sq * dt * dt
-            if tol == 0:
-                if a != b:
-                    return False
-            elif not sqrt_diff_within(a, b, tol):
+            if dist_sq(points[i], points[j]) != lam_sq * dt * dt:
                 return False
     return True
 

@@ -11,15 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "RenderSpec",
     "dump_csv",
     "dump_json",
     "fraction_str",
-    "svg_document",
     "svg_path_chart",
 ]
 
@@ -64,21 +61,6 @@ def dump_csv(rows: list[dict], columns: list[str]) -> str:
     return buffer.getvalue()
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    """Where and how to emit an artifact."""
-
-    out: str | None = None
-    format: str = "json"
-    resolution: int = 8
-
-    def __post_init__(self) -> None:
-        if self.format not in ("json", "svg", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.resolution < 2:
-            raise ValueError("resolution must be >= 2")
-
-
 def _fmt(x: float) -> str:
     out = f"{x:.6f}"
     return "0.000000" if out == "-0.000000" else out
@@ -94,23 +76,6 @@ def _sample(points: list[tuple[float, float]], resolution: int) -> list[tuple[fl
     return out
 
 
-@dataclass
-class _Figure:
-    """Collects SVG elements in chart coordinates (y grows upward)."""
-
-    polylines: list[tuple[list[tuple[float, float]], str]]
-    circles: list[tuple[float, float, float, str]]
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        xs = [p[0] for line, _ in self.polylines for p in line]
-        ys = [p[1] for line, _ in self.polylines for p in line]
-        xs += [c[0] for c in self.circles]
-        ys += [c[1] for c in self.circles]
-        if not xs:
-            xs, ys = [0.0, 1.0], [0.0, 1.0]
-        return min(xs), min(ys), max(xs), max(ys)
-
-
 _STYLE = (
     "polyline{fill:none;stroke-width:0.01}"
     ".domain{stroke:#888;stroke-dasharray:0.03,0.02}"
@@ -121,59 +86,48 @@ _STYLE = (
 )
 
 
-def svg_document(figure: _Figure, scale: float = 200.0) -> str:
-    """Serialize a figure to standalone SVG 1.1 (chart y-axis points up)."""
-    x0, y0, x1, y1 = figure.bounds()
-    margin = 0.1 * max(x1 - x0, y1 - y0, 1.0)
-    x0, y0, x1, y1 = x0 - margin, y0 - margin, x1 + margin, y1 + margin
-    width = _fmt((x1 - x0) * scale)
-    height = _fmt((y1 - y0) * scale)
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" '
-        f'viewBox="{_fmt(x0)} {_fmt(-y1)} {_fmt(x1 - x0)} {_fmt(y1 - y0)}">',
-        f"<style>{_STYLE}</style>",
-    ]
-    for pts, cls in figure.polylines:
-        coords = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in pts)
-        lines.append(f'<polyline class="{cls}" points="{coords}"/>')
-    for cx, cy, r, cls in figure.circles:
-        lines.append(
-            f'<circle class="{cls}" cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(r)}"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
-def _square(x0: float, y0: float, x1: float, y1: float) -> list[tuple[float, float]]:
-    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]
-
-
 def svg_path_chart(
     segments_2d: list[list[tuple[Fraction, ...]]],
     cut_polylines: list[list[tuple[Fraction, ...]]],
     marked_points: list[tuple[tuple[Fraction, ...], int]],
-    spec: RenderSpec,
+    resolution: int,
     domain: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0),
     face_outlines: list[list[tuple[Fraction, ...]]] | None = None,
 ) -> str:
-    """Universal-cover chart figure: fundamental domain outline, geodesic
-    segments, cut-locus polylines, and multiplicity-scaled vertex marks."""
-    fig = _Figure(polylines=[], circles=[])
-    fig.polylines.append((_square(*domain), "domain"))
-    for outline in face_outlines or []:
-        fig.polylines.append(
-            ([(float(p[0]), float(p[1])) for p in outline], "face")
+    """Universal-cover chart figure as standalone SVG 1.1: fundamental domain
+    outline, face outlines, cut-locus polylines and geodesic segments (both
+    resampled with ``resolution`` points per segment), and
+    multiplicity-scaled vertex marks.  The chart's y-axis points up."""
+
+    def floats(line) -> list[tuple[float, float]]:
+        return [(float(p[0]), float(p[1])) for p in line]
+
+    x0, y0, x1, y1 = domain
+    polylines = [([(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)], "domain")]
+    polylines += [(floats(outline), "face") for outline in face_outlines or []]
+    polylines += [(_sample(floats(line), resolution), "cut") for line in cut_polylines]
+    polylines += [(_sample(floats(line), resolution), "path") for line in segments_2d]
+    circles = [(float(p[0]), float(p[1]), 0.01 + 0.005 * m) for p, m in marked_points]
+
+    xs = [x for line, _ in polylines for x, _ in line] + [c[0] for c in circles]
+    ys = [y for line, _ in polylines for _, y in line] + [c[1] for c in circles]
+    x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
+    margin = 0.1 * max(x1 - x0, y1 - y0, 1.0)
+    x0, y0, x1, y1 = x0 - margin, y0 - margin, x1 + margin, y1 + margin
+    # 200 SVG pixels per chart unit.
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_fmt((x1 - x0) * 200.0)}" height="{_fmt((y1 - y0) * 200.0)}" '
+        f'viewBox="{_fmt(x0)} {_fmt(-y1)} {_fmt(x1 - x0)} {_fmt(y1 - y0)}">',
+        f"<style>{_STYLE}</style>",
+    ]
+    for pts, cls in polylines:
+        coords = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in pts)
+        lines.append(f'<polyline class="{cls}" points="{coords}"/>')
+    for cx, cy, r in circles:
+        lines.append(
+            f'<circle class="vertex" cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(r)}"/>'
         )
-    for polyline in cut_polylines:
-        pts = _sample([(float(p[0]), float(p[1])) for p in polyline], spec.resolution)
-        fig.polylines.append((pts, "cut"))
-    for segment in segments_2d:
-        pts = _sample([(float(p[0]), float(p[1])) for p in segment], spec.resolution)
-        fig.polylines.append((pts, "path"))
-    for point, multiplicity in marked_points:
-        fig.circles.append(
-            (float(point[0]), float(point[1]), 0.01 + 0.005 * multiplicity, "vertex")
-        )
-    return svg_document(fig)
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

@@ -106,9 +106,6 @@ class StratPoset:
             if c.src in self._outgoing:
                 self._outgoing[c.src].append(c)
 
-    def outgoing(self, element_id: str) -> list[CoverMap]:
-        return list(self._outgoing.get(element_id, []))
-
     @property
     def levels(self) -> tuple[int, ...]:
         return tuple(sorted({e.level for e in self.elements}))
@@ -124,10 +121,6 @@ class StratPoset:
 class ValidationReport:
     ok: bool
     errors: tuple[str, ...]
-
-    @property
-    def first_error(self) -> str | None:
-        return self.errors[0] if self.errors else None
 
 
 def validate_poset(p: StratPoset) -> ValidationReport:
@@ -180,8 +173,8 @@ def validate_poset(p: StratPoset) -> ValidationReport:
     if not errors:
         for a in p.elements:
             composites: dict[str, dict[str, str]] = {}
-            for c1 in p.outgoing(a.id):
-                for c2 in p.outgoing(c1.dst):
+            for c1 in p._outgoing[a.id]:
+                for c2 in p._outgoing[c1.dst]:
                     comp = {s: c2.mapping[c1.mapping[s]] for s in a.sheets}
                     prev = composites.get(c2.dst)
                     if prev is None:
@@ -261,7 +254,7 @@ def upper_bound_if_trivial(p: StratPoset, flags: PosetFlags) -> int | None:
     asserted by the caller, else ``None``."""
     report = validate_poset(p)
     if not report.ok:
-        raise ValueError(f"invalid poset: {report.first_error}")
+        raise ValueError(f"invalid poset: {report.errors[0]}")
     if flags.all_true():
         return p.level_count() - 1
     return None

@@ -852,32 +852,22 @@ def core_straight_segments(seed: int, trials: int) -> CheckResult:
 
 
 def core_sqrt_predicates(seed: int, trials: int) -> CheckResult:
-    """Squared-comparison predicates agree with floating-point arithmetic away
-    from the decision boundary."""
+    """The square roots of ``metric_core`` agree with floating point:
+    ``sqrt_exact`` finds the root of every rational square and returns only
+    true roots, and ``sqrt_approx`` is a floor within 1e-12 of the root."""
     check = CheckResult(name="sqrt_predicates", trials=trials)
     rng = random.Random(seed + 21)
     for _ in range(trials):
         a = Fraction(rng.randrange(0, 400), rng.randrange(1, 40))
-        b = Fraction(rng.randrange(0, 400), rng.randrange(1, 40))
-        c = Fraction(rng.randrange(0, 400), rng.randrange(1, 40))
-        tol = Fraction(rng.randrange(0, 30), 10)
-        fa, fb, fc = (math.sqrt(float(v)) for v in (a, b, c))
-        ft = float(tol)
-        margin = 1e-9
-        diff = abs(fa - fb)
-        if abs(diff - ft) > margin:
-            if metric_core.sqrt_diff_within(a, b, tol) != (diff <= ft):
-                check.fail(f"sqrt_diff_within disagrees at {a}, {b}, {tol}")
-        lhs, rhs = fa, fb + fc
-        if abs(lhs - rhs) > margin:
-            if metric_core.sqrt_leq_sqrt_sum(a, b, c) != (lhs <= rhs):
-                check.fail(f"sqrt_leq_sqrt_sum disagrees at {a}, {b}, {c}")
-        target = Fraction(rng.randrange(0, 40), rng.randrange(1, 12))
-        if abs(fa - float(target)) > margin and abs(abs(fa - float(target)) - ft) > margin:
-            if metric_core.sqrt_within(a, target, tol) != (abs(fa - float(target)) <= ft):
-                check.fail(f"sqrt_within disagrees at {a}, {target}, {tol}")
+        root = Fraction(rng.randrange(0, 40), rng.randrange(1, 12))
+        fa = math.sqrt(float(a))
+        if metric_core.sqrt_exact(root * root) != root:
+            check.fail(f"sqrt_exact misses the root of {root * root}")
+        exact = metric_core.sqrt_exact(a)
+        if exact is not None and abs(float(exact) - fa) > 1e-12 * max(1.0, fa):
+            check.fail(f"sqrt_exact off at {a}")
         approx = metric_core.sqrt_approx(a)
-        if abs(float(approx) - fa) > 1e-12 * max(1.0, fa):
+        if approx * approx > a or abs(float(approx) - fa) > 1e-12 * max(1.0, fa):
             check.fail(f"sqrt_approx off at {a}")
     return check
 

@@ -4,6 +4,8 @@ import contextlib
 import hashlib
 import io
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -397,6 +399,30 @@ class TestUsageErrors:
         if code == 2:
             assert "exceeds the cap of 1000" in err
 
+    @pytest.mark.parametrize(
+        "text,code",
+        [("1/" + "7" * 1049, 0), ("1/" + "7" * 1050, 2), ("1/" + "7" * 2200, 2),
+         ("1." + "3" * 49 + "e-1000", 0), ("1." + "3" * 50 + "e-1000", 2),
+         ("0." + "3" * 1049, 0), ("-0." + "3" * 1050, 2)],
+    )
+    def test_size_bound(self, capsys, text, code):
+        """Written digits plus the decimal exponent may be at most 1050; a
+        longer ``p/q`` used to end in a traceback on output."""
+        got, _, err = run_cli(capsys, ["geodesics", "torus:1", text, "0"])
+        assert got == code
+        if code == 2:
+            assert "exceeds the bound of 1050" in err
+
+    def test_size_bound_holds_for_the_widest_output(self, capsys):
+        """A klein cut-locus csv prints products of four denominators: at the
+        bound it is still answered."""
+        coordinate = "1/" + "7" * 1049
+        code, out, _ = run_cli(
+            capsys, ["cutlocus", "klein", f"{coordinate},{coordinate}", "--format", "csv"]
+        )
+        assert code == 0
+        assert out.startswith("x,y,stratum,count,min_sq_length\n")
+
     def test_huge_exponent_exits_fast(self):
         """At 20 million digits ``Fraction`` alone would take seconds; the
         cap refuses the text before any integer is built."""
@@ -547,6 +573,20 @@ GOLDEN = [
     ("cutlocus klein 1/2,1/2 --format png", 2, EMPTY),
     ("plan klein 0,0 0", 2, EMPTY),
     ("plan torus:2 0,0 1/2,1/2 --format json", 2, EMPTY),
+    ("geodesics torus:1 1/3 5/6 --resolution -3", 2, EMPTY),
+    # Negative coordinates, with the digests of the ``--`` form.
+    ("geodesics torus:1 -1/2 0", 0,
+     "58414bc8b506405943ec02b7c85a8e7c18970bf23f74317f39e3773a894cb8ba"),
+    ("geodesics torus:1 -- -1/2 0", 0,
+     "58414bc8b506405943ec02b7c85a8e7c18970bf23f74317f39e3773a894cb8ba"),
+    ("geodesics torus:2 -0.5,0 0,0", 0,
+     "6a08fe06111616ded555fada5ac077e527b574f8c727c3419062c4c5ba577ed1"),
+    ("geodesics torus:2 -- -0.5,0 0,0", 0,
+     "6a08fe06111616ded555fada5ac077e527b574f8c727c3419062c4c5ba577ed1"),
+    ("plan klein -.25,-1/3 0,0", 0,
+     "607fcfcfd943eaaf5ac519fa092e2334e66f5483804048d7780bbf200dd017e0"),
+    ("cutlocus klein -1/3,-0.2 --format csv", 0,
+     "884b4533a09f374d001dd0d9dd426b34c1dceb7290f877563b86900066b5edde"),
 ]
 
 
@@ -554,6 +594,28 @@ GOLDEN = [
 def test_golden_output(capsys, argv, code, digest):
     got, out, _ = run_cli(capsys, argv.split())
     assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
+
+
+def _readme_commands() -> list[str]:
+    """The ``geodesics``, ``cutlocus``, ``plan`` and ``bound builtin:`` lines
+    of the README's "Command line" block."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    prefixes = tuple(
+        f"geoplan {c}" for c in ("geodesics", "cutlocus", "plan", "bound builtin:")
+    )
+    return [line for line in block.splitlines() if line.startswith(prefixes)]
+
+
+def test_readme_has_command_examples():
+    assert len(_readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs(capsys, line):
+    code, _, err = run_cli(capsys, shlex.split(line)[1:])
+    assert code == 0, err
 
 
 def test_console_script_entry_point():

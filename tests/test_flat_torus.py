@@ -100,7 +100,7 @@ class TestCounts:
         y = TorusPoint.make([F(5, 6), F(1, 7)])
         for g in torus_geodesics(x, y):
             assert g.end == y
-            assert is_geodesic(g.lift(), samples=8, tol=0)
+            assert is_geodesic(g.lift(), samples=8)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
