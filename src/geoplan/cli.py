@@ -9,7 +9,8 @@ Subcommands
 ``plan SPACE X Y``
     Evaluate the geodesic motion planner at a pair of points.
 ``bound SOURCE``
-    Validate a stratified-covering poset and report its bounds.
+    Validate a stratified-covering poset once and report its lower bound,
+    and the equal upper bound when its hypothesis flags are all set.
 ``verify SUITE``
     Run randomized self-verification suites.
 
@@ -17,10 +18,9 @@ Subcommands
 ``cube`` (boundary of the unit cube).  Coordinates are exact rationals:
 ``p/q`` fractions or terminating decimals, comma-separated, and may be
 negative (``-1/2`` is a coordinate, not an option).  One coordinate writes
-at most 1050 digits counting its decimal exponent, and the exponent itself
-is at most 1000.  Cube points are ``FACE:u,v`` with ``FACE`` one of
-x-,x+,y-,y+,z-,z+, or the named diagonal corner pair ``corner:p`` /
-``corner:q``.
+at most 1050 digits counting its decimal exponent.  Cube points are
+``FACE:u,v`` with ``FACE`` one of x-,x+,y-,y+,z-,z+, or the named diagonal
+corner pair ``corner:p`` / ``corner:q``.
 
 Outputs per space: ``geodesics`` json and csv everywhere, svg where the space
 has a planar chart (torus:2, klein, cube); ``cutlocus`` json for torus:N and
@@ -56,10 +56,6 @@ _CSV_COLUMNS = ["x", "y", "stratum", "count", "min_sq_length"]
 #: traceback (``cutlocus klein 1/3,1/<1075 sevens> --format csv``).
 _MAX_DIGITS = 1050
 
-#: Largest decimal exponent on its own, the cap of earlier releases: every
-#: coordinate it refused stays refused.
-_MAX_EXPONENT = 1000
-
 
 class UsageError(ValueError):
     """Bad command-line input; reported on stderr with exit code 2."""
@@ -71,17 +67,15 @@ class UsageError(ValueError):
 
 def _parse_rational(text: str) -> Fraction:
     mantissa, _, exponent = text.strip().lower().partition("e")
-    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
-    shift = 0
-    if digits.isdecimal():
-        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
-            raise UsageError(f"exponent {exponent} of {text!r} exceeds the cap of {_MAX_EXPONENT}")
-        shift = int(digits)
-    size = sum(c.isdecimal() for c in mantissa) + shift
-    if size > _MAX_DIGITS:
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0") or "0"
+    written = sum(c.isdecimal() for c in mantissa)
+    # An exponent with more digits than the bound is refused unread by ``int``.
+    if digits.isdecimal() and (
+        len(digits) > len(str(_MAX_DIGITS)) or written + int(digits) > _MAX_DIGITS
+    ):
         raise UsageError(
-            f"a coordinate of {size} digits (written digits plus decimal exponent)"
-            f" exceeds the bound of {_MAX_DIGITS}"
+            f"a coordinate's size (written digits {written} plus decimal exponent"
+            f" {digits}) exceeds the bound of {_MAX_DIGITS}"
         )
     try:
         return Fraction(text.strip())
@@ -388,7 +382,7 @@ def cmd_bound(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     report = strat_cover.lower_bound(poset)
-    upper = strat_cover.upper_bound_if_trivial(poset, flags) if report.valid else None
+    upper = strat_cover.upper_bound_if_trivial(report, flags)
     doc = {
         "command": "bound",
         "source": source,

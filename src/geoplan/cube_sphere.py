@@ -246,8 +246,10 @@ def _apply(m: _Map, a: int, b: int, half: int = 1) -> tuple[int, int]:
     return (c * a - s * b + half * t0, s * a + c * b + half * t1)
 
 
+@lru_cache(maxsize=None)
 def _unfold_maps(seq: tuple[str, ...]) -> tuple[tuple[_Map, ...], tuple[_Edge, ...]]:
-    """Doubled unfolding map of every face of ``seq`` and every crossed edge."""
+    """Doubled unfolding map of every face of ``seq`` (the first is the
+    identity) and every crossed edge, cached per sequence."""
     maps: list[_Map] = [(1, 0, 0, 0)]
     edges: list[_Edge] = []
     for f, g in zip(seq, seq[1:]):
@@ -268,14 +270,6 @@ def _unfold_maps(seq: tuple[str, ...]) -> tuple[tuple[_Map, ...], tuple[_Edge, .
     return tuple(maps), tuple(edges)
 
 
-@lru_cache(maxsize=None)
-def _unfolding(seq: tuple[str, ...]) -> tuple[_Map, tuple[_Edge, ...]]:
-    """The per-sequence cache: the last face's map and the crossed edges
-    (the first face's map is the identity)."""
-    maps, edges = _unfold_maps(seq)
-    return maps[-1], edges
-
-
 class _Query:
     """Both endpoints of one query with integer charts in each containing face."""
 
@@ -290,9 +284,9 @@ class _Query:
 
     def endpoints(self, seq: tuple[str, ...]) -> tuple[int, int, int, int]:
         """Scaled planar start and end of the unfolded segment."""
-        last, _ = _unfolding(seq)
+        maps, _ = _unfold_maps(seq)
         p = self.x_charts[seq[0]]
-        return (*p, *_apply(last, *self.y_charts[seq[-1]], self.half))
+        return (*p, *_apply(maps[-1], *self.y_charts[seq[-1]], self.half))
 
     def length_sq(self, seq: tuple[str, ...]) -> int:
         """Planar squared length of the unfolding, times ``scale**2``."""
@@ -310,7 +304,7 @@ def _crossings(query: _Query, seq: tuple[str, ...]) -> list[tuple[int, int]] | N
     in mid-path.  Crossings at the very start or end of the segment may sit
     on edge endpoints (paths may begin or end at a corner).
     """
-    _, edges = _unfolding(seq)
+    _, edges = _unfold_maps(seq)
     px, py, qx, qy = query.endpoints(seq)
     dx, dy = qx - px, qy - py
     if len(seq) > 1 and dx == dy == 0:
@@ -352,7 +346,7 @@ def _unfold_path(query: _Query, seq: tuple[str, ...]) -> UnfoldedPath | None:
     crossings = _crossings(query, seq)
     if crossings is None:
         return None
-    _, edges = _unfolding(seq)
+    _, edges = _unfold_maps(seq)
     x, y = query.x.point, query.y.point
     points: list[Vec3] = [x]
     for (sn, sd), (*_, start, step) in zip(crossings, edges):

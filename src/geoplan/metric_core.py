@@ -233,20 +233,22 @@ def _speed_sq(p: Polyline) -> Fraction:
     return total * total * sq[0]
 
 
-def is_geodesic(p: Polyline, samples: int = 32) -> bool:
+#: Points of the uniform parameter grid of :func:`is_geodesic`.
+_GEODESIC_SAMPLES = 8
+
+
+def is_geodesic(p: Polyline) -> bool:
     """Test whether ``p`` runs at constant speed along distance-realizing
     lines in its chart: ``d(p(t), p(t')) = lambda * |t - t'|`` on a uniform
-    parameter grid (breakpoints are always included in the grid).
+    grid of ``_GEODESIC_SAMPLES`` parameters (breakpoints are always
+    included in the grid).
 
     The test is exact: it compares squared distances, so a straight segment
     passes regardless of irrational length.
     """
-    if samples < 2:
-        raise ValueError("need at least two samples")
     lam_sq = _speed_sq(p)
-    grid = sorted(
-        {Fraction(k, samples - 1) for k in range(samples)} | set(p.params)
-    )
+    n = _GEODESIC_SAMPLES
+    grid = sorted({Fraction(k, n - 1) for k in range(n)} | set(p.params))
     points = [p.evaluate(t) for t in grid]
     for i in range(len(grid)):
         for j in range(i + 1, len(grid)):

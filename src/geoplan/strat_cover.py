@@ -32,7 +32,6 @@ __all__ = [
     "PosetElement",
     "PosetFlags",
     "StratPoset",
-    "ValidationReport",
     "builtin_poset",
     "circle_poset",
     "cube_corner_poset",
@@ -117,14 +116,9 @@ class StratPoset:
         return f"StratPoset({len(self.elements)} elements, {len(self.covers)} covers)"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    errors: tuple[str, ...]
-
-
-def validate_poset(p: StratPoset) -> ValidationReport:
-    """Check the finite poset axioms.
+def validate_poset(p: StratPoset) -> tuple[str, ...]:
+    """Check the finite poset axioms; the violations found, empty when ``p``
+    is valid.
 
     Verified: unique nonempty ids and sheets, positive contiguous levels,
     covers between existing elements on adjacent levels with at most one map
@@ -134,7 +128,7 @@ def validate_poset(p: StratPoset) -> ValidationReport:
     """
     errors: list[str] = []
     if not p.elements:
-        return ValidationReport(False, ("poset has no elements",))
+        return ("poset has no elements",)
     seen: set[str] = set()
     for e in p.elements:
         if not e.id:
@@ -183,7 +177,7 @@ def validate_poset(p: StratPoset) -> ValidationReport:
                         errors.append(
                             f"composition mismatch from {a.id!r} to {c2.dst!r}"
                         )
-    return ValidationReport(not errors, tuple(errors))
+    return tuple(errors)
 
 
 def inconsistent_at(p: StratPoset, element_id: str) -> bool:
@@ -203,35 +197,30 @@ def inconsistent_at(p: StratPoset, element_id: str) -> bool:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of the lower-bound analysis of a poset."""
+    """Outcome of the lower-bound analysis of a poset; an invalid poset gets
+    its validation errors and no analysis."""
 
-    levels: int
-    bottom_level: int
-    lower_bound: int | None
-    inconsistent_ids: tuple[str, ...]
-    consistent_above_bottom: tuple[str, ...]
     valid: bool
-    errors: tuple[str, ...]
+    errors: tuple[str, ...] = ()
+    levels: int = 0
+    bottom_level: int = 0
+    lower_bound: int | None = None
+    inconsistent_ids: tuple[str, ...] = ()
+    consistent_above_bottom: tuple[str, ...] = ()
 
 
 def lower_bound(p: StratPoset) -> BoundReport:
-    """Analyze inconsistency and report the ``N - 1`` lower bound.
+    """Validate ``p`` once, then analyze inconsistency and report the
+    ``N - 1`` lower bound.
 
     The bound applies only when every element above the bottom level is
     inconsistent; otherwise ``lower_bound`` is ``None`` and the consistent
-    offenders are listed.
+    offenders are listed.  An invalid poset yields ``valid=False`` with its
+    errors.
     """
-    report = validate_poset(p)
-    if not report.ok:
-        return BoundReport(
-            levels=0,
-            bottom_level=0,
-            lower_bound=None,
-            inconsistent_ids=(),
-            consistent_above_bottom=(),
-            valid=False,
-            errors=report.errors,
-        )
+    errors = validate_poset(p)
+    if errors:
+        return BoundReport(valid=False, errors=errors)
     bottom = min(p.levels)
     n_levels = p.level_count()
     verdicts = [(e, inconsistent_at(p, e.id)) for e in p.elements]
@@ -239,24 +228,21 @@ def lower_bound(p: StratPoset) -> BoundReport:
     consistent = tuple(e.id for e, bad in verdicts if e.level > bottom and not bad)
     bound = n_levels - 1 if not consistent else None
     return BoundReport(
+        valid=True,
         levels=n_levels,
         bottom_level=bottom,
         lower_bound=bound,
         inconsistent_ids=inconsistent,
         consistent_above_bottom=consistent,
-        valid=True,
-        errors=(),
     )
 
 
-def upper_bound_if_trivial(p: StratPoset, flags: PosetFlags) -> int | None:
-    """Equality certificate: ``N - 1`` exactly when all three hypotheses are
-    asserted by the caller, else ``None``."""
-    report = validate_poset(p)
-    if not report.ok:
-        raise ValueError(f"invalid poset: {report.errors[0]}")
-    if flags.all_true():
-        return p.level_count() - 1
+def upper_bound_if_trivial(report: BoundReport, flags: PosetFlags) -> int | None:
+    """Equality certificate read off a :func:`lower_bound` report: ``N - 1``
+    when the poset is valid and the caller asserts all three hypotheses,
+    else ``None``.  The poset is not validated again."""
+    if report.valid and flags.all_true():
+        return report.levels - 1
     return None
 
 
@@ -413,34 +399,32 @@ def cube_corner_poset() -> StratPoset:
     return StratPoset(elements, sorted(covers, key=lambda c: (c.src, c.dst)))
 
 
-_BUILTIN_FLAGS = {
-    "circle": PosetFlags(True, True, True),
-    "torus_corner": PosetFlags(True, True, True),
-    "klein_S4": PosetFlags(False, True, True),
-    "cube_corner": PosetFlags(False, False, False),
+#: Each builtin: the function that builds it and its asserted hypothesis
+#: flags.  Only ``torus_corner`` takes an argument, the dimension after ``:``.
+_BUILTINS = {
+    "circle": (circle_poset, PosetFlags(True, True, True)),
+    "torus_corner": (torus_corner_poset, PosetFlags(True, True, True)),
+    "klein_S4": (klein_s4_poset, PosetFlags(False, True, True)),
+    "cube_corner": (cube_corner_poset, PosetFlags(False, False, False)),
 }
 
 
 def builtin_poset(name: str) -> tuple[StratPoset, PosetFlags]:
     """Builtin poset plus its asserted hypothesis flags.
 
-    Accepted names: ``circle``, ``torus_corner:N`` (or ``torus_corner(N)``),
-    ``klein_S4``, ``cube_corner``.
+    Accepted names: ``circle``, ``torus_corner:N`` (N >= 1), ``klein_S4``,
+    ``cube_corner``.
     """
     name = name.strip()
-    if name == "circle":
-        return circle_poset(), _BUILTIN_FLAGS["circle"]
-    if name == "klein_S4":
-        return klein_s4_poset(), _BUILTIN_FLAGS["klein_S4"]
-    if name == "cube_corner":
-        return cube_corner_poset(), _BUILTIN_FLAGS["cube_corner"]
-    for prefix in ("torus_corner:", "torus_corner("):
-        if name.startswith(prefix):
-            digits = name[len(prefix):].rstrip(")")
-            if not digits.isdigit() or int(digits) < 1:
-                raise ValueError(f"invalid torus dimension in {name!r}")
-            return torus_corner_poset(int(digits)), _BUILTIN_FLAGS["torus_corner"]
-    raise ValueError(f"unknown builtin poset {name!r}")
+    key, sep, digits = name.partition(":")
+    if key not in _BUILTINS or bool(sep) != (key == "torus_corner"):
+        raise ValueError(f"unknown builtin poset {name!r}")
+    build, flags = _BUILTINS[key]
+    if not sep:
+        return build(), flags
+    if not digits.isdigit() or int(digits) < 1:
+        raise ValueError(f"invalid torus dimension in {name!r}")
+    return build(int(digits)), flags
 
 
 # ---------------------------------------------------------------------------

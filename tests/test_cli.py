@@ -188,6 +188,21 @@ class TestBoundCommand:
         assert report["lower_bound"] is None
         assert report["errors"]
 
+    def test_poset_is_validated_once(self, capsys, monkeypatch):
+        from geoplan import strat_cover
+
+        calls = []
+        validate = strat_cover.validate_poset
+
+        def counting(poset):
+            calls.append(poset)
+            return validate(poset)
+
+        monkeypatch.setattr(strat_cover, "validate_poset", counting)
+        code, out, _ = run_cli(capsys, ["bound", "builtin:torus_corner:3"])
+        assert (code, json.loads(out)["equality"]) == (0, True)
+        assert len(calls) == 1
+
     def test_unknown_builtin_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["bound", "builtin:mystery"])
         assert code == 2
@@ -364,6 +379,7 @@ class TestUsageErrors:
             ["plan", "cube", "corner:p", "corner:q"],
             ["bound", "builtin:torus_corner:0"],
             ["cutlocus", "torus:1", "1/3", "--format", "svg"],
+            ["bound", "builtin:torus_corner(3)"],
         ],
     )
     def test_exit_code_two(self, capsys, argv):
@@ -374,7 +390,7 @@ class TestUsageErrors:
     @given(space=st.sampled_from(["torus:1", "torus:2", "klein", "cube"]), data=st.data())
     def test_coordinate_text_never_fails_with_one(self, space, data):
         """Any coordinate text is answered (0) or refused as usage (2),
-        including exponents beyond the cap such as ``1e99999999``."""
+        including exponents beyond the size bound such as ``1e99999999``."""
         text = data.draw(COORD_TEXT)
         argv = ["geodesics", space, _point_text(space, data, text), SAFE[space]]
         assert run_quiet(argv) in (0, 2)
@@ -391,13 +407,15 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "text,code",
         [("1e1000", 0), ("2.5E-1000", 0), ("1e+0001000", 0), ("1_0e1_0_00", 0),
-         ("1e1001", 2), ("1E-1001", 2), ("1e+00099999999999", 2)],
+         ("1e1001", 0), ("1E-1001", 0), ("1e1049", 0), ("1e1050", 2), ("1E-1050", 2),
+         ("1e+00099999999999", 2)],
     )
     def test_exponent_cap(self, capsys, text, code):
+        """The exponent counts toward the size bound and has no cap of its own."""
         got, _, err = run_cli(capsys, ["geodesics", "torus:1", text, "0"])
         assert got == code
         if code == 2:
-            assert "exceeds the cap of 1000" in err
+            assert "exceeds the bound of 1050" in err
 
     @pytest.mark.parametrize(
         "text,code",
@@ -425,7 +443,7 @@ class TestUsageErrors:
 
     def test_huge_exponent_exits_fast(self):
         """At 20 million digits ``Fraction`` alone would take seconds; the
-        cap refuses the text before any integer is built."""
+        size bound refuses the text before any integer is built."""
         proc = subprocess.run(
             [sys.executable, "-m", "geoplan.cli", "geodesics", "torus:1", "1e20000000", "0"],
             capture_output=True,
@@ -434,7 +452,7 @@ class TestUsageErrors:
         )
         assert proc.returncode == 2
         assert "exponent 20000000" in proc.stderr
-        assert "cap of 1000" in proc.stderr
+        assert "bound of 1050" in proc.stderr
 
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify"]) == 2
@@ -587,6 +605,18 @@ GOLDEN = [
      "607fcfcfd943eaaf5ac519fa092e2334e66f5483804048d7780bbf200dd017e0"),
     ("cutlocus klein -1/3,-0.2 --format csv", 0,
      "884b4533a09f374d001dd0d9dd426b34c1dceb7290f877563b86900066b5edde"),
+    ("bound builtin:circle", 0,
+     "35a6cd0ae23b1ad196e11ef304b6f751b80dcbe833906f936ddd148590315a86"),
+    ("bound builtin:klein_S4", 0,
+     "e5b48c374a1a7dfd8c81223c85d5293a5dd3581ee37222bb8761bd5b38d451ed"),
+    ("bound builtin:cube_corner", 0,
+     "2d9b36c09a9d506194c98081e36bcca908eea4708070ec5fd3916024c15e0cd0"),
+    ("bound builtin:torus_corner:1", 0,
+     "78eb45330b33f22092c63ef8c0a110e10069f3bb81cb747c654b854457bacf56"),
+    ("bound builtin:torus_corner:4", 0,
+     "d356c51088b201d714ccece2657ad417dc2f510e743b1976d71f1e9560b55d4b"),
+    ("verify all --trials 5 --seed 7", 0,
+     "3ab8e7d902e6d08a9ab5390da9e8415ecba5999092c4099a45f070044eb88654"),
 ]
 
 
@@ -594,6 +624,17 @@ GOLDEN = [
 def test_golden_output(capsys, argv, code, digest):
     got, out, _ = run_cli(capsys, argv.split())
     assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
+
+
+def test_golden_verify_report_file(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, ["verify", "all", "--trials", "5", "--seed", "7", "--out", str(path)]
+    )
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "55d72c3ce256febc7cf14e86b036f7fb983b96ef0406265712bbad984b7c4f3b"
+    )
 
 
 def _readme_commands() -> list[str]:

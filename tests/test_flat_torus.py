@@ -100,7 +100,7 @@ class TestCounts:
         y = TorusPoint.make([F(5, 6), F(1, 7)])
         for g in torus_geodesics(x, y):
             assert g.end == y
-            assert is_geodesic(g.lift(), samples=8)
+            assert is_geodesic(g.lift())
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -207,7 +207,7 @@ class TestLocalPoset:
             x = TorusPoint.make([0] * n)
             y = TorusPoint.make([H] * n)
             poset = torus_local_poset(x, y)
-            assert validate_poset(poset).ok
+            assert validate_poset(poset) == ()
             assert poset.level_count() == n + 1
             assert lower_bound(poset).lower_bound == n
 

@@ -321,7 +321,7 @@ class TestMonodromy:
 class TestLocalPoset:
     def test_s4_point_poset(self):
         poset = klein_s4_poset()
-        assert validate_poset(poset).ok
+        assert validate_poset(poset) == ()
         assert poset.level_count() == 4
         assert lower_bound(poset).lower_bound == 3
 

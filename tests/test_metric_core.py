@@ -88,19 +88,19 @@ class TestSpeedProfile:
 class TestGeodesicPredicate:
     def test_straight_segment_passes_exactly(self):
         p = Polyline([(0, 0), (F(1, 3), F(2, 5))])
-        assert is_geodesic(p, samples=16)
+        assert is_geodesic(p)
 
     def test_constant_speed_collinear_passes(self):
         p = Polyline([(0, 0), (1, 1), (3, 3)], params=[0, F(1, 3), 1])
-        assert is_geodesic(p, samples=8)
+        assert is_geodesic(p)
 
     def test_bent_path_fails(self):
         p = Polyline([(0, 0), (3, 0), (3, 4)])
-        assert not is_geodesic(p, samples=8)
+        assert not is_geodesic(p)
 
     def test_uneven_parametrization_fails(self):
         p = Polyline([(0, 0), (1, 1), (2, 2)], params=[0, F(1, 4), 1])
-        assert not is_geodesic(p, samples=8)
+        assert not is_geodesic(p)
 
 
 class TestSupDistance:
