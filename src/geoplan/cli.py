@@ -35,7 +35,6 @@ usage or input-parsing errors.  All outputs are byte-stable across runs.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -121,8 +120,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +235,12 @@ def _space(text: str) -> _Space:
     if not text.startswith("torus:"):
         raise UsageError(f"unknown space {text!r}; expected torus:N, klein, or cube")
     suffix = text[len("torus:"):]
-    if not suffix.isdigit() or int(suffix) < 1:
+    try:
+        n = int(suffix) if suffix.isdecimal() else 0
+    except ValueError:  # more digits than int() converts
+        n = 0
+    if n < 1:
         raise UsageError(f"torus dimension must be a positive integer: {text!r}")
-    n = int(suffix)
     return _Space(
         parse=lambda s: flat_torus.TorusPoint.make(_parse_coords(s, n)),
         geodesics=flat_torus.torus_geodesics,
@@ -409,24 +414,13 @@ def cmd_bound(args) -> int:
 # Verification suites
 # ---------------------------------------------------------------------------
 
-def _default_seed() -> int:
-    raw = os.environ.get("GEOPLAN_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"GEOPLAN_SEED must be an integer, got {raw!r}") from None
-
-
 def cmd_verify(args) -> int:
     # Imported here so that the other commands do not load the verification
     # suites and their oracles.
     from . import verify
 
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
-        reports = verify.run_suite(args.suite, seed=seed, trials=args.trials)
+        reports = verify.run_suite(args.suite, seed=args.seed, trials=args.trials)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     for report in reports:
@@ -498,12 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run randomized self-verification suites")
     p.add_argument("suite", choices=("core", "torus", "klein", "cube", "all"))
     p.add_argument("--trials", type=int, default=200, help="trials per check")
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="random seed (default: GEOPLAN_SEED environment variable, then 0)",
-    )
+    p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
     p.add_argument("--out", default=None, help="also write a JSON report to this path")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -14,8 +14,9 @@ The exactness policy, concretely:
   includes every collinear polyline and every polyline with rational-length
   chords -- and otherwise fall back to a deterministic ``APPROX_DIGITS``-digit
   integer-sqrt approximation;
-* the geodesic test compares squared distances for exact equality, so it
-  has no tolerance.
+* the geodesic test compares each chord's squared length with the squared
+  endpoint distance times the squared parameter step, for exact equality, so
+  it has no tolerance and evaluates no point off the breakpoints.
 """
 
 from __future__ import annotations
@@ -179,25 +180,16 @@ def chord_sq_lengths(p: Polyline) -> tuple[Fraction, ...]:
     )
 
 
-def _chord_ratios(sq: tuple[Fraction, ...]) -> list[Fraction] | None:
-    """Each chord's length as an exact multiple of the first chord's length,
-    or ``None`` when some ratio is irrational."""
-    ratios = []
-    for s in sq:
-        r = sqrt_exact(s / sq[0])
-        if r is None:
-            return None
-        ratios.append(r)
-    return ratios
-
-
 def speed_profile(p: Polyline) -> SpeedProfile:
     """Cumulative length fractions of ``p``, exact whenever possible."""
     if p.is_constant:
         return SpeedProfile(values=p.params, exact=True)
     sq = chord_sq_lengths(p)
-    ratios = _chord_ratios(sq)
-    lengths = ratios if ratios is not None else [sqrt_approx(s) for s in sq]
+    # Each chord's length as an exact multiple of the first chord's, or None
+    # where the ratio is irrational.
+    ratios = [sqrt_exact(s / sq[0]) for s in sq]
+    exact = None not in ratios
+    lengths = ratios if exact else [sqrt_approx(s) for s in sq]
     total = sum(lengths, Fraction(0))
     acc = Fraction(0)
     values = [Fraction(0)]
@@ -205,7 +197,7 @@ def speed_profile(p: Polyline) -> SpeedProfile:
         acc += length
         values.append(acc / total)
     values[-1] = Fraction(1)
-    return SpeedProfile(values=tuple(values), exact=ratios is not None)
+    return SpeedProfile(values=tuple(values), exact=exact)
 
 
 def reparametrize_constant_speed(p: Polyline) -> Polyline:
@@ -216,63 +208,34 @@ def reparametrize_constant_speed(p: Polyline) -> Polyline:
     return Polyline(p.vertices, speed_profile(p).values)
 
 
-def _speed_sq(p: Polyline) -> Fraction:
-    """Exact squared speed constant for the geodesic test.
-
-    When chord ratios are rational the squared total length is rational and is
-    used directly; otherwise the test falls back to the squared endpoint
-    distance, which agrees with the length for every actual geodesic.
-    """
-    if p.is_constant:
-        return Fraction(0)
-    sq = chord_sq_lengths(p)
-    ratios = _chord_ratios(sq)
-    if ratios is None:
-        return dist_sq(p.vertices[0], p.vertices[-1])
-    total = sum(ratios, Fraction(0))
-    return total * total * sq[0]
-
-
-#: Points of the uniform parameter grid of :func:`is_geodesic`.
-_GEODESIC_SAMPLES = 8
-
-
 def is_geodesic(p: Polyline) -> bool:
-    """Test whether ``p`` runs at constant speed along distance-realizing
-    lines in its chart: ``d(p(t), p(t')) = lambda * |t - t'|`` on a uniform
-    grid of ``_GEODESIC_SAMPLES`` parameters (breakpoints are always
-    included in the grid).
+    """Test whether ``p`` runs at constant speed along a distance-realizing
+    line in its chart: ``d(p(t), p(t')) = lambda * |t - t'|`` for all
+    parameters, with ``lambda`` the endpoint distance.
 
-    The test is exact: it compares squared distances, so a straight segment
-    passes regardless of irrational length.
+    Only the breakpoints are checked: each chord must have squared length
+    ``lambda^2 * (t[i+1] - t[i])^2``.  The chords then add up to the
+    endpoint distance, and equality in the triangle inequality puts the
+    vertices in order on one segment, so the test is exact: it compares
+    squared distances and a straight segment passes regardless of
+    irrational length.
     """
-    lam_sq = _speed_sq(p)
-    n = _GEODESIC_SAMPLES
-    grid = sorted({Fraction(k, n - 1) for k in range(n)} | set(p.params))
-    points = [p.evaluate(t) for t in grid]
-    for i in range(len(grid)):
-        for j in range(i + 1, len(grid)):
-            dt = grid[j] - grid[i]
-            if dist_sq(points[i], points[j]) != lam_sq * dt * dt:
-                return False
-    return True
+    lam_sq = dist_sq(p.vertices[0], p.vertices[-1])
+    ps = p.params
+    return all(
+        s == lam_sq * (ps[i + 1] - ps[i]) ** 2 for i, s in enumerate(chord_sq_lengths(p))
+    )
 
 
-def _merged_grid(p: Polyline, q: Polyline, samples: int) -> list[Fraction]:
-    grid = set(p.params) | set(q.params)
-    if samples >= 2:
-        grid |= {Fraction(k, samples - 1) for k in range(samples)}
-    return sorted(grid)
-
-
-def sup_distance_sq(p: Polyline, q: Polyline, samples: int = 0) -> Fraction:
-    """Exact squared sup distance between two polylines on the merged
-    breakpoint grid (plus a uniform grid when ``samples >= 2``).
+def sup_distance_sq(p: Polyline, q: Polyline) -> Fraction:
+    """Exact squared sup distance between two polylines.
 
     Both paths are affine between merged breakpoints, where the squared
     distance is convex in the parameter, so its maximum is attained at a
-    breakpoint; the returned value is therefore the exact squared sup.
+    breakpoint; the max over the merged breakpoints is therefore the exact
+    squared sup.
     """
     if p.dimension != q.dimension:
         raise ValueError("polylines live in different charts")
-    return max(dist_sq(p.evaluate(t), q.evaluate(t)) for t in _merged_grid(p, q, samples))
+    grid = set(p.params) | set(q.params)
+    return max(dist_sq(p.evaluate(t), q.evaluate(t)) for t in grid)

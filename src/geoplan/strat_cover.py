@@ -422,7 +422,7 @@ def builtin_poset(name: str) -> tuple[StratPoset, PosetFlags]:
     build, flags = _BUILTINS[key]
     if not sep:
         return build(), flags
-    if not digits.isdigit() or int(digits) < 1:
+    if not digits.isdecimal() or int(digits) < 1:
         raise ValueError(f"invalid torus dimension in {name!r}")
     return build(int(digits)), flags
 

@@ -250,18 +250,6 @@ class TestVerifyCommand:
         assert code == 0
         assert "pass suite core (seed=7, trials=20)" in out
 
-    def test_env_seed_is_used(self, capsys, monkeypatch):
-        monkeypatch.setenv("GEOPLAN_SEED", "99")
-        code, out, _ = run_cli(capsys, ["verify", "core", "--trials", "10"])
-        assert code == 0
-        assert "seed=99" in out
-
-    def test_explicit_seed_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("GEOPLAN_SEED", "99")
-        code, out, _ = run_cli(capsys, ["verify", "core", "--trials", "10", "--seed", "3"])
-        assert code == 0
-        assert "seed=3" in out
-
     def test_bad_trials_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "core", "--trials", "0"])
         assert code == 2
@@ -380,11 +368,33 @@ class TestUsageErrors:
             ["bound", "builtin:torus_corner:0"],
             ["cutlocus", "torus:1", "1/3", "--format", "svg"],
             ["bound", "builtin:torus_corner(3)"],
+            ["geodesics", "torus:\u00b2", "0", "0"],
+            ["bound", "builtin:torus_corner:\u00b2"],
+            ["geodesics", "torus:" + "1" * 5000, "0", "0"],
         ],
     )
     def test_exit_code_two(self, capsys, argv):
         code, _, err = run_cli(capsys, argv)
         assert code == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(suffix=st.text(alphabet="0123456789\u00b2\u2070\u0663 -+", max_size=4) | st.text())
+    def test_torus_dimension_text_never_fails_with_one(self, suffix):
+        """Any dimension text is answered (0) or refused as usage (2),
+        including superscript digits such as ``\u00b2``, which ``int``
+        refuses."""
+        assert run_quiet(["geodesics", "torus:" + suffix, "0", "0"]) in (0, 2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["geodesics", "torus:1", "0", "0"], ["verify", "core", "--trials", "1"]],
+    )
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+        """A directory as ``--out`` is refused as usage, not with exit 1,
+        which ``verify`` uses for a failed check."""
+        code, _, err = run_cli(capsys, argv + ["--out", str(tmp_path)])
+        assert code == 2
+        assert f"cannot write {tmp_path}" in err
 
     @settings(max_examples=200, deadline=None)
     @given(space=st.sampled_from(["torus:1", "torus:2", "klein", "cube"]), data=st.data())

@@ -102,6 +102,15 @@ class TestGeodesicPredicate:
         p = Polyline([(0, 0), (1, 1), (2, 2)], params=[0, F(1, 4), 1])
         assert not is_geodesic(p)
 
+    def test_constant_speed_backtrack_fails(self):
+        """Every chord runs at the endpoint speed, yet the path doubles back:
+        the chords add up to more than the endpoint distance."""
+        p = Polyline([(0, 0), (2, 0), (1, 0)], params=[0, F(2, 3), 1])
+        assert not is_geodesic(p)
+
+    def test_constant_path_passes(self):
+        assert is_geodesic(Polyline([(F(1, 3), 2)] * 3))
+
 
 class TestSupDistance:
     def test_zero_on_equal_paths(self):
@@ -123,12 +132,12 @@ class TestSupDistance:
         b = Polyline([(0, F(1, 3)), (1, F(1, 5))])
         assert sup_distance_sq(a, b) == sup_distance_sq(b, a)
 
-    def test_extra_samples_never_lower_the_sup(self):
+    def test_no_grid_point_exceeds_the_sup(self):
         a = Polyline([(0, 0), (1, 0)])
         b = Polyline([(0, 0), (F(1, 3), F(1, 2)), (1, 0)])
-        coarse = sup_distance_sq(a, b)
-        fine = sup_distance_sq(a, b, samples=64)
-        assert fine >= coarse
+        sup = sup_distance_sq(a, b)
+        grid = [F(k, 63) for k in range(64)]
+        assert max(dist_sq(a.evaluate(t), b.evaluate(t)) for t in grid) <= sup
 
 
 class TestSquareRoots:

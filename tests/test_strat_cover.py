@@ -66,6 +66,8 @@ def test_unknown_builtin_rejected():
         builtin_poset("mystery")
     with pytest.raises(ValueError):
         builtin_poset("torus_corner:0")
+    with pytest.raises(ValueError, match="invalid torus dimension"):
+        builtin_poset("torus_corner:\u00b2")
 
 
 def test_bottom_elements_are_never_inconsistent():
