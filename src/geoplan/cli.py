@@ -11,6 +11,7 @@ Subcommands
 ``bound SOURCE``
     Validate a stratified-covering poset once and report its lower bound,
     and the equal upper bound when its hypothesis flags are all set.
+    ``builtin:torus_corner:N`` has 3^N elements and is refused above 3^9.
 ``verify SUITE``
     Run randomized self-verification suites.
 
@@ -54,6 +55,11 @@ _CSV_COLUMNS = ["x", "y", "stratum", "count", "min_sq_length"]
 #: refuses ints beyond 4300 digits, so sizes above 1075 can end in a
 #: traceback (``cutlocus klein 1/3,1/<1075 sevens> --format csv``).
 _MAX_DIGITS = 1050
+
+#: Most elements ``bound builtin:torus_corner:N`` builds: 3^N, so N <= 9.
+#: N = 9 takes about 3 s and 110 MB (2-core x86-64 VM, Python 3.11), and
+#: each further N about triples both.
+_MAX_POSET_ELEMENTS = 3**9
 
 
 class UsageError(ValueError):
@@ -372,10 +378,18 @@ def cmd_plan(args) -> int:
 def cmd_bound(args) -> int:
     source = args.poset
     if source.startswith("builtin:"):
+        name = source[len("builtin:"):]
         try:
-            poset, flags = strat_cover.builtin_poset(source[len("builtin:"):])
+            _, n = strat_cover.parse_builtin_name(name)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        # torus_corner:N has 3^N elements; as 3^N > N, no power of a large N
+        # is taken.
+        if n is not None and (n > _MAX_POSET_ELEMENTS or 3**n > _MAX_POSET_ELEMENTS):
+            raise UsageError(
+                f"{source} has 3^{n} elements, more than the cap of {_MAX_POSET_ELEMENTS}"
+            )
+        poset, flags = strat_cover.builtin_poset(name)
     else:
         try:
             with open(source, "r", encoding="utf-8") as fh:

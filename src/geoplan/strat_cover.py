@@ -23,6 +23,7 @@ the geometry modules re-derive and cross-check in their own test suites.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations, product
 
@@ -40,6 +41,7 @@ __all__ = [
     "klein_s4_poset",
     "loads_document",
     "lower_bound",
+    "parse_builtin_name",
     "to_document",
     "torus_corner_poset",
     "upper_bound_if_trivial",
@@ -58,14 +60,15 @@ class PosetElement:
 
 @dataclass(frozen=True)
 class CoverMap:
-    """A covering relation ``src -> dst`` with its injective sheet map."""
+    """A covering relation ``src -> dst`` with its injective sheet map.
+
+    ``mapping`` is read-only: the covers out of one source may share one
+    dict (the builtin inclusion maps do).
+    """
 
     src: str
     dst: str
     mapping: dict[str, str] = field(hash=False)
-
-    def image(self) -> frozenset[str]:
-        return frozenset(self.mapping.values())
 
 
 @dataclass(frozen=True)
@@ -98,12 +101,9 @@ class StratPoset:
         self.covers: tuple[CoverMap, ...] = tuple(covers)
         self.by_id: dict[str, PosetElement] = {e.id: e for e in self.elements}
         self._incoming: dict[str, list[CoverMap]] = {e.id: [] for e in self.elements}
-        self._outgoing: dict[str, list[CoverMap]] = {e.id: [] for e in self.elements}
         for c in self.covers:
             if c.dst in self._incoming:
                 self._incoming[c.dst].append(c)
-            if c.src in self._outgoing:
-                self._outgoing[c.src].append(c)
 
     @property
     def levels(self) -> tuple[int, ...]:
@@ -114,6 +114,10 @@ class StratPoset:
 
     def __repr__(self) -> str:
         return f"StratPoset({len(self.elements)} elements, {len(self.covers)} covers)"
+
+
+def _tag(c: CoverMap) -> str:
+    return f"cover {c.src!r}->{c.dst!r}"
 
 
 def validate_poset(p: StratPoset) -> tuple[str, ...]:
@@ -129,54 +133,58 @@ def validate_poset(p: StratPoset) -> tuple[str, ...]:
     errors: list[str] = []
     if not p.elements:
         return ("poset has no elements",)
-    seen: set[str] = set()
+    sheet_sets: dict[str, frozenset[str]] = {}
     for e in p.elements:
         if not e.id:
             errors.append("element with empty id")
-        if e.id in seen:
+        if e.id in sheet_sets:
             errors.append(f"duplicate element id {e.id!r}")
-        seen.add(e.id)
         if not isinstance(e.level, int) or e.level < 1:
             errors.append(f"element {e.id!r} has invalid level {e.level!r}")
         if not e.sheets:
             errors.append(f"element {e.id!r} has no sheets")
-        if len(set(e.sheets)) != len(e.sheets):
+        sheet_sets[e.id] = frozenset(e.sheets)
+        if len(sheet_sets[e.id]) != len(e.sheets):
             errors.append(f"element {e.id!r} repeats a sheet label")
     levels = {e.level for e in p.elements if isinstance(e.level, int) and e.level >= 1}
     if levels and len(levels) != max(levels) - min(levels) + 1:
         errors.append(f"levels {sorted(levels)} are not contiguous")
     pairs: set[tuple[str, str]] = set()
+    # Per source id: (destination, map, whether the map sends every sheet to
+    # itself) for each of its covers, in cover order.
+    steps: dict[str, list[tuple[str, dict[str, str], bool]]] = {i: [] for i in sheet_sets}
     for c in p.covers:
-        tag = f"cover {c.src!r}->{c.dst!r}"
-        if c.src not in p.by_id or c.dst not in p.by_id:
-            errors.append(f"{tag} references a missing element")
+        if c.src not in sheet_sets or c.dst not in sheet_sets:
+            errors.append(f"{_tag(c)} references a missing element")
             continue
         if (c.src, c.dst) in pairs:
-            errors.append(f"{tag} is duplicated")
+            errors.append(f"{_tag(c)} is duplicated")
         pairs.add((c.src, c.dst))
-        src, dst = p.by_id[c.src], p.by_id[c.dst]
-        if dst.level != src.level + 1:
-            errors.append(f"{tag} is not between adjacent levels")
-        if set(c.mapping) != set(src.sheets):
-            errors.append(f"{tag} map is not total on the source sheets")
-        if not set(c.mapping.values()) <= set(dst.sheets):
-            errors.append(f"{tag} map leaves the destination sheets")
-        if len(set(c.mapping.values())) != len(c.mapping):
-            errors.append(f"{tag} map is not injective")
+        if p.by_id[c.dst].level != p.by_id[c.src].level + 1:
+            errors.append(f"{_tag(c)} is not between adjacent levels")
+        mapping = c.mapping
+        if mapping.keys() != sheet_sets[c.src]:
+            errors.append(f"{_tag(c)} map is not total on the source sheets")
+        image = set(mapping.values())
+        if not image <= sheet_sets[c.dst]:
+            errors.append(f"{_tag(c)} map leaves the destination sheets")
+        if len(image) != len(mapping):
+            errors.append(f"{_tag(c)} map is not injective")
+        steps[c.src].append((c.dst, mapping, list(mapping) == list(mapping.values())))
     # Composition consistency: two-step chains sharing endpoints must agree.
+    # A composite is the tuple of images of ``a.sheets``; through inclusions
+    # it is ``a.sheets`` itself, so equal composites are often the same object.
     if not errors:
         for a in p.elements:
-            composites: dict[str, dict[str, str]] = {}
-            for c1 in p._outgoing[a.id]:
-                for c2 in p._outgoing[c1.dst]:
-                    comp = {s: c2.mapping[c1.mapping[s]] for s in a.sheets}
-                    prev = composites.get(c2.dst)
-                    if prev is None:
-                        composites[c2.dst] = comp
-                    elif prev != comp:
-                        errors.append(
-                            f"composition mismatch from {a.id!r} to {c2.dst!r}"
-                        )
+            sheets = tuple(a.sheets)
+            composites: dict[str, tuple[str, ...]] = {}
+            for mid, m1, inclusion1 in steps[a.id]:
+                first = sheets if inclusion1 else tuple(map(m1.__getitem__, sheets))
+                for end, m2, inclusion2 in steps[mid]:
+                    comp = first if inclusion2 else tuple(map(m2.__getitem__, first))
+                    prev = composites.setdefault(end, comp)
+                    if prev is not comp and prev != comp:
+                        errors.append(f"composition mismatch from {a.id!r} to {end!r}")
     return tuple(errors)
 
 
@@ -188,10 +196,11 @@ def inconsistent_at(p: StratPoset, element_id: str) -> bool:
     incoming = p._incoming[element_id]
     if not incoming:
         return False
-    images = [c.image() for c in incoming]
-    meet = images[0]
-    for im in images[1:]:
-        meet &= im
+    meet = set(incoming[0].mapping.values())
+    for c in incoming[1:]:
+        if not meet:
+            break
+        meet.intersection_update(c.mapping.values())
     return not meet
 
 
@@ -221,8 +230,8 @@ def lower_bound(p: StratPoset) -> BoundReport:
     errors = validate_poset(p)
     if errors:
         return BoundReport(valid=False, errors=errors)
-    bottom = min(p.levels)
-    n_levels = p.level_count()
+    levels = p.levels
+    bottom, n_levels = levels[0], len(levels)
     verdicts = [(e, inconsistent_at(p, e.id)) for e in p.elements]
     inconsistent = tuple(e.id for e, bad in verdicts if bad)
     consistent = tuple(e.id for e, bad in verdicts if e.level > bottom and not bad)
@@ -269,10 +278,6 @@ def circle_poset() -> StratPoset:
     return StratPoset(elements, covers)
 
 
-def _sign_pattern_id(pattern: tuple[str, ...]) -> str:
-    return "cell_" + "".join(pattern)
-
-
 def torus_corner_poset(n: int) -> StratPoset:
     """Local poset at an all-antipodal pair on the flat n-torus.
 
@@ -285,29 +290,17 @@ def torus_corner_poset(n: int) -> StratPoset:
         raise ValueError("need n >= 1")
     elements = []
     covers = []
-    all_patterns = list(product("+-o", repeat=n))
-    for pattern in all_patterns:
-        level = 1 + sum(1 for c in pattern if c == "o")
-        free = [i for i, c in enumerate(pattern) if c == "o"]
-        sheets = []
-        for signs in product("+-", repeat=len(free)):
-            label = list(pattern)
-            for i, s in zip(free, signs):
-                label[i] = s
-            sheets.append("".join(label))
-        elements.append(
-            PosetElement(_sign_pattern_id(pattern), level, tuple(sorted(sheets)))
+    for pattern in product("+-o", repeat=n):
+        src = "cell_" + "".join(pattern)
+        # ``+`` sorts before ``-``, so the sheets come out sorted.
+        sheets = tuple(
+            map("".join, product(*(("+", "-") if c == "o" else c for c in pattern)))
         )
-    sheets_by_id = {e.id: e.sheets for e in elements}
-    for pattern in all_patterns:
-        for i, c in enumerate(pattern):
-            if c == "o":
-                continue
-            bigger = list(pattern)
-            bigger[i] = "o"
-            src = _sign_pattern_id(pattern)
-            dst = _sign_pattern_id(tuple(bigger))
-            covers.append(CoverMap(src, dst, {s: s for s in sheets_by_id[src]}))
+        elements.append(PosetElement(src, 1 + pattern.count("o"), sheets))
+        inclusion = {s: s for s in sheets}
+        for i, c in enumerate(pattern, len("cell_")):
+            if c != "o":
+                covers.append(CoverMap(src, src[:i] + "o" + src[i + 1:], inclusion))
     elements.sort(key=lambda e: (e.level, e.id))
     covers.sort(key=lambda c: (c.src, c.dst))
     return StratPoset(elements, covers)
@@ -409,8 +402,9 @@ _BUILTINS = {
 }
 
 
-def builtin_poset(name: str) -> tuple[StratPoset, PosetFlags]:
-    """Builtin poset plus its asserted hypothesis flags.
+def parse_builtin_name(name: str) -> tuple[str, int | None]:
+    """The builtin named ``name`` and, for ``torus_corner:N``, its dimension
+    ``N``; raises ``ValueError`` for any other name.
 
     Accepted names: ``circle``, ``torus_corner:N`` (N >= 1), ``klein_S4``,
     ``cube_corner``.
@@ -419,12 +413,26 @@ def builtin_poset(name: str) -> tuple[StratPoset, PosetFlags]:
     key, sep, digits = name.partition(":")
     if key not in _BUILTINS or bool(sep) != (key == "torus_corner"):
         raise ValueError(f"unknown builtin poset {name!r}")
-    build, flags = _BUILTINS[key]
     if not sep:
-        return build(), flags
-    if not digits.isdecimal() or int(digits) < 1:
+        return key, None
+    # The dimension is a repeat count for ``product``, at most
+    # ``sys.maxsize``; the length test keeps a longer string from ``int``,
+    # which refuses one beyond 4300 digits with an error of its own.
+    if (
+        not digits.isdecimal()
+        or len(digits) > len(str(sys.maxsize))
+        or not 1 <= int(digits) <= sys.maxsize
+    ):
         raise ValueError(f"invalid torus dimension in {name!r}")
-    return build(int(digits)), flags
+    return key, int(digits)
+
+
+def builtin_poset(name: str) -> tuple[StratPoset, PosetFlags]:
+    """Builtin poset plus its asserted hypothesis flags, for a name that
+    :func:`parse_builtin_name` accepts."""
+    key, n = parse_builtin_name(name)
+    build, flags = _BUILTINS[key]
+    return (build() if n is None else build(n)), flags
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,15 @@ class TestBoundCommand:
         assert doc["valid"]
         assert doc["lower_bound"] == bound
 
+    def test_corner_cap_admits_its_own_size(self, capsys, monkeypatch):
+        from geoplan import cli
+
+        monkeypatch.setattr(cli, "_MAX_POSET_ELEMENTS", 3**2)
+        assert run_cli(capsys, ["bound", "builtin:torus_corner:2"])[0] == 0
+        code, _, err = run_cli(capsys, ["bound", "builtin:torus_corner:3"])
+        assert code == 2
+        assert "builtin:torus_corner:3 has 3^3 elements, more than the cap of 9" in err
+
     def test_equality_certificate_only_with_flags(self, capsys):
         _, out, _ = run_cli(capsys, ["bound", "builtin:torus_corner:2"])
         assert json.loads(out)["equality"] is True
@@ -371,11 +380,15 @@ class TestUsageErrors:
             ["geodesics", "torus:\u00b2", "0", "0"],
             ["bound", "builtin:torus_corner:\u00b2"],
             ["geodesics", "torus:" + "1" * 5000, "0", "0"],
+            ["bound", "builtin:torus_corner:" + "1" * 5000],
         ],
     )
     def test_exit_code_two(self, capsys, argv):
         code, _, err = run_cli(capsys, argv)
         assert code == 2
+        if argv[-1].startswith("builtin:torus_corner:1"):
+            # refused before ``int``, which would fail on its digit limit
+            assert "invalid torus dimension" in err
 
     @settings(max_examples=200, deadline=None)
     @given(suffix=st.text(alphabet="0123456789\u00b2\u2070\u0663 -+", max_size=4) | st.text())
@@ -463,6 +476,19 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert "exponent 20000000" in proc.stderr
         assert "bound of 1050" in proc.stderr
+
+    def test_oversized_corner_poset_exits_fast(self):
+        """3^40 elements are refused from the dimension alone, before any
+        element is built."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "geoplan.cli", "bound", "builtin:torus_corner:40"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == 2
+        assert "3^40 elements" in proc.stderr
+        assert "cap of 19683" in proc.stderr
 
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify"]) == 2
@@ -625,6 +651,7 @@ GOLDEN = [
      "78eb45330b33f22092c63ef8c0a110e10069f3bb81cb747c654b854457bacf56"),
     ("bound builtin:torus_corner:4", 0,
      "d356c51088b201d714ccece2657ad417dc2f510e743b1976d71f1e9560b55d4b"),
+    ("bound builtin:torus_corner:10", 2, EMPTY),
     ("verify all --trials 5 --seed 7", 0,
      "3ab8e7d902e6d08a9ab5390da9e8415ecba5999092c4099a45f070044eb88654"),
 ]

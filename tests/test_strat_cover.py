@@ -1,6 +1,7 @@
 """Stratified-covering posets: validation, bounds, builtins, documents."""
 
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from geoplan.strat_cover import (
     loads_document,
     lower_bound,
     to_document,
+    torus_corner_poset,
     upper_bound_if_trivial,
     validate_poset,
 )
@@ -68,6 +70,8 @@ def test_unknown_builtin_rejected():
         builtin_poset("torus_corner:0")
     with pytest.raises(ValueError, match="invalid torus dimension"):
         builtin_poset("torus_corner:\u00b2")
+    with pytest.raises(ValueError, match="invalid torus dimension"):
+        builtin_poset("torus_corner:" + "1" * 5000)
 
 
 def test_bottom_elements_are_never_inconsistent():
@@ -197,6 +201,135 @@ class TestValidationRejections:
         assert not report.valid
         assert report.lower_bound is None
         assert upper_bound_if_trivial(report, PosetFlags(True, True, True)) is None
+
+
+def corner_reference(n):
+    """The corner poset of the flat n-torus written out from its definition:
+    patterns over ``+-o``, level 1 + #o, as sheets the sign vectors that
+    agree with the pattern off its ``o``s, and inclusion maps to each pattern
+    with one more ``o``; elements sorted by (level, id), covers by (src, dst)."""
+
+    def sheets(pattern):
+        return tuple(
+            sorted(
+                "".join(signs)
+                for signs in product("+-", repeat=n)
+                if all(c in ("o", s) for c, s in zip(pattern, signs))
+            )
+        )
+
+    patterns = ["".join(p) for p in product("+-o", repeat=n)]
+    elements = sorted(
+        ((f"cell_{p}", 1 + p.count("o"), sheets(p)) for p in patterns),
+        key=lambda e: (e[1], e[0]),
+    )
+    covers = sorted(
+        (f"cell_{p}", f"cell_{p[:i]}o{p[i + 1:]}", {s: s for s in sheets(p)})
+        for p in patterns
+        for i, c in enumerate(p)
+        if c != "o"
+    )
+    return elements, covers
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_torus_corner_poset_matches_its_definition(n):
+    elements, covers = corner_reference(n)
+    poset = torus_corner_poset(n)
+    assert [(e.id, e.level, e.sheets) for e in poset.elements] == elements
+    assert [(c.src, c.dst, c.mapping) for c in poset.covers] == covers
+
+
+def _break(doc, how):
+    """Break one axiom of a corner-poset document, as the benchmark's
+    mutation of the same name does, at a fixed place."""
+    elements, covers = doc["elements"], doc["covers"]
+    if how == "non_injective":
+        m = covers[-1]["map"]
+        keys = sorted(m)
+        m[keys[1]] = m[keys[0]]
+    elif how == "missing_element":
+        covers[7]["dst"] = "absent"
+    elif how == "level_gap":
+        elements[13]["level"] += 2
+    elif how == "not_total":
+        m = covers[4]["map"]
+        del m[sorted(m)[0]]
+    elif how == "duplicate_id":
+        elements.append(dict(elements[20]))
+    elif how == "foreign_sheet":
+        m = covers[-2]["map"]
+        m[sorted(m)[0]] = "foreign"
+
+
+#: The exact report for each mutation of the 3-dimensional corner document.
+MUTATION_ERRORS = {
+    "non_injective": ("cover 'cell_oo-'->'cell_ooo' map is not injective",),
+    "missing_element": ("cover 'cell_++o'->'absent' references a missing element",),
+    "level_gap": (
+        "cover 'cell_--+'->'cell_--o' is not between adjacent levels",
+        "cover 'cell_---'->'cell_--o' is not between adjacent levels",
+        "cover 'cell_--o'->'cell_-oo' is not between adjacent levels",
+        "cover 'cell_--o'->'cell_o-o' is not between adjacent levels",
+    ),
+    "not_total": ("cover 'cell_++-'->'cell_+o-' map is not total on the source sheets",),
+    "duplicate_id": ("duplicate element id 'cell_+oo'",),
+    "foreign_sheet": ("cover 'cell_oo+'->'cell_ooo' map leaves the destination sheets",),
+}
+
+
+@pytest.mark.parametrize("how", sorted(MUTATION_ERRORS))
+def test_mutated_corner_document_reports_exact_errors(how):
+    elements, covers = corner_reference(3)
+    doc = {
+        "elements": [{"id": i, "level": lv, "sheets": list(s)} for i, lv, s in elements],
+        "covers": [{"src": s, "dst": d, "map": dict(m)} for s, d, m in covers],
+    }
+    _break(doc, how)
+    poset, _ = from_document(doc)
+    assert validate_poset(poset) == MUTATION_ERRORS[how]
+
+
+SWAP = {"x": "y", "y": "x"}
+IDENTITY = {"x": "x", "y": "y"}
+
+
+def _diamond(first, second, inclusion_chain_first):
+    """a -> b1 -> c carrying ``first`` then ``second``, and a -> b2 -> c
+    carrying inclusions, all over the sheets x, y."""
+    xy = ("x", "y")
+    chains = [
+        [CoverMap("a", "b1", first), CoverMap("b1", "c", second)],
+        [CoverMap("a", "b2", IDENTITY), CoverMap("b2", "c", IDENTITY)],
+    ]
+    if inclusion_chain_first:
+        chains.reverse()
+    return StratPoset(
+        [PosetElement(i, lv, xy) for i, lv in (("a", 1), ("b1", 2), ("b2", 2), ("c", 3))],
+        [c for chain in chains for c in chain],
+    )
+
+
+@pytest.mark.parametrize("inclusion_chain_first", [False, True])
+def test_permutation_chain_against_inclusion_chain(inclusion_chain_first):
+    """A swap is a bijection of the sheets onto themselves, not an
+    inclusion: one swap disagrees with the inclusion chain, two agree."""
+    mismatch = _diamond(SWAP, IDENTITY, inclusion_chain_first)
+    assert validate_poset(mismatch) == ("composition mismatch from 'a' to 'c'",)
+    agree = _diamond(SWAP, SWAP, inclusion_chain_first)
+    assert validate_poset(agree) == ()
+
+
+def test_third_incoming_image_can_empty_the_meet():
+    """Images {p, q}, {q, r}, {r, p}: every two meet, all three do not."""
+    images = [("p", "q"), ("q", "r"), ("r", "p")]
+    elements = [PosetElement(f"low{i}", 1, ("s", "t")) for i in range(3)]
+    elements.append(PosetElement("top", 2, ("p", "q", "r")))
+    covers = [CoverMap(f"low{i}", "top", {"s": u, "t": v}) for i, (u, v) in enumerate(images)]
+    assert not inconsistent_at(StratPoset(elements, covers[:2]), "top")
+    poset = StratPoset(elements, covers)
+    assert inconsistent_at(poset, "top")
+    assert lower_bound(poset).lower_bound == 1
 
 
 def test_relabel_invariance():
