@@ -11,7 +11,6 @@ Subcommands
 ``bound SOURCE``
     Validate a stratified-covering poset once and report its lower bound,
     and the equal upper bound when its hypothesis flags are all set.
-    ``builtin:torus_corner:N`` has 3^N elements and is refused above 3^9.
 ``verify SUITE``
     Run randomized self-verification suites.
 
@@ -29,6 +28,15 @@ klein, csv where the cut locus is a graph (torus:1, torus:2, klein), svg for
 torus:2 and klein; ``plan`` json for torus:N and klein.  The cube has no cut
 locus or planner output.  Any other request exits with code 2.
 
+An answer of more than 3^9 items is refused with exit code 2 before it is
+built: ``builtin:torus_corner:N`` has 3^N elements (N <= 9), a ``torus:N``
+pair with ``a`` opposite coordinates has 2^a geodesics (a <= 14), and the
+``torus:N`` cut locus has 2^N - 1 strata (N <= 14).
+
+Each command imports only the modules it runs: those of its space for
+``geodesics``, ``cutlocus`` and ``plan``, the poset engine for ``bound``,
+and every layer for ``verify``.
+
 Exit codes: 0 on success, 1 when a verification or bound check fails, 2 on
 usage or input-parsing errors.  All outputs are byte-stable across runs.
 """
@@ -40,10 +48,12 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from . import cube_sphere, flat_torus, klein_bottle, strat_cover
 from .render import dump_csv, dump_json, fraction_str, point_str, svg_path_chart
+
+if TYPE_CHECKING:
+    from . import cube_sphere, flat_torus, klein_bottle
 
 __all__ = ["main"]
 
@@ -56,14 +66,24 @@ _CSV_COLUMNS = ["x", "y", "stratum", "count", "min_sq_length"]
 #: traceback (``cutlocus klein 1/3,1/<1075 sevens> --format csv``).
 _MAX_DIGITS = 1050
 
-#: Most elements ``bound builtin:torus_corner:N`` builds: 3^N, so N <= 9.
-#: N = 9 takes about 3 s and 110 MB (2-core x86-64 VM, Python 3.11), and
-#: each further N about triples both.
-_MAX_POSET_ELEMENTS = 3**9
+#: Most items one answer may hold (the three sizes are in the module
+#: docstring).  Each largest admitted case takes about 2-3 s (2-core x86-64
+#: VM, Python 3.11); one step further doubles or triples that.
+_MAX_ANSWER_ITEMS = 3**9
 
 
 class UsageError(ValueError):
     """Bad command-line input; reported on stderr with exit code 2."""
+
+
+def _check_size(subject: str, base: int, exponent: int, items: str, minus: int = 0) -> None:
+    """Refuse an answer of ``base**exponent - minus`` items above the cap.
+    With ``base >= 2`` and ``minus <= 1``, an exponent above the cap's bit
+    length is over it, so no power of a large exponent is taken."""
+    cap = _MAX_ANSWER_ITEMS
+    if exponent > cap.bit_length() or base**exponent - minus > cap:
+        size = f"{base}^{exponent}" + (f" - {minus}" if minus else "")
+        raise UsageError(f"{subject} has {size} {items}, more than the cap of {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +116,8 @@ def _parse_coords(text: str, n: int) -> tuple[Fraction, ...]:
 
 
 def _parse_cube_point(text: str) -> cube_sphere.CubePoint:
+    from . import cube_sphere
+
     if text == "corner:p":
         return cube_sphere.corner_pair()[0]
     if text == "corner:q":
@@ -137,29 +159,29 @@ def _emit(text: str, out: str | None) -> None:
 # One record per space
 # ---------------------------------------------------------------------------
 
-def _torus_geodesic_doc(g: flat_torus.FlatGeodesic) -> dict:
+def _torus_geodesic_doc(g: flat_torus.FlatGeodesic, length: Fraction) -> dict:
     return {
         "displacement": list(g.displacement),
         "end_lift": list(g.end_lift),
-        "squared_length": g.squared_length,
+        "squared_length": length,
     }
 
 
-def _klein_geodesic_doc(g: flat_torus.FlatGeodesic) -> dict:
+def _klein_geodesic_doc(g: flat_torus.FlatGeodesic, length: Fraction) -> dict:
     return {
         "start_lift": list(g.start_lift),
         "end_lift": list(g.end_lift),
         "deck": g.deck.tag,
-        "squared_length": g.squared_length,
+        "squared_length": length,
     }
 
 
-def _cube_geodesic_doc(g: cube_sphere.UnfoldedPath) -> dict:
+def _cube_geodesic_doc(g: cube_sphere.UnfoldedPath, length: Fraction) -> dict:
     return {
         "face_sequence": list(g.face_sequence),
         "planar_start": list(g.planar_start),
         "planar_end": list(g.planar_end),
-        "squared_length": g.squared_length,
+        "squared_length": length,
         "trace": [list(p) for p in g.trace],
     }
 
@@ -178,7 +200,20 @@ def _cube_chart(x, geodesics, resolution: int) -> str:
     return svg_path_chart(segments, [], [], resolution, (-0.5, -0.5, 0.5, 0.5), outlines)
 
 
+def _torus_geodesics(
+    x: flat_torus.TorusPoint, y: flat_torus.TorusPoint
+) -> tuple[flat_torus.FlatGeodesic, ...]:
+    from . import flat_torus
+
+    a = len(flat_torus.antipodal_indices(x, y))
+    _check_size(f"a torus:{x.n} pair", 2, a, "minimizing geodesics")
+    return flat_torus.torus_geodesics(x, y)
+
+
 def _torus_cut_locus(x: flat_torus.TorusPoint) -> tuple[dict, Any]:
+    from . import flat_torus
+
+    _check_size(f"the torus:{x.n} cut locus", 2, x.n, "strata", minus=1)
     locus = flat_torus.torus_cut_locus(x)
     strata = [
         {
@@ -195,6 +230,8 @@ def _torus_cut_locus(x: flat_torus.TorusPoint) -> tuple[dict, Any]:
 
 
 def _klein_cut_locus(x: klein_bottle.KleinPoint) -> tuple[dict, Any]:
+    from . import klein_bottle
+
     graph = klein_bottle.klein_cut_locus(x)
     shape = "wedge" if len(graph.vertices) == 1 else "theta"
     return {"shape": shape, "graph": asdict(graph)}, graph
@@ -210,7 +247,7 @@ class _Space:
 
     parse: Callable[[str], Any]
     geodesics: Callable  # (x, y) -> minimizing geodesics
-    geodesic_doc: Callable[[Any], dict]
+    geodesic_doc: Callable[[Any, Fraction], dict]  # (geodesic, squared length)
     chart: Callable | None  # (x, geodesics, resolution) -> svg text
     show: Callable[[Any], str] = lambda p: point_str(p.coords)
     stratum: Callable = lambda x, y, geodesics: len(geodesics)
@@ -220,8 +257,11 @@ class _Space:
 
 def _space(text: str) -> _Space:
     """The record of the space named ``text`` on the command line: the only
-    code that tells the spaces apart."""
+    code that tells the spaces apart.  Only the named space's modules are
+    imported."""
     if text == "klein":
+        from . import klein_bottle
+
         return _Space(
             parse=lambda s: klein_bottle.KleinPoint.make(_parse_coords(s, 2)),
             geodesics=klein_bottle.klein_geodesics,
@@ -231,6 +271,8 @@ def _space(text: str) -> _Space:
             cut_locus=_klein_cut_locus,
         )
     if text == "cube":
+        from . import cube_sphere
+
         return _Space(
             parse=_parse_cube_point,
             geodesics=cube_sphere.cube_geodesics,
@@ -247,9 +289,11 @@ def _space(text: str) -> _Space:
         n = 0
     if n < 1:
         raise UsageError(f"torus dimension must be a positive integer: {text!r}")
+    from . import flat_torus
+
     return _Space(
         parse=lambda s: flat_torus.TorusPoint.make(_parse_coords(s, n)),
-        geodesics=flat_torus.torus_geodesics,
+        geodesics=_torus_geodesics,
         geodesic_doc=_torus_geodesic_doc,
         chart=_flat_chart if n == 2 else None,
         stratum=lambda x, y, geodesics: flat_torus.torus_stratum(x, y),
@@ -262,13 +306,13 @@ def _space(text: str) -> _Space:
 # Geodesics
 # ---------------------------------------------------------------------------
 
-def _csv_row(x: str, y: str, stratum: int, geodesics) -> dict:
+def _csv_row(x: str, y: str, stratum: int, count: int, length: Fraction) -> dict:
     return {
         "x": x,
         "y": y,
         "stratum": stratum,
-        "count": len(geodesics),
-        "min_sq_length": fraction_str(min(g.squared_length for g in geodesics)),
+        "count": count,
+        "min_sq_length": fraction_str(length),
     }
 
 
@@ -278,25 +322,25 @@ def cmd_geodesics(args) -> int:
     x = _parse_point(space, args.x)
     y = _parse_point(space, args.y)
     geos = space.geodesics(x, y)
-    doc = {
-        "command": "geodesics",
-        "space": args.space,
-        "x": space.show(x),
-        "y": space.show(y),
-        "stratum": space.stratum(x, y, geos),
-        "count": len(geos),
-        "min_sq_length": min(g.squared_length for g in geos),
-        "geodesics": [space.geodesic_doc(g) for g in geos],
-    }
-    if args.format == "json":
-        _emit(dump_json(doc), args.out)
-    elif args.format == "csv":
-        row = _csv_row(doc["x"], doc["y"], doc["stratum"], geos)
-        _emit(dump_csv([row], _CSV_COLUMNS), args.out)
-    elif space.chart is None:
-        raise UsageError("svg rendering of geodesics requires torus:2, klein or cube")
-    else:
+    if args.format == "svg":
+        if space.chart is None:
+            raise UsageError("svg rendering of geodesics requires torus:2, klein or cube")
         _emit(space.chart(x, geos, resolution), args.out)
+        return 0
+    # Every minimizing geodesic of one answer has the same length.
+    length = geos[0].squared_length
+    row = _csv_row(space.show(x), space.show(y), space.stratum(x, y, geos), len(geos), length)
+    if args.format == "csv":
+        _emit(dump_csv([row], _CSV_COLUMNS), args.out)
+    else:
+        # json prints a Fraction as the same p/q text the row holds.
+        doc = {
+            "command": "geodesics",
+            "space": args.space,
+            **row,
+            "geodesics": [space.geodesic_doc(g, length) for g in geos],
+        }
+        _emit(dump_json(doc), args.out)
     return 0
 
 
@@ -319,7 +363,8 @@ def _cutlocus_rows(space: _Space, x, graph, resolution: int) -> list[dict]:
         if key not in seen:
             seen.add(key)
             geos = space.geodesics(x, target)
-            rows.append(_csv_row(base, key, space.stratum(x, target, geos), geos))
+            stratum = space.stratum(x, target, geos)
+            rows.append(_csv_row(base, key, stratum, len(geos), geos[0].squared_length))
     return rows
 
 
@@ -365,7 +410,7 @@ def cmd_plan(args) -> int:
         "domain": result.domain,
         "count": result.count,
         "rule": result.rule,
-        "geodesic": space.geodesic_doc(result.geodesic),
+        "geodesic": space.geodesic_doc(result.geodesic, result.geodesic.squared_length),
     }
     _emit(dump_json(doc), args.out)
     return 0
@@ -376,6 +421,8 @@ def cmd_plan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bound(args) -> int:
+    from . import strat_cover
+
     source = args.poset
     if source.startswith("builtin:"):
         name = source[len("builtin:"):]
@@ -383,12 +430,8 @@ def cmd_bound(args) -> int:
             _, n = strat_cover.parse_builtin_name(name)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        # torus_corner:N has 3^N elements; as 3^N > N, no power of a large N
-        # is taken.
-        if n is not None and (n > _MAX_POSET_ELEMENTS or 3**n > _MAX_POSET_ELEMENTS):
-            raise UsageError(
-                f"{source} has 3^{n} elements, more than the cap of {_MAX_POSET_ELEMENTS}"
-            )
+        if n is not None:  # torus_corner:N
+            _check_size(source, 3, n, "elements")
         poset, flags = strat_cover.builtin_poset(name)
     else:
         try:

@@ -35,7 +35,6 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .metric_core import Polyline, _frac
-from .strat_cover import CUBE_CORNER_LIMITS
 
 __all__ = [
     "CandidateTable",
@@ -704,6 +703,9 @@ def rotate_trace(trace: tuple[Vec3, ...], times: int = 1) -> tuple[Vec3, ...]:
 
 def corner_limit_table() -> dict[tuple[str, int], str]:
     """Printed convergence table: family member -> corner geodesic label."""
+    # Imported here so that the geodesic commands do not load the poset engine.
+    from .strat_cover import CUBE_CORNER_LIMITS
+
     return {
         (family, idx): label
         for family, row in CUBE_CORNER_LIMITS.items()

@@ -23,11 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import TYPE_CHECKING
 
 from .cutgraph import CutEdge, CutLocusGraph, CutVertex
 from .metric_core import Polyline, _frac
 from .planning import PlannerResult, loop_monodromy
-from .strat_cover import PosetElement, StratPoset, torus_corner_poset
+
+if TYPE_CHECKING:
+    from .strat_cover import StratPoset
 
 __all__ = [
     "FlatGeodesic",
@@ -305,6 +308,10 @@ def torus_local_poset(x: TorusPoint, y: TorusPoint) -> StratPoset:
     Only the opposite coordinates branch, so the poset is the corner poset in
     that many variables; a unique-geodesic pair yields the one-element poset.
     """
+    # Imported here so that the geodesic and cut-locus commands do not load
+    # the poset engine.
+    from .strat_cover import PosetElement, StratPoset, torus_corner_poset
+
     a = len(antipodal_indices(x, y))
     if a == 0:
         return StratPoset([PosetElement("cell", 1, ("direct",))], [])

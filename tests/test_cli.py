@@ -142,7 +142,7 @@ class TestBoundCommand:
     def test_corner_cap_admits_its_own_size(self, capsys, monkeypatch):
         from geoplan import cli
 
-        monkeypatch.setattr(cli, "_MAX_POSET_ELEMENTS", 3**2)
+        monkeypatch.setattr(cli, "_MAX_ANSWER_ITEMS", 3**2)
         assert run_cli(capsys, ["bound", "builtin:torus_corner:2"])[0] == 0
         code, _, err = run_cli(capsys, ["bound", "builtin:torus_corner:3"])
         assert code == 2
@@ -381,6 +381,8 @@ class TestUsageErrors:
             ["bound", "builtin:torus_corner:\u00b2"],
             ["geodesics", "torus:" + "1" * 5000, "0", "0"],
             ["bound", "builtin:torus_corner:" + "1" * 5000],
+            ["geodesics", "torus:15", ",".join(["0"] * 15), ",".join(["1/2"] * 15)],
+            ["cutlocus", "torus:15", ",".join(["0"] * 15)],
         ],
     )
     def test_exit_code_two(self, capsys, argv):
@@ -389,6 +391,9 @@ class TestUsageErrors:
         if argv[-1].startswith("builtin:torus_corner:1"):
             # refused before ``int``, which would fail on its digit limit
             assert "invalid torus dimension" in err
+        if argv[1] == "torus:15":
+            assert "has 2^15" in err
+            assert "cap of 19683" in err
 
     @settings(max_examples=200, deadline=None)
     @given(suffix=st.text(alphabet="0123456789\u00b2\u2070\u0663 -+", max_size=4) | st.text())
@@ -489,6 +494,43 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert "3^40 elements" in proc.stderr
         assert "cap of 19683" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["geodesics", "cutlocus"])
+    def test_oversized_torus_answer_exits_fast(self, command):
+        """2^40 geodesics, or 2^40 - 1 cut strata, are refused from their
+        count alone, before any of them is built."""
+        argv = [command, "torus:40", ",".join(["0"] * 40)]
+        if command == "geodesics":
+            argv.append(",".join(["1/2"] * 40))
+        proc = subprocess.run(
+            [sys.executable, "-m", "geoplan.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == 2
+        assert "2^40" in proc.stderr
+        assert "cap of 19683" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "cap,admitted,refused",
+        [
+            # 2^3 geodesics (three opposite coordinates), then 2^4
+            (2**3, ["geodesics", "torus:4", "0,0,0,0", "1/2,1/2,1/2,1/3"],
+             ["geodesics", "torus:4", "0,0,0,0", "1/2,1/2,1/2,1/2"]),
+            # 2^3 - 1 cut strata (torus:3), then 2^4 - 1
+            (2**3 - 1, ["cutlocus", "torus:3", "0,0,0"], ["cutlocus", "torus:4", "0,0,0,0"]),
+        ],
+    )
+    def test_torus_cap_admits_its_own_size(self, capsys, monkeypatch, cap, admitted, refused):
+        from geoplan import cli
+
+        monkeypatch.setattr(cli, "_MAX_ANSWER_ITEMS", cap)
+        assert run_cli(capsys, admitted)[0] == 0
+        code, _, err = run_cli(capsys, refused)
+        assert code == 2
+        assert f"has 2^4{' - 1' if refused[0] == 'cutlocus' else ''}" in err
+        assert f"more than the cap of {cap}" in err
 
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify"]) == 2
@@ -652,6 +694,10 @@ GOLDEN = [
     ("bound builtin:torus_corner:4", 0,
      "d356c51088b201d714ccece2657ad417dc2f510e743b1976d71f1e9560b55d4b"),
     ("bound builtin:torus_corner:10", 2, EMPTY),
+    ("geodesics torus:15 " + ",".join(["0"] * 15) + " " + ",".join(["1/2"] * 15), 2, EMPTY),
+    ("geodesics torus:15 " + ",".join(["0"] * 15) + " " + ",".join(["1/2"] * 15)
+     + " --format csv", 2, EMPTY),
+    ("cutlocus torus:15 " + ",".join(["0"] * 15), 2, EMPTY),
     ("verify all --trials 5 --seed 7", 0,
      "3ab8e7d902e6d08a9ab5390da9e8415ecba5999092c4099a45f070044eb88654"),
 ]
@@ -704,6 +750,38 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lower_bound"] == 1
+
+
+#: The geoplan modules each command loads, beyond ``cli`` and ``render``.
+TORUS_LAYERS = ["cutgraph", "flat_torus", "metric_core", "planning"]
+LOADED = [
+    (["geodesics", "torus:2", "0,0", "1/2,1/3"], TORUS_LAYERS),
+    (["geodesics", "klein", "1/7,2/9", "3/5,5/7"], TORUS_LAYERS + ["klein_bottle"]),
+    (["geodesics", "cube", "corner:p", "corner:q"], ["cube_sphere", "metric_core"]),
+    (["bound", "builtin:circle"], ["strat_cover"]),
+    (["--help"], []),
+]
+
+
+@pytest.mark.parametrize("argv,layers", LOADED, ids=[" ".join(a) for a, _ in LOADED])
+def test_command_loads_only_its_layers(argv, layers):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import geoplan.cli\n"
+        "imported = sorted(m for m in sys.modules if m.startswith('geoplan.'))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    exit_code = geoplan.cli.main(sys.argv[1:])\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('geoplan.'))\n"
+        "print(json.dumps([imported, exit_code, loaded]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, exit_code, loaded = json.loads(proc.stdout)
+    assert imported == ["geoplan.cli", "geoplan.render"]
+    assert exit_code == 0
+    assert loaded == sorted(f"geoplan.{m}" for m in ["cli", "render", *layers])
 
 
 def test_import_leaves_verify_and_numpy_unloaded():
