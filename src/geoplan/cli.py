@@ -253,6 +253,7 @@ class _Space:
     stratum: Callable = lambda x, y, geodesics: len(geodesics)
     plan: Callable | None = None  # (x, y) -> PlannerResult
     cut_locus: Callable | None = None  # x -> (document fields, graph or None)
+    cut_graph: bool = False  # whether cut_locus returns a graph, as csv needs
 
 
 def _space(text: str) -> _Space:
@@ -269,6 +270,7 @@ def _space(text: str) -> _Space:
             chart=_flat_chart,
             plan=klein_bottle.klein_plan,
             cut_locus=_klein_cut_locus,
+            cut_graph=True,
         )
     if text == "cube":
         from . import cube_sphere
@@ -299,6 +301,7 @@ def _space(text: str) -> _Space:
         stratum=lambda x, y, geodesics: flat_torus.torus_stratum(x, y),
         plan=flat_torus.torus_plan,
         cut_locus=_torus_cut_locus,
+        cut_graph=n <= 2,
     )
 
 
@@ -374,14 +377,14 @@ def cmd_cutlocus(args) -> int:
         raise UsageError("cut locus output is available for torus:N and klein only")
     resolution = _resolution(args)
     x = _parse_point(space, args.x)
-    fields, graph = space.cut_locus(x)
-    doc = {"command": "cutlocus", "space": args.space, "x": space.show(x), **fields}
-    if args.format == "json":
-        _emit(dump_json(doc), args.out)
-    elif args.format == "svg" and space.chart is None:
+    if args.format == "svg" and space.chart is None:
         raise UsageError("svg cut-locus output requires torus:2 or klein")
-    elif graph is None:
+    if args.format == "csv" and not space.cut_graph:
         raise UsageError("csv cut-locus output requires torus:1, torus:2 or klein")
+    fields, graph = space.cut_locus(x)
+    if args.format == "json":
+        doc = {"command": "cutlocus", "space": args.space, "x": space.show(x), **fields}
+        _emit(dump_json(doc), args.out)
     elif args.format == "csv":
         _emit(dump_csv(_cutlocus_rows(space, x, graph, resolution), _CSV_COLUMNS), args.out)
     else:

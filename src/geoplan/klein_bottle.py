@@ -195,42 +195,39 @@ def _scaled_orbit(x: KleinPoint) -> tuple[int, ScaledOrbit]:
     return d, orbit
 
 
-def _clip_scaled(
-    polygon: list[HomPoint], nx: int, ny: int, offset: int
-) -> list[HomPoint]:
-    """Sutherland-Hodgman clip of a convex polygon by ``nx*x + ny*y <= offset``.
+Corner = tuple[HomPoint, DeckElement | None]
 
-    A segment ``C -> N`` with clip values ``a`` and ``b`` of opposite signs
-    crosses the line at the homogeneous point ``b*C - a*N``.
+
+def _clip_scaled(
+    polygon: list[Corner], g: DeckElement, nx: int, ny: int, offset: int
+) -> list[Corner]:
+    """Sutherland-Hodgman clip of a convex polygon by the half-plane
+    ``nx*x + ny*y <= offset`` of the bisector of ``g``.
+
+    Each corner carries the deck element of the bisector along the edge
+    leaving it (``None`` on the frame).  A segment ``C -> N`` with clip
+    values ``a`` and ``b`` of opposite signs crosses the line at the
+    homogeneous point ``b*C - a*N``.  Crossings are strict and the base lies
+    strictly inside every half-plane, so no two consecutive corners are equal.
+    The clip leaves one edge on its line and tags only that edge ``g``, so
+    no two edges share a tag and every corner is a true corner.
     """
-    vals = [nx * p[0] + ny * p[1] - offset * p[2] for p in polygon]
+    vals = [nx * p[0] + ny * p[1] - offset * p[2] for p, _ in polygon]
     if all(val <= 0 for val in vals):
         return polygon
-    out: list[HomPoint] = []
+    out: list[Corner] = []
     n = len(polygon)
     for i in range(n):
-        cur, nxt = polygon[i], polygon[(i + 1) % n]
+        (cur, tag), (nxt, _) = polygon[i], polygon[(i + 1) % n]
         a, b = vals[i], vals[(i + 1) % n]
-        if a <= 0:
-            out.append(cur)
+        if a < 0:
+            out.append((cur, tag))
+        elif a == 0:
+            out.append((cur, g if b > 0 else tag))
         if (a < 0 < b) or (b < 0 < a):
-            out.append(_hom(*(b * c - a * m for c, m in zip(cur, nxt))))
-    cleaned: list[HomPoint] = []
-    for p in out:
-        if not cleaned or cleaned[-1] != p:
-            cleaned.append(p)
-    if len(cleaned) > 1 and cleaned[0] == cleaned[-1]:
-        cleaned.pop()
-    return cleaned
-
-
-def _det(p: HomPoint, q: HomPoint, r: HomPoint) -> int:
-    """Zero exactly when the three homogeneous points are collinear."""
-    return (
-        p[0] * (q[1] * r[2] - q[2] * r[1])
-        - p[1] * (q[0] * r[2] - q[2] * r[0])
-        + p[2] * (q[0] * r[1] - q[1] * r[0])
-    )
+            cross = _hom(*(b * c - a * m for c, m in zip(cur, nxt)))
+            out.append((cross, g if a < 0 else tag))
+    return out
 
 
 def _reduced(v: HomPoint, d: int) -> HomPoint:
@@ -247,30 +244,21 @@ def _reduced(v: HomPoint, d: int) -> HomPoint:
     return (ux, vy % s, w)
 
 
-def _scaled_cell(d: int, base: tuple[int, int], orbit: ScaledOrbit) -> list[HomPoint]:
-    """Vertices (counterclockwise) of the Dirichlet cell of the scaled lift
-    ``base``, clipped against the scaled ``orbit``."""
+def _scaled_cell(d: int, base: tuple[int, int], orbit: ScaledOrbit) -> list[Corner]:
+    """Corners (counterclockwise) of the Dirichlet cell of the scaled lift
+    ``base``, clipped against the scaled ``orbit``, each with the deck
+    element of the edge leaving it."""
     bx, by = base
-    polygon: list[HomPoint] = [
-        (bx - d, by - d, 1),
-        (bx + d, by - d, 1),
-        (bx + d, by + d, 1),
-        (bx - d, by + d, 1),
+    polygon: list[Corner] = [
+        ((bx + i * d, by + j * d, 1), None) for i, j in ((-1, -1), (1, -1), (1, 1), (-1, 1))
     ]
     base_norm = bx * bx + by * by
     for g, (qx, qy) in orbit:
         if g != IDENTITY:
             polygon = _clip_scaled(
-                polygon, 2 * (qx - bx), 2 * (qy - by), qx * qx + qy * qy - base_norm
+                polygon, g, 2 * (qx - bx), 2 * (qy - by), qx * qx + qy * qy - base_norm
             )
-    # Drop collinear chain points so that every remaining vertex is a true
-    # corner where two distinct bisectors meet.
-    n = len(polygon)
-    return [
-        polygon[i]
-        for i in range(n)
-        if _det(polygon[i - 1], polygon[i], polygon[(i + 1) % n]) != 0
-    ]
+    return polygon
 
 
 def klein_cut_locus(x: KleinPoint) -> CutLocusGraph:
@@ -279,72 +267,44 @@ def klein_cut_locus(x: KleinPoint) -> CutLocusGraph:
     The Dirichlet cell of the lift of ``x`` is a square exactly when
     ``x2 in {0, 1/2}`` (projecting to a wedge of two circles with one
     four-geodesic vertex) and a hexagon otherwise (projecting to a
-    theta-graph with two three-geodesic vertices).  Edge interiors always
-    carry two geodesics; each edge records the deck gluing that produces the
-    second one.  The cell is clipped, and each vertex's equidistant orbit
-    points found, on the scaled integers; only the returned points are
+    theta-graph with two three-geodesic vertices).  The cell is clipped on
+    the scaled integers, and each of its edges keeps the deck element whose
+    bisector cut it.  The cell's corners over one bottle point are exactly
+    that point's minimal lifts, so a vertex's multiplicity is its corner
+    count.  Edge interiors always carry two geodesics; each edge is paired
+    with the one its deck element glues it to (generated by the inverse
+    element), and records that gluing.  Only the returned points are
     Fractions.
     """
     d, orbit = _scaled_orbit(x)
     base = next(q for g, q in orbit if g == IDENTITY)
-    hom_cell = _scaled_cell(d, base, orbit)
-    if not (4 <= len(hom_cell) <= 6):
-        raise RuntimeError(f"unexpected Dirichlet cell with {len(hom_cell)} vertices")
-    cell = [(Fraction(vx, w * d), Fraction(vy, w * d)) for vx, vy, w in hom_cell]
+    cell = _scaled_cell(d, base, orbit)
+    if not (4 <= len(cell) <= 6) or any(g is None for _, g in cell):
+        tags = [g and g.tag for _, g in cell]
+        raise RuntimeError(f"unexpected Dirichlet cell of {x.coords}: edge tags {tags}")
+    points = [(Fraction(vx, w * d), Fraction(vy, w * d)) for (vx, vy, w), _ in cell]
 
-    def equidistant_elements(v: HomPoint) -> list[DeckElement]:
-        vx, vy, w = v
-        ex, ey = vx - w * base[0], vy - w * base[1]
-        radius = ex * ex + ey * ey
-        out = []
-        for g, (qx, qy) in orbit:
-            ex, ey = vx - w * qx, vy - w * qy
-            if ex * ex + ey * ey == radius and g != IDENTITY:
-                out.append(g)
-        return out
-
-    # Group cell vertices into bottle points.
+    # Group cell corners into bottle points.
     classes: dict[HomPoint, list[int]] = {}
-    for i, v in enumerate(hom_cell):
+    for i, (v, _) in enumerate(cell):
         classes.setdefault(_reduced(v, d), []).append(i)
-    equidistant = [equidistant_elements(v) for v in hom_cell]
-    vertex_index = {}
-    vertices = []
-    for ci, ((ux, uy, w), members) in enumerate(classes.items()):
-        mult = 1 + len(equidistant[members[0]])
-        vertices.append(CutVertex((Fraction(ux, w * d), Fraction(uy, w * d)), mult))
-        for m in members:
-            vertex_index[m] = ci
+    vertex_of = {i: ci for ci, members in enumerate(classes.values()) for i in members}
+    vertices = tuple(
+        CutVertex((Fraction(ux, w * d), Fraction(uy, w * d)), len(members))
+        for (ux, uy, w), members in classes.items()
+    )
 
-    # Assign each cell edge its generating deck element.
+    # Emit one edge of each pair glued by a deck element and its inverse.
     n = len(cell)
-    edge_info: dict[tuple[int, int], DeckElement] = {}
-    for i in range(n):
-        shared = [g for g in equidistant[i] if g in equidistant[(i + 1) % n]]
-        if len(shared) != 1:
-            raise RuntimeError("cell edge does not lie on a unique bisector")
-        edge_info[(i, (i + 1) % n)] = shared[0]
-
-    # Pair each edge with its deck partner (generated by the inverse element)
-    # and emit one representative per pair.
     edges = []
-    emitted: set[str] = set()
-    for (i, j), g in sorted(
-        edge_info.items(), key=lambda item: (item[1].a, item[1].b)
-    ):
-        if g.inverse().tag in emitted:
-            continue
-        emitted.add(g.tag)
-        edges.append(
-            CutEdge(
-                start_vertex=vertex_index[i],
-                end_vertex=vertex_index[j],
-                points=(cell[i], cell[j]),
-                multiplicity=2,
-                gluing=g.tag,
-            )
-        )
-    return CutLocusGraph(tuple(vertices), tuple(edges))
+    emitted: set[DeckElement] = set()
+    for i in sorted(range(n), key=lambda k: (cell[k][1].a, cell[k][1].b)):
+        g, j = cell[i][1], (i + 1) % n
+        if g.inverse() not in emitted:
+            emitted.add(g)
+            ends = (points[i], points[j])
+            edges.append(CutEdge(vertex_of[i], vertex_of[j], ends, 2, g.tag))
+    return CutLocusGraph(vertices, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

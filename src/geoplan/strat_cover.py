@@ -298,11 +298,12 @@ def torus_corner_poset(n: int) -> StratPoset:
         )
         elements.append(PosetElement(src, 1 + pattern.count("o"), sheets))
         inclusion = {s: s for s in sheets}
-        for i, c in enumerate(pattern, len("cell_")):
+        # ``product`` yields the sources in id order, and an ``o`` further
+        # left makes a larger id, so the covers come out sorted.
+        for i, c in reversed(list(enumerate(pattern, len("cell_")))):
             if c != "o":
                 covers.append(CoverMap(src, src[:i] + "o" + src[i + 1:], inclusion))
     elements.sort(key=lambda e: (e.level, e.id))
-    covers.sort(key=lambda c: (c.src, c.dst))
     return StratPoset(elements, covers)
 
 

@@ -539,9 +539,7 @@ def klein_planner_continuity(seed: int, trials: int) -> CheckResult:
         if ra.domain != rb.domain:
             check.fail(f"perturbation left the domain at {xa.coords}->{ya.coords}")
             continue
-        pa = Polyline([ra.geodesic.start_lift, ra.geodesic.end_lift])
-        pb = Polyline([rb.geodesic.start_lift, rb.geodesic.end_lift])
-        if sup_distance_sq(pa, pb) > tol_sq:
+        if sup_distance_sq(ra.geodesic.lift(), rb.geodesic.lift()) > tol_sq:
             check.fail(f"sup distance exceeds tolerance at {xa.coords}->{ya.coords}")
     return check
 

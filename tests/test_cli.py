@@ -105,6 +105,19 @@ class TestCutlocusCommand:
         assert doc["graph"] is None
         assert len(doc["strata"]) == 7
 
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_impossible_format_refused_before_building(self, capsys, monkeypatch, fmt):
+        from geoplan import flat_torus
+
+        def unreachable(x):
+            raise AssertionError("the cut locus was built")
+
+        monkeypatch.setattr(flat_torus, "torus_cut_locus", unreachable)
+        code, out, err = run_cli(capsys, ["cutlocus", "torus:3", "0,1/2,1/3", "--format", fmt])
+        assert code == 2
+        assert out == ""
+        assert f"{fmt} cut-locus output requires" in err
+
 
 class TestPlanCommand:
     @pytest.mark.parametrize(

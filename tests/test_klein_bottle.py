@@ -2,6 +2,7 @@
 glide-loop monodromy."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from geoplan.klein_bottle import (
     klein_monodromy,
     klein_plan,
     klein_stratum,
+    _scaled_cell,
+    _scaled_orbit,
 )
 from geoplan.flat_torus import _loop_lifts
 from geoplan.metric_core import dist_sq
@@ -233,6 +236,39 @@ class TestCutLocusDichotomy:
             (p0, p1), (q0, q1) = edge.points
             mid = KleinPoint.make(((p0 + q0) / 2, (p1 + q1) / 2))
             assert len(orbit_scan(x.coords, mid)) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        basepoint_coordinate(),
+        st.one_of(special_second, basepoint_coordinate()),
+    )
+    def test_edges_lie_on_the_bisector_of_their_gluing(self, x1, x2):
+        """Each edge's ends and midpoint are as far from the lift of ``x``
+        as from its image under the deck element named by ``gluing``."""
+        x = KleinPoint.make((x1, x2))
+        for edge in klein_cut_locus(x).edges:
+            a, b = map(int, re.fullmatch(r"a(-?\d+)b(-?\d+)", edge.gluing).groups())
+            image = DeckElement(a, b).apply(x.coords)
+            (p0, p1), (q0, q1) = edge.points
+            for point in ((p0, p1), ((p0 + q0) / 2, (p1 + q1) / 2), (q0, q1)):
+                assert dist_sq(point, x.coords) == dist_sq(point, image)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        basepoint_coordinate(),
+        st.one_of(special_second, basepoint_coordinate()),
+    )
+    def test_scaled_cell_is_a_strictly_convex_tagged_polygon(self, x1, x2):
+        d, orbit = _scaled_orbit(KleinPoint.make((x1, x2)))
+        base = next(q for g, q in orbit if g == IDENTITY)
+        cell = _scaled_cell(d, base, orbit)
+        assert len(cell) in (4, 6)
+        assert all(g is not None for _, g in cell)
+        points = [(F(vx, w), F(vy, w)) for (vx, vy, w), _ in cell]
+        for i, q in enumerate(points):
+            p, r = points[i - 1], points[(i + 1) % len(points)]
+            turn = (q[0] - p[0]) * (r[1] - q[1]) - (q[1] - p[1]) * (r[0] - q[0])
+            assert turn > 0
 
 
 class TestPlanner:
