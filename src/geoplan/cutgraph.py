@@ -1,20 +1,35 @@
-"""Shared cut-locus graph records.
+"""Cut-locus graph records, and the cut locus of a 2-D flat quotient read
+off its Dirichlet cell.
 
 A cut locus is reported as a small graph: vertices with their geodesic
 multiplicity, and edges whose interiors carry exactly two geodesics.  Edge
 geometry is stored as an exact polyline in lifted (unreduced) coordinates so
 that arcs wrapping around the space stay straight; consumers reduce mod 1
 when they need chart coordinates.
+
+On R^2/Γ the cut locus of ``x`` is the projected boundary of its Dirichlet
+cell, the plane points nearer the lift X of ``x`` than any other orbit
+point; only the ``flat_torus.FlatPoint`` interface is read.  A query is
+scaled once by D = lcm of the denominators of x and its coset points, so
+each orbit point D*Q is an integer point and each bisector
+2(Q - X).Z <= |Q|^2 - |X|^2 has integer coefficients.  Cell vertices are
+homogeneous integer triples (x, y, w) standing for (x/w, y/w) in scaled
+units, kept with w > 0 and gcd 1; only the returned points are Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, isqrt, lcm
+from typing import TYPE_CHECKING
 
 from .metric_core import Polyline
 
-__all__ = ["CutEdge", "CutLocusGraph", "CutVertex"]
+if TYPE_CHECKING:
+    from .flat_torus import FlatPoint
+
+__all__ = ["CutEdge", "CutLocusGraph", "CutVertex", "dirichlet_cell", "dirichlet_graph"]
 
 
 @dataclass(frozen=True)
@@ -54,3 +69,123 @@ class CutLocusGraph:
 
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(v.multiplicity for v in self.vertices)
+
+
+Point2 = tuple[Fraction, Fraction]
+Corner = tuple[tuple[int, int, int], tuple[int, int] | None]
+
+
+def _clip(
+    polygon: list[Corner], q: tuple[int, int], nx: int, ny: int, offset: int
+) -> list[Corner]:
+    """Sutherland-Hodgman clip of a convex polygon by the half-plane
+    ``nx*x + ny*y <= offset`` of the bisector of the orbit point ``q``.
+
+    Each corner carries the orbit point whose bisector carries the edge
+    leaving it (``None`` on the frame).  A segment ``C -> N`` with clip
+    values ``a`` and ``b`` of opposite signs crosses the line at the
+    homogeneous point ``b*C - a*N``.  Crossings are strict and the base lies
+    strictly inside every half-plane, so no two consecutive corners are equal.
+    The clip leaves one edge on its line and tags only that edge ``q``, so
+    no two edges share a tag and every corner is a true corner.
+    """
+    vals = [nx * p[0] + ny * p[1] - offset * p[2] for p, _ in polygon]
+    if all(val <= 0 for val in vals):
+        return polygon
+    out: list[Corner] = []
+    n = len(polygon)
+    for i in range(n):
+        (cur, tag), (nxt, _) = polygon[i], polygon[(i + 1) % n]
+        a, b = vals[i], vals[(i + 1) % n]
+        if a < 0:
+            out.append((cur, tag))
+        elif a == 0:
+            out.append((cur, q if b > 0 else tag))
+        if (a < 0 < b) or (b < 0 < a):
+            cx, cy, w = (b * c - a * m for c, m in zip(cur, nxt))
+            g = gcd(cx, cy, w) if w > 0 else -gcd(cx, cy, w)
+            out.append(((cx // g, cy // g, w // g), q if a < 0 else tag))
+    return out
+
+
+def _window(center: int, radius: int, start: int, step: int) -> range:
+    """The integers ``start + m*step`` within ``radius`` of ``center``."""
+    low = center - radius
+    return range(low + (start - low) % step, center + radius + 1, step)
+
+
+def dirichlet_cell(x: FlatPoint) -> list[tuple[Point2, Point2 | None]]:
+    """Corners (counterclockwise) of the Dirichlet cell of the lift of ``x``,
+    each tagged with the displacement from ``x`` to the orbit point whose
+    bisector carries the edge leaving that corner.
+
+    The orbit is the lattice translates of ``cosets()``, pruned to the disc
+    ``|Q - X|^2 <= p1^2 + p2^2`` for ``periods`` ``(p1, p2)``: the four axis
+    translates bound the cell to the lattice box around X, where
+    ``|Z - X|^2 <= (p1^2 + p2^2) / 4``, and a bisector through Z has
+    ``|Q - X| <= |Z - X| + |Z - Q| = 2|Z - X|``.  The cell is clipped from
+    the box ``X +- (p1, p2)``, whose corners (tag ``None``) the axis
+    translates always cut, against the disc in sorted order.
+    """
+    cosets = x.cosets()
+    d = lcm(*(c.denominator for point in (x.coords, *cosets) for c in point))
+    (bx, by), *scaled = (
+        [c.numerator * (d // c.denominator) for c in point] for point in (x.coords, *cosets)
+    )
+    px, py = (p * d for p in x.periods)
+    r2 = px * px + py * py
+    orbit = sorted(
+        (qx, qy)
+        for cx, cy in scaled
+        for qx in _window(bx, isqrt(r2), cx, px)
+        for qy in _window(by, isqrt(r2 - (qx - bx) ** 2), cy, py)
+    )
+    polygon: list[Corner] = [
+        ((bx + i * px, by + j * py, 1), None) for i, j in ((-1, -1), (1, -1), (1, 1), (-1, 1))
+    ]
+    base_norm = bx * bx + by * by
+    for qx, qy in orbit:
+        if (qx, qy) != (bx, by):
+            polygon = _clip(
+                polygon, (qx, qy), 2 * (qx - bx), 2 * (qy - by), qx * qx + qy * qy - base_norm
+            )
+    return [
+        (
+            (Fraction(vx, w * d), Fraction(vy, w * d)),
+            tag and (Fraction(tag[0] - bx, d), Fraction(tag[1] - by, d)),
+        )
+        for (vx, vy, w), tag in polygon
+    ]
+
+
+def dirichlet_graph(x: FlatPoint) -> CutLocusGraph:
+    """The cut locus of ``x`` read off :func:`dirichlet_cell`.
+
+    The corners over one point are its minimal lifts, so ``make`` groups
+    them into vertices whose multiplicity is the corner count.  Each edge is
+    glued to the one tagged by the inverse of its deck element (``deck_to``
+    of its tag); of each pair the edge with the smaller element is emitted,
+    in element order, with that element's ``tag`` as its gluing.
+    """
+    cell = dirichlet_cell(x)
+    if not (4 <= len(cell) <= 6) or any(tag is None for _, tag in cell):
+        tags = [tag for _, tag in cell]
+        raise RuntimeError(f"unexpected Dirichlet cell of {x.coords}: edge tags {tags}")
+
+    classes: dict[tuple[Fraction, ...], list[int]] = {}
+    for i, (corner, _) in enumerate(cell):
+        classes.setdefault(x.make(corner).coords, []).append(i)
+    vertex_of = {i: k for k, members in enumerate(classes.values()) for i in members}
+    vertices = tuple(CutVertex(point, len(members)) for point, members in classes.items())
+
+    decks = [x.deck_to(x.coords, tag) for _, tag in cell]
+    n = len(cell)
+    edges = []
+    emitted = set()
+    for i in sorted(range(n), key=decks.__getitem__):
+        g, j = decks[i], (i + 1) % n
+        if g.inverse() not in emitted:
+            emitted.add(g)
+            ends = (cell[i][0], cell[j][0])
+            edges.append(CutEdge(vertex_of[i], vertex_of[j], ends, 2, g.tag))
+    return CutLocusGraph(vertices, tuple(edges))

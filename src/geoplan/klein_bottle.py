@@ -15,10 +15,9 @@ translates in the closer coset, or in both on a tie, each tagged with the
 :class:`DeckElement` read back from its end lift.
 
 The cut locus of a basepoint is the projected boundary of its Dirichlet cell,
-computed exactly by intersecting bisector half-planes.  The basepoint is
-scaled once to integers and the cell is clipped in homogeneous integer
-vertices; only the returned points are Fractions.  The cut locus is a wedge
-of two circles when the basepoint's second coordinate is 0 or 1/2 and a
+clipped exactly from bisector half-planes by ``cutgraph.dirichlet_graph``
+through the same ``FlatPoint`` interface.  The cut locus is a wedge of two
+circles when the basepoint's second coordinate is 0 or 1/2 and a
 theta-graph otherwise; the pair space accordingly splits into strata
 ``S_1 .. S_4`` by geodesic count.  An optimal planner uses five domains, and
 dragging a four-geodesic pair around the glide loop permutes the geodesics
@@ -30,9 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
-from .cutgraph import CutEdge, CutLocusGraph, CutVertex
+from .cutgraph import CutLocusGraph, dirichlet_graph
 from .flat_torus import FlatGeodesic, FlatPoint, _flat_geodesics, _loop_lifts
 from .metric_core import _frac
 from .planning import (
@@ -60,9 +58,10 @@ _HALF = Fraction(1, 2)
 Point2 = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class DeckElement:
-    """The deck transformation ``alpha^a . beta^b`` of the plane."""
+    """The deck transformation ``alpha^a . beta^b`` of the plane, ordered by
+    ``(a, b)``."""
 
     a: int
     b: int
@@ -131,8 +130,8 @@ def klein_lift_orbit(
 
     The deck group acts freely, so all points are distinct; the list is
     sorted by point for determinism.  These points feed the orbit-scan
-    oracle of ``verify`` and the tests; geodesics use the two-coset rule and
-    the cut locus its own scaled integer orbit.
+    oracle of ``verify`` and the tests; geodesics and the cut locus use the
+    two cosets and the periods of :class:`KleinPoint`.
     """
     if window < 1:
         raise ValueError("window must be a positive integer")
@@ -156,155 +155,11 @@ def klein_stratum(x: KleinPoint, y: KleinPoint) -> int:
     return len(klein_geodesics(x, y))
 
 
-# ---------------------------------------------------------------------------
-# Cut locus via exact half-plane intersection on scaled integers
-# ---------------------------------------------------------------------------
-#
-# A query is scaled once by D = lcm of the denominators of x, so that D*x and
-# every orbit point D*g(x) are integers and each bisector
-# 2(Q - X).Z <= |Q|^2 - |X|^2 has integer coefficients.  Cell vertices are
-# homogeneous integer triples (x, y, w) standing for (x/w, y/w) in scaled
-# units, kept with w > 0 and gcd 1 so that equal points are equal triples.
-
-HomPoint = tuple[int, int, int]
-
-
-def _hom(x: int, y: int, w: int) -> HomPoint:
-    """The normal form of a homogeneous point: ``w > 0``, entries coprime."""
-    if w < 0:
-        x, y, w = -x, -y, -w
-    g = gcd(x, y, w)
-    return (x // g, y // g, w // g)
-
-
-ScaledOrbit = list[tuple[DeckElement, tuple[int, int]]]
-
-
-def _scaled_orbit(x: KleinPoint) -> tuple[int, ScaledOrbit]:
-    """The scale ``D`` and the orbit points ``D * g(x)`` for |a|, |b| <= 2,
-    sorted by point (the order of :func:`klein_lift_orbit`)."""
-    u, v = x.coords
-    d = lcm(u.denominator, v.denominator)
-    sx, sy = u.numerator * (d // u.denominator), v.numerator * (d // v.denominator)
-    orbit = [
-        (DeckElement(a, b), (sx + a * d, d - sy - b * d if a % 2 else sy + b * d))
-        for a in range(-2, 3)
-        for b in range(-2, 3)
-    ]
-    orbit.sort(key=lambda item: item[1])
-    return d, orbit
-
-
-Corner = tuple[HomPoint, DeckElement | None]
-
-
-def _clip_scaled(
-    polygon: list[Corner], g: DeckElement, nx: int, ny: int, offset: int
-) -> list[Corner]:
-    """Sutherland-Hodgman clip of a convex polygon by the half-plane
-    ``nx*x + ny*y <= offset`` of the bisector of ``g``.
-
-    Each corner carries the deck element of the bisector along the edge
-    leaving it (``None`` on the frame).  A segment ``C -> N`` with clip
-    values ``a`` and ``b`` of opposite signs crosses the line at the
-    homogeneous point ``b*C - a*N``.  Crossings are strict and the base lies
-    strictly inside every half-plane, so no two consecutive corners are equal.
-    The clip leaves one edge on its line and tags only that edge ``g``, so
-    no two edges share a tag and every corner is a true corner.
-    """
-    vals = [nx * p[0] + ny * p[1] - offset * p[2] for p, _ in polygon]
-    if all(val <= 0 for val in vals):
-        return polygon
-    out: list[Corner] = []
-    n = len(polygon)
-    for i in range(n):
-        (cur, tag), (nxt, _) = polygon[i], polygon[(i + 1) % n]
-        a, b = vals[i], vals[(i + 1) % n]
-        if a < 0:
-            out.append((cur, tag))
-        elif a == 0:
-            out.append((cur, g if b > 0 else tag))
-        if (a < 0 < b) or (b < 0 < a):
-            cross = _hom(*(b * c - a * m for c, m in zip(cur, nxt)))
-            out.append((cross, g if a < 0 else tag))
-    return out
-
-
-def _reduced(v: HomPoint, d: int) -> HomPoint:
-    """:meth:`KleinPoint.make` of a scaled vertex, on its integers.
-
-    The shifts are unimodular, so the result is again in normal form and
-    two vertices project to the same bottle point exactly when their
-    reductions are equal."""
-    vx, vy, w = v
-    s = w * d
-    shift, ux = divmod(vx, s)
-    if shift % 2 == 1:
-        vy = s - vy
-    return (ux, vy % s, w)
-
-
-def _scaled_cell(d: int, base: tuple[int, int], orbit: ScaledOrbit) -> list[Corner]:
-    """Corners (counterclockwise) of the Dirichlet cell of the scaled lift
-    ``base``, clipped against the scaled ``orbit``, each with the deck
-    element of the edge leaving it."""
-    bx, by = base
-    polygon: list[Corner] = [
-        ((bx + i * d, by + j * d, 1), None) for i, j in ((-1, -1), (1, -1), (1, 1), (-1, 1))
-    ]
-    base_norm = bx * bx + by * by
-    for g, (qx, qy) in orbit:
-        if g != IDENTITY:
-            polygon = _clip_scaled(
-                polygon, g, 2 * (qx - bx), 2 * (qy - by), qx * qx + qy * qy - base_norm
-            )
-    return polygon
-
-
 def klein_cut_locus(x: KleinPoint) -> CutLocusGraph:
-    """Exact cut locus of ``x`` as a small graph.
-
-    The Dirichlet cell of the lift of ``x`` is a square exactly when
-    ``x2 in {0, 1/2}`` (projecting to a wedge of two circles with one
-    four-geodesic vertex) and a hexagon otherwise (projecting to a
-    theta-graph with two three-geodesic vertices).  The cell is clipped on
-    the scaled integers, and each of its edges keeps the deck element whose
-    bisector cut it.  The cell's corners over one bottle point are exactly
-    that point's minimal lifts, so a vertex's multiplicity is its corner
-    count.  Edge interiors always carry two geodesics; each edge is paired
-    with the one its deck element glues it to (generated by the inverse
-    element), and records that gluing.  Only the returned points are
-    Fractions.
-    """
-    d, orbit = _scaled_orbit(x)
-    base = next(q for g, q in orbit if g == IDENTITY)
-    cell = _scaled_cell(d, base, orbit)
-    if not (4 <= len(cell) <= 6) or any(g is None for _, g in cell):
-        tags = [g and g.tag for _, g in cell]
-        raise RuntimeError(f"unexpected Dirichlet cell of {x.coords}: edge tags {tags}")
-    points = [(Fraction(vx, w * d), Fraction(vy, w * d)) for (vx, vy, w), _ in cell]
-
-    # Group cell corners into bottle points.
-    classes: dict[HomPoint, list[int]] = {}
-    for i, (v, _) in enumerate(cell):
-        classes.setdefault(_reduced(v, d), []).append(i)
-    vertex_of = {i: ci for ci, members in enumerate(classes.values()) for i in members}
-    vertices = tuple(
-        CutVertex((Fraction(ux, w * d), Fraction(uy, w * d)), len(members))
-        for (ux, uy, w), members in classes.items()
-    )
-
-    # Emit one edge of each pair glued by a deck element and its inverse.
-    n = len(cell)
-    edges = []
-    emitted: set[DeckElement] = set()
-    for i in sorted(range(n), key=lambda k: (cell[k][1].a, cell[k][1].b)):
-        g, j = cell[i][1], (i + 1) % n
-        if g.inverse() not in emitted:
-            emitted.add(g)
-            ends = (points[i], points[j])
-            edges.append(CutEdge(vertex_of[i], vertex_of[j], ends, 2, g.tag))
-    return CutLocusGraph(vertices, tuple(edges))
+    """Exact cut locus of ``x``: its Dirichlet cell is a square (a wedge of
+    two circles, one four-geodesic vertex) when ``x2 in {0, 1/2}`` and a
+    hexagon (a theta-graph, two three-geodesic vertices) otherwise."""
+    return dirichlet_graph(x)
 
 
 # ---------------------------------------------------------------------------

@@ -472,7 +472,9 @@ def klein_planner_continuity(seed: int, trials: int) -> CheckResult:
     """Within one domain path component, a delta-perturbation of the pair
     moves the planned path by at most 1/100 in sup distance (delta = 1/1000).
 
-    Families: generic targets for domain 0; sliding along a cut edge for the
+    Families: generic targets for domain 0, kept when the nudged target's
+    geodesic ends at the moved end lift (the Dirichlet cell is convex, so
+    the nudge then crosses no cut edge); sliding along a cut edge for the
     two-geodesic domains; moving the basepoint (the cut vertices follow
     continuously) for the three- and four-geodesic domains."""
     check = CheckResult(name="planner_continuity", trials=0)
@@ -485,7 +487,9 @@ def klein_planner_continuity(seed: int, trials: int) -> CheckResult:
         x = KleinPoint.make(_rand_coords(rng, 2))
         y = KleinPoint.make(_rand_coords(rng, 2))
         y2 = KleinPoint.make((y.coords[0] + delta, y.coords[1]))
-        if klein_bottle.klein_stratum(x, y) == 1 and klein_bottle.klein_stratum(x, y2) == 1:
+        ga, gb = klein_bottle.klein_geodesics(x, y), klein_bottle.klein_geodesics(x, y2)
+        (u, v), moved = ga[0].end_lift, gb[0].end_lift
+        if len(ga) == len(gb) == 1 and moved == (u + delta, v):
             cases.append((x, y, x, y2))
         # domains 1/2: slide along a cut edge
         g1 = _rand_frac(rng, 97)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoplan.cutgraph import dirichlet_cell
 from geoplan.flat_torus import (
     FlatGeodesic,
     TorusPoint,
@@ -137,6 +138,19 @@ class TestCutLocus:
         assert len(graph.edges) == 2
         assert {e.gluing for e in graph.edges} == {"meridian", "longitude"}
         assert all(e.multiplicity == 2 for e in graph.edges)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=10**6)] * 2))
+    def test_dirichlet_cell_matches_the_closed_form_wedge(self, coords):
+        """The generic cell of torus:2 is the square around the lift whose
+        four corners all reduce to the wedge vertex, cut by the four axis
+        neighbours."""
+        x = TorusPoint.make(coords)
+        cell = dirichlet_cell(x)
+        (vertex,) = torus_cut_locus(x).graph.vertices
+        assert len(cell) == 4
+        assert {TorusPoint.make(corner).coords for corner, _ in cell} == {vertex.point}
+        assert {tag for _, tag in cell} == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
     def test_strata_enumerate_nonempty_subsets(self):
         x = TorusPoint.make([0, 0, 0])

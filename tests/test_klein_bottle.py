@@ -1,6 +1,7 @@
 """Flat Klein bottle: deck group, geodesics, cut-locus dichotomy, planner,
 glide-loop monodromy."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -19,9 +20,8 @@ from geoplan.klein_bottle import (
     klein_monodromy,
     klein_plan,
     klein_stratum,
-    _scaled_cell,
-    _scaled_orbit,
 )
+from geoplan import cutgraph
 from geoplan.flat_torus import _loop_lifts
 from geoplan.metric_core import dist_sq
 from geoplan.strat_cover import klein_s4_poset, lower_bound, validate_poset
@@ -259,16 +259,93 @@ class TestCutLocusDichotomy:
         st.one_of(special_second, basepoint_coordinate()),
     )
     def test_scaled_cell_is_a_strictly_convex_tagged_polygon(self, x1, x2):
-        d, orbit = _scaled_orbit(KleinPoint.make((x1, x2)))
-        base = next(q for g, q in orbit if g == IDENTITY)
-        cell = _scaled_cell(d, base, orbit)
+        cell = cutgraph.dirichlet_cell(KleinPoint.make((x1, x2)))
         assert len(cell) in (4, 6)
         assert all(g is not None for _, g in cell)
-        points = [(F(vx, w), F(vy, w)) for (vx, vy, w), _ in cell]
+        points = [p for p, _ in cell]
         for i, q in enumerate(points):
             p, r = points[i - 1], points[(i + 1) % len(points)]
             turn = (q[0] - p[0]) * (r[1] - q[1]) - (q[1] - p[1]) * (r[0] - q[0])
             assert turn > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        basepoint_coordinate(),
+        st.one_of(special_second, basepoint_coordinate()),
+    )
+    def test_cell_window_matches_a_wider_orbit(self, x1, x2):
+        """The disc |Q - X|^2 <= p1^2 + p2^2 loses no cut: clipping against
+        every coset translate with |i| <= 3, |j| <= 4 periods, in the same
+        sorted order and from the same outer box, gives the same corners
+        and tags."""
+        x = KleinPoint.make((x1, x2))
+        (p1, p2), base = x.periods, x.coords
+        orbit = sorted(
+            (c[0] + i * p1, c[1] + j * p2)
+            for c in x.cosets()
+            for i in range(-3, 4)
+            for j in range(-4, 5)
+        )
+        polygon = [
+            ((base[0] + i * p1, base[1] + j * p2), None)
+            for i, j in ((-1, -1), (1, -1), (1, 1), (-1, 1))
+        ]
+        for q in orbit:
+            if q != base:
+                polygon = clip_fractions(polygon, base, q)
+        wide = [(p, q and (q[0] - base[0], q[1] - base[1])) for p, q in polygon]
+        assert cutgraph.dirichlet_cell(x) == wide
+
+
+def clip_fractions(polygon, base, q):
+    """Clip a tagged convex polygon of Fraction points to the side of the
+    bisector of ``base`` and ``q`` that holds ``base``, by the tagging rule
+    of ``cutgraph._clip``."""
+    nx, ny = 2 * (q[0] - base[0]), 2 * (q[1] - base[1])
+    offset = q[0] ** 2 + q[1] ** 2 - base[0] ** 2 - base[1] ** 2
+    vals = [nx * p[0] + ny * p[1] - offset for p, _ in polygon]
+    if all(val <= 0 for val in vals):
+        return polygon
+    out = []
+    for i, (cur, tag) in enumerate(polygon):
+        nxt = polygon[(i + 1) % len(polygon)][0]
+        a, b = vals[i], vals[(i + 1) % len(polygon)]
+        if a < 0:
+            out.append((cur, tag))
+        elif a == 0:
+            out.append((cur, q if b > 0 else tag))
+        if (a < 0 < b) or (b < 0 < a):
+            t = a / (a - b)
+            cross = (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
+            out.append((cross, q if a < 0 else tag))
+    return out
+
+
+def _pinned_basepoints():
+    """All 576 points (i/24, j/24), then 40 seeded points for each of the
+    denominators 97, 10^6 + 3 and 2^20 + 7, with values in [-3, 3] and every
+    fourth one on a special circle (x2 = 0 or 1/2)."""
+    points = [(F(i, 24), F(j, 24)) for i in range(24) for j in range(24)]
+    rng = random.Random(97)
+    for d in (97, 10**6 + 3, 2**20 + 7):
+        for k in range(40):
+            x1 = F(rng.randrange(-3 * d, 3 * d + 1), d)
+            x2 = rng.choice([F(0), H]) if k % 4 == 0 else F(rng.randrange(-3 * d, 3 * d + 1), d)
+            points.append((x1, x2))
+    return points
+
+
+# sha256 of the cut-locus reprs below, recorded when the cell was still
+# clipped inside klein_bottle; any later flat space that reads the cut locus
+# off a Dirichlet cell must keep these bytes.
+PINNED_CUT_LOCUS_SHA256 = "6896d250b2ebf2971bbb94eaab5da1e33ed9058edbd131226cdcdda997d09861"
+
+
+def test_cut_locus_graphs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for point in _pinned_basepoints():
+        digest.update(repr(klein_cut_locus(KleinPoint.make(point))).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_CUT_LOCUS_SHA256
 
 
 class TestPlanner:

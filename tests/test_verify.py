@@ -51,6 +51,13 @@ def test_failures_are_counted_and_detailed():
     assert check.detail == "first problem"
 
 
+def test_klein_planner_continuity_skips_nudges_across_a_cut_edge():
+    """At seed 3 a domain-0 nudge of the target crosses a cut edge, where the
+    planned geodesic rightly jumps; that pair is not a continuity case."""
+    check = verify.klein_planner_continuity(3, 200)
+    assert check.passed, check.detail
+
+
 def test_orbit_minimizers_scale_mixed_denominators():
     base = (Fraction(1, 3), 0)
     points = [(Fraction(5, 6), 0), (Fraction(-1, 6), 0), (0, Fraction(1, 2)), (1, 1)]
