@@ -31,7 +31,11 @@ locus or planner output.  Any other request exits with code 2.
 An answer of more than 3^9 items is refused with exit code 2 before it is
 built: ``builtin:torus_corner:N`` has 3^N elements (N <= 9), a ``torus:N``
 pair with ``a`` opposite coordinates has 2^a geodesics (a <= 14), and the
-``torus:N`` cut locus has 2^N - 1 strata (N <= 14).
+``torus:N`` cut locus has 2^N - 1 strata (N <= 14).  ``--resolution``, the
+samples per cut-locus edge, is refused above the same cap before any point
+is parsed: csv runs one geodesic query per sample, and the largest admitted
+``cutlocus klein 1/3,1/7 --format csv --resolution 19683`` takes about 10 s
+and prints 3.8 MB.
 
 Each command imports only the modules it runs: those of its space for
 ``geodesics``, ``cutlocus`` and ``plan``, the poset engine for ``bound``,
@@ -67,8 +71,9 @@ _CSV_COLUMNS = ["x", "y", "stratum", "count", "min_sq_length"]
 _MAX_DIGITS = 1050
 
 #: Most items one answer may hold (the three sizes are in the module
-#: docstring).  Each largest admitted case takes about 2-3 s (2-core x86-64
-#: VM, Python 3.11); one step further doubles or triples that.
+#: docstring), and the largest ``--resolution``.  Each largest admitted
+#: answer takes about 2-3 s, the largest resolution about 10 s (2-core x86-64
+#: VM, Python 3.11); one step further doubles or triples an answer.
 _MAX_ANSWER_ITEMS = 3**9
 
 
@@ -141,6 +146,8 @@ def _parse_point(space: _Space, text: str):
 def _resolution(args) -> int:
     if args.resolution < 2:
         raise UsageError("resolution must be >= 2")
+    if args.resolution > _MAX_ANSWER_ITEMS:
+        raise UsageError(f"resolution must be at most the cap of {_MAX_ANSWER_ITEMS}")
     return args.resolution
 
 
@@ -504,7 +511,7 @@ def _add_render_options(sub) -> None:
         "--resolution",
         type=int,
         default=8,
-        help="samples per edge for curve discretization (>= 2)",
+        help=f"samples per edge for curve discretization (2 to {_MAX_ANSWER_ITEMS})",
     )
 
 

@@ -32,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from itertools import product
 
-from .metric_core import Polyline, _frac
+from .metric_core import Polyline, _frac, integer_points
 
 __all__ = [
     "CandidateTable",
@@ -87,15 +87,6 @@ def _chart_to_space(face: str, u: Fraction, v: Fraction) -> Vec3:
     return tuple(c[i] + u * eu[i] + v * ev[i] for i in range(3))
 
 
-def _space_to_chart(face: str, p: Vec3) -> Vec2:
-    c, eu, ev = _FRAMES[face]
-    d = (p[0] - c[0], p[1] - c[1], p[2] - c[2])
-    return (
-        sum(d[i] * eu[i] for i in range(3)),
-        sum(d[i] * ev[i] for i in range(3)),
-    )
-
-
 def containing_faces(p: Vec3) -> tuple[str, ...]:
     """All faces whose closed square contains the surface point."""
     out = []
@@ -105,7 +96,7 @@ def containing_faces(p: Vec3) -> tuple[str, ...]:
         if p[axis] == target and all(abs(c) <= _HALF for c in p):
             out.append(face)
     if not out:
-        raise ValueError(f"point {p} is not on the cube surface")
+        raise ValueError(f"point {','.join(str(c) for c in p)} is not on the cube surface")
     return tuple(out)
 
 
@@ -141,8 +132,9 @@ class CubePoint:
     def from_space(cls, point) -> "CubePoint":
         p: Vec3 = tuple(_frac(c) for c in point)
         owner = containing_faces(p)[0]
-        uu, vv = _space_to_chart(owner, p)
-        return cls(owner, uu, vv)
+        scale, (q,) = integer_points((p,))
+        u, v = _scaled_chart(owner, q, scale // 2)
+        return cls(owner, Fraction(u, scale), Fraction(v, scale))
 
     @cached_property
     def point(self) -> Vec3:
@@ -160,22 +152,14 @@ def _adjacent(f: str, g: str) -> bool:
     return f != g and f[0] != g[0]
 
 
-def _shared_edge(f: str, g: str) -> tuple[Vec3, Vec3]:
-    """Endpoints (sorted) of the common edge of two adjacent faces."""
+def _shared_edge(f: str, g: str) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Doubled endpoints (sorted) of the common edge of two adjacent faces."""
     if not _adjacent(f, g):
         raise ValueError(f"faces {f!r} and {g!r} share no edge")
-    coords: list[list[Fraction]] = [[], [], []]
+    coords = [(-1, 1)] * 3
     for face in (f, g):
-        axis = _AXIS[face[0]]
-        coords[axis] = [_HALF if face[1] == "+" else -_HALF]
-    free_axis = next(i for i in range(3) if not coords[i])
-    coords[free_axis] = [-_HALF, _HALF]
-    points = []
-    for a in coords[0]:
-        for b in coords[1]:
-            for c in coords[2]:
-                points.append((a, b, c))
-    return tuple(sorted(points))
+        coords[_AXIS[face[0]]] = (1 if face[1] == "+" else -1,)
+    return tuple(product(*coords))
 
 
 @dataclass(frozen=True)
@@ -214,9 +198,10 @@ class UnfoldedPath:
 # In doubled chart coordinates (face squares [-1, 1]^2, so unfolded face
 # centers sit at even and cube corners at odd integer points) every
 # unfolding map is a quarter turn plus an integer shift, stored as
-# (cos, sin, shift_u, shift_v).  A query scales both
-# endpoints by ``scale = 2 * half`` so that their charts are integers too;
-# a doubled map then acts on scaled charts with its shift multiplied by
+# (cos, sin, shift_u, shift_v).  A query puts both endpoints on one integer
+# scale with ``metric_core.integer_points``; every surface point has a +-1/2
+# coordinate, so that scale is even, ``2 * half``, and the charts are integers
+# too.  A doubled map then acts on scaled charts with its shift multiplied by
 # ``half``.  All admissibility tests are integer cross-multiplications.
 # ---------------------------------------------------------------------------
 
@@ -226,14 +211,11 @@ _Map = tuple[int, int, int, int]
 _Edge = tuple[int, int, int, int, tuple[int, int, int], tuple[int, int, int]]
 
 
-def _scaled_chart(face: str, p: Vec3, scale: int) -> tuple[int, int]:
-    """Chart coordinates of ``p`` in ``face`` times ``scale``; the scale must
-    clear every denominator of ``p`` (and be even)."""
+def _scaled_chart(face: str, q: tuple[int, ...], half: int) -> tuple[int, int]:
+    """Chart coordinates in ``face``, times ``2 * half``, of the surface
+    point ``q / (2 * half)`` given by its integer coordinates ``q``."""
     c2, eu, ev = _INT_FRAMES[face]
-    d = [
-        p[i].numerator * (scale // p[i].denominator) - (scale // 2) * c2[i]
-        for i in range(3)
-    ]
+    d = [q[i] - half * c2[i] for i in range(3)]
     return (
         d[0] * eu[0] + d[1] * eu[1] + d[2] * eu[2],
         d[0] * ev[0] + d[1] * ev[1] + d[2] * ev[2],
@@ -253,10 +235,10 @@ def _unfold_maps(seq: tuple[str, ...]) -> tuple[tuple[_Map, ...], tuple[_Edge, .
     edges: list[_Edge] = []
     for f, g in zip(seq, seq[1:]):
         e0, e1 = _shared_edge(f, g)
-        a0 = _apply(maps[-1], *_scaled_chart(f, e0, 2))
-        a1 = _apply(maps[-1], *_scaled_chart(f, e1, 2))
-        b0 = _scaled_chart(g, e0, 2)
-        b1 = _scaled_chart(g, e1, 2)
+        a0 = _apply(maps[-1], *_scaled_chart(f, e0, 1))
+        a1 = _apply(maps[-1], *_scaled_chart(f, e1, 1))
+        b0 = _scaled_chart(g, e0, 1)
+        b1 = _scaled_chart(g, e1, 1)
         da = (a1[0] - a0[0], a1[1] - a0[1])
         db = (b1[0] - b0[0], b1[1] - b0[1])
         # both edges have doubled length 2, so cos and sin are exact quarters
@@ -264,8 +246,7 @@ def _unfold_maps(seq: tuple[str, ...]) -> tuple[tuple[_Map, ...], tuple[_Edge, .
         s = (db[0] * da[1] - db[1] * da[0]) // 4
         r0, r1 = _apply((c, s, 0, 0), *b0)
         maps.append((c, s, a0[0] - r0, a0[1] - r1))
-        start = tuple(int(2 * v) for v in e0)
-        edges.append((*a0, *da, start, tuple(int(2 * w) - v for v, w in zip(start, e1))))
+        edges.append((*a0, *da, e0, tuple(w - v for v, w in zip(e0, e1))))
     return tuple(maps), tuple(edges)
 
 
@@ -276,10 +257,10 @@ class _Query:
 
     def __init__(self, x: CubePoint, y: CubePoint):
         self.x, self.y = x, y
-        self.half = lcm(*(c.denominator for c in (x.u, x.v, y.u, y.v)))
-        self.scale = 2 * self.half
-        self.x_charts = {f: _scaled_chart(f, x.point, self.scale) for f in x.faces()}
-        self.y_charts = {f: _scaled_chart(f, y.point, self.scale) for f in y.faces()}
+        self.scale, (xq, yq) = integer_points((x.point, y.point))
+        self.half = self.scale // 2
+        self.x_charts = {f: _scaled_chart(f, xq, self.half) for f in x.faces()}
+        self.y_charts = {f: _scaled_chart(f, yq, self.half) for f in y.faces()}
 
     def endpoints(self, seq: tuple[str, ...]) -> tuple[int, int, int, int]:
         """Scaled planar start and end of the unfolded segment."""

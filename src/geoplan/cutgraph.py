@@ -9,22 +9,22 @@ when they need chart coordinates.
 
 On R^2/Γ the cut locus of ``x`` is the projected boundary of its Dirichlet
 cell, the plane points nearer the lift X of ``x`` than any other orbit
-point; only the ``flat_torus.FlatPoint`` interface is read.  A query is
-scaled once by D = lcm of the denominators of x and its coset points, so
-each orbit point D*Q is an integer point and each bisector
-2(Q - X).Z <= |Q|^2 - |X|^2 has integer coefficients.  Cell vertices are
-homogeneous integer triples (x, y, w) standing for (x/w, y/w) in scaled
-units, kept with w > 0 and gcd 1; only the returned points are Fractions.
+point; only the ``flat_torus.FlatPoint`` interface is read.  x and its
+coset points go on one integer scale D (``metric_core.integer_points``), so
+each orbit point D*Q and each bisector 2(Q - X).Z <= |Q|^2 - |X|^2 is
+integer.  Cell vertices are homogeneous integer triples (x, y, w) standing
+for (x/w, y/w) in scaled units, kept with w > 0 and gcd 1; only the
+returned points are Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import TYPE_CHECKING
 
-from .metric_core import Polyline
+from .metric_core import Polyline, integer_points
 
 if TYPE_CHECKING:
     from .flat_torus import FlatPoint
@@ -127,11 +127,7 @@ def dirichlet_cell(x: FlatPoint) -> list[tuple[Point2, Point2 | None]]:
     the box ``X +- (p1, p2)``, whose corners (tag ``None``) the axis
     translates always cut, against the disc in sorted order.
     """
-    cosets = x.cosets()
-    d = lcm(*(c.denominator for point in (x.coords, *cosets) for c in point))
-    (bx, by), *scaled = (
-        [c.numerator * (d // c.denominator) for c in point] for point in (x.coords, *cosets)
-    )
+    d, ((bx, by), *scaled) = integer_points((x.coords, *x.cosets()))
     px, py = (p * d for p in x.periods)
     r2 = px * px + py * py
     orbit = sorted(

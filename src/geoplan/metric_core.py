@@ -21,9 +21,10 @@ The exactness policy, concretely:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "SpeedProfile",
     "chord_sq_lengths",
     "dist_sq",
+    "integer_points",
     "is_geodesic",
     "reparametrize_constant_speed",
     "speed_profile",
@@ -57,6 +59,13 @@ def dist_sq(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
     return sum(((p - q) * (p - q) for p, q in zip(a, b)), Fraction(0))
+
+
+def integer_points(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm ``d`` of the coordinate denominators of ``points`` (ints have
+    denominator 1), and each point times ``d`` as integers."""
+    d = lcm(*(c.denominator for p in points for c in p))
+    return d, [tuple(c.numerator * (d // c.denominator) for c in p) for p in points]
 
 
 def sqrt_exact(x: Fraction) -> Fraction | None:
@@ -136,15 +145,10 @@ class Polyline:
         if not 0 <= t <= 1:
             raise ValueError("parameter outside [0, 1]")
         ps = self.params
-        lo, hi = 0, len(ps) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ps[mid] <= t:
-                lo = mid
-            else:
-                hi = mid
-        a, b = self.vertices[lo], self.vertices[hi]
-        s = (t - ps[lo]) / (ps[hi] - ps[lo])
+        # the segment [ps[lo], ps[lo + 1]) holding t; t = 1 ends the last one
+        lo = min(bisect_right(ps, t), len(ps) - 1) - 1
+        a, b = self.vertices[lo], self.vertices[lo + 1]
+        s = (t - ps[lo]) / (ps[lo + 1] - ps[lo])
         return tuple(x + s * (y - x) for x, y in zip(a, b))
 
     def __eq__(self, other) -> bool:

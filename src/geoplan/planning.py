@@ -4,8 +4,8 @@ The space modules return a :class:`PlannerResult` from their ``*_plan``
 functions, and both loop monodromies run through :func:`loop_monodromy`,
 which tracks minimal lifts step by step with
 :func:`nearest_lift_permutation`, refusing to guess when a matching is
-ambiguous.  The matching puts the lifts of one step on a common
-denominator and compares exact integer squared distances.
+ambiguous.  The matching puts the lifts of one step on one integer scale
+(``metric_core.integer_points``) and compares integer squared distances.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Any, Callable, Sequence
+
+from .metric_core import integer_points
 
 __all__ = [
     "AmbiguousMatchError",
@@ -54,21 +56,16 @@ def nearest_lift_permutation(
     ``prev[i]``.  Raises :class:`AmbiguousMatchError` on a distance tie or if
     the assignment fails to be a bijection; callers control step size so that
     an honest error beats a silent wrong permutation.  All lifts of the step
-    are put on one common denominator, so distances compare as integers.
+    are put on one integer scale, so distances compare as integers.
     """
     if len(prev) != len(new):
         raise AmbiguousMatchError(
             f"lift count changed from {len(prev)} to {len(new)}"
         )
-    scale = lcm(*(c.denominator for p in (*prev, *new) for c in p))
-
-    def scaled(p: Sequence[Fraction]) -> list[int]:
-        return [c.numerator * (scale // c.denominator) for c in p]
-
-    anchors = [scaled(p) for p in prev]
+    _, scaled = integer_points((*prev, *new))
+    anchors = scaled[: len(prev)]
     perm: list[int] = []
-    for j, q in enumerate(new):
-        target = scaled(q)
+    for j, target in enumerate(scaled[len(prev):]):
         dists = [
             sum((a - b) * (a - b) for a, b in zip(p, target, strict=True))
             for p in anchors
@@ -115,10 +112,9 @@ def loop_monodromy(
     shifted = [close(p) for p in start]
     if sorted(shifted) != sorted(prev):
         raise RuntimeError("loop closure failed: final lifts differ from expected")
-    closing = nearest_lift_permutation(shifted, prev)
     sigma = [0] * len(start)
     for m, i in enumerate(ancestor):
-        sigma[i] = closing[m]
+        sigma[i] = shifted.index(prev[m])
     return tuple(sigma)
 
 

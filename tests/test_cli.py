@@ -355,6 +355,17 @@ class TestFormatsAndStability:
         )
         assert code == 2
 
+    def test_resolution_above_the_cap_rejected(self, capsys):
+        # this locus has no edges, so only the cap makes the request fail
+        argv = ["cutlocus", "torus:1", "0", "--format", "csv", "--resolution"]
+        assert run_cli(capsys, argv + ["19683"])[0] == 0
+        code, out, err = run_cli(capsys, argv + ["19684"])
+        assert (code, out) == (2, "")
+        assert "cap of 19683" in err
+        # refused before any point is parsed
+        code, _, err = run_cli(capsys, ["geodesics", "klein", "a", "b", "--resolution", "19684"])
+        assert code == 2 and "resolution" in err
+
 
 def run_quiet(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -396,6 +407,7 @@ class TestUsageErrors:
             ["bound", "builtin:torus_corner:" + "1" * 5000],
             ["geodesics", "torus:15", ",".join(["0"] * 15), ",".join(["1/2"] * 15)],
             ["cutlocus", "torus:15", ",".join(["0"] * 15)],
+            ["geodesics", "cube", "z-:2,0", "z+:0,0"],
         ],
     )
     def test_exit_code_two(self, capsys, argv):
@@ -407,6 +419,9 @@ class TestUsageErrors:
         if argv[1] == "torus:15":
             assert "has 2^15" in err
             assert "cap of 19683" in err
+        if argv[2:3] == ["z-:2,0"]:
+            # the point is named as p/q text, as in every other message
+            assert "point 2,0,-1/2 is not on the cube surface" in err
 
     @settings(max_examples=200, deadline=None)
     @given(suffix=st.text(alphabet="0123456789\u00b2\u2070\u0663 -+", max_size=4) | st.text())
@@ -531,8 +546,10 @@ class TestUsageErrors:
             # 2^3 geodesics (three opposite coordinates), then 2^4
             (2**3, ["geodesics", "torus:4", "0,0,0,0", "1/2,1/2,1/2,1/3"],
              ["geodesics", "torus:4", "0,0,0,0", "1/2,1/2,1/2,1/2"]),
-            # 2^3 - 1 cut strata (torus:3), then 2^4 - 1
-            (2**3 - 1, ["cutlocus", "torus:3", "0,0,0"], ["cutlocus", "torus:4", "0,0,0,0"]),
+            # 2^3 - 1 cut strata (torus:3), then 2^4 - 1; the lowered cap
+            # also bounds --resolution, so it is set below the cap
+            (2**3 - 1, ["cutlocus", "torus:3", "0,0,0", "--resolution", "2"],
+             ["cutlocus", "torus:4", "0,0,0,0", "--resolution", "2"]),
         ],
     )
     def test_torus_cap_admits_its_own_size(self, capsys, monkeypatch, cap, admitted, refused):
@@ -683,6 +700,9 @@ GOLDEN = [
     ("plan klein 0,0 0", 2, EMPTY),
     ("plan torus:2 0,0 1/2,1/2 --format json", 2, EMPTY),
     ("geodesics torus:1 1/3 5/6 --resolution -3", 2, EMPTY),
+    ("cutlocus torus:1 0 --format csv --resolution 19684", 2, EMPTY),
+    ("cutlocus klein 1/3,1/7 --format csv --resolution 19684", 2, EMPTY),
+    ("geodesics cube corner:p corner:q --format svg --resolution 19684", 2, EMPTY),
     # Negative coordinates, with the digests of the ``--`` form.
     ("geodesics torus:1 -1/2 0", 0,
      "58414bc8b506405943ec02b7c85a8e7c18970bf23f74317f39e3773a894cb8ba"),

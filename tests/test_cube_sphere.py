@@ -1,6 +1,7 @@
 """Cube boundary surface: unfolding geodesics, the twelve-candidate table,
 diagonal and corner behavior, witness pairs, corner limits."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,8 @@ from geoplan.cube_sphere import (
     _face_sequences,
     _chart_to_space,
     _Query,
+    _adjacent,
+    _shared_edge,
     _unfold_path,
     candidate_path,
     containing_faces,
@@ -109,6 +112,17 @@ class TestPoints:
         for u, v in [(F(3, 5), F(0)), (F(0), F(-3, 5))]:
             with pytest.raises(ValueError):
                 CubePoint.make("x+", u, v)
+
+    def test_shared_edge_is_twice_the_edge_endpoints(self):
+        pairs = [(f, g) for f in FACES for g in FACES if _adjacent(f, g)]
+        assert len(pairs) == 24
+        for f, g in pairs:
+            # the edge is where both faces' fixed coordinates hold at once
+            fixed = {"xyz".index(h[0]): H if h[1] == "+" else -H for h in (f, g)}
+            ends = sorted(
+                tuple(fixed.get(i, end) for i in range(3)) for end in (-H, H)
+            )
+            assert _shared_edge(f, g) == tuple(tuple(2 * c for c in e) for e in ends)
 
     def test_off_surface_rejected(self):
         with pytest.raises(ValueError):
@@ -366,3 +380,51 @@ class TestRotation:
                 )
             }
             assert direct == rotated
+
+
+_PINNED_DENOMINATORS = (*range(2, 41), 97, 2**20 + 7)
+
+
+def _pinned_chart(rng: random.Random, kind: str) -> tuple[Fraction, Fraction]:
+    """Chart coordinates of one kind: strictly interior, on an edge (one
+    coordinate +-1/2) or at a corner, over a seeded denominator."""
+    d = rng.choice(_PINNED_DENOMINATORS)
+    inner = [F(rng.randrange(-((d - 1) // 2), d // 2 + d % 2), d) for _ in range(2)]
+    if kind == "edge":
+        inner[rng.randrange(2)] = rng.choice((-H, H))
+    elif kind == "corner":
+        inner = [rng.choice((-H, H)), rng.choice((-H, H))]
+    return inner[0], inner[1]
+
+
+def _pinned_cube_reprs():
+    """reprs of ``CubePoint.make`` and ``cube_geodesics`` for every ordered
+    face pair and every interior/edge/corner kind of both endpoints, then of
+    ``opposite_face_table`` at 40 interior bottom/top pairs."""
+    rng = random.Random(2024)
+    kinds = ("interior", "edge", "corner")
+    for fx in FACES:
+        for fy in FACES:
+            for kx in kinds:
+                for ky in kinds:
+                    x = CubePoint.make(fx, *_pinned_chart(rng, kx))
+                    y = CubePoint.make(fy, *_pinned_chart(rng, ky))
+                    yield repr((x, y))
+                    yield repr(cube_geodesics(x, y))
+    for _ in range(40):
+        yield repr(
+            opposite_face_table(_pinned_chart(rng, "interior"), _pinned_chart(rng, "interior"))
+        )
+
+
+# sha256 of the reprs above, recorded while each cube query still scaled its
+# charts by 2 * lcm(chart denominators); a change of integer scale must keep
+# these bytes.
+PINNED_CUBE_SHA256 = "1a716ed47aac0d8038b86aebbbcd86b7cd467d43ec85bcd1e4b69ecc9bd85589"
+
+
+def test_cube_outputs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for text in _pinned_cube_reprs():
+        digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_CUBE_SHA256

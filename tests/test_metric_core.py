@@ -1,14 +1,18 @@
 """Exact path-metric primitives: polylines, speed profiles, sup distance."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geoplan.metric_core import (
     APPROX_DIGITS,
     Polyline,
     chord_sq_lengths,
     dist_sq,
+    integer_points,
     is_geodesic,
     reparametrize_constant_speed,
     speed_profile,
@@ -50,6 +54,9 @@ class TestPolyline:
         assert p.evaluate(F(1, 4)) == (F(2), F(0))
         assert p.evaluate(F(5, 8)) == (F(2), F(1))
         assert p.evaluate(1) == (F(2), F(2))
+        q = Polyline([(0, 0), (2, 0), (2, 3), (5, 3)], params=[0, F(1, 5), F(1, 2), 1])
+        assert [q.evaluate(t) for t in q.params] == list(q.vertices)
+        assert q.evaluate(F(7, 20)) == (F(2), F(3, 2))
 
 
 class TestSpeedProfile:
@@ -160,3 +167,23 @@ class TestSquareRoots:
 def test_chord_sq_lengths():
     p = Polyline([(0, 0), (3, 0), (3, 4)])
     assert chord_sq_lengths(p) == (F(9), F(16))
+
+
+class TestIntegerPoints:
+    @given(
+        st.lists(
+            st.lists(st.fractions(max_denominator=10**6) | st.integers(-50, 50), max_size=4),
+            max_size=5,
+        )
+    )
+    def test_one_scale_for_all_points(self, points):
+        d, scaled = integer_points(points)
+        assert d == lcm(*(Fraction(c).denominator for p in points for c in p))
+        assert len(scaled) == len(points)
+        for p, q in zip(points, scaled):
+            assert all(type(c) is int for c in q)
+            assert [Fraction(c, d) for c in q] == list(p)
+
+    def test_integer_points_stay_as_they_are(self):
+        assert integer_points([(3, -2), (0, 7)]) == (1, [(3, -2), (0, 7)])
+        assert integer_points([(F(1, 2), 3), (F(-1, 3), 0)]) == (6, [(3, 18), (-2, 0)])
