@@ -31,9 +31,10 @@ locus or planner output.  Any other request exits with code 2.
 An answer of more than 3^9 items is refused with exit code 2 before it is
 built: ``builtin:torus_corner:N`` has 3^N elements (N <= 9), a ``torus:N``
 pair with ``a`` opposite coordinates has 2^a geodesics (a <= 14), and the
-``torus:N`` cut locus has 2^N - 1 strata (N <= 14).  ``--resolution``, the
-samples per cut-locus edge, is refused above the same cap before any point
-is parsed: csv runs one geodesic query per sample, and the largest admitted
+``torus:N`` cut locus has 2^N - 1 strata (N <= 14).  ``cutlocus
+--resolution``, the csv samples per cut-locus edge, is refused above the
+same cap before any point is parsed: csv runs one geodesic query per sample,
+and json and svg print the exact edges and ignore it.  The largest admitted
 ``cutlocus klein 1/3,1/7 --format csv --resolution 19683`` takes about 10 s
 and prints 3.8 MB.
 
@@ -54,7 +55,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable
 
-from .render import dump_csv, dump_json, fraction_str, point_str, svg_path_chart
+from .render import dump_csv, dump_json, point_str, svg_path_chart
 
 if TYPE_CHECKING:
     from . import cube_sphere, flat_torus, klein_bottle
@@ -168,16 +169,16 @@ def _emit(text: str, out: str | None) -> None:
 
 def _torus_geodesic_doc(g: flat_torus.FlatGeodesic, length: Fraction) -> dict:
     return {
-        "displacement": list(g.displacement),
-        "end_lift": list(g.end_lift),
+        "displacement": g.displacement,
+        "end_lift": g.end_lift,
         "squared_length": length,
     }
 
 
 def _klein_geodesic_doc(g: flat_torus.FlatGeodesic, length: Fraction) -> dict:
     return {
-        "start_lift": list(g.start_lift),
-        "end_lift": list(g.end_lift),
+        "start_lift": g.start_lift,
+        "end_lift": g.end_lift,
         "deck": g.deck.tag,
         "squared_length": length,
     }
@@ -185,26 +186,26 @@ def _klein_geodesic_doc(g: flat_torus.FlatGeodesic, length: Fraction) -> dict:
 
 def _cube_geodesic_doc(g: cube_sphere.UnfoldedPath, length: Fraction) -> dict:
     return {
-        "face_sequence": list(g.face_sequence),
-        "planar_start": list(g.planar_start),
-        "planar_end": list(g.planar_end),
+        "face_sequence": g.face_sequence,
+        "planar_start": g.planar_start,
+        "planar_end": g.planar_end,
         "squared_length": length,
-        "trace": [list(p) for p in g.trace],
+        "trace": g.trace,
     }
 
 
-def _flat_chart(x, geodesics, resolution: int) -> str:
+def _flat_chart(x, geodesics) -> str:
     """Each geodesic as its lift in the unit-square chart of the universal
     cover, with the basepoint marked."""
-    segments = [[g.start_lift, g.end_lift] for g in geodesics]
-    return svg_path_chart(segments, [], [(x.coords, 1)], resolution)
+    paths = [("path", [g.start_lift, g.end_lift]) for g in geodesics]
+    return svg_path_chart(paths, [(x.coords, 1)])
 
 
-def _cube_chart(x, geodesics, resolution: int) -> str:
+def _cube_chart(x, geodesics) -> str:
     """Each geodesic in its own unfolding, over the outlines of its faces."""
-    outlines = [line for g in geodesics for line in g.face_outlines()]
-    segments = [list(g.planar_segment) for g in geodesics]
-    return svg_path_chart(segments, [], [], resolution, (-0.5, -0.5, 0.5, 0.5), outlines)
+    lines = [("face", line) for g in geodesics for line in g.face_outlines()]
+    lines += [("path", g.planar_segment) for g in geodesics]
+    return svg_path_chart(lines, [], (-0.5, -0.5, 0.5, 0.5))
 
 
 def _torus_geodesics(
@@ -224,11 +225,11 @@ def _torus_cut_locus(x: flat_torus.TorusPoint) -> tuple[dict, Any]:
     locus = flat_torus.torus_cut_locus(x)
     strata = [
         {
-            "fixed": list(s.fixed),
+            "fixed": s.fixed,
             "dimension": s.dimension,
             "geodesic_count": s.geodesic_count,
             "level": s.level,
-            "representative": list(s.representative.coords),
+            "representative": s.representative.coords,
         }
         for s in locus.strata
     ]
@@ -255,7 +256,7 @@ class _Space:
     parse: Callable[[str], Any]
     geodesics: Callable  # (x, y) -> minimizing geodesics
     geodesic_doc: Callable[[Any, Fraction], dict]  # (geodesic, squared length)
-    chart: Callable | None  # (x, geodesics, resolution) -> svg text
+    chart: Callable | None  # (x, geodesics) -> svg text
     show: Callable[[Any], str] = lambda p: point_str(p.coords)
     stratum: Callable = lambda x, y, geodesics: len(geodesics)
     plan: Callable | None = None  # (x, y) -> PlannerResult
@@ -322,20 +323,19 @@ def _csv_row(x: str, y: str, stratum: int, count: int, length: Fraction) -> dict
         "y": y,
         "stratum": stratum,
         "count": count,
-        "min_sq_length": fraction_str(length),
+        "min_sq_length": length,
     }
 
 
 def cmd_geodesics(args) -> int:
     space = _space(args.space)
-    resolution = _resolution(args)
     x = _parse_point(space, args.x)
     y = _parse_point(space, args.y)
     geos = space.geodesics(x, y)
     if args.format == "svg":
         if space.chart is None:
             raise UsageError("svg rendering of geodesics requires torus:2, klein or cube")
-        _emit(space.chart(x, geos, resolution), args.out)
+        _emit(space.chart(x, geos), args.out)
         return 0
     # Every minimizing geodesic of one answer has the same length.
     length = geos[0].squared_length
@@ -396,8 +396,8 @@ def cmd_cutlocus(args) -> int:
         _emit(dump_csv(_cutlocus_rows(space, x, graph, resolution), _CSV_COLUMNS), args.out)
     else:
         marks = [(v.point, v.multiplicity) for v in graph.vertices] + [(x.coords, 1)]
-        edges = [list(e.points) for e in graph.edges]
-        _emit(svg_path_chart([], edges, marks, resolution), args.out)
+        edges = [("cut", e.points) for e in graph.edges]
+        _emit(svg_path_chart(edges, marks), args.out)
     return 0
 
 
@@ -447,7 +447,7 @@ def cmd_bound(args) -> int:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {source}: {exc}") from exc
         try:
             poset, flags = strat_cover.loads_document(text)
@@ -507,12 +507,6 @@ def _add_render_options(sub) -> None:
     sub.add_argument(
         "--format", choices=("json", "svg", "csv"), default="json", help="output format"
     )
-    sub.add_argument(
-        "--resolution",
-        type=int,
-        default=8,
-        help=f"samples per edge for curve discretization (2 to {_MAX_ANSWER_ITEMS})",
-    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -542,6 +536,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space", help="torus:N or klein")
     p.add_argument("x", help="basepoint")
     _add_render_options(p)
+    p.add_argument(
+        "--resolution",
+        type=int,
+        default=8,
+        help=f"csv samples per cut-locus edge (2 to {_MAX_ANSWER_ITEMS}); json and svg"
+        " print the exact edges",
+    )
     p.set_defaults(func=cmd_cutlocus)
 
     p = sub.add_parser("plan", help="evaluate the motion planner at a pair of points")

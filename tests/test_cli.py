@@ -192,6 +192,13 @@ class TestBoundCommand:
         code, _, err = run_cli(capsys, ["bound", str(tmp_path / "absent.json")])
         assert code == 2
 
+    def test_undecodable_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, ["bound", str(path)])
+        assert (code, out) == (2, "")
+        assert f"cannot read {path}: " in err
+
     def test_semantic_violation_fails_with_report(self, capsys, tmp_path):
         doc = {
             "elements": [
@@ -303,6 +310,9 @@ class TestFormatsAndStability:
         assert 'class="cut"' in first
         _, second, _ = run_cli(capsys, argv)
         assert first == second
+        # the svg draws the exact edges, so the csv resolution changes no byte
+        assert run_cli(capsys, argv[:-2])[1] == first
+        assert run_cli(capsys, argv[:-1] + ["19683"])[1] == first
 
     def test_svg_geodesics_draw_paths(self, capsys):
         code, out, _ = run_cli(
@@ -363,7 +373,7 @@ class TestFormatsAndStability:
         assert (code, out) == (2, "")
         assert "cap of 19683" in err
         # refused before any point is parsed
-        code, _, err = run_cli(capsys, ["geodesics", "klein", "a", "b", "--resolution", "19684"])
+        code, _, err = run_cli(capsys, ["cutlocus", "klein", "a", "--resolution", "19684"])
         assert code == 2 and "resolution" in err
 
 
@@ -569,8 +579,9 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
 
 
-# Exit code and sha256 of stdout for each command x space x format, at the
-# default resolution and at the smallest one (2), and for the usage errors.
+# Exit code and sha256 of stdout for each command x space x format, for
+# cutlocus csv at the default resolution and at the smallest one (2), and for
+# the usage errors (``geodesics`` has no ``--resolution``).
 # Any byte change in an artifact fails here: re-record a digest only for an
 # intended change of output.
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -587,9 +598,8 @@ GOLDEN = [
     ("geodesics torus:2 0,0 1/2,1/2 --format csv", 0,
      "ea92d2523dca3484a27565a12f1309000656223e7752283509d10f7d1c92871b"),
     ("geodesics torus:2 0,0 1/2,1/2 --format svg", 0,
-     "b776455d26a6eaa07c8989abca6672517bc71fb76112dcbf06562e39c521330b"),
-    ("geodesics torus:2 0,0 1/2,1/2 --format svg --resolution 2", 0,
      "d26c6bf08db0e4a904f4bc9aa5cfaf3ce5e505f47a77f968a70ac0ccc7a4cecc"),
+    ("geodesics torus:2 0,0 1/2,1/2 --format svg --resolution 2", 2, EMPTY),
     ("geodesics torus:2 1/7,2/9 3/5,5/7", 0,
      "6bb7703ffdac045c9dee127b5d6f8e6d42d0a479e3b56bb0f12d27cef99fe100"),
     ("geodesics torus:3 0,0,0 1/2,1/3,1/2", 0,
@@ -602,9 +612,8 @@ GOLDEN = [
     ("geodesics klein 1/2,1/2 0,0 --format csv", 0,
      "eb7e2bb6b31ee74219c0167788d01d5e4da88542a419fdaed6f4228c2f17ca36"),
     ("geodesics klein 1/2,1/2 0,0 --format svg", 0,
-     "48d4b57cff63c0427e36352f42a385e7c4a45db6ca3475ade68489223247081d"),
-    ("geodesics klein 1/2,1/2 0,0 --format svg --resolution 2", 0,
      "3cb87828bdcab2d17d9f9fc6c1c8e921dfe1f49c13209ce72e67cfd86619d472"),
+    ("geodesics klein 1/2,1/2 0,0 --format svg --resolution 2", 2, EMPTY),
     ("geodesics klein 1/7,2/9 3/5,5/7", 0,
      "6ade873793740dce3a46be3c1f5beee8c87e2d2ce90688ba798c1724eaf10ee7"),
     ("geodesics klein 1/7,2/9 3/5,5/7 --format csv", 0,
@@ -616,15 +625,14 @@ GOLDEN = [
     ("geodesics cube corner:p corner:q --format csv", 0,
      "62c7ebdf7978bc15696966ac1dcb8f4904a9515eacefba5de10654d50613f109"),
     ("geodesics cube corner:p corner:q --format svg", 0,
-     "8321c249f4a8a32d39a98a7b17565e73596876de10bf5317079ef7288cbe8fc2"),
-    ("geodesics cube corner:p corner:q --format svg --resolution 2", 0,
      "0e315ff68f8635947aaea1b511173dbc5cfde1c14c273edc8fb1fb07cd9706be"),
+    ("geodesics cube corner:p corner:q --format svg --resolution 2", 2, EMPTY),
     ("geodesics cube z-:-1/5,-1/5 z+:1/5,-1/5", 0,
      "8fa84d9b7e5f1884ee56b6c3cf5e8519c77bbdd7abb3a976ee18945a1da02f4e"),
     ("geodesics cube z-:-1/5,-1/5 z+:1/5,-1/5 --format csv", 0,
      "070bc27e3c0325480bf9105ed8d2d7b33f826112fbe569a65e17456079bae5a3"),
     ("geodesics cube z-:-1/5,-1/5 z+:1/5,-1/5 --format svg", 0,
-     "8f2f55c6c7de72b334f44fc8c7bde53e64a15e921b39e2a749b7a8058d31947d"),
+     "0ee345d5d931574228a0ea9aada2d96daf06550ab88dd8647dcfa847e8562069"),
     ("geodesics cube x+:0,1/2 y-:1/3,-1/2", 0,
      "4620fa2c588f25a48fd2e76a9441b69326d330b00cb9446ca0ed5b4838a40c7a"),
     ("cutlocus torus:1 1/3", 0,
@@ -641,7 +649,7 @@ GOLDEN = [
     ("cutlocus torus:2 1/5,2/7 --format csv --resolution 2", 0,
      "591138070c4e85315bc8d704fe458dc869eb8da9ddd3dc0d036ebf81e8b65ae4"),
     ("cutlocus torus:2 1/5,2/7 --format svg", 0,
-     "6398ce04d10cb0b80298d334f1201d8c4a6cfd46ce8e8f3941938ec8bdd3d3ea"),
+     "f0157c71f8aa63c2d9b57a7f6d0737a442df64df927d5b3334f8d27d00673d14"),
     ("cutlocus torus:2 1/5,2/7 --format svg --resolution 2", 0,
      "f0157c71f8aa63c2d9b57a7f6d0737a442df64df927d5b3334f8d27d00673d14"),
     ("cutlocus torus:3 0,1/2,1/3", 0,
@@ -655,7 +663,7 @@ GOLDEN = [
     ("cutlocus klein 1/2,1/2 --format csv --resolution 2", 0,
      "eb7e2bb6b31ee74219c0167788d01d5e4da88542a419fdaed6f4228c2f17ca36"),
     ("cutlocus klein 1/2,1/2 --format svg", 0,
-     "0391ec81c44bc71d8f5e894c63ceea328dc6dd1ec0439370a72a3b85c8c6d584"),
+     "069ef67f25292974dee8fb702175aff27ddeb71181ad86c5e8485e3148931c0d"),
     ("cutlocus klein 1/2,1/2 --format svg --resolution 2", 0,
      "069ef67f25292974dee8fb702175aff27ddeb71181ad86c5e8485e3148931c0d"),
     ("cutlocus klein 1/2,3/10", 0,
@@ -665,7 +673,7 @@ GOLDEN = [
     ("cutlocus klein 1/2,3/10 --format csv --resolution 2", 0,
      "5b2020ae677235d75dd3b39d4af9c3f6dbcda8076dc22b117251d0d6e6e3ed9a"),
     ("cutlocus klein 1/2,3/10 --format svg", 0,
-     "a018102586865fd3f364cc765053adc26cb5ddbb82a3f6c17cf2358a1b11805c"),
+     "0de5488d2d761f87ae745997db045339933633597e0c7d96ec31df4d618f9ad6"),
     ("cutlocus klein 1/3,0", 0,
      "8833c02d1c60d7fb6ee5abc9cc75e3a381445af7a0cb0a63715e202b518d2bcb"),
     ("cutlocus cube corner:p", 2, EMPTY),
