@@ -31,12 +31,9 @@ locus or planner output.  Any other request exits with code 2.
 An answer of more than 3^9 items is refused with exit code 2 before it is
 built: ``builtin:torus_corner:N`` has 3^N elements (N <= 9), a ``torus:N``
 pair with ``a`` opposite coordinates has 2^a geodesics (a <= 14), and the
-``torus:N`` cut locus has 2^N - 1 strata (N <= 14).  ``cutlocus
---resolution``, the csv samples per cut-locus edge, is refused above the
-same cap before any point is parsed: csv runs one geodesic query per sample,
-and json and svg print the exact edges and ignore it.  The largest admitted
-``cutlocus klein 1/3,1/7 --format csv --resolution 19683`` takes about 10 s
-and prints 3.8 MB.
+``torus:N`` cut locus has 2^N - 1 strata (N <= 14).  The ``cutlocus`` csv
+samples each cut-locus edge at a fixed number of points; json and svg print
+the exact edges.
 
 Each command imports only the modules it runs: those of its space for
 ``geodesics``, ``cutlocus`` and ``plan``, the poset engine for ``bound``,
@@ -72,10 +69,14 @@ _CSV_COLUMNS = ["x", "y", "stratum", "count", "min_sq_length"]
 _MAX_DIGITS = 1050
 
 #: Most items one answer may hold (the three sizes are in the module
-#: docstring), and the largest ``--resolution``.  Each largest admitted
-#: answer takes about 2-3 s, the largest resolution about 10 s (2-core x86-64
+#: docstring).  Each largest admitted answer takes about 2-3 s (2-core x86-64
 #: VM, Python 3.11); one step further doubles or triples an answer.
 _MAX_ANSWER_ITEMS = 3**9
+
+#: Points the cut-locus csv samples on each edge, both ends included.  Every
+#: interior point of an edge has two geodesics by construction, so more
+#: samples add rows but no answer; 8 keeps the csv the default always printed.
+_CUT_EDGE_SAMPLES = 8
 
 
 class UsageError(ValueError):
@@ -142,14 +143,6 @@ def _parse_point(space: _Space, text: str):
         return space.parse(text)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _resolution(args) -> int:
-    if args.resolution < 2:
-        raise UsageError("resolution must be >= 2")
-    if args.resolution > _MAX_ANSWER_ITEMS:
-        raise UsageError(f"resolution must be at most the cap of {_MAX_ANSWER_ITEMS}")
-    return args.resolution
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -358,12 +351,13 @@ def cmd_geodesics(args) -> int:
 # Cut locus
 # ---------------------------------------------------------------------------
 
-def _cutlocus_rows(space: _Space, x, graph, resolution: int) -> list[dict]:
+def _cutlocus_rows(space: _Space, x, graph) -> list[dict]:
     """One CSV row per distinct sampled cut-locus point, counts re-derived honestly."""
     samples = [v.point for v in graph.vertices]
+    last = _CUT_EDGE_SAMPLES - 1
     for edge in graph.edges:
         poly = edge.as_polyline()
-        samples.extend(poly.evaluate(Fraction(k, resolution - 1)) for k in range(resolution))
+        samples.extend(poly.evaluate(Fraction(k, last)) for k in range(_CUT_EDGE_SAMPLES))
     base = space.show(x)
     rows = []
     seen = set()
@@ -382,7 +376,6 @@ def cmd_cutlocus(args) -> int:
     space = _space(args.space)
     if space.cut_locus is None:
         raise UsageError("cut locus output is available for torus:N and klein only")
-    resolution = _resolution(args)
     x = _parse_point(space, args.x)
     if args.format == "svg" and space.chart is None:
         raise UsageError("svg cut-locus output requires torus:2 or klein")
@@ -393,7 +386,7 @@ def cmd_cutlocus(args) -> int:
         doc = {"command": "cutlocus", "space": args.space, "x": space.show(x), **fields}
         _emit(dump_json(doc), args.out)
     elif args.format == "csv":
-        _emit(dump_csv(_cutlocus_rows(space, x, graph, resolution), _CSV_COLUMNS), args.out)
+        _emit(dump_csv(_cutlocus_rows(space, x, graph), _CSV_COLUMNS), args.out)
     else:
         marks = [(v.point, v.multiplicity) for v in graph.vertices] + [(x.coords, 1)]
         edges = [("cut", e.points) for e in graph.edges]
@@ -536,13 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space", help="torus:N or klein")
     p.add_argument("x", help="basepoint")
     _add_render_options(p)
-    p.add_argument(
-        "--resolution",
-        type=int,
-        default=8,
-        help=f"csv samples per cut-locus edge (2 to {_MAX_ANSWER_ITEMS}); json and svg"
-        " print the exact edges",
-    )
     p.set_defaults(func=cmd_cutlocus)
 
     p = sub.add_parser("plan", help="evaluate the motion planner at a pair of points")

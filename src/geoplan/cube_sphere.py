@@ -498,8 +498,12 @@ class CandidateTable:
     x: Vec2
     y: Vec2
     l_sq: tuple[Fraction, ...]
-    n: tuple[Fraction, ...]
     admissible: tuple[bool, ...]
+
+    @cached_property
+    def n(self) -> tuple[Fraction, ...]:
+        """The twelve normalized forms, evaluated on first read."""
+        return _normalized_formulas(*self.x, *self.y)
 
     @property
     def common_summand(self) -> Fraction:
@@ -538,7 +542,6 @@ def opposite_face_table(x, y) -> CandidateTable:
         x=(x1, x2),
         y=(y1, y2),
         l_sq=_lsq_formulas(x1, x2, y1, y2),
-        n=_normalized_formulas(x1, x2, y1, y2),
         admissible=admissible,
     )
 
@@ -713,32 +716,23 @@ def _family_corner_trace(family: str, idx: int) -> tuple[Vec3, ...]:
 def corner_limit_geodesics() -> dict[str, tuple[Vec3, ...]]:
     """Derive the six corner geodesics as labeled exact traces.
 
-    Labels are pinned by the first family's limits (and two of the second
-    family's); every remaining printed table entry is then verified against
-    the computed limit, each label must be hit exactly twice, and the six
-    traces must be exactly the geodesic set of the corner pair.  Any mismatch
+    In table order, the first entry with a label pins it to that entry's
+    computed limit; every later entry with the label must have the same
+    limit, six labels must each be hit exactly twice, and the six traces
+    must be exactly the geodesic set of the corner pair.  Any mismatch
     raises.
     """
-    anchors = [("A", 1), ("A", 4), ("A", 7), ("A", 10), ("B", 1), ("B", 7)]
     label_to_trace: dict[str, tuple[Vec3, ...]] = {}
-    table = corner_limit_table()
-    for family, idx in anchors:
-        label = table[(family, idx)]
+    hits: dict[str, int] = {}
+    for (family, idx), label in corner_limit_table().items():
         trace = _family_corner_trace(family, idx)
         if label_to_trace.setdefault(label, trace) != trace:
-            raise RuntimeError(f"conflicting anchor for {label}")
-    if len(label_to_trace) != 6:
-        raise RuntimeError("anchors did not produce six distinct geodesics")
-    hits = {label: 0 for label in label_to_trace}
-    for (family, idx), label in table.items():
-        trace = _family_corner_trace(family, idx)
-        if label_to_trace[label] != trace:
             raise RuntimeError(
                 f"limit of {family}{idx} does not match the printed label {label}"
             )
-        hits[label] += 1
-    if set(hits.values()) != {2}:
-        raise RuntimeError("every corner geodesic should absorb exactly two limits")
+        hits[label] = hits.get(label, 0) + 1
+    if len(hits) != 6 or set(hits.values()) != {2}:
+        raise RuntimeError("six corner geodesics should each absorb exactly two limits")
     p, q = corner_pair()
     oracle = {g.trace for g in cube_geodesics(p, q)}
     if oracle != set(label_to_trace.values()):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, byte stability."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoplan.cli import main
+from geoplan.cli import build_parser, main
 from geoplan.cube_sphere import FACES
 
 
@@ -302,7 +303,7 @@ class TestFormatsAndStability:
         assert first == second
 
     def test_svg_output_is_byte_stable(self, capsys):
-        argv = ["cutlocus", "klein", "1/2,3/10", "--format", "svg", "--resolution", "5"]
+        argv = ["cutlocus", "klein", "1/2,3/10", "--format", "svg"]
         code, first, _ = run_cli(capsys, argv)
         assert code == 0
         assert first.startswith('<?xml version="1.0"')
@@ -310,9 +311,6 @@ class TestFormatsAndStability:
         assert 'class="cut"' in first
         _, second, _ = run_cli(capsys, argv)
         assert first == second
-        # the svg draws the exact edges, so the csv resolution changes no byte
-        assert run_cli(capsys, argv[:-2])[1] == first
-        assert run_cli(capsys, argv[:-1] + ["19683"])[1] == first
 
     def test_svg_geodesics_draw_paths(self, capsys):
         code, out, _ = run_cli(
@@ -340,14 +338,14 @@ class TestFormatsAndStability:
     def test_csv_cutlocus_samples_edges(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            ["cutlocus", "torus:2", "0,0", "--format", "csv", "--resolution", "4"],
+            ["cutlocus", "torus:2", "0,0", "--format", "csv"],
         )
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "x,y,stratum,count,min_sq_length"
         assert '"0,0","1/2,1/2",3,4,1/2' in lines
-        # interior samples of both wedge loops carry two geodesics
-        assert sum(1 for line in lines[1:] if ",2,2," in line) == 4
+        # the six interior samples of each wedge loop carry two geodesics
+        assert sum(1 for line in lines[1:] if ",2,2," in line) == 12
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = ["geodesics", "torus:2", "0,0", "1/2,1/2"]
@@ -357,24 +355,6 @@ class TestFormatsAndStability:
         assert code == 0
         assert out == ""
         assert path.read_text() == stdout_text
-
-    def test_resolution_below_two_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            ["cutlocus", "klein", "1/2,1/2", "--format", "svg", "--resolution", "1"],
-        )
-        assert code == 2
-
-    def test_resolution_above_the_cap_rejected(self, capsys):
-        # this locus has no edges, so only the cap makes the request fail
-        argv = ["cutlocus", "torus:1", "0", "--format", "csv", "--resolution"]
-        assert run_cli(capsys, argv + ["19683"])[0] == 0
-        code, out, err = run_cli(capsys, argv + ["19684"])
-        assert (code, out) == (2, "")
-        assert "cap of 19683" in err
-        # refused before any point is parsed
-        code, _, err = run_cli(capsys, ["cutlocus", "klein", "a", "--resolution", "19684"])
-        assert code == 2 and "resolution" in err
 
 
 def run_quiet(argv) -> int:
@@ -556,10 +536,8 @@ class TestUsageErrors:
             # 2^3 geodesics (three opposite coordinates), then 2^4
             (2**3, ["geodesics", "torus:4", "0,0,0,0", "1/2,1/2,1/2,1/3"],
              ["geodesics", "torus:4", "0,0,0,0", "1/2,1/2,1/2,1/2"]),
-            # 2^3 - 1 cut strata (torus:3), then 2^4 - 1; the lowered cap
-            # also bounds --resolution, so it is set below the cap
-            (2**3 - 1, ["cutlocus", "torus:3", "0,0,0", "--resolution", "2"],
-             ["cutlocus", "torus:4", "0,0,0,0", "--resolution", "2"]),
+            # 2^3 - 1 cut strata (torus:3), then 2^4 - 1
+            (2**3 - 1, ["cutlocus", "torus:3", "0,0,0"], ["cutlocus", "torus:4", "0,0,0,0"]),
         ],
     )
     def test_torus_cap_admits_its_own_size(self, capsys, monkeypatch, cap, admitted, refused):
@@ -578,10 +556,32 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    def test_each_subcommand_has_exactly_its_options(self):
+        (commands,) = (
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        options = {
+            name: {
+                s
+                for a in sub._actions
+                if not isinstance(a, argparse._HelpAction)
+                for s in a.option_strings
+            }
+            for name, sub in commands.choices.items()
+        }
+        assert options == {
+            "geodesics": {"--out", "--format"},
+            "cutlocus": {"--out", "--format"},
+            "plan": {"--out"},
+            "bound": {"--out"},
+            "verify": {"--trials", "--seed", "--out"},
+        }
 
-# Exit code and sha256 of stdout for each command x space x format, for
-# cutlocus csv at the default resolution and at the smallest one (2), and for
-# the usage errors (``geodesics`` has no ``--resolution``).
+
+# Exit code and sha256 of stdout for each command x space x format and for
+# the usage errors.  No subcommand has a ``--resolution`` option: the cutlocus
+# csv samples each edge at a fixed 8 points, and the ``--resolution`` rows pin
+# the option's removal.
 # Any byte change in an artifact fails here: re-record a digest only for an
 # intended change of output.
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -639,19 +639,17 @@ GOLDEN = [
      "496f6dc70a78d4deacd5d00be324ede1ad9b505459bebc1367a03f4a69fe3825"),
     ("cutlocus torus:1 1/3 --format csv", 0,
      "bd5c8aafb0801f150d9dcbc50b15023f1f7bfa9ad910eb8a08abf7a519db6d02"),
-    ("cutlocus torus:1 1/3 --format csv --resolution 2", 0,
-     "bd5c8aafb0801f150d9dcbc50b15023f1f7bfa9ad910eb8a08abf7a519db6d02"),
+    ("cutlocus torus:1 1/3 --format csv --resolution 2", 2, EMPTY),
     ("cutlocus torus:1 1/3 --format svg", 2, EMPTY),
     ("cutlocus torus:2 1/5,2/7", 0,
      "80e355020f751634a5c268ce409c7d3f531d6cebceae004a672493126ed4b4b6"),
     ("cutlocus torus:2 1/5,2/7 --format csv", 0,
      "3c468171b6ec6ad77ddcdb23baf14ed27fdb76e6f0a3b4ea68fd6e05096c1c73"),
-    ("cutlocus torus:2 1/5,2/7 --format csv --resolution 2", 0,
-     "591138070c4e85315bc8d704fe458dc869eb8da9ddd3dc0d036ebf81e8b65ae4"),
+    ("cutlocus torus:2 1/5,2/7 --format csv --resolution 2", 2, EMPTY),
+    ("cutlocus torus:2 1/5,2/7 --format csv --resolution 8", 2, EMPTY),
     ("cutlocus torus:2 1/5,2/7 --format svg", 0,
      "f0157c71f8aa63c2d9b57a7f6d0737a442df64df927d5b3334f8d27d00673d14"),
-    ("cutlocus torus:2 1/5,2/7 --format svg --resolution 2", 0,
-     "f0157c71f8aa63c2d9b57a7f6d0737a442df64df927d5b3334f8d27d00673d14"),
+    ("cutlocus torus:2 1/5,2/7 --format svg --resolution 2", 2, EMPTY),
     ("cutlocus torus:3 0,1/2,1/3", 0,
      "07ef2039d5f8b7ff972244ceb6a95aa0a1e5b64682dccc7dd890f5dbd39e5ad0"),
     ("cutlocus torus:3 0,1/2,1/3 --format csv", 2, EMPTY),
@@ -660,18 +658,15 @@ GOLDEN = [
      "bf275ea871d08a4d27ef469ede9c48c0d7dc39455ae43e50a76b44ef67138b1a"),
     ("cutlocus klein 1/2,1/2 --format csv", 0,
      "523f5d5758f4fc27e9188f4dfefbcad5f9546bb4c41bc532735155f8e35925c8"),
-    ("cutlocus klein 1/2,1/2 --format csv --resolution 2", 0,
-     "eb7e2bb6b31ee74219c0167788d01d5e4da88542a419fdaed6f4228c2f17ca36"),
+    ("cutlocus klein 1/2,1/2 --format csv --resolution 2", 2, EMPTY),
     ("cutlocus klein 1/2,1/2 --format svg", 0,
      "069ef67f25292974dee8fb702175aff27ddeb71181ad86c5e8485e3148931c0d"),
-    ("cutlocus klein 1/2,1/2 --format svg --resolution 2", 0,
-     "069ef67f25292974dee8fb702175aff27ddeb71181ad86c5e8485e3148931c0d"),
+    ("cutlocus klein 1/2,1/2 --format svg --resolution 2", 2, EMPTY),
     ("cutlocus klein 1/2,3/10", 0,
      "46faad965cc0b53e6e513d5b253913570142e5a22a09ec3683a0d38abc5274b6"),
     ("cutlocus klein 1/2,3/10 --format csv", 0,
      "8fbf6051f1376bc45e54744b09d9de0e71c07c3fba7a28ad515fa429d826f268"),
-    ("cutlocus klein 1/2,3/10 --format csv --resolution 2", 0,
-     "5b2020ae677235d75dd3b39d4af9c3f6dbcda8076dc22b117251d0d6e6e3ed9a"),
+    ("cutlocus klein 1/2,3/10 --format csv --resolution 2", 2, EMPTY),
     ("cutlocus klein 1/2,3/10 --format svg", 0,
      "0de5488d2d761f87ae745997db045339933633597e0c7d96ec31df4d618f9ad6"),
     ("cutlocus klein 1/3,0", 0,

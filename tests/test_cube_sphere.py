@@ -37,6 +37,7 @@ from geoplan.metric_core import (
     reparametrize_constant_speed,
     sup_distance_sq,
 )
+from geoplan import strat_cover, verify
 from geoplan.strat_cover import cube_corner_poset, lower_bound
 
 F = Fraction
@@ -321,6 +322,21 @@ class TestCornerPair:
             hits[label] += 1
         assert set(hits.values()) == {2}
 
+    @pytest.mark.parametrize(
+        "misprint",
+        [{"A": {1: "D4", 4: "D3"}}, {"B": {4: "D7"}}],
+        ids=["swapped-labels", "unknown-label"],
+    )
+    def test_misprinted_limit_table_raises(self, monkeypatch, misprint):
+        limits = {
+            family: {**row, **misprint.get(family, {})}
+            for family, row in strat_cover.CUBE_CORNER_LIMITS.items()
+        }
+        monkeypatch.setattr(strat_cover, "CUBE_CORNER_LIMITS", limits)
+        with pytest.raises(RuntimeError):
+            corner_limit_geodesics()
+        assert not verify.cube_corner_geodesics(0, 1).passed
+
     def test_limit_table_spot_values(self):
         table = corner_limit_table()
         assert table[("A", 1)] == "D3"
@@ -412,15 +428,15 @@ def _pinned_cube_reprs():
                     yield repr((x, y))
                     yield repr(cube_geodesics(x, y))
     for _ in range(40):
-        yield repr(
-            opposite_face_table(_pinned_chart(rng, "interior"), _pinned_chart(rng, "interior"))
-        )
+        t = opposite_face_table(_pinned_chart(rng, "interior"), _pinned_chart(rng, "interior"))
+        yield repr((t.x, t.y, t.l_sq, t.n, t.admissible))
 
 
 # sha256 of the reprs above, recorded while each cube query still scaled its
-# charts by 2 * lcm(chart denominators); a change of integer scale must keep
-# these bytes.
-PINNED_CUBE_SHA256 = "1a716ed47aac0d8038b86aebbbcd86b7cd467d43ec85bcd1e4b69ecc9bd85589"
+# charts by 2 * lcm(chart denominators) and each table still stored its
+# normalized forms; a change of integer scale or of when a field is
+# evaluated must keep these bytes.
+PINNED_CUBE_SHA256 = "1feadd2905a27778d1b1dbb93a392d8c752a0cda7bd8bbe50930db8f461ed85e"
 
 
 def test_cube_outputs_match_the_pinned_digest():
