@@ -7,8 +7,8 @@ the flat Klein bottle (``klein_bottle``); the boundary of the unit cube
 bounds (``strat_cover``); planner results and loop tracking (``planning``);
 cut-locus graphs (``cutgraph``); JSON, CSV and SVG output (``render``); the
 verification suites (``verify``); and the ``geoplan`` command (``cli``).
-Everything is rational arithmetic; square roots appear only in final
-readouts.
+Everything is rational arithmetic; the only square root taken is an exact
+rational one, and a constant-speed path it cannot give is refused.
 """
 
 from __future__ import annotations

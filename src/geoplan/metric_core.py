@@ -3,17 +3,18 @@
 Paths are polylines with rational vertices in a Euclidean chart of any
 dimension and rational parameter breakpoints on [0, 1].  Every decision made
 by this module (geodesic tests, sup-distance comparisons, reparametrization)
-reduces to exact rational arithmetic on *squared* lengths; square roots are
-taken only for human-facing reports, never inside a predicate.
+reduces to exact rational arithmetic on *squared* lengths; the one square
+root, of a ratio of squared chord lengths in reparametrization, is taken only
+where it is rational.
 
 The exactness policy, concretely:
 
 * squared chord lengths are always exact ``Fraction`` values;
-* cumulative length fractions (and hence constant-speed parameters) are exact
+* constant-speed parameters are the cumulative length fractions, exact
   rationals whenever all chord lengths have pairwise rational ratios -- which
-  includes every collinear polyline and every polyline with rational-length
-  chords -- and otherwise fall back to a deterministic ``APPROX_DIGITS``-digit
-  integer-sqrt approximation;
+  includes every collinear polyline, every flat lift and cut edge (one chord)
+  and every cube trace (one straight unfolded segment); a polyline with an
+  irrational ratio is refused rather than approximated;
 * the geodesic test compares each chord's squared length with the squared
   endpoint distance times the squared parameter step, for exact equality, so
   it has no tolerance and evaluates no point off the breakpoints.
@@ -22,28 +23,21 @@ The exactness policy, concretely:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
-    "APPROX_DIGITS",
     "Polyline",
-    "SpeedProfile",
     "chord_sq_lengths",
     "dist_sq",
     "integer_points",
     "is_geodesic",
     "reparametrize_constant_speed",
-    "speed_profile",
-    "sqrt_approx",
     "sqrt_exact",
     "sup_distance_sq",
 ]
-
-#: Significant digits used when an irrational length must be reported.
-APPROX_DIGITS = 30
 
 Coords = tuple[Fraction, ...]
 
@@ -78,21 +72,6 @@ def sqrt_exact(x: Fraction) -> Fraction | None:
     if rp * rp == p and rq * rq == q:
         return Fraction(rp, rq)
     return None
-
-
-def sqrt_approx(x: Fraction) -> Fraction:
-    """Deterministic rational approximation of sqrt(x), floor at
-    ``APPROX_DIGITS`` digits."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative radicand")
-    exact = sqrt_exact(x)
-    if exact is not None:
-        return exact
-    p, q = x.numerator, x.denominator
-    scale = 10 ** APPROX_DIGITS
-    # sqrt(p/q) = sqrt(p*q)/q, computed on integers.
-    return Fraction(isqrt(p * q * scale * scale), q * scale)
 
 
 class Polyline:
@@ -165,18 +144,6 @@ class Polyline:
         return f"Polyline(vertices={self.vertices!r}, params={self.params!r})"
 
 
-@dataclass(frozen=True)
-class SpeedProfile:
-    """Cumulative length fractions at a polyline's breakpoints.
-
-    ``exact`` records whether the fractions are exact rationals (chord lengths
-    had pairwise rational ratios) or ``APPROX_DIGITS``-digit approximations.
-    """
-
-    values: tuple[Fraction, ...]
-    exact: bool
-
-
 def chord_sq_lengths(p: Polyline) -> tuple[Fraction, ...]:
     """Exact squared lengths of the chords of ``p``."""
     return tuple(
@@ -184,32 +151,22 @@ def chord_sq_lengths(p: Polyline) -> tuple[Fraction, ...]:
     )
 
 
-def speed_profile(p: Polyline) -> SpeedProfile:
-    """Cumulative length fractions of ``p``, exact whenever possible."""
-    if p.is_constant:
-        return SpeedProfile(values=p.params, exact=True)
-    sq = chord_sq_lengths(p)
-    # Each chord's length as an exact multiple of the first chord's, or None
-    # where the ratio is irrational.
-    ratios = [sqrt_exact(s / sq[0]) for s in sq]
-    exact = None not in ratios
-    lengths = ratios if exact else [sqrt_approx(s) for s in sq]
-    total = sum(lengths, Fraction(0))
-    acc = Fraction(0)
-    values = [Fraction(0)]
-    for length in lengths:
-        acc += length
-        values.append(acc / total)
-    values[-1] = Fraction(1)
-    return SpeedProfile(values=tuple(values), exact=exact)
-
-
 def reparametrize_constant_speed(p: Polyline) -> Polyline:
     """Same vertex sequence with parameters equal to cumulative length
-    fractions.  The constant path is returned unchanged."""
+    fractions.  The constant path is returned unchanged.
+
+    Raises ``ValueError`` when two chords have an irrational length ratio,
+    since the fractions are then irrational.
+    """
     if p.is_constant:
         return p
-    return Polyline(p.vertices, speed_profile(p).values)
+    sq = chord_sq_lengths(p)
+    # Each chord's length as an exact multiple of the first chord's.
+    ratios = [sqrt_exact(s / sq[0]) for s in sq]
+    if None in ratios:
+        raise ValueError("chord lengths have an irrational ratio")
+    total = sum(ratios)
+    return Polyline(p.vertices, [Fraction(0), *(acc / total for acc in accumulate(ratios))])
 
 
 def is_geodesic(p: Polyline) -> bool:

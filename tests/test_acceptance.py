@@ -23,9 +23,10 @@ budgets where a guarantee carries one.
   6. Poset engine: builtin bounds (1, n, 3, 3) and rejection of each covering
      axiom violation; under 5 s.
   7. Exact constant-speed reparametrization on 10^3 random polylines of up to
-     10 vertices: parameters equal cumulative length fractions exactly,
-     idempotent, endpoints fixed; straight segments pass the geodesic
-     predicate at zero tolerance.
+     10 vertices: refused exactly when two chords have an irrational length
+     ratio, otherwise parameter steps proportional to chord lengths,
+     idempotent, endpoints and vertices fixed; straight segments pass the
+     geodesic predicate at zero tolerance.
 """
 
 import time

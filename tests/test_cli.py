@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -346,6 +347,29 @@ class TestFormatsAndStability:
         assert '"0,0","1/2,1/2",3,4,1/2' in lines
         # the six interior samples of each wedge loop carry two geodesics
         assert sum(1 for line in lines[1:] if ",2,2," in line) == 12
+
+    @pytest.mark.parametrize(
+        "space, x",
+        [
+            ("torus:1", "1/3"),
+            ("torus:2", "1/5,2/7"),
+            ("torus:2", "0,0"),
+            ("klein", "1/2,3/10"),
+            ("klein", "1/2,1/2"),
+            ("klein", "0,1/7"),
+        ],
+    )
+    def test_csv_cutlocus_rows_match_geodesics_rows(self, capsys, space, x):
+        """Each cut-locus csv row is the geodesics csv row of its point."""
+        code, out, _ = run_cli(capsys, ["cutlocus", space, x, "--format", "csv"])
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert rows
+        for row in rows:
+            y = next(csv.reader([row]))[1]
+            code, single, _ = run_cli(capsys, ["geodesics", space, x, y, "--format", "csv"])
+            assert code == 0
+            assert single.splitlines() == [header, row]
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = ["geodesics", "torus:2", "0,0", "1/2,1/2"]

@@ -37,7 +37,7 @@ from geoplan.metric_core import (
     reparametrize_constant_speed,
     sup_distance_sq,
 )
-from geoplan import strat_cover, verify
+from geoplan import metric_core, strat_cover, verify
 from geoplan.strat_cover import cube_corner_poset, lower_bound
 
 F = Fraction
@@ -413,11 +413,9 @@ def _pinned_chart(rng: random.Random, kind: str) -> tuple[Fraction, Fraction]:
     return inner[0], inner[1]
 
 
-def _pinned_cube_reprs():
-    """reprs of ``CubePoint.make`` and ``cube_geodesics`` for every ordered
-    face pair and every interior/edge/corner kind of both endpoints, then of
-    ``opposite_face_table`` at 40 interior bottom/top pairs."""
-    rng = random.Random(2024)
+def _pinned_cube_pairs(rng: random.Random):
+    """``CubePoint.make`` endpoints for every ordered face pair and every
+    interior/edge/corner kind of both endpoints."""
     kinds = ("interior", "edge", "corner")
     for fx in FACES:
         for fy in FACES:
@@ -425,8 +423,16 @@ def _pinned_cube_reprs():
                 for ky in kinds:
                     x = CubePoint.make(fx, *_pinned_chart(rng, kx))
                     y = CubePoint.make(fy, *_pinned_chart(rng, ky))
-                    yield repr((x, y))
-                    yield repr(cube_geodesics(x, y))
+                    yield x, y
+
+
+def _pinned_cube_reprs():
+    """reprs of the pinned pairs and their ``cube_geodesics``, then of
+    ``opposite_face_table`` at 40 interior bottom/top pairs."""
+    rng = random.Random(2024)
+    for x, y in _pinned_cube_pairs(rng):
+        yield repr((x, y))
+        yield repr(cube_geodesics(x, y))
     for _ in range(40):
         t = opposite_face_table(_pinned_chart(rng, "interior"), _pinned_chart(rng, "interior"))
         yield repr((t.x, t.y, t.l_sq, t.n, t.admissible))
@@ -444,3 +450,31 @@ def test_cube_outputs_match_the_pinned_digest():
     for text in _pinned_cube_reprs():
         digest.update(text.encode() + b"\n")
     assert digest.hexdigest() == PINNED_CUBE_SHA256
+
+
+def test_pinned_traces_have_rational_constant_speed_parameters():
+    """Every cube trace lies on one straight unfolded segment, so no answer
+    reaches the irrational-ratio refusal of the reparametrization."""
+    traces = [
+        g.as_polyline()
+        for x, y in _pinned_cube_pairs(random.Random(2024))
+        for g in cube_geodesics(x, y)
+    ]
+    assert len(traces) == 388
+    for trace in traces:
+        assert reparametrize_constant_speed(trace).vertices == trace.vertices
+
+
+def test_corner_convergence_polylines_have_rational_constant_speed_parameters(monkeypatch):
+    """The 16 polylines ``verify.cube_corner_convergence`` reparametrizes
+    (four families at two offsets, candidate and limit) are all accepted."""
+    accepted = []
+
+    def recording(p):
+        q = reparametrize_constant_speed(p)
+        accepted.append(q)
+        return q
+
+    monkeypatch.setattr(metric_core, "reparametrize_constant_speed", recording)
+    assert verify.cube_corner_convergence(0, 0).passed
+    assert len(accepted) == 16

@@ -8,15 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geoplan.metric_core import (
-    APPROX_DIGITS,
     Polyline,
     chord_sq_lengths,
     dist_sq,
     integer_points,
     is_geodesic,
     reparametrize_constant_speed,
-    speed_profile,
-    sqrt_approx,
     sqrt_exact,
     sup_distance_sq,
 )
@@ -62,23 +59,16 @@ class TestPolyline:
 class TestSpeedProfile:
     def test_rational_ratio_chords_are_exact(self):
         p = Polyline([(0, 0), (3, 0), (3, 4)])
-        profile = speed_profile(p)
-        assert profile.exact
-        assert profile.values == (F(0), F(3, 7), F(1))
+        assert reparametrize_constant_speed(p).params == (F(0), F(3, 7), F(1))
 
     def test_collinear_is_always_exact(self):
         p = Polyline([(0, 0), (1, 1), (3, 3)])
-        profile = speed_profile(p)
-        assert profile.exact
-        assert profile.values == (F(0), F(1, 3), F(1))
+        assert reparametrize_constant_speed(p).params == (F(0), F(1, 3), F(1))
 
-    def test_irrational_ratio_falls_back_to_approximation(self):
+    def test_irrational_ratio_is_refused(self):
         p = Polyline([(0, 0), (1, 0), (2, 1)])
-        profile = speed_profile(p)
-        assert not profile.exact
-        total = 1 + sqrt_approx(F(2))
-        expected = 1 / total
-        assert abs(profile.values[1] - expected) < F(1, 10 ** (APPROX_DIGITS - 2))
+        with pytest.raises(ValueError, match="irrational"):
+            reparametrize_constant_speed(p)
 
     def test_reparametrization_uses_length_fractions(self):
         p = Polyline([(0, 0), (3, 0), (3, 4)], params=[0, F(1, 2), 1])
@@ -155,10 +145,6 @@ class TestSquareRoots:
     def test_sqrt_exact_none_on_irrational(self):
         assert sqrt_exact(F(2)) is None
         assert sqrt_exact(F(1, 2)) is None
-
-    def test_sqrt_approx_precision(self):
-        r = sqrt_approx(F(2))
-        assert abs(r * r - 2) < F(1, 10 ** (APPROX_DIGITS - 2))
 
     def test_dist_sq(self):
         assert dist_sq((F(0), F(0)), (F(3), F(4))) == 25
