@@ -23,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from typing import TYPE_CHECKING
 
 from .cutgraph import CutEdge, CutLocusGraph, CutVertex
-from .metric_core import Polyline, _frac
+from .metric_core import Polyline, _frac, integer_points
 from .planning import PlannerResult, loop_monodromy
 
 if TYPE_CHECKING:
@@ -174,11 +175,50 @@ def _flat_geodesics(x: FlatPoint, y: FlatPoint) -> tuple[FlatGeodesic, ...]:
 
 def _loop_lifts(base, cosets, periods) -> list[tuple[Fraction, ...]]:
     """The nearest lifts themselves, ``base + displacement``, in increasing
-    order: what a loop monodromy tracks from step to step."""
+    order: the lifts a loop monodromy starts from."""
     return [
         tuple(b + d for b, d in zip(base, disp))
         for disp in _nearest_lifts(base, cosets, periods)
     ]
+
+
+@dataclass(frozen=True)
+class _ScaledLoop:
+    """The lifts of a loop that drags a pair along ``(t, 0)``, ``t`` from 0
+    to 1 in ``steps`` equal steps, as integers on the one ``scale``:
+    ``start`` at step 0 and ``closed``, the step-0 lifts carried by the deck
+    transformation that closes the loop, in the order of ``start``."""
+
+    scale: int
+    steps: int
+    start: list[tuple[int, ...]]
+    closed: list[tuple[int, ...]]
+
+    def lifts_at(self, j: int) -> list[tuple[int, ...]]:
+        """The nearest lifts at step ``j``: ``start`` moved by ``j / steps``
+        in the first coordinate."""
+        shift = j * self.scale // self.steps
+        return [(u + shift, *rest) for u, *rest in self.start]
+
+
+def _scaled_loop(base, cosets, periods, steps: int, close) -> _ScaledLoop:
+    """Put a loop monodromy on one integer scale before its first step.
+
+    The loop moves ``base`` and the target with coset points ``cosets``
+    together by ``tau = (t, 0)``.  ``tau`` commutes with the deck group
+    (with every lattice translation, and with the Klein glide), so it
+    carries the target's orbit at step 0 onto its orbit at ``t``; being an
+    isometry that keeps lexicographic order, it carries the sorted nearest
+    lifts onto the sorted nearest lifts.  Step ``j``'s lifts are therefore
+    the step-0 lifts moved by ``j / steps``, which on the scale
+    ``S = lcm(steps, denominators of base and cosets)`` is the integer
+    ``j * S / steps``.  Only step 0 is built in Fractions, and ``close``
+    (the deck transformation that closes the loop) acts on its lifts once.
+    """
+    start = _loop_lifts(base, cosets, periods)
+    scale = lcm(steps, *(c.denominator for p in (base, *cosets) for c in p))
+    _, scaled = integer_points((*start, *map(close, start)), scale)
+    return _ScaledLoop(scale, steps, scaled[: len(start)], scaled[len(start):])
 
 
 class TorusPoint(FlatPoint):
@@ -324,12 +364,12 @@ def torus_loop_monodromy(steps: int, x2=Fraction(1, 2)) -> tuple[int, ...]:
 
     This is the orientable control: the result is always the identity.
     Mirrors the Klein-bottle monodromy contract, including ``steps >= 8``.
+    Moving the pair by ``(t, 0)`` commutes with the lattice Z², so every
+    step's lifts are the step-0 lifts moved by ``t``, all tracked as integers
+    on one scale (:func:`_scaled_loop`).
     """
     x2 = _frac(x2)
-
-    def lifts_at(j: int) -> list[tuple[Fraction, ...]]:
-        base = (Fraction(j, steps), x2)
-        return _loop_lifts(base, (tuple(c + _HALF for c in base),), (1, 1))
-
-    # The final lifts are the initial ones shifted by (1, 0).
-    return loop_monodromy(lifts_at, steps, lambda p: (p[0] + 1, p[1]))
+    # The pair is (x, its antipode); the loop closes by the shift (1, 0).
+    antipode = (_HALF, x2 + _HALF)
+    loop = _scaled_loop((Fraction(0), x2), (antipode,), (1, 1), steps, lambda p: (p[0] + 1, p[1]))
+    return loop_monodromy(loop.lifts_at, steps, loop.closed)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cutgraph import CutLocusGraph, dirichlet_graph
-from .flat_torus import FlatGeodesic, FlatPoint, _flat_geodesics, _loop_lifts
+from .flat_torus import FlatGeodesic, FlatPoint, _flat_geodesics, _scaled_loop
 from .metric_core import _frac
 from .planning import (
     PlannerResult,
@@ -246,23 +246,26 @@ def klein_monodromy(x2, steps: int) -> MonodromyResult:
     steps; ties raise with advice to refine.  The result is the up/down swap
     (a nontrivial permutation of order two), which rules out a continuous
     choice of geodesic on this stratum component.
+
+    The pair moves by ``(t, 0)``, and that translation commutes with the
+    deck group: ``alpha`` maps ``(u + t, v)`` to ``alpha(u, v) + (t, 0)``
+    and ``beta`` moves only ``v``.  So the lifts at step ``j`` are the step-0
+    lifts moved by ``j / steps``, and the whole loop runs on integers at one
+    scale fixed before the first step (``flat_torus._scaled_loop``).
     """
     x2 = _frac(x2)
     if x2 not in (Fraction(0), _HALF):
         raise ValueError("the four-geodesic loop requires x2 in {0, 1/2}")
 
-    def lifts_at(j: int) -> list[Point2]:
-        t = Fraction(j, steps)
-        y = KleinPoint.make((t + _HALF, x2 + _HALF))
-        return _loop_lifts((t, x2), y.cosets(), y.periods)
-
+    y = KleinPoint.make((_HALF, x2 + _HALF))
     # Identify the final frame with the initial one: the lift of x has moved
     # by the deck element carrying (0, x2) to (1, x2).
     g_loop = DeckElement(1, int(1 - 2 * x2))
-    permutation = loop_monodromy(lifts_at, steps, g_loop.apply)
+    loop = _scaled_loop((Fraction(0), x2), y.cosets(), y.periods, steps, g_loop.apply)
+    permutation = loop_monodromy(loop.lifts_at, steps, loop.closed)
+    level = x2.numerator * loop.scale // x2.denominator
     labels = tuple(
-        ("U" if p[1] > x2 else "D") + ("R" if p[0] > 0 else "L")
-        for p in lifts_at(0)
+        ("U" if v > level else "D") + ("R" if u > 0 else "L") for u, v in loop.start
     )
     return MonodromyResult(permutation, labels)
 

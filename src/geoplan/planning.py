@@ -2,10 +2,12 @@
 
 The space modules return a :class:`PlannerResult` from their ``*_plan``
 functions, and both loop monodromies run through :func:`loop_monodromy`,
-which tracks minimal lifts step by step with
-:func:`nearest_lift_permutation`, refusing to guess when a matching is
-ambiguous.  The matching puts the lifts of one step on one integer scale
-(``metric_core.integer_points``) and compares integer squared distances.
+which tracks minimal lifts step by step by strictly nearest matching,
+refusing to guess when a matching is ambiguous.  The matching compares
+integer squared distances.  The loops hand over lifts that are already on
+one integer scale, fixed once per loop; :func:`nearest_lift_permutation`
+accepts rational lifts and first puts the two steps on one scale
+(``metric_core.integer_points``).
 """
 
 from __future__ import annotations
@@ -55,20 +57,28 @@ def nearest_lift_permutation(
     Returns ``perm`` with ``perm[j] = i`` meaning ``new[j]`` continues
     ``prev[i]``.  Raises :class:`AmbiguousMatchError` on a distance tie or if
     the assignment fails to be a bijection; callers control step size so that
-    an honest error beats a silent wrong permutation.  All lifts of the step
-    are put on one integer scale, so distances compare as integers.
+    an honest error beats a silent wrong permutation.  The lifts may be any
+    rationals: both steps are put on one integer scale first, and
+    :func:`loop_monodromy`, whose lifts are on one scale already, runs the
+    integer matching directly.
     """
+    _, scaled = integer_points((*prev, *new))
+    return _match_on_scale(scaled[: len(prev)], scaled[len(prev):])
+
+
+def _match_on_scale(
+    prev: Sequence[tuple[int, ...]], new: Sequence[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """:func:`nearest_lift_permutation` for lifts on one integer scale."""
     if len(prev) != len(new):
         raise AmbiguousMatchError(
             f"lift count changed from {len(prev)} to {len(new)}"
         )
-    _, scaled = integer_points((*prev, *new))
-    anchors = scaled[: len(prev)]
     perm: list[int] = []
-    for j, target in enumerate(scaled[len(prev):]):
+    for j, target in enumerate(new):
         dists = [
             sum((a - b) * (a - b) for a, b in zip(p, target, strict=True))
-            for p in anchors
+            for p in prev
         ]
         best = min(dists)
         hits = [i for i, d in enumerate(dists) if d == best]
@@ -83,17 +93,19 @@ def nearest_lift_permutation(
 
 
 def loop_monodromy(
-    lifts_at: Callable[[int], Sequence[Sequence[Fraction]]],
+    lifts_at: Callable[[int], Sequence[tuple[int, ...]]],
     steps: int,
-    close: Callable[[Sequence[Fraction]], Sequence[Fraction]],
+    closed: Sequence[tuple[int, ...]],
 ) -> tuple[int, ...]:
     """Permutation of the minimal lifts after one trip around a loop.
 
     ``lifts_at(j)`` returns the sorted minimal lifts at step ``j`` of
-    ``0..steps``; each step is matched to the last by
-    :func:`nearest_lift_permutation`.  ``close`` is the deck transformation
-    carrying the lifts of step 0 onto those of step ``steps``.  Entry ``i``
-    of the result is the index of the step-0 lift that lift ``i`` arrives at.
+    ``0..steps``, every step on one integer scale; each step is matched to
+    the last as in :func:`nearest_lift_permutation`.  ``closed`` lists, on
+    the same scale and in step-0 order, the step-0 lifts carried by the deck
+    transformation that closes the loop: the step-``steps`` lifts must be
+    exactly these.  Entry ``i`` of the result is the index of the step-0
+    lift that lift ``i`` arrives at.
     """
     if steps < 8:
         raise ValueError("need steps >= 8 for unambiguous matching")
@@ -102,19 +114,18 @@ def loop_monodromy(
     try:
         for j in range(1, steps + 1):
             cur = lifts_at(j)
-            step_perm = nearest_lift_permutation(prev, cur)
+            step_perm = _match_on_scale(prev, cur)
             ancestor = tuple(ancestor[i] for i in step_perm)
             prev = cur
     except AmbiguousMatchError as exc:
         raise AmbiguousMatchError(
             f"{exc}; rerun with a finer loop (steps > {steps})"
         ) from exc
-    shifted = [close(p) for p in start]
-    if sorted(shifted) != sorted(prev):
+    if sorted(closed) != sorted(prev):
         raise RuntimeError("loop closure failed: final lifts differ from expected")
     sigma = [0] * len(start)
     for m, i in enumerate(ancestor):
-        sigma[i] = shifted.index(prev[m])
+        sigma[i] = closed.index(prev[m])
     return tuple(sigma)
 
 

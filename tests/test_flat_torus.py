@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoplan import flat_torus
 from geoplan.cutgraph import dirichlet_cell
 from geoplan.flat_torus import (
     FlatGeodesic,
     TorusPoint,
+    _loop_lifts,
     antipodal_indices,
     torus_cut_locus,
     torus_geodesics,
@@ -22,8 +24,15 @@ from geoplan.flat_torus import (
     torus_plan,
     torus_stratum,
 )
-from geoplan.klein_bottle import DeckElement, KleinPoint, klein_geodesics, klein_plan
+from geoplan.klein_bottle import (
+    DeckElement,
+    KleinPoint,
+    klein_geodesics,
+    klein_monodromy,
+    klein_plan,
+)
 from geoplan.metric_core import is_geodesic
+from geoplan.planning import nearest_lift_permutation
 from geoplan.strat_cover import lower_bound, validate_poset
 
 F = Fraction
@@ -206,6 +215,96 @@ class TestMonodromyControl:
     def test_requires_enough_steps(self):
         with pytest.raises(ValueError):
             torus_loop_monodromy(steps=4)
+
+    def test_integer_loop_matches_the_fraction_reference(self, monkeypatch):
+        built, original = [], flat_torus._scaled_loop
+
+        def recording(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(flat_torus, "_scaled_loop", recording)
+        rng = random.Random(19)
+        scale_is_steps = set()
+        for _ in range(200):
+            d = rng.randint(1, 60)
+            x2, steps = F(rng.randrange(d), d), rng.randint(8, 40)
+            frames, expected = reference_meridian_loop(x2, steps)
+            assert outcome(lambda: torus_loop_monodromy(steps, x2)) == expected
+            loop = built[-1]
+            assert loop.scale % steps == 0
+            scale_is_steps.add(loop.scale == steps)
+            for j, lifts in enumerate(frames):
+                assert loop.lifts_at(j) == [tuple(loop.scale * c for c in p) for p in lifts]
+        assert scale_is_steps == {True, False}
+
+    @pytest.mark.parametrize(
+        "loop",
+        [lambda s: torus_loop_monodromy(s), lambda s: klein_monodromy(H, s)],
+        ids=["torus", "klein"],
+    )
+    def test_fraction_count_does_not_grow_with_steps(self, loop):
+        # Only step 0 is built in Fractions; every later step is integer work.
+        assert fractions_built(lambda: loop(16)) == fractions_built(lambda: loop(64))
+
+
+def outcome(run):
+    """``run()``'s result, or the type of the exception it raised."""
+    try:
+        return run()
+    except Exception as exc:  # any type: the two sides must raise the same one
+        return type(exc)
+
+
+def reference_meridian_loop(x2, steps):
+    """The meridian loop rebuilt in Fractions at every step: each step's
+    nearest lifts to the antipode, and the permutation (or the error type)
+    they give."""
+    frames = []
+    for j in range(steps + 1):
+        t = F(j, steps)
+        antipode = TorusPoint.make((t + H, x2 + H))
+        frames.append(_loop_lifts((t, x2), antipode.cosets(), antipode.periods))
+
+    def track():
+        ancestor = tuple(range(len(frames[0])))
+        for prev, cur in zip(frames, frames[1:]):
+            ancestor = tuple(ancestor[i] for i in nearest_lift_permutation(prev, cur))
+        closed = [(u + 1, v) for u, v in frames[0]]
+        if sorted(closed) != sorted(frames[-1]):
+            raise RuntimeError("loop closure failed")
+        sigma = [0] * len(ancestor)
+        for m, i in enumerate(ancestor):
+            sigma[i] = closed.index(frames[-1][m])
+        return tuple(sigma)
+
+    return frames, outcome(track)
+
+
+def fractions_built(run) -> int:
+    """How many ``Fraction`` objects ``run()`` creates."""
+    count = 0
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counting_new)
+        if "_from_coprime_ints" in vars(Fraction):
+            # Python 3.12+ builds arithmetic results without __new__.
+            coprime = Fraction._from_coprime_ints
+
+            def counting_coprime(cls, *args):
+                nonlocal count
+                count += 1
+                return coprime(*args)
+
+            mp.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+        run()
+    return count
 
 
 class TestLocalPoset:

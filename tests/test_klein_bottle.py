@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoplan import klein_bottle
 from geoplan.klein_bottle import (
     IDENTITY,
     DeckElement,
     KleinPoint,
+    MonodromyResult,
     klein_cut_locus,
     klein_geodesics,
     klein_lift_orbit,
@@ -24,6 +26,7 @@ from geoplan.klein_bottle import (
 from geoplan import cutgraph
 from geoplan.flat_torus import _loop_lifts
 from geoplan.metric_core import dist_sq
+from geoplan.planning import nearest_lift_permutation
 from geoplan.strat_cover import klein_s4_poset, lower_bound, validate_poset
 from geoplan.verify import _klein_orbit_scan as orbit_scan
 
@@ -429,6 +432,58 @@ class TestMonodromy:
     def test_requires_enough_steps(self):
         with pytest.raises(ValueError):
             klein_monodromy(F(1, 2), steps=4)
+
+    def test_integer_loop_matches_the_fraction_reference(self, monkeypatch):
+        built, original = [], klein_bottle._scaled_loop
+
+        def recording(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(klein_bottle, "_scaled_loop", recording)
+        for x2 in (F(0), H):
+            for steps in range(8, 41):
+                frames, expected = reference_glide_loop(x2, steps)
+                assert outcome(lambda: klein_monodromy(x2, steps)) == expected
+                loop = built[-1]
+                assert loop.scale % steps == 0
+                for j, lifts in enumerate(frames):
+                    assert loop.lifts_at(j) == [tuple(loop.scale * c for c in p) for p in lifts]
+
+
+def outcome(run):
+    """``run()``'s result, or the type of the exception it raised."""
+    try:
+        return run()
+    except Exception as exc:  # any type: the two sides must raise the same one
+        return type(exc)
+
+
+def reference_glide_loop(x2, steps):
+    """The glide loop rebuilt in Fractions at every step: each step's
+    nearest lifts, and the monodromy (or the error type) they give."""
+    frames = []
+    for j in range(steps + 1):
+        t = F(j, steps)
+        y = KleinPoint.make((t + H, x2 + H))
+        frames.append(_loop_lifts((t, x2), y.cosets(), y.periods))
+
+    def track():
+        ancestor = tuple(range(len(frames[0])))
+        for prev, cur in zip(frames, frames[1:]):
+            ancestor = tuple(ancestor[i] for i in nearest_lift_permutation(prev, cur))
+        closed = [DeckElement(1, int(1 - 2 * x2)).apply(p) for p in frames[0]]
+        if sorted(closed) != sorted(frames[-1]):
+            raise RuntimeError("loop closure failed")
+        sigma = [0] * len(ancestor)
+        for m, i in enumerate(ancestor):
+            sigma[i] = closed.index(frames[-1][m])
+        labels = tuple(
+            ("U" if v > x2 else "D") + ("R" if u > 0 else "L") for u, v in frames[0]
+        )
+        return MonodromyResult(tuple(sigma), labels)
+
+    return frames, outcome(track)
 
 
 class TestLocalPoset:
