@@ -14,7 +14,8 @@ face sequence is cached once as small integer data, and each query scales
 its two endpoints to integer charts.  Sequences are then ranked by the
 squared length of their unfolded segment and tested for admissibility
 best-first, in integers, stopping after the first length that has an
-admissible candidate; fractions are built only for the returned paths.
+admissible candidate.  Tied candidates with one surface trace are merged on
+integer keys, so fractions are built only for the returned paths.
 
 For opposite-face pairs there are twelve candidate unfoldings with closed
 squared-length formulas; the module evaluates those formulas exactly, keeps
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
+from math import gcd
 
 from .metric_core import Polyline, _frac, integer_points
 
@@ -82,9 +84,22 @@ _INT_FRAMES: dict[str, tuple[tuple[int, ...], Vec3, Vec3]] = {
 }
 
 
+#: Each face's chart in space, axis by axis: ``(sign, k)`` copies chart entry
+#: ``k`` (0 for u, 1 for v) with that sign, ``(c, None)`` is the face's own
+#: center coordinate ``c``.
+_EMBED: dict[str, tuple[tuple, ...]] = {
+    face: tuple(
+        (eu[i], 0) if eu[i] else (ev[i], 1) if ev[i] else (c[i], None) for i in range(3)
+    )
+    for face, (c, eu, ev) in _FRAMES.items()
+}
+
+
 def _chart_to_space(face: str, u: Fraction, v: Fraction) -> Vec3:
-    c, eu, ev = _FRAMES[face]
-    return tuple(c[i] + u * eu[i] + v * ev[i] for i in range(3))
+    chart = (u, v)
+    return tuple(
+        s if k is None else chart[k] if s == 1 else -chart[k] for s, k in _EMBED[face]
+    )
 
 
 def containing_faces(p: Vec3) -> tuple[str, ...]:
@@ -142,6 +157,8 @@ class CubePoint:
 
     @cached_property
     def _faces(self) -> tuple[str, ...]:
+        if abs(self.u) < _HALF and abs(self.v) < _HALF:
+            return (self.face,)
         return containing_faces(self.point)
 
     def faces(self) -> tuple[str, ...]:
@@ -209,6 +226,9 @@ _Map = tuple[int, int, int, int]
 #: Crossed edge: doubled planar start and direction in the unfolded strip,
 #: doubled surface start and direction of the same edge.
 _Edge = tuple[int, int, int, int, tuple[int, int, int], tuple[int, int, int]]
+#: Surface breakpoints of a path, each coordinate a reduced (numerator,
+#: denominator) pair.
+_Key = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _scaled_chart(face: str, q: tuple[int, ...], half: int) -> tuple[int, int]:
@@ -253,7 +273,7 @@ def _unfold_maps(seq: tuple[str, ...]) -> tuple[tuple[_Map, ...], tuple[_Edge, .
 class _Query:
     """Both endpoints of one query with integer charts in each containing face."""
 
-    __slots__ = ("x", "y", "half", "scale", "x_charts", "y_charts")
+    __slots__ = ("x", "y", "half", "scale", "x_charts", "y_charts", "exact_ends")
 
     def __init__(self, x: CubePoint, y: CubePoint):
         self.x, self.y = x, y
@@ -261,6 +281,10 @@ class _Query:
         self.half = self.scale // 2
         self.x_charts = {f: _scaled_chart(f, xq, self.half) for f in x.faces()}
         self.y_charts = {f: _scaled_chart(f, yq, self.half) for f in y.faces()}
+        # both endpoints as reduced (numerator, denominator) pairs per axis
+        self.exact_ends = tuple(
+            tuple((c.numerator, c.denominator) for c in p) for p in (x.point, y.point)
+        )
 
     def endpoints(self, seq: tuple[str, ...]) -> tuple[int, int, int, int]:
         """Scaled planar start and end of the unfolded segment."""
@@ -320,21 +344,34 @@ def _crossings(query: _Query, seq: tuple[str, ...]) -> list[tuple[int, int]] | N
     return out
 
 
-def _unfold_path(query: _Query, seq: tuple[str, ...]) -> UnfoldedPath | None:
-    """Unfold the face sequence; None when it is not admissible (see
-    :func:`_crossings`).  Fractions are built only for an admissible path."""
-    crossings = _crossings(query, seq)
-    if crossings is None:
-        return None
+def _breakpoints(query: _Query, seq: tuple[str, ...], crossings: list[tuple[int, int]]) -> _Key:
+    """Surface breakpoints of an admissible unfolding, each coordinate as a
+    reduced (numerator, positive denominator) pair: the start, every edge
+    crossing that moves, and the end.  Equal keys mean equal traces."""
     _, edges = _unfold_maps(seq)
-    x, y = query.x.point, query.y.point
-    points: list[Vec3] = [x]
+    first, last = query.exact_ends
+    points = [first]
     for (sn, sd), (*_, start, step) in zip(crossings, edges):
-        cp: Vec3 = tuple(Fraction(a * sd + sn * b, 2 * sd) for a, b in zip(start, step))
+        # The crossing is (start + (sn / sd) * step) / 2.  Off the edge's
+        # axis that is start / 2, a corner coordinate +-1/2.
+        cp = []
+        for a, b in zip(start, step):
+            if b:
+                num, den = a * sd + sn * b, 2 * sd
+                g = gcd(num, den)
+                cp.append((num // g, den // g))
+            else:
+                cp.append((a, 2))
+        cp = tuple(cp)
         if cp != points[-1]:
             points.append(cp)
-    if y != points[-1] or len(points) == 1:
-        points.append(y)
+    if last != points[-1] or len(points) == 1:
+        points.append(last)
+    return tuple(points)
+
+
+def _path(query: _Query, seq: tuple[str, ...], key: _Key) -> UnfoldedPath:
+    """The unfolded path of ``seq`` with breakpoints ``key``, in Fractions."""
     px, py, qx, qy = query.endpoints(seq)
     m = query.scale
     return UnfoldedPath(
@@ -342,8 +379,17 @@ def _unfold_path(query: _Query, seq: tuple[str, ...]) -> UnfoldedPath | None:
         planar_start=(Fraction(px, m), Fraction(py, m)),
         planar_end=(Fraction(qx, m), Fraction(qy, m)),
         squared_length=Fraction((qx - px) ** 2 + (qy - py) ** 2, m * m),
-        trace=tuple(points),
+        trace=tuple(tuple(Fraction(n, d) for n, d in p) for p in key),
     )
+
+
+def _unfold_path(query: _Query, seq: tuple[str, ...]) -> UnfoldedPath | None:
+    """Unfold the face sequence; None when it is not admissible (see
+    :func:`_crossings`).  Fractions are built only for an admissible path."""
+    crossings = _crossings(query, seq)
+    if crossings is None:
+        return None
+    return _path(query, seq, _breakpoints(query, seq, crossings))
 
 
 @lru_cache(maxsize=None)
@@ -374,7 +420,10 @@ def cube_geodesics(
     between faces containing the endpoints by the planar length of its
     unfolded segment, tests admissibility best-first, and stops after the
     first length with an admissible candidate.  Those minimizers are
-    returned, deduplicated by exact surface trace.
+    returned in trace order, one per exact surface trace: tied unfoldings
+    with one trace are dropped on exact integer keys of their breakpoints
+    before any Fraction is built, keeping the one with the shortest, then
+    least, face sequence.
     """
     if x.point == y.point:
         chart = (x.u, x.v)
@@ -392,25 +441,23 @@ def cube_geodesics(
         ((query.length_sq(seq), seq) for seq in _face_sequences(x.faces(), y.faces(), max_faces)),
         key=lambda item: item[0],
     )
-    minimal: list[UnfoldedPath] = []
+    winners: dict[_Key, tuple[str, ...]] = {}
     best = None
     for length, seq in ranked:
-        if minimal and length != best:
+        if winners and length != best:
             break
-        path = _unfold_path(query, seq)
-        if path is not None:
-            minimal.append(path)
+        crossings = _crossings(query, seq)
+        if crossings is not None:
+            key = _breakpoints(query, seq, crossings)
+            kept = winners.get(key)
+            if kept is None or (len(seq), seq) < (len(kept), kept):
+                winners[key] = seq
             best = length
-    if not minimal:
+    if not winners:
         raise RuntimeError("no admissible unfolding found (raise max_faces)")
-    minimal.sort(key=lambda c: (c.trace, len(c.face_sequence), c.face_sequence))
-    unique: list[UnfoldedPath] = []
-    seen: set[tuple[Vec3, ...]] = set()
-    for c in minimal:
-        if c.trace not in seen:
-            seen.add(c.trace)
-            unique.append(c)
-    return tuple(unique)
+    return tuple(
+        sorted((_path(query, seq, key) for key, seq in winners.items()), key=lambda c: c.trace)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +466,30 @@ def cube_geodesics(
 
 
 def _lsq_formulas(x1, x2, y1, y2) -> tuple[Fraction, ...]:
-    return (
-        (x1 - y1) ** 2 + (2 - x2 + y2) ** 2,
-        (1 - x1 + y2) ** 2 + (2 - x2 - y1) ** 2,
-        (1 - x2 - y1) ** 2 + (2 - x1 + y2) ** 2,
-        (x2 + y2) ** 2 + (2 - x1 - y1) ** 2,
-        (1 + x2 - y1) ** 2 + (2 - x1 - y2) ** 2,
-        (1 - x1 - y2) ** 2 + (2 + x2 - y1) ** 2,
-        (x1 - y1) ** 2 + (2 + x2 - y2) ** 2,
-        (1 + x1 - y2) ** 2 + (2 + x2 + y1) ** 2,
-        (1 + x2 + y1) ** 2 + (2 + x1 - y2) ** 2,
-        (x2 + y2) ** 2 + (2 + x1 + y1) ** 2,
-        (1 - x2 + y1) ** 2 + (2 + x1 + y2) ** 2,
-        (1 + x1 + y2) ** 2 + (2 - x2 + y1) ** 2,
+    """The twelve closed-form squared lengths, evaluated on one integer
+    scale ``d``: the charts times ``d`` and the constants 1 and 2 as ``d``
+    and ``2d``, so each sum of squares is ``d**2`` times the value.
+
+    This is the closed form that the unfolding is checked against, so it
+    reads no unfolding code."""
+    d, ((x1, x2, y1, y2),) = integer_points(((x1, x2, y1, y2),))
+    one, two = d, 2 * d
+    return tuple(
+        Fraction(value, d * d)
+        for value in (
+            (x1 - y1) ** 2 + (two - x2 + y2) ** 2,
+            (one - x1 + y2) ** 2 + (two - x2 - y1) ** 2,
+            (one - x2 - y1) ** 2 + (two - x1 + y2) ** 2,
+            (x2 + y2) ** 2 + (two - x1 - y1) ** 2,
+            (one + x2 - y1) ** 2 + (two - x1 - y2) ** 2,
+            (one - x1 - y2) ** 2 + (two + x2 - y1) ** 2,
+            (x1 - y1) ** 2 + (two + x2 - y2) ** 2,
+            (one + x1 - y2) ** 2 + (two + x2 + y1) ** 2,
+            (one + x2 + y1) ** 2 + (two + x1 - y2) ** 2,
+            (x2 + y2) ** 2 + (two + x1 + y1) ** 2,
+            (one - x2 + y1) ** 2 + (two + x1 + y2) ** 2,
+            (one + x1 + y2) ** 2 + (two - x2 + y1) ** 2,
+        )
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Any, Callable, Sequence
 
 from .metric_core import integer_points
@@ -74,12 +75,14 @@ def _match_on_scale(
         raise AmbiguousMatchError(
             f"lift count changed from {len(prev)} to {len(new)}"
         )
+    if len({len(p) for p in (*prev, *new)}) > 1:
+        raise ValueError("lifts of different dimensions")
+    # |p - t|^2 = |p|^2 - 2 p.t + |t|^2, and |t|^2 is the same for every p:
+    # ranking by the first two terms picks the same nearest lift and ties.
+    norms = [sum(map(mul, p, p)) for p in prev]
     perm: list[int] = []
     for j, target in enumerate(new):
-        dists = [
-            sum((a - b) * (a - b) for a, b in zip(p, target, strict=True))
-            for p in prev
-        ]
+        dists = [n - 2 * sum(map(mul, p, target)) for n, p in zip(norms, prev)]
         best = min(dists)
         hits = [i for i, d in enumerate(dists) if d == best]
         if len(hits) != 1:

@@ -11,10 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoplan.cube_sphere import (
+    _FRAMES,
     FACES,
     CubePoint,
+    UnfoldedPath,
     _face_sequences,
     _chart_to_space,
+    _lsq_formulas,
     _Query,
     _adjacent,
     _shared_edge,
@@ -23,6 +26,7 @@ from geoplan.cube_sphere import (
     containing_faces,
     corner_limit_geodesics,
     corner_limit_table,
+    corner_pair,
     cube_geodesics,
     diagonal_table,
     minimal_stable_k,
@@ -48,9 +52,10 @@ def interior(rng: random.Random) -> Fraction:
     return F(rng.randrange(-29, 30), 60)
 
 
-def exhaustive_geodesics(x: CubePoint, y: CubePoint, max_faces: int = 5):
-    """Reference without pruning: unfold every face sequence, keep the
-    admissible minimum, deduplicate by trace."""
+def reference_geodesics(x: CubePoint, y: CubePoint, max_faces: int = 5):
+    """Reference without pruning or integer keys: unfold every face
+    sequence, keep the admissible minimum, sort those paths by
+    ``(trace, len, seq)`` and keep the first of each trace."""
     query = _Query(x, y)
     paths = [
         path
@@ -65,7 +70,11 @@ def exhaustive_geodesics(x: CubePoint, y: CubePoint, max_faces: int = 5):
     unique = {}
     for p in minimal:
         unique.setdefault(p.trace, p)
-    return [(p.trace, p.squared_length) for p in unique.values()]
+    return tuple(unique.values())
+
+
+def exhaustive_geodesics(x: CubePoint, y: CubePoint, max_faces: int = 5):
+    return [(p.trace, p.squared_length) for p in reference_geodesics(x, y, max_faces)]
 
 
 def assert_matches_exhaustive(x: CubePoint, y: CubePoint) -> None:
@@ -86,6 +95,10 @@ chart_coords = st.one_of(
     st.fractions(min_value=-H, max_value=H, max_denominator=97),
 )
 surface_points = st.tuples(st.sampled_from(FACES), chart_coords, chart_coords)
+# Strictly interior chart coordinates over small and large denominators.
+interior_charts = st.sampled_from((*range(2, 41), 10**6 + 3, 2**20 + 7)).flatmap(
+    lambda d: st.integers(-((d - 1) // 2), (d - 1) // 2).map(lambda n: F(n, d))
+)
 
 
 class TestPoints:
@@ -113,6 +126,24 @@ class TestPoints:
         for u, v in [(F(3, 5), F(0)), (F(0), F(-3, 5))]:
             with pytest.raises(ValueError):
                 CubePoint.make("x+", u, v)
+
+    def test_point_is_center_plus_chart_axes(self):
+        charts = [
+            (F(1, 3), F(-2, 7)),  # interior
+            (0, 0),
+            (F(0), -H),  # edge
+            (H, 0),
+            (-H, H),  # corner
+            (H, -H),
+        ]
+        for face in FACES:
+            c, eu, ev = _FRAMES[face]
+            for u, v in charts:
+                point = CubePoint.make(face, u, v)
+                expected = tuple(c[i] + F(u) * eu[i] + F(v) * ev[i] for i in range(3))
+                assert point.point == expected
+                assert all(type(x) is Fraction for x in point.point)
+                assert point.faces() == containing_faces(expected)
 
     def test_shared_edge_is_twice_the_edge_endpoints(self):
         pairs = [(f, g) for f in FACES for g in FACES if _adjacent(f, g)]
@@ -249,6 +280,30 @@ class TestCandidateTable:
                 candidate_path(x, y, i).trace for i in table.argmin_indices()
             }
             assert from_table == oracle
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(interior_charts, min_size=4, max_size=4))
+    @example([F(1, 37), F(2, 53), F(3, 41), F(5, 67)])
+    @example([F(0), F(1, 2**20 + 7), F(-1, 10**6 + 3), F(1, 3)])
+    def test_integer_formulas_match_the_fraction_polynomials(self, charts):
+        x1, x2, y1, y2 = charts
+        expected = (
+            (x1 - y1) ** 2 + (2 - x2 + y2) ** 2,
+            (1 - x1 + y2) ** 2 + (2 - x2 - y1) ** 2,
+            (1 - x2 - y1) ** 2 + (2 - x1 + y2) ** 2,
+            (x2 + y2) ** 2 + (2 - x1 - y1) ** 2,
+            (1 + x2 - y1) ** 2 + (2 - x1 - y2) ** 2,
+            (1 - x1 - y2) ** 2 + (2 + x2 - y1) ** 2,
+            (x1 - y1) ** 2 + (2 + x2 - y2) ** 2,
+            (1 + x1 - y2) ** 2 + (2 + x2 + y1) ** 2,
+            (1 + x2 + y1) ** 2 + (2 + x1 - y2) ** 2,
+            (x2 + y2) ** 2 + (2 + x1 + y1) ** 2,
+            (1 - x2 + y1) ** 2 + (2 + x1 + y2) ** 2,
+            (1 + x1 + y2) ** 2 + (2 - x2 + y1) ** 2,
+        )
+        got = _lsq_formulas(x1, x2, y1, y2)
+        assert got == expected
+        assert all(type(v) is Fraction for v in got)
 
     def test_candidate_index_bounds(self):
         with pytest.raises(ValueError):
@@ -478,3 +533,40 @@ def test_corner_convergence_polylines_have_rational_constant_speed_parameters(mo
     monkeypatch.setattr(metric_core, "reparametrize_constant_speed", recording)
     assert verify.cube_corner_convergence(0, 0).passed
     assert len(accepted) == 16
+
+
+def _edge_and_corner_pairs(rng: random.Random, count: int):
+    """Seeded edge-edge and corner-edge pairs on random faces."""
+    for i in range(count):
+        kx = "edge" if i % 2 else "corner"
+        x = CubePoint.make(rng.choice(FACES), *_pinned_chart(rng, kx))
+        y = CubePoint.make(rng.choice(FACES), *_pinned_chart(rng, "edge"))
+        yield x, y
+
+
+def test_integer_dedupe_matches_the_fraction_sort():
+    """``cube_geodesics`` picks, per trace, the unfolding that sorting every
+    tied admissible path by ``(trace, len, seq)`` puts first."""
+    p, q = corner_pair()
+    pairs = [(p, q), (q, p)]
+    pairs += _pinned_cube_pairs(random.Random(2024))
+    pairs += _edge_and_corner_pairs(random.Random(41), 200)
+    for x, y in pairs:
+        if x.point != y.point:
+            assert cube_geodesics(x, y) == reference_geodesics(x, y)
+
+
+def test_corner_pair_builds_one_path_per_geodesic(monkeypatch):
+    """The 126 tied admissible unfoldings of the corner pair are deduplicated
+    before any path is built: one ``UnfoldedPath`` per geodesic."""
+    built = 0
+    init = UnfoldedPath.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(UnfoldedPath, "__init__", counting)
+    assert len(cube_geodesics(*corner_pair())) == 6
+    assert built == 6

@@ -78,3 +78,32 @@ def test_smallest_margin_decides_the_match():
     new = [(F(0), F(5)), (F(10), F(0))]
     assert reference_permutation(prev, new) == (0, 1)
     assert nearest_lift_permutation(prev, new) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "prev, new",
+    [
+        ([(F(0), F(0)), (F(1), F(0))], [(F(0), F(0), F(0)), (F(1), F(0), F(0))]),
+        ([(F(0), F(0)), (F(1), F(0), F(0))], [(F(0), F(0)), (F(1), F(0))]),
+        ([(F(0),), (F(5),)], [(F(0),), (F(5), F(1))]),
+    ],
+)
+def test_mixed_dimensions_raise_value_error(prev, new):
+    with pytest.raises(ValueError):
+        nearest_lift_permutation(prev, new)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_other_dimensions_match_the_fraction_reference(dim):
+    rng = random.Random(dim)
+    for _ in range(200):
+        k = rng.randint(1, 4)
+        prev = [tuple(F(rng.randrange(-40, 41), 7) for _ in range(dim)) for _ in range(k)]
+        order = rng.sample(range(k), k)
+        new = [tuple(c + F(rng.randrange(-3, 4), 14) for c in prev[i]) for i in order]
+        expected = reference_permutation(prev, new)
+        if expected is None:
+            with pytest.raises(AmbiguousMatchError):
+                nearest_lift_permutation(prev, new)
+        else:
+            assert nearest_lift_permutation(prev, new) == expected
