@@ -146,10 +146,13 @@ class CubePoint:
     @classmethod
     def from_space(cls, point) -> "CubePoint":
         p: Vec3 = tuple(_frac(c) for c in point)
-        owner = containing_faces(p)[0]
+        faces = containing_faces(p)
         scale, (q,) = integer_points((p,))
-        u, v = _scaled_chart(owner, q, scale // 2)
-        return cls(owner, Fraction(u, scale), Fraction(v, scale))
+        u, v = _scaled_chart(faces[0], q, scale // 2)
+        out = cls(faces[0], Fraction(u, scale), Fraction(v, scale))
+        # the scan above is the new point's own, so its cached views start filled
+        vars(out).update(point=p, _faces=faces)
+        return out
 
     @cached_property
     def point(self) -> Vec3:
@@ -229,6 +232,8 @@ _Edge = tuple[int, int, int, int, tuple[int, int, int], tuple[int, int, int]]
 #: Surface breakpoints of a path, each coordinate a reduced (numerator,
 #: denominator) pair.
 _Key = tuple[tuple[tuple[int, int], ...], ...]
+#: Scaled planar start and end of an unfolded segment (``_Query.endpoints``).
+_Ends = tuple[int, int, int, int]
 
 
 def _scaled_chart(face: str, q: tuple[int, ...], half: int) -> tuple[int, int]:
@@ -273,32 +278,42 @@ def _unfold_maps(seq: tuple[str, ...]) -> tuple[tuple[_Map, ...], tuple[_Edge, .
 class _Query:
     """Both endpoints of one query with integer charts in each containing face."""
 
-    __slots__ = ("x", "y", "half", "scale", "x_charts", "y_charts", "exact_ends")
+    __slots__ = ("half", "scale", "x_charts", "y_charts", "exact_ends")
 
     def __init__(self, x: CubePoint, y: CubePoint):
-        self.x, self.y = x, y
-        self.scale, (xq, yq) = integer_points((x.point, y.point))
-        self.half = self.scale // 2
-        self.x_charts = {f: _scaled_chart(f, xq, self.half) for f in x.faces()}
-        self.y_charts = {f: _scaled_chart(f, yq, self.half) for f in y.faces()}
-        # both endpoints as reduced (numerator, denominator) pairs per axis
-        self.exact_ends = tuple(
-            tuple((c.numerator, c.denominator) for c in p) for p in (x.point, y.point)
-        )
+        self._setup(x.point, x.faces(), y.point, y.faces())
 
-    def endpoints(self, seq: tuple[str, ...]) -> tuple[int, int, int, int]:
+    @classmethod
+    def bottom_top(cls, x1: Fraction, x2: Fraction, y1: Fraction, y2: Fraction) -> "_Query":
+        """The query from interior chart (x1, x2) on ``z-`` to interior chart
+        (y1, y2) on ``z+``, each on its own face only."""
+        query = cls.__new__(cls)
+        x, y = _chart_to_space("z-", x1, x2), _chart_to_space("z+", y1, y2)
+        query._setup(x, ("z-",), y, ("z+",))
+        return query
+
+    def _setup(self, x: Vec3, x_faces, y: Vec3, y_faces) -> None:
+        self.scale, (xq, yq) = integer_points((x, y))
+        self.half = self.scale // 2
+        self.x_charts = {f: _scaled_chart(f, xq, self.half) for f in x_faces}
+        self.y_charts = {f: _scaled_chart(f, yq, self.half) for f in y_faces}
+        # both endpoints as reduced (numerator, denominator) pairs per axis
+        self.exact_ends = tuple(tuple((c.numerator, c.denominator) for c in p) for p in (x, y))
+
+    def endpoints(self, seq: tuple[str, ...]) -> _Ends:
         """Scaled planar start and end of the unfolded segment."""
         maps, _ = _unfold_maps(seq)
         p = self.x_charts[seq[0]]
         return (*p, *_apply(maps[-1], *self.y_charts[seq[-1]], self.half))
 
-    def length_sq(self, seq: tuple[str, ...]) -> int:
-        """Planar squared length of the unfolding, times ``scale**2``."""
-        px, py, qx, qy = self.endpoints(seq)
-        return (qx - px) ** 2 + (qy - py) ** 2
+
+def _length_sq(ends: _Ends) -> int:
+    """Planar squared length of the unfolding, times ``scale**2``."""
+    px, py, qx, qy = ends
+    return (qx - px) ** 2 + (qy - py) ** 2
 
 
-def _crossings(query: _Query, seq: tuple[str, ...]) -> list[tuple[int, int]] | None:
+def _crossings(query: _Query, seq: tuple[str, ...], ends: _Ends) -> list[tuple[int, int]] | None:
     """Admissibility of the unfolded segment, decided in integers.
 
     Returns the edge parameter ``s`` of every crossing as (numerator,
@@ -309,7 +324,7 @@ def _crossings(query: _Query, seq: tuple[str, ...]) -> list[tuple[int, int]] | N
     on edge endpoints (paths may begin or end at a corner).
     """
     _, edges = _unfold_maps(seq)
-    px, py, qx, qy = query.endpoints(seq)
+    px, py, qx, qy = ends
     dx, dy = qx - px, qy - py
     if len(seq) > 1 and dx == dy == 0:
         return None
@@ -370,9 +385,9 @@ def _breakpoints(query: _Query, seq: tuple[str, ...], crossings: list[tuple[int,
     return tuple(points)
 
 
-def _path(query: _Query, seq: tuple[str, ...], key: _Key) -> UnfoldedPath:
+def _path(query: _Query, seq: tuple[str, ...], ends: _Ends, key: _Key) -> UnfoldedPath:
     """The unfolded path of ``seq`` with breakpoints ``key``, in Fractions."""
-    px, py, qx, qy = query.endpoints(seq)
+    px, py, qx, qy = ends
     m = query.scale
     return UnfoldedPath(
         face_sequence=seq,
@@ -386,10 +401,11 @@ def _path(query: _Query, seq: tuple[str, ...], key: _Key) -> UnfoldedPath:
 def _unfold_path(query: _Query, seq: tuple[str, ...]) -> UnfoldedPath | None:
     """Unfold the face sequence; None when it is not admissible (see
     :func:`_crossings`).  Fractions are built only for an admissible path."""
-    crossings = _crossings(query, seq)
+    ends = query.endpoints(seq)
+    crossings = _crossings(query, seq, ends)
     if crossings is None:
         return None
-    return _path(query, seq, _breakpoints(query, seq, crossings))
+    return _path(query, seq, ends, _breakpoints(query, seq, crossings))
 
 
 @lru_cache(maxsize=None)
@@ -437,26 +453,27 @@ def cube_geodesics(
             ),
         )
     query = _Query(x, y)
+    seqs = _face_sequences(x.faces(), y.faces(), max_faces)
     ranked = sorted(
-        ((query.length_sq(seq), seq) for seq in _face_sequences(x.faces(), y.faces(), max_faces)),
+        ((_length_sq(e), seq, e) for seq, e in zip(seqs, map(query.endpoints, seqs))),
         key=lambda item: item[0],
     )
-    winners: dict[_Key, tuple[str, ...]] = {}
+    winners: dict[_Key, tuple[tuple[str, ...], _Ends]] = {}
     best = None
-    for length, seq in ranked:
+    for length, seq, e in ranked:
         if winners and length != best:
             break
-        crossings = _crossings(query, seq)
+        crossings = _crossings(query, seq, e)
         if crossings is not None:
             key = _breakpoints(query, seq, crossings)
             kept = winners.get(key)
-            if kept is None or (len(seq), seq) < (len(kept), kept):
-                winners[key] = seq
+            if kept is None or (len(seq), seq) < (len(kept[0]), kept[0]):
+                winners[key] = (seq, e)
             best = length
     if not winners:
         raise RuntimeError("no admissible unfolding found (raise max_faces)")
     return tuple(
-        sorted((_path(query, seq, key) for key, seq in winners.items()), key=lambda c: c.trace)
+        sorted((_path(query, *kept, key) for key, kept in winners.items()), key=lambda c: c.trace)
     )
 
 
@@ -533,8 +550,8 @@ def _index_sequences() -> tuple[tuple[str, ...], ...]:
     for seq in seqs:
         values = []
         for x1, x2, y1, y2 in samples:
-            query = _Query(CubePoint.make("z-", x1, x2), CubePoint.make("z+", y1, y2))
-            values.append(Fraction(query.length_sq(seq), query.scale ** 2))
+            query = _Query.bottom_top(x1, x2, y1, y2)
+            values.append(Fraction(_length_sq(query.endpoints(seq)), query.scale ** 2))
         profiles[tuple(values)] = seq
     out = []
     for idx in range(12):
@@ -594,8 +611,10 @@ def opposite_face_table(x, y) -> CandidateTable:
     for c in (x1, x2, y1, y2):
         if not -_HALF < c < _HALF:
             raise ValueError("opposite-face charts require interior points")
-    query = _Query(CubePoint.make("z-", x1, x2), CubePoint.make("z+", y1, y2))
-    admissible = tuple(_crossings(query, seq) is not None for seq in _index_sequences())
+    query = _Query.bottom_top(x1, x2, y1, y2)
+    admissible = tuple(
+        _crossings(query, seq, query.endpoints(seq)) is not None for seq in _index_sequences()
+    )
     return CandidateTable(
         x=(x1, x2),
         y=(y1, y2),
@@ -611,7 +630,11 @@ def candidate_path(x, y, index: int) -> UnfoldedPath | None:
         raise ValueError("candidate index must lie in 1..12")
     x1, x2 = (_frac(c) for c in x)
     y1, y2 = (_frac(c) for c in y)
-    query = _Query(CubePoint.make("z-", x1, x2), CubePoint.make("z+", y1, y2))
+    if all(-_HALF < c < _HALF for c in (x1, x2, y1, y2)):
+        query = _Query.bottom_top(x1, x2, y1, y2)
+    else:
+        # boundary and off-surface charts keep the general constructor
+        query = _Query(CubePoint.make("z-", x1, x2), CubePoint.make("z+", y1, y2))
     return _unfold_path(query, _index_sequences()[index - 1])
 
 

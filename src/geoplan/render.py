@@ -4,14 +4,22 @@ Everything here is deterministic: rationals print exactly as ``str(Fraction)``
 does, ``p`` or ``p/q``; floats appear only in SVG coordinates with a fixed
 format; keys are sorted; and no environment-dependent data (timestamps,
 paths, versions) is embedded - so artifacts are byte-stable across runs.
+
+The JSON text is written in one pass straight from the exact data, with no
+converted copy: it is the text ``json.dumps(..., indent=2, sort_keys=True)``
+gives once every Fraction and every dict key is replaced by its ``str``
+(a later key wins when two keys print alike).  A list of scalars is joined
+in one step, which is where most of the time of an answer goes.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+
+_INF = float("inf")
 
 __all__ = [
     "dump_csv",
@@ -24,22 +32,88 @@ def point_str(point) -> str:
     return ",".join(map(str, point))
 
 
-def to_jsonable(obj):
-    """Recursively convert exact data into JSON-serializable structures."""
+def _float_str(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+#: Text of each scalar type, by exact type.  An exact Fraction's ``str`` is
+#: digits, ``-`` and ``/``, which need no escaping.
+_SCALARS = {
+    str: _quote,
+    Fraction: '"%s"'.__mod__,
+    int: int.__repr__,
+    float: _float_str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _subclass_scalar(obj) -> str:
     if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
+        return _quote(str(obj))
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_str(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _write(obj, newline: str, emit) -> None:
+    """Emit the JSON text of ``obj`` piece by piece; ``newline`` is a line
+    break plus the indent of the line that ``obj`` starts on."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        emit(scalar(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # keys become strings before sorting, so a later key wins a collision
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            scalar = _SCALARS.get(type(value))
+            if scalar is None:
+                emit(sep + _quote(key) + ": ")
+                _write(value, inner, emit)
+            else:
+                emit(sep + _quote(key) + ": " + scalar(value))
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        scalars = [_SCALARS.get(type(v)) for v in obj]
+        if None not in scalars:
+            texts = [f(v) for f, v in zip(scalars, obj)]
+            emit("[" + inner + ("," + inner).join(texts) + newline + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            emit(sep)
+            _write(value, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    else:
+        emit(_subclass_scalar(obj))
 
 
 def dump_json(data) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(to_jsonable(data), indent=2, sort_keys=True) + "\n"
+    parts: list[str] = []
+    _write(data, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def dump_csv(rows: list[dict], columns: list[str]) -> str:

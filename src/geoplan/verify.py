@@ -21,11 +21,13 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 from operator import add
+from typing import TYPE_CHECKING
 
-from . import cube_sphere, flat_torus, klein_bottle, metric_core, strat_cover
-from .flat_torus import TorusPoint
-from .klein_bottle import DeckElement, KleinPoint
-from .metric_core import Polyline, dist_sq, sup_distance_sq
+# Each check imports the layers it exercises, so that a suite loads only its own.
+if TYPE_CHECKING:
+    from .flat_torus import TorusPoint
+    from .klein_bottle import DeckElement, KleinPoint
+    from .metric_core import Polyline
 
 __all__ = ["CheckResult", "SuiteReport", "SUITES", "run_suite"]
 
@@ -127,6 +129,8 @@ def torus_count_law(seed: int, trials: int, n: int) -> CheckResult:
     The window is exact: samples lie in [0, 1), so each coordinate
     difference d has |d| < 1, hence |d +- 2| > 1 > |d| and no lift with an
     offset of 2 or more in any coordinate can be minimal."""
+    from . import flat_torus
+    from .flat_torus import TorusPoint
     check = CheckResult(name=f"count_law_n{n}", trials=trials)
     rng = random.Random(seed + n)
     for _ in range(trials):
@@ -145,6 +149,8 @@ def torus_count_law(seed: int, trials: int, n: int) -> CheckResult:
 def torus_planner_partition(seed: int, trials: int, n: int) -> CheckResult:
     """Planner domains are exactly 0..n, each realized; the section value is a
     genuine minimizing geodesic ending at the query point."""
+    from . import flat_torus
+    from .flat_torus import TorusPoint
     check = CheckResult(name=f"planner_partition_n{n}", trials=0)
     rng = random.Random(seed + 10 * n)
     pairs: list[tuple[TorusPoint, TorusPoint]] = []
@@ -195,6 +201,9 @@ def torus_planner_partition(seed: int, trials: int, n: int) -> CheckResult:
 def torus_planner_continuity(seed: int, trials: int, n: int) -> CheckResult:
     """Perturbing a pair by <= delta inside its stratum moves the planned
     path by at most 4*delta in sup distance (exact squared comparison)."""
+    from . import flat_torus
+    from .flat_torus import TorusPoint
+    from .metric_core import sup_distance_sq
     check = CheckResult(name=f"planner_continuity_n{n}", trials=trials)
     rng = random.Random(seed + 100 * n)
     delta = _DELTA
@@ -233,6 +242,8 @@ def torus_planner_continuity(seed: int, trials: int, n: int) -> CheckResult:
 def torus_subspace_convexity(seed: int, trials: int, n: int) -> CheckResult:
     """Coordinates shared by both endpoints stay constant along every
     geodesic (sub-torus convexity)."""
+    from . import flat_torus
+    from .flat_torus import TorusPoint
     check = CheckResult(name=f"subspace_convexity_n{n}", trials=trials)
     rng = random.Random(seed + 1000 * n)
     for _ in range(trials):
@@ -251,6 +262,8 @@ def torus_subspace_convexity(seed: int, trials: int, n: int) -> CheckResult:
 def torus_cut_locus_shape(seed: int, trials: int) -> CheckResult:
     """n=2 cut locus is a wedge of two circles at the antipode (one vertex of
     multiplicity 4, two loop edges); strata carry 2^|F| geodesics each."""
+    from . import flat_torus
+    from .flat_torus import TorusPoint
     check = CheckResult(name="cut_locus_shape", trials=trials)
     rng = random.Random(seed + 77)
     for _ in range(trials):
@@ -280,6 +293,7 @@ def torus_cut_locus_shape(seed: int, trials: int) -> CheckResult:
 def torus_monodromy_control(seed: int, trials: int) -> CheckResult:
     """Transporting the four-geodesic labels around the horizontal loop in the
     torus gives the identity permutation."""
+    from . import flat_torus
     check = CheckResult(name="monodromy_control", trials=trials)
     rng = random.Random(seed + 404)
     for _ in range(trials):
@@ -294,6 +308,8 @@ def torus_monodromy_control(seed: int, trials: int) -> CheckResult:
 def torus_local_poset_shape(seed: int, trials: int) -> CheckResult:
     """Local poset at a pair with a antipodal coordinates has a+1 levels and
     bound a (when a >= 1)."""
+    from . import flat_torus, strat_cover
+    from .flat_torus import TorusPoint
     check = CheckResult(name="local_poset", trials=trials)
     rng = random.Random(seed + 505)
     for _ in range(trials):
@@ -326,6 +342,7 @@ def _klein_orbit_scan(base, y: KleinPoint) -> list[tuple[tuple, DeckElement]]:
     """Brute-force oracle: the (end lift, deck element) pairs nearest to the
     plane point ``base`` over the deck orbit of ``y`` within window 3,
     sorted by end lift."""
+    from . import klein_bottle
     orbit = klein_bottle.klein_lift_orbit(y, 3)
     return [(orbit[i][1], orbit[i][0]) for i in _orbit_minimizers(base, [p for _, p in orbit])]
 
@@ -333,6 +350,8 @@ def _klein_orbit_scan(base, y: KleinPoint) -> list[tuple[tuple, DeckElement]]:
 def klein_lift_oracle(seed: int, trials: int) -> CheckResult:
     """Geodesic end lifts and deck tags equal a brute-force scan of the deck
     orbit (window 3), which shares nothing with the two-coset rule."""
+    from . import klein_bottle
+    from .klein_bottle import KleinPoint
     check = CheckResult(name="lift_oracle", trials=trials)
     rng = random.Random(seed + 11)
     for _ in range(trials):
@@ -349,6 +368,8 @@ def klein_horizontal_equivariance(seed: int, trials: int) -> CheckResult:
     geodesic displacements.  When the base representative wraps through the
     glide gluing an odd number of times, re-basing is a glide reflection, so
     the vertical displacement components flip sign."""
+    from . import klein_bottle
+    from .klein_bottle import KleinPoint
     check = CheckResult(name="horizontal_equivariance", trials=trials)
     rng = random.Random(seed + 22)
     for _ in range(trials):
@@ -369,6 +390,8 @@ def klein_horizontal_equivariance(seed: int, trials: int) -> CheckResult:
 def klein_deck_composition(seed: int, trials: int) -> CheckResult:
     """Deck transformations form a group acting on the plane: composition and
     inversion agree with pointwise application."""
+    from . import klein_bottle
+    from .klein_bottle import DeckElement
     check = CheckResult(name="deck_composition", trials=trials)
     rng = random.Random(seed + 33)
     for _ in range(trials):
@@ -390,6 +413,8 @@ def klein_cut_dichotomy(seed: int, trials: int) -> CheckResult:
     second coordinate is 0 or 1/2; otherwise a theta graph (two
     multiplicity-3 vertices, three edges).  Vertex multiplicities are
     confirmed by the brute-force orbit scan."""
+    from . import klein_bottle
+    from .klein_bottle import KleinPoint
     check = CheckResult(name="cut_dichotomy", trials=trials)
     rng = random.Random(seed + 44)
     for _ in range(trials):
@@ -418,6 +443,8 @@ def _klein_domain_samples(rng: random.Random) -> list[tuple[KleinPoint, KleinPoi
     Positive-dimensional strata are sampled through the cut locus itself:
     edge interiors for two-geodesic targets, theta vertices for three, the
     wedge vertex for four; the first-coordinate split picks the domain."""
+    from . import klein_bottle
+    from .klein_bottle import KleinPoint
     g1 = _rand_frac(rng, 97)
     while g1 == 0:
         g1 = _rand_frac(rng, 97)
@@ -443,6 +470,7 @@ def klein_planner_partition(seed: int, trials: int) -> CheckResult:
     """Domains 0..4 are all realized over sampled pairs, the domain index is
     the declared function of stratum and first coordinate, and every section
     value is a minimizing geodesic to the query point."""
+    from . import klein_bottle
     check = CheckResult(name="planner_partition", trials=0)
     rng = random.Random(seed + 55)
     pairs: list[tuple[KleinPoint, KleinPoint]] = []
@@ -477,6 +505,9 @@ def klein_planner_continuity(seed: int, trials: int) -> CheckResult:
     the nudge then crosses no cut edge); sliding along a cut edge for the
     two-geodesic domains; moving the basepoint (the cut vertices follow
     continuously) for the three- and four-geodesic domains."""
+    from . import klein_bottle
+    from .klein_bottle import KleinPoint
+    from .metric_core import sup_distance_sq
     check = CheckResult(name="planner_continuity", trials=0)
     rng = random.Random(seed + 66)
     delta = _DELTA
@@ -552,6 +583,7 @@ def klein_monodromy_nontrivial(seed: int, trials: int) -> CheckResult:
     """Transporting the four geodesic labels around the horizontal loop swaps
     up and down (a nontrivial order-2 permutation) over both special circles,
     while the torus control loop is the identity."""
+    from . import flat_torus, klein_bottle
     check = CheckResult(name="monodromy", trials=trials)
     rng = random.Random(seed + 88)
     for _ in range(trials):
@@ -571,6 +603,8 @@ def klein_monodromy_nontrivial(seed: int, trials: int) -> CheckResult:
 def klein_theta_frozen(seed: int, trials: int) -> CheckResult:
     """Frozen theta-graph data at base (1/2, 3/10): vertex classes
     (22/25, 4/5) and (3/25, 4/5), three edges, multiplicities (3, 3)."""
+    from . import klein_bottle
+    from .klein_bottle import KleinPoint
     check = CheckResult(name="theta_frozen", trials=1)
     graph = klein_bottle.klein_cut_locus(KleinPoint.make((_HALF, Fraction(3, 10))))
     points = sorted(v.point for v in graph.vertices)
@@ -595,6 +629,7 @@ def _rand_interior(rng: random.Random, den: int = 60) -> Fraction:
 
 def cube_identity(seed: int, trials: int) -> CheckResult:
     """L_i^2 == 2*N_i + (|x|^2 + |y|^2 + 4) exactly, for every candidate."""
+    from . import cube_sphere
     check = CheckResult(name="normalization_identity", trials=trials)
     rng = random.Random(seed + 13)
     for _ in range(trials):
@@ -610,6 +645,7 @@ def cube_identity(seed: int, trials: int) -> CheckResult:
 def cube_formula_oracle(seed: int, trials: int) -> CheckResult:
     """The minimum over admissible closed-form candidates equals the unfolding
     oracle's minimum, with identical minimizer sets (compared by trace)."""
+    from . import cube_sphere
     check = CheckResult(name="formula_oracle", trials=trials)
     rng = random.Random(seed + 26)
     for _ in range(trials):
@@ -633,6 +669,7 @@ def cube_formula_oracle(seed: int, trials: int) -> CheckResult:
 def cube_symmetric_diagonal(seed: int, trials: int) -> CheckResult:
     """Symmetric diagonal pairs have exactly four geodesics, realized by
     candidates 1, 4, 7, 10."""
+    from . import cube_sphere
     check = CheckResult(name="symmetric_diagonal", trials=0)
     rng = random.Random(seed + 39)
     zs = [
@@ -661,6 +698,7 @@ def cube_symmetric_diagonal(seed: int, trials: int) -> CheckResult:
 def cube_corner_geodesics(seed: int, trials: int) -> CheckResult:
     """Exactly six geodesics of squared length 5 between opposite corners,
     and the limit table is internally consistent with them."""
+    from . import cube_sphere
     check = CheckResult(name="corner_geodesics", trials=1)
     p, q = cube_sphere.corner_pair()
     geos = cube_sphere.cube_geodesics(p, q)
@@ -680,6 +718,7 @@ def cube_corner_geodesics(seed: int, trials: int) -> CheckResult:
 def cube_witnesses(seed: int, trials: int) -> CheckResult:
     """Witness pairs reproduce minimizer sets {1,4,7,10} / {1,4} / {1} for all
     i, j <= 5 with the symbolically-derived k (= 1)."""
+    from . import cube_sphere
     check = CheckResult(name="witness_sequences", trials=0)
     for i in range(1, 6):
         for j in range(1, 6):
@@ -696,6 +735,7 @@ def cube_witnesses(seed: int, trials: int) -> CheckResult:
 def cube_rotation_symmetry(seed: int, trials: int) -> CheckResult:
     """The corner rotation is an isometry: geodesic traces of a rotated pair
     are the rotated traces."""
+    from . import cube_sphere
     check = CheckResult(name="rotation_symmetry", trials=trials)
     rng = random.Random(seed + 52)
     for _ in range(trials):
@@ -712,6 +752,7 @@ def cube_rotation_symmetry(seed: int, trials: int) -> CheckResult:
 
 def cube_face_budget_stability(seed: int, trials: int) -> CheckResult:
     """Raising the face budget from 5 to 6 changes no geodesic set."""
+    from . import cube_sphere
     check = CheckResult(name="face_budget_stability", trials=trials)
     rng = random.Random(seed + 65)
     for _ in range(trials):
@@ -729,6 +770,8 @@ def cube_corner_convergence(seed: int, trials: int) -> CheckResult:
     """Diagonal-family paths converge to their labeled corner geodesics:
     at corner offset a the constant-speed sup distance is below 2a and
     shrinks when a does."""
+    from . import cube_sphere, metric_core
+    from .metric_core import Polyline, sup_distance_sq
     check = CheckResult(name="corner_convergence", trials=0)
     labeled = cube_sphere.corner_limit_geodesics()
     table = cube_sphere.corner_limit_table()
@@ -757,6 +800,7 @@ def cube_corner_convergence(seed: int, trials: int) -> CheckResult:
 
 
 def _random_polyline(rng: random.Random, collinear: bool) -> Polyline:
+    from .metric_core import Polyline
     dim = rng.randrange(1, 4)
     count = rng.randrange(2, 11)
     if collinear:
@@ -783,6 +827,7 @@ def core_reparametrization(seed: int, trials: int) -> CheckResult:
     chords have an irrational length ratio; otherwise the squared parameter
     steps are proportional to the squared chord lengths, the endpoints are 0
     and 1, the vertices are kept and the call is idempotent."""
+    from . import metric_core
     check = CheckResult(name="reparametrization", trials=trials)
     rng = random.Random(seed + 7)
     for _ in range(trials):
@@ -813,6 +858,8 @@ def core_reparametrization(seed: int, trials: int) -> CheckResult:
 def core_straight_segments(seed: int, trials: int) -> CheckResult:
     """Reparametrized monotone collinear polylines and raw segments pass the
     exact geodesic test; a genuinely bent polyline fails it."""
+    from . import metric_core
+    from .metric_core import Polyline
     check = CheckResult(name="straight_segments", trials=trials)
     rng = random.Random(seed + 14)
     for _ in range(trials):
@@ -839,6 +886,7 @@ def core_straight_segments(seed: int, trials: int) -> CheckResult:
 def core_sqrt_predicates(seed: int, trials: int) -> CheckResult:
     """``metric_core.sqrt_exact`` agrees with floating point: it finds the
     root of every rational square and returns only true roots."""
+    from . import metric_core
     check = CheckResult(name="sqrt_predicates", trials=trials)
     rng = random.Random(seed + 21)
     for _ in range(trials):
@@ -856,6 +904,7 @@ def core_sqrt_predicates(seed: int, trials: int) -> CheckResult:
 def core_sup_distance(seed: int, trials: int) -> CheckResult:
     """Sup distance: zero against itself, symmetric, and never exceeded at
     the 16 uniform parameters ``k/15``."""
+    from .metric_core import dist_sq, sup_distance_sq
     check = CheckResult(name="sup_distance", trials=trials)
     rng = random.Random(seed + 28)
     grid = [Fraction(k, 15) for k in range(16)]
@@ -881,6 +930,7 @@ def core_sup_distance(seed: int, trials: int) -> CheckResult:
 
 def poset_builtin_bounds(seed: int, trials: int) -> CheckResult:
     """Builtin posets validate and produce the expected lower bounds."""
+    from . import strat_cover
     check = CheckResult(name="builtin_bounds", trials=0)
     expected = {
         "circle": 1,
@@ -902,6 +952,7 @@ def poset_builtin_bounds(seed: int, trials: int) -> CheckResult:
 
 def poset_relabel_invariance(seed: int, trials: int) -> CheckResult:
     """The bound is invariant under random relabeling of ids and sheets."""
+    from . import strat_cover
     check = CheckResult(name="relabel_invariance", trials=trials)
     rng = random.Random(seed + 35)
     names = ["circle", "torus_corner:2", "torus_corner:3", "klein_S4", "cube_corner"]
@@ -943,6 +994,7 @@ def poset_relabel_invariance(seed: int, trials: int) -> CheckResult:
 def poset_monotonicity(seed: int, trials: int) -> CheckResult:
     """Deleting the top level of an everywhere-inconsistent poset lowers the
     bound by exactly one; bottom elements are never inconsistent."""
+    from . import strat_cover
     check = CheckResult(name="monotonicity", trials=0)
     for name in ["torus_corner:2", "torus_corner:3", "torus_corner:4", "cube_corner", "klein_S4"]:
         check.trials += 1
@@ -967,6 +1019,7 @@ def poset_monotonicity(seed: int, trials: int) -> CheckResult:
 def poset_rejects_violations(seed: int, trials: int) -> CheckResult:
     """Validation rejects non-adjacent covers, non-injective sheet maps, and
     composition-inconsistent chains."""
+    from . import strat_cover
     check = CheckResult(name="rejects_violations", trials=3)
     E = strat_cover.PosetElement
     C = strat_cover.CoverMap

@@ -819,6 +819,10 @@ LOADED = [
     (["geodesics", "klein", "1/7,2/9", "3/5,5/7"], TORUS_LAYERS + ["klein_bottle"]),
     (["geodesics", "cube", "corner:p", "corner:q"], ["cube_sphere", "metric_core"]),
     (["bound", "builtin:circle"], ["strat_cover"]),
+    (["verify", "core", "--trials", "2"], ["metric_core", "strat_cover", "verify"]),
+    (["verify", "torus", "--trials", "2"], TORUS_LAYERS + ["strat_cover", "verify"]),
+    (["verify", "klein", "--trials", "2"], TORUS_LAYERS + ["klein_bottle", "verify"]),
+    (["verify", "cube", "--trials", "2"], ["cube_sphere", "metric_core", "strat_cover", "verify"]),
     (["--help"], []),
 ]
 
