@@ -281,24 +281,14 @@ class _Query:
     __slots__ = ("half", "scale", "x_charts", "y_charts", "exact_ends")
 
     def __init__(self, x: CubePoint, y: CubePoint):
-        self._setup(x.point, x.faces(), y.point, y.faces())
-
-    @classmethod
-    def bottom_top(cls, x1: Fraction, x2: Fraction, y1: Fraction, y2: Fraction) -> "_Query":
-        """The query from interior chart (x1, x2) on ``z-`` to interior chart
-        (y1, y2) on ``z+``, each on its own face only."""
-        query = cls.__new__(cls)
-        x, y = _chart_to_space("z-", x1, x2), _chart_to_space("z+", y1, y2)
-        query._setup(x, ("z-",), y, ("z+",))
-        return query
-
-    def _setup(self, x: Vec3, x_faces, y: Vec3, y_faces) -> None:
-        self.scale, (xq, yq) = integer_points((x, y))
+        self.scale, (xq, yq) = integer_points((x.point, y.point))
         self.half = self.scale // 2
-        self.x_charts = {f: _scaled_chart(f, xq, self.half) for f in x_faces}
-        self.y_charts = {f: _scaled_chart(f, yq, self.half) for f in y_faces}
+        self.x_charts = {f: _scaled_chart(f, xq, self.half) for f in x.faces()}
+        self.y_charts = {f: _scaled_chart(f, yq, self.half) for f in y.faces()}
         # both endpoints as reduced (numerator, denominator) pairs per axis
-        self.exact_ends = tuple(tuple((c.numerator, c.denominator) for c in p) for p in (x, y))
+        self.exact_ends = tuple(
+            tuple((c.numerator, c.denominator) for c in p) for p in (x.point, y.point)
+        )
 
     def endpoints(self, seq: tuple[str, ...]) -> _Ends:
         """Scaled planar start and end of the unfolded segment."""
@@ -550,7 +540,7 @@ def _index_sequences() -> tuple[tuple[str, ...], ...]:
     for seq in seqs:
         values = []
         for x1, x2, y1, y2 in samples:
-            query = _Query.bottom_top(x1, x2, y1, y2)
+            query = _Query(CubePoint("z-", x1, x2), CubePoint("z+", y1, y2))
             values.append(Fraction(_length_sq(query.endpoints(seq)), query.scale ** 2))
         profiles[tuple(values)] = seq
     out = []
@@ -611,7 +601,7 @@ def opposite_face_table(x, y) -> CandidateTable:
     for c in (x1, x2, y1, y2):
         if not -_HALF < c < _HALF:
             raise ValueError("opposite-face charts require interior points")
-    query = _Query.bottom_top(x1, x2, y1, y2)
+    query = _Query(CubePoint("z-", x1, x2), CubePoint("z+", y1, y2))
     admissible = tuple(
         _crossings(query, seq, query.endpoints(seq)) is not None for seq in _index_sequences()
     )
@@ -630,11 +620,7 @@ def candidate_path(x, y, index: int) -> UnfoldedPath | None:
         raise ValueError("candidate index must lie in 1..12")
     x1, x2 = (_frac(c) for c in x)
     y1, y2 = (_frac(c) for c in y)
-    if all(-_HALF < c < _HALF for c in (x1, x2, y1, y2)):
-        query = _Query.bottom_top(x1, x2, y1, y2)
-    else:
-        # boundary and off-surface charts keep the general constructor
-        query = _Query(CubePoint.make("z-", x1, x2), CubePoint.make("z+", y1, y2))
+    query = _Query(CubePoint.make("z-", x1, x2), CubePoint.make("z+", y1, y2))
     return _unfold_path(query, _index_sequences()[index - 1])
 
 
