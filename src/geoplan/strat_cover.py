@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from itertools import combinations, product
+from itertools import combinations
 
 __all__ = [
     "BoundReport",
@@ -62,8 +62,9 @@ class PosetElement:
 class CoverMap:
     """A covering relation ``src -> dst`` with its injective sheet map.
 
-    ``mapping`` is read-only: the covers out of one source may share one
-    dict (the builtin inclusion maps do).
+    ``mapping`` is read-only, so covers may share one dict (the covers out
+    of one ``torus_corner`` element do).  :func:`validate_poset` still
+    checks a shared map against each cover's own source and destination.
     """
 
     src: str
@@ -128,72 +129,102 @@ def validate_poset(p: StratPoset) -> tuple[str, ...]:
     covers between existing elements on adjacent levels with at most one map
     per pair, each sheet map total on the source and injective into the
     destination, and composition consistency over all length-2 chains that
-    share endpoints.
+    share endpoints.  A cover with an endpoint of invalid level gets no
+    adjacency check: that element's own error reports it.
+
+    Cost: linear in the total size of the sheet maps, plus the two-step
+    chains compared.  A map shared by covers out of one source is examined
+    once for that source, then only its image is checked against each
+    cover's destination.  Chains are compared only from elements that reach
+    a map that is not an inclusion within two steps.
     """
     errors: list[str] = []
     if not p.elements:
         return ("poset has no elements",)
     sheet_sets: dict[str, frozenset[str]] = {}
+    # The level of each id, ``None`` when it is invalid.
+    level_of: dict[str, int | None] = {}
+    levels: set[int] = set()
     for e in p.elements:
         if not e.id:
             errors.append("element with empty id")
         if e.id in sheet_sets:
             errors.append(f"duplicate element id {e.id!r}")
-        if not isinstance(e.level, int) or e.level < 1:
+        if isinstance(e.level, int) and e.level >= 1:
+            level_of[e.id] = e.level
+            levels.add(e.level)
+        else:
+            level_of[e.id] = None
             errors.append(f"element {e.id!r} has invalid level {e.level!r}")
         if not e.sheets:
             errors.append(f"element {e.id!r} has no sheets")
         sheet_sets[e.id] = frozenset(e.sheets)
         if len(sheet_sets[e.id]) != len(e.sheets):
             errors.append(f"element {e.id!r} repeats a sheet label")
-    levels = {e.level for e in p.elements if isinstance(e.level, int) and e.level >= 1}
     if levels and len(levels) != max(levels) - min(levels) + 1:
         errors.append(f"levels {sorted(levels)} are not contiguous")
-    pairs: set[tuple[str, str]] = set()
-    # Per source id: (destination, map, whether the map sends every sheet to
-    # itself) for each of its covers, in cover order.
-    steps: dict[str, list[tuple[str, dict[str, str], bool]]] = {i: [] for i in sheet_sets}
+    # Per source id: destination -> map, in cover order.
+    out: dict[str, dict[str, dict[str, str]]] = {i: {} for i in sheet_sets}
+    # Per (map object, source id): whether the map is total on the source,
+    # its image, whether it is injective and whether it is an inclusion.
+    facts: dict[tuple[int, str], tuple] = {}
+    # Sources with a map that does not send every sheet to itself.
+    mixed: set[str] = set()
     for c in p.covers:
-        if c.src not in sheet_sets or c.dst not in sheet_sets:
+        src, dst, mapping = c.src, c.dst, c.mapping
+        if src not in sheet_sets or dst not in sheet_sets:
             errors.append(f"{_tag(c)} references a missing element")
             continue
-        if (c.src, c.dst) in pairs:
+        dests = out[src]
+        if dst in dests:
             errors.append(f"{_tag(c)} is duplicated")
-        pairs.add((c.src, c.dst))
-        if p.by_id[c.dst].level != p.by_id[c.src].level + 1:
+        low, high = level_of[src], level_of[dst]
+        if low is not None and high is not None and high != low + 1:
             errors.append(f"{_tag(c)} is not between adjacent levels")
-        mapping = c.mapping
-        if mapping.keys() != sheet_sets[c.src]:
+        key = (id(mapping), src)
+        fact = facts.get(key)
+        if fact is None:
+            inclusion = list(mapping) == list(mapping.values())
+            image = mapping.keys() if inclusion else set(mapping.values())
+            fact = facts[key] = (
+                mapping.keys() == sheet_sets[src],
+                image,
+                inclusion or len(image) == len(mapping),
+                inclusion,
+            )
+        total, image, injective, inclusion = fact
+        if not total:
             errors.append(f"{_tag(c)} map is not total on the source sheets")
-        image = set(mapping.values())
-        if not image <= sheet_sets[c.dst]:
+        if not image <= sheet_sets[dst]:
             errors.append(f"{_tag(c)} map leaves the destination sheets")
-        if len(image) != len(mapping):
+        if not injective:
             errors.append(f"{_tag(c)} map is not injective")
-        steps[c.src].append((c.dst, mapping, list(mapping) == list(mapping.values())))
+        dests[dst] = mapping
+        if not inclusion:
+            mixed.add(src)
     # Composition consistency: two-step chains sharing endpoints must agree.
-    # A composite is the tuple of images of ``a.sheets``; through inclusions
-    # it is ``a.sheets`` itself, so equal composites are often the same object.
+    # A composite is the tuple of images of ``a.sheets``.  An inclusion that
+    # is total on its source sends ``a.sheets`` to itself, so when every
+    # one-step and two-step map out of ``a`` is an inclusion each composite
+    # is ``a.sheets`` and none can differ: such an ``a`` is skipped.
     if not errors:
         for a in p.elements:
-            sheets = tuple(a.sheets)
+            steps = out[a.id]
+            if a.id not in mixed and mixed.isdisjoint(steps):
+                continue
             composites: dict[str, tuple[str, ...]] = {}
-            for mid, m1, inclusion1 in steps[a.id]:
-                first = sheets if inclusion1 else tuple(map(m1.__getitem__, sheets))
-                for end, m2, inclusion2 in steps[mid]:
-                    comp = first if inclusion2 else tuple(map(m2.__getitem__, first))
-                    prev = composites.setdefault(end, comp)
-                    if prev is not comp and prev != comp:
+            for mid, m1 in steps.items():
+                first = tuple(map(m1.__getitem__, a.sheets))
+                for end, m2 in out[mid].items():
+                    comp = tuple(map(m2.__getitem__, first))
+                    if composites.setdefault(end, comp) != comp:
                         errors.append(f"composition mismatch from {a.id!r} to {end!r}")
     return tuple(errors)
 
 
-def inconsistent_at(p: StratPoset, element_id: str) -> bool:
-    """True iff ``element_id`` has incoming covering maps whose images have
-    empty intersection."""
-    if element_id not in p.by_id:
-        raise KeyError(element_id)
-    incoming = p._incoming[element_id]
+def _inconsistent(incoming: list[CoverMap]) -> bool:
+    """True iff the images of ``incoming`` have empty intersection; no maps
+    is consistent."""
     if not incoming:
         return False
     meet = set(incoming[0].mapping.values())
@@ -202,6 +233,14 @@ def inconsistent_at(p: StratPoset, element_id: str) -> bool:
             break
         meet.intersection_update(c.mapping.values())
     return not meet
+
+
+def inconsistent_at(p: StratPoset, element_id: str) -> bool:
+    """True iff ``element_id`` has incoming covering maps whose images have
+    empty intersection."""
+    if element_id not in p.by_id:
+        raise KeyError(element_id)
+    return _inconsistent(p._incoming[element_id])
 
 
 @dataclass(frozen=True)
@@ -232,7 +271,8 @@ def lower_bound(p: StratPoset) -> BoundReport:
         return BoundReport(valid=False, errors=errors)
     levels = p.levels
     bottom, n_levels = levels[0], len(levels)
-    verdicts = [(e, inconsistent_at(p, e.id)) for e in p.elements]
+    incoming = p._incoming
+    verdicts = [(e, _inconsistent(incoming[e.id])) for e in p.elements]
     inconsistent = tuple(e.id for e, bad in verdicts if bad)
     consistent = tuple(e.id for e, bad in verdicts if e.level > bottom and not bad)
     bound = n_levels - 1 if not consistent else None
@@ -288,22 +328,39 @@ def torus_corner_poset(n: int) -> StratPoset:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    # Grow (pattern, sheets) one coordinate at a time, the last coordinate
+    # varying fastest over ``+-o``, which is id order.  A sign extends each
+    # sheet of the prefix and an ``o`` doubles them, ``+`` before ``-``, so
+    # the sheets stay sorted.
+    cells = [("", ("",))]
+    for _ in range(n):
+        cells = [
+            grown
+            for pattern, sheets in cells
+            for grown in (
+                (pattern + "+", tuple([s + "+" for s in sheets])),
+                (pattern + "-", tuple([s + "-" for s in sheets])),
+                (pattern + "o", tuple([s + c for s in sheets for c in "+-"])),
+            )
+        ]
+    ids = ["cell_" + pattern for pattern, _ in cells]
     elements = []
     covers = []
-    for pattern in product("+-o", repeat=n):
-        src = "cell_" + "".join(pattern)
-        # ``+`` sorts before ``-``, so the sheets come out sorted.
-        sheets = tuple(
-            map("".join, product(*(("+", "-") if c == "o" else c for c in pattern)))
-        )
+    for j, (pattern, sheets) in enumerate(cells):
+        src = ids[j]
         elements.append(PosetElement(src, 1 + pattern.count("o"), sheets))
-        inclusion = {s: s for s in sheets}
-        # ``product`` yields the sources in id order, and an ``o`` further
-        # left makes a larger id, so the covers come out sorted.
-        for i, c in reversed(list(enumerate(pattern, len("cell_")))):
+        inclusion = dict(zip(sheets, sheets))
+        # Pattern j is j in base 3 with digits ``+-o`` = 012, so turning
+        # coordinate i from ``+`` or ``-`` into ``o`` adds 2 or 1 times
+        # 3^(n-1-i).  An ``o`` further left makes a larger id, so taking the
+        # coordinates right to left yields the covers sorted.
+        step = 1
+        for c in reversed(pattern):
             if c != "o":
-                covers.append(CoverMap(src, src[:i] + "o" + src[i + 1:], inclusion))
-    elements.sort(key=lambda e: (e.level, e.id))
+                covers.append(CoverMap(src, ids[j + (2 * step if c == "+" else step)], inclusion))
+            step *= 3
+    # By level; the sort is stable and the elements come in id order.
+    elements.sort(key=lambda e: e.level)
     return StratPoset(elements, covers)
 
 
@@ -416,9 +473,9 @@ def parse_builtin_name(name: str) -> tuple[str, int | None]:
         raise ValueError(f"unknown builtin poset {name!r}")
     if not sep:
         return key, None
-    # The dimension is a repeat count for ``product``, at most
-    # ``sys.maxsize``; the length test keeps a longer string from ``int``,
-    # which refuses one beyond 4300 digits with an error of its own.
+    # The dimension is at most ``sys.maxsize``, the largest length of a
+    # container; the length test keeps a longer string from ``int``, which
+    # refuses one beyond 4300 digits with an error of its own.
     if (
         not digits.isdecimal()
         or len(digits) > len(str(sys.maxsize))

@@ -188,6 +188,16 @@ class TestValidationRejections:
         assert errors
         assert any("total" in e for e in errors)
 
+    @pytest.mark.parametrize("level", ["x", None])
+    def test_invalid_level_is_reported_not_raised(self, level):
+        poset = StratPoset(
+            [PosetElement("a", level, ("s",)), PosetElement("b", 2, ("s",))],
+            [CoverMap("a", "b", {"s": "s"})],
+        )
+        # The cover a -> b gets no adjacency check: a's own error covers it.
+        assert validate_poset(poset) == (f"element 'a' has invalid level {level!r}",)
+        assert not lower_bound(poset).valid
+
     def test_invalid_poset_yields_no_bound(self):
         poset = StratPoset(
             [
@@ -232,33 +242,37 @@ def corner_reference(n):
     return elements, covers
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_torus_corner_poset_matches_its_definition(n):
     elements, covers = corner_reference(n)
     poset = torus_corner_poset(n)
     assert [(e.id, e.level, e.sheets) for e in poset.elements] == elements
     assert [(c.src, c.dst, c.mapping) for c in poset.covers] == covers
+    if n == 6:
+        report = lower_bound(poset)
+        assert (report.valid, report.levels, report.lower_bound) == (True, 7, 6)
 
 
-def _break(doc, how):
+def _break(doc, how, pick=lambda seq, i: seq[i]):
     """Break one axiom of a corner-poset document, as the benchmark's
-    mutation of the same name does, at a fixed place."""
+    mutation of the same name does: at a fixed place, or where ``pick``
+    chooses among the candidates."""
     elements, covers = doc["elements"], doc["covers"]
     if how == "non_injective":
-        m = covers[-1]["map"]
+        m = pick([c for c in covers if len(c["map"]) >= 2], -1)["map"]
         keys = sorted(m)
         m[keys[1]] = m[keys[0]]
     elif how == "missing_element":
-        covers[7]["dst"] = "absent"
+        pick(covers, 7)["dst"] = "absent"
     elif how == "level_gap":
-        elements[13]["level"] += 2
+        pick(elements, 13)["level"] += 2
     elif how == "not_total":
-        m = covers[4]["map"]
+        m = pick(covers, 4)["map"]
         del m[sorted(m)[0]]
     elif how == "duplicate_id":
-        elements.append(dict(elements[20]))
+        elements.append(dict(pick(elements, 20)))
     elif how == "foreign_sheet":
-        m = covers[-2]["map"]
+        m = pick(covers, -2)["map"]
         m[sorted(m)[0]] = "foreign"
 
 
@@ -278,13 +292,17 @@ MUTATION_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("how", sorted(MUTATION_ERRORS))
-def test_mutated_corner_document_reports_exact_errors(how):
-    elements, covers = corner_reference(3)
-    doc = {
+def _corner_document(n):
+    elements, covers = corner_reference(n)
+    return {
         "elements": [{"id": i, "level": lv, "sheets": list(s)} for i, lv, s in elements],
         "covers": [{"src": s, "dst": d, "map": dict(m)} for s, d, m in covers],
     }
+
+
+@pytest.mark.parametrize("how", sorted(MUTATION_ERRORS))
+def test_mutated_corner_document_reports_exact_errors(how):
+    doc = _corner_document(3)
     _break(doc, how)
     poset, _ = from_document(doc)
     assert validate_poset(poset) == MUTATION_ERRORS[how]
@@ -316,8 +334,174 @@ def test_permutation_chain_against_inclusion_chain(inclusion_chain_first):
     inclusion: one swap disagrees with the inclusion chain, two agree."""
     mismatch = _diamond(SWAP, IDENTITY, inclusion_chain_first)
     assert validate_poset(mismatch) == ("composition mismatch from 'a' to 'c'",)
+    # Every map out of ``a`` is an inclusion, one two steps out is not.
+    late = _diamond(IDENTITY, SWAP, inclusion_chain_first)
+    assert validate_poset(late) == ("composition mismatch from 'a' to 'c'",)
     agree = _diamond(SWAP, SWAP, inclusion_chain_first)
     assert validate_poset(agree) == ()
+
+
+@pytest.mark.parametrize("total_first", [False, True])
+def test_shared_map_is_checked_against_each_source(total_first):
+    """One dict on covers from two sources, total on only one of them."""
+    shared = {"x": "x", "y": "y"}
+    covers = [CoverMap("a", "c", shared), CoverMap("b", "c", shared)]
+    if not total_first:
+        covers.reverse()
+    poset = StratPoset(
+        [
+            PosetElement("a", 1, ("x", "y")),
+            PosetElement("b", 1, ("x",)),
+            PosetElement("c", 2, ("x", "y")),
+        ],
+        covers,
+    )
+    assert validate_poset(poset) == ("cover 'b'->'c' map is not total on the source sheets",)
+
+
+@pytest.mark.parametrize("fitting_first", [False, True])
+def test_shared_map_is_checked_against_each_destination(fitting_first):
+    """One inclusion dict sent to two destinations, one without sheet y."""
+    shared = {"x": "x", "y": "y"}
+    covers = [CoverMap("a", "fits", shared), CoverMap("a", "short", shared)]
+    if not fitting_first:
+        covers.reverse()
+    poset = StratPoset(
+        [
+            PosetElement("a", 1, ("x", "y")),
+            PosetElement("fits", 2, ("x", "y")),
+            PosetElement("short", 2, ("x",)),
+        ],
+        covers,
+    )
+    assert validate_poset(poset) == ("cover 'a'->'short' map leaves the destination sheets",)
+
+
+def reference_validate(p):
+    """The poset axioms checked plainly: every test on every cover, and every
+    two-step chain composed sheet by sheet, with no shared work."""
+    if not p.elements:
+        return ("poset has no elements",)
+    errors = []
+    sheet_sets = {}
+    for e in p.elements:
+        if not e.id:
+            errors.append("element with empty id")
+        if e.id in sheet_sets:
+            errors.append(f"duplicate element id {e.id!r}")
+        if not isinstance(e.level, int) or e.level < 1:
+            errors.append(f"element {e.id!r} has invalid level {e.level!r}")
+        if not e.sheets:
+            errors.append(f"element {e.id!r} has no sheets")
+        sheet_sets[e.id] = set(e.sheets)
+        if len(sheet_sets[e.id]) != len(e.sheets):
+            errors.append(f"element {e.id!r} repeats a sheet label")
+    levels = {e.level for e in p.elements if isinstance(e.level, int) and e.level >= 1}
+    if levels and len(levels) != max(levels) - min(levels) + 1:
+        errors.append(f"levels {sorted(levels)} are not contiguous")
+
+    def valid(level):
+        return isinstance(level, int) and level >= 1
+
+    pairs = set()
+    outgoing = {i: [] for i in sheet_sets}
+    for c in p.covers:
+        tag = f"cover {c.src!r}->{c.dst!r}"
+        if c.src not in sheet_sets or c.dst not in sheet_sets:
+            errors.append(f"{tag} references a missing element")
+            continue
+        if (c.src, c.dst) in pairs:
+            errors.append(f"{tag} is duplicated")
+        pairs.add((c.src, c.dst))
+        low, high = p.by_id[c.src].level, p.by_id[c.dst].level
+        if valid(low) and valid(high) and high != low + 1:
+            errors.append(f"{tag} is not between adjacent levels")
+        if set(c.mapping) != sheet_sets[c.src]:
+            errors.append(f"{tag} map is not total on the source sheets")
+        image = set(c.mapping.values())
+        if not image <= sheet_sets[c.dst]:
+            errors.append(f"{tag} map leaves the destination sheets")
+        if len(image) != len(c.mapping):
+            errors.append(f"{tag} map is not injective")
+        outgoing[c.src].append(c)
+    if not errors:
+        for a in p.elements:
+            composites = {}
+            for first in outgoing[a.id]:
+                for second in outgoing[first.dst]:
+                    comp = tuple(second.mapping[first.mapping[s]] for s in a.sheets)
+                    if composites.setdefault(second.dst, comp) != comp:
+                        errors.append(f"composition mismatch from {a.id!r} to {second.dst!r}")
+    return tuple(errors)
+
+
+@st.composite
+def shared_map_posets(draw):
+    """A small poset on levels 1-3 whose covers draw their maps from a pool
+    of dict objects: a new inclusion, a new injection into the destination,
+    or a dict already used by an earlier cover, from the same source or
+    another, to the same destination or another.  One element may then get
+    an invalid level."""
+    elements = []
+    for level in range(1, draw(st.integers(1, 3)) + 1):
+        for k in range(draw(st.integers(1, 3))):
+            size = draw(st.integers(min(level, 3), 3))
+            sheets = draw(st.permutations("pqr"))[:size]
+            elements.append(PosetElement(f"e{level}{k}", level, tuple(sheets)))
+    pool = []
+    covers = []
+    for a in elements:
+        for b in elements:
+            if b.level != a.level + 1:
+                continue
+            kind = draw(st.sampled_from(["none", "inclusion", "injection", "shared"]))
+            if kind == "none":
+                continue
+            if kind == "inclusion":
+                mapping = dict(zip(a.sheets, a.sheets))
+            elif kind == "injection" or not pool:
+                mapping = dict(zip(a.sheets, draw(st.permutations(b.sheets))))
+            else:
+                mapping = draw(st.sampled_from(pool))
+            pool.append(mapping)
+            covers.append(CoverMap(a.id, b.id, mapping))
+    bad = draw(st.sampled_from(["keep", "keep", "keep", 0, None, "x"]))
+    if bad != "keep":
+        k = draw(st.integers(0, len(elements) - 1))
+        elements[k] = PosetElement(elements[k].id, bad, elements[k].sheets)
+    return StratPoset(elements, covers)
+
+
+def _flip(sheets, i):
+    """Each sign vector with its coordinate ``i`` flipped."""
+    return {s: s[:i] + {"+": "-", "-": "+"}[s[i]] + s[i + 1:] for s in sheets}
+
+
+@st.composite
+def altered_corner_posets(draw):
+    """A corner poset (shared inclusion maps) with one cover given the sign
+    flip of the coordinate it opens, a bijection onto the destination's
+    sheets that is no inclusion; or a corner document broken by one of the
+    benchmark's mutations at drawn places."""
+    n = draw(st.integers(2, 3))
+    if draw(st.sampled_from(["flip", "mutation"])) == "flip":
+        poset = torus_corner_poset(n)
+        covers = list(poset.covers)
+        k = draw(st.integers(0, len(covers) - 1))
+        c = covers[k]
+        opened = next(i for i, (u, v) in enumerate(zip(c.src, c.dst)) if u != v) - len("cell_")
+        covers[k] = CoverMap(c.src, c.dst, _flip(c.mapping, opened))
+        return StratPoset(poset.elements, covers)
+    doc = _corner_document(3)
+    how = draw(st.sampled_from(sorted(MUTATION_ERRORS)))
+    _break(doc, how, lambda seq, _: draw(st.sampled_from(seq)))
+    return from_document(doc)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(shared_map_posets(), altered_corner_posets()))
+def test_validate_poset_matches_reference(poset):
+    assert validate_poset(poset) == reference_validate(poset)
 
 
 def test_third_incoming_image_can_empty_the_meet():
