@@ -13,8 +13,10 @@ point; only the ``flat_torus.FlatPoint`` interface is read.  x and its
 coset points go on one integer scale D (``metric_core.integer_points``), so
 each orbit point D*Q and each bisector 2(Q - X).Z <= |Q|^2 - |X|^2 is
 integer.  Cell vertices are homogeneous integer triples (x, y, w) standing
-for (x/w, y/w) in scaled units, kept with w > 0 and gcd 1; only the
-returned points are Fractions.
+for (x/w, y/w) in scaled units, kept with w > 0 and gcd 1.  The graph is
+read off them on integers too: the point's integer make groups the corners
+and its integer ``deck_to`` tags the edges, so Fractions are built only for
+what is returned, one pair per vertex class and per corner.
 """
 
 from __future__ import annotations
@@ -114,19 +116,10 @@ def _window(center: int, radius: int, start: int, step: int) -> range:
     return range(low + (start - low) % step, center + radius + 1, step)
 
 
-def dirichlet_cell(x: FlatPoint) -> list[tuple[Point2, Point2 | None]]:
-    """Corners (counterclockwise) of the Dirichlet cell of the lift of ``x``,
-    each tagged with the displacement from ``x`` to the orbit point whose
-    bisector carries the edge leaving that corner.
-
-    The orbit is the lattice translates of ``cosets()``, pruned to the disc
-    ``|Q - X|^2 <= p1^2 + p2^2`` for ``periods`` ``(p1, p2)``: the four axis
-    translates bound the cell to the lattice box around X, where
-    ``|Z - X|^2 <= (p1^2 + p2^2) / 4``, and a bisector through Z has
-    ``|Q - X| <= |Z - X| + |Z - Q| = 2|Z - X|``.  The cell is clipped from
-    the box ``X +- (p1, p2)``, whose corners (tag ``None``) the axis
-    translates always cut, against the disc in sorted order.
-    """
+def _scaled_cell(x: FlatPoint) -> tuple[int, tuple[int, int], list[Corner]]:
+    """:func:`dirichlet_cell` on integers: the scale ``d``, the lift of ``x``
+    on it, and the corners as homogeneous triples, each tagged with its
+    orbit point on ``d``."""
     d, ((bx, by), *scaled) = integer_points((x.coords, *x.cosets()))
     px, py = (p * d for p in x.periods)
     r2 = px * px + py * py
@@ -145,36 +138,61 @@ def dirichlet_cell(x: FlatPoint) -> list[tuple[Point2, Point2 | None]]:
             polygon = _clip(
                 polygon, (qx, qy), 2 * (qx - bx), 2 * (qy - by), qx * qx + qy * qy - base_norm
             )
+    return d, (bx, by), polygon
+
+
+def _point(vx: int, vy: int, scale: int) -> Point2:
+    return (Fraction(vx, scale), Fraction(vy, scale))
+
+
+def dirichlet_cell(x: FlatPoint) -> list[tuple[Point2, Point2 | None]]:
+    """Corners (counterclockwise) of the Dirichlet cell of the lift of ``x``,
+    each tagged with the displacement from ``x`` to the orbit point whose
+    bisector carries the edge leaving that corner.
+
+    The orbit is the lattice translates of ``cosets()``, pruned to the disc
+    ``|Q - X|^2 <= p1^2 + p2^2`` for ``periods`` ``(p1, p2)``: the four axis
+    translates bound the cell to the lattice box around X, where
+    ``|Z - X|^2 <= (p1^2 + p2^2) / 4``, and a bisector through Z has
+    ``|Q - X| <= |Z - X| + |Z - Q| = 2|Z - X|``.  The cell is clipped from
+    the box ``X +- (p1, p2)``, whose corners (tag ``None``) the axis
+    translates always cut, against the disc in sorted order.
+    """
+    d, (bx, by), polygon = _scaled_cell(x)
     return [
-        (
-            (Fraction(vx, w * d), Fraction(vy, w * d)),
-            tag and (Fraction(tag[0] - bx, d), Fraction(tag[1] - by, d)),
-        )
+        (_point(vx, vy, w * d), tag and _point(tag[0] - bx, tag[1] - by, d))
         for (vx, vy, w), tag in polygon
     ]
 
 
 def dirichlet_graph(x: FlatPoint) -> CutLocusGraph:
-    """The cut locus of ``x`` read off :func:`dirichlet_cell`.
+    """The cut locus of ``x`` read off its Dirichlet cell, on integers.
 
-    The corners over one point are its minimal lifts, so ``make`` groups
-    them into vertices whose multiplicity is the corner count.  Each edge is
-    glued to the one tagged by the inverse of its deck element (``deck_to``
-    of its tag); of each pair the edge with the smaller element is emitted,
-    in element order, with that element's ``tag`` as its gluing.
+    The corners over one point are its minimal lifts.  As reduced
+    homogeneous triples they share their ``w``: a deck element moves a
+    corner by whole periods (and may flip it), which keeps the gcd.  So the
+    integer make, ``x.reduced`` on the scale ``w * d``, groups them into
+    vertices whose multiplicity is the corner count, with one Fraction pair
+    per vertex class.  Each edge is glued to the one tagged by the inverse
+    of its deck element (``deck_to`` of its integer orbit point); of each
+    pair the edge with the smaller element is emitted, in element order,
+    with that element's ``tag`` as its gluing.
     """
-    cell = dirichlet_cell(x)
+    d, _, cell = _scaled_cell(x)
     if not (4 <= len(cell) <= 6) or any(tag is None for _, tag in cell):
-        tags = [tag for _, tag in cell]
+        tags = [tag for _, tag in dirichlet_cell(x)]
         raise RuntimeError(f"unexpected Dirichlet cell of {x.coords}: edge tags {tags}")
 
-    classes: dict[tuple[Fraction, ...], list[int]] = {}
-    for i, (corner, _) in enumerate(cell):
-        classes.setdefault(x.make(corner).coords, []).append(i)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, ((vx, vy, w), _) in enumerate(cell):
+        classes.setdefault((*x.reduced((vx, vy), w * d), w), []).append(i)
     vertex_of = {i: k for k, members in enumerate(classes.values()) for i in members}
-    vertices = tuple(CutVertex(point, len(members)) for point, members in classes.items())
+    vertices = tuple(
+        CutVertex(_point(u, v, w * d), len(members)) for (u, v, w), members in classes.items()
+    )
 
-    decks = [x.deck_to(x.coords, tag) for _, tag in cell]
+    corners = [_point(vx, vy, w * d) for (vx, vy, w), _ in cell]
+    decks = [x.deck_to(tag, d) for _, tag in cell]
     n = len(cell)
     edges = []
     emitted = set()
@@ -182,6 +200,5 @@ def dirichlet_graph(x: FlatPoint) -> CutLocusGraph:
         g, j = decks[i], (i + 1) % n
         if g.inverse() not in emitted:
             emitted.add(g)
-            ends = (cell[i][0], cell[j][0])
-            edges.append(CutEdge(vertex_of[i], vertex_of[j], ends, 2, g.tag))
+            edges.append(CutEdge(vertex_of[i], vertex_of[j], (corners[i], corners[j]), 2, g.tag))
     return CutLocusGraph(vertices, tuple(edges))

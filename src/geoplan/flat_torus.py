@@ -4,6 +4,9 @@ cut loci and the optimal planner on the flat n-torus.
 Minimal lifts are the nearest lattice translates of one orbit point per
 coset of the lattice (:class:`FlatPoint`), keeping the closest coset or
 every tied one; each is a :class:`FlatGeodesic`, here and in ``klein_bottle``.
+The base and the coset points go on one integer scale first, so rounding,
+coset distances, tie order and deck tags are integer work, and each
+coordinate's displacement choices become Fractions once.
 
 The torus is the product of ``n`` circles of circumference 1; distances come
 from the flat product metric.  A geodesic between ``x`` and ``y`` moves every
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 from typing import TYPE_CHECKING
 
 from .cutgraph import CutEdge, CutLocusGraph, CutVertex
@@ -56,10 +58,15 @@ def _reduce(value: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class FlatPoint:
-    """A point of R^n / Γ reduced to [0, 1)^n.  Subclasses supply ``make``
-    (reduce any lift), the lattice ``periods``, ``cosets()`` (one orbit point
-    per coset of the lattice in Γ) and ``deck_to(base, displacement)`` (the
-    element of Γ carrying the point to ``base + displacement``, or None)."""
+    """A point of R^n / Γ reduced to [0, 1)^n.
+
+    Subclasses supply the lattice ``periods``, ``cosets()`` (one orbit point
+    per coset of the lattice in Γ) and two integer methods.  Both read a
+    lift as integers on a ``scale``, the point ``lift / scale``:
+    ``reduced(lift, scale)`` is the integer make, the reduced point of the
+    lift on the same scale, and ``deck_to(end, scale)`` is the element of Γ
+    carrying this point to ``end`` (None on the torus).  ``make`` reduces
+    any rational lift through ``reduced``."""
 
     coords: tuple[Fraction, ...]
 
@@ -73,6 +80,12 @@ class FlatPoint:
                 raise TypeError(f"coordinates must be Fractions; use {type(self).__name__}.make")
             if not 0 <= c.numerator < c.denominator:
                 raise ValueError(f"coordinate {c} not reduced to [0, 1)")
+
+    @classmethod
+    def make(cls, values) -> "FlatPoint":
+        """Reduce any lift in the universal cover."""
+        d, (lift,) = integer_points((tuple(map(_frac, values)),))
+        return cls(tuple(Fraction(c, d) for c in cls.reduced(lift, d)))
 
     @property
     def n(self) -> int:
@@ -118,45 +131,51 @@ class FlatGeodesic:
         return Polyline((self.start_lift, self.end_lift))
 
 
-def _nearest_translates(base, target, periods) -> list[tuple[Fraction, ...]]:
+def _nearest_translates(base, target, widths) -> list[tuple[int, ...]]:
     """Per coordinate, the displacements from ``base`` to the nearest
-    translates ``target_i + m * periods_i`` (``m`` an integer).
+    translates ``target_i + m * widths_i`` (``m`` an integer), all integers
+    on one scale, the widths being the periods on it.
 
     The lattice is rectangular, so each coordinate rounds to its nearest
-    period on its own: one displacement in (-p/2, p/2), or both -p/2 and p/2
-    on an exact half-period tie.  ``base`` may be any lift, reduced or not;
-    periods are positive integers.  Choices are listed in increasing order.
+    period on its own: one displacement in (-w/2, w/2), or both -w/2 and w/2
+    on an exact half-period tie.  ``base`` may be any lift, reduced or not.
+    Choices are listed in increasing order.
     """
     out = []
-    for b, t, p in zip(base, target, periods):
-        d = t - b
-        d -= p * (d.numerator // (p * d.denominator))
-        twice, width = 2 * d.numerator, p * d.denominator
-        if twice < width:
-            out.append((d,))
-        elif twice > width:
-            out.append((d - p,))
-        else:
-            out.append((d - p, d))
+    for b, t, w in zip(base, target, widths):
+        r = (t - b) % w
+        out.append((r,) if 2 * r < w else (r - w,) if 2 * r > w else (r - w, r))
     return out
 
 
-def _nearest_lifts(base, cosets, periods) -> list[tuple[Fraction, ...]]:
-    """Displacements from ``base`` to the nearest orbit points, in
-    increasing order: the product of the per-coordinate choices of the
-    closest of ``cosets``, or of every tied one (only then sorted)."""
+def _nearest_lifts(base, cosets, periods, scale: int = 1):
+    """The nearest orbit points to ``base``, on one integer scale.
+
+    Returns ``d``, the lcm of ``scale`` and every denominator of ``base`` and
+    ``cosets``, ``base`` times ``d``, and the per-coordinate displacement
+    choices (:func:`_nearest_translates`, on ``d``) toward the closest of
+    ``cosets``, or toward each tied one.  The displacements from ``base`` to
+    the nearest orbit points are the products of these choices.
+    """
+    d, (b, *targets) = integer_points((base, *cosets), scale)
+    widths = [p * d for p in periods]
     best, found = None, []
-    for target in cosets:
-        choices = _nearest_translates(base, target, periods)
-        if len(cosets) > 1:
-            d = sum(c[0] * c[0] for c in choices)
-            if best is None or d < best:
-                best, found = d, []
-            elif d > best:
+    for target in targets:
+        choices = _nearest_translates(b, target, widths)
+        if len(targets) > 1:
+            dist = sum(c[0] * c[0] for c in choices)
+            if best is None or dist < best:
+                best, found = dist, []
+            elif dist > best:
                 continue
         found.append(choices)
-    lifts = [disp for choices in found for disp in product(*choices)]
-    return lifts if len(found) == 1 else sorted(lifts)
+    return d, b, found
+
+
+def _end_lifts(base, choices):
+    """The end lifts ``base + displacement`` over the product of the
+    per-coordinate ``choices``, in increasing order."""
+    return product(*[tuple(u + c for c in cs) for u, cs in zip(base, choices)])
 
 
 def _check_pair(x: FlatPoint, y: FlatPoint) -> None:
@@ -165,21 +184,24 @@ def _check_pair(x: FlatPoint, y: FlatPoint) -> None:
 
 
 def _flat_geodesics(x: FlatPoint, y: FlatPoint) -> tuple[FlatGeodesic, ...]:
-    """All minimizing geodesics from ``x`` to ``y``, by increasing displacement."""
+    """All minimizing geodesics from ``x`` to ``y``, by increasing displacement.
+
+    Each coordinate's displacement choices become Fractions once and are
+    shared by every geodesic; the deck element of each is read from its
+    integer end lift.  Lifts of tied cosets are sorted on their integers.
+    """
     _check_pair(x, y)
-    return tuple(
-        FlatGeodesic(x, disp, y.deck_to(x.coords, disp))
-        for disp in _nearest_lifts(x.coords, y.cosets(), y.periods)
+    d, b, found = _nearest_lifts(x.coords, y.cosets(), y.periods)
+    lifts = (
+        lift
+        for choices in found
+        for lift in zip(
+            _end_lifts(b, choices), product(*[tuple(Fraction(c, d) for c in cs) for cs in choices])
+        )
     )
-
-
-def _loop_lifts(base, cosets, periods) -> list[tuple[Fraction, ...]]:
-    """The nearest lifts themselves, ``base + displacement``, in increasing
-    order: the lifts a loop monodromy starts from."""
-    return [
-        tuple(b + d for b, d in zip(base, disp))
-        for disp in _nearest_lifts(base, cosets, periods)
-    ]
+    if len(found) > 1:
+        lifts = sorted(lifts)
+    return tuple(FlatGeodesic(x, disp, y.deck_to(end, d)) for end, disp in lifts)
 
 
 @dataclass(frozen=True)
@@ -212,22 +234,22 @@ def _scaled_loop(base, cosets, periods, steps: int, close) -> _ScaledLoop:
     lifts onto the sorted nearest lifts.  Step ``j``'s lifts are therefore
     the step-0 lifts moved by ``j / steps``, which on the scale
     ``S = lcm(steps, denominators of base and cosets)`` is the integer
-    ``j * S / steps``.  Only step 0 is built in Fractions, and ``close``
-    (the deck transformation that closes the loop) acts on its lifts once.
+    ``j * S / steps``.  The step-0 lifts come from :func:`_nearest_lifts` on
+    ``S``, and ``close(lift, S)`` (the deck transformation that closes the
+    loop, on integers) acts on them once.
     """
-    start = _loop_lifts(base, cosets, periods)
-    scale = lcm(steps, *(c.denominator for p in (base, *cosets) for c in p))
-    _, scaled = integer_points((*start, *map(close, start)), scale)
-    return _ScaledLoop(scale, steps, scaled[: len(start)], scaled[len(start):])
+    scale, b, found = _nearest_lifts(base, cosets, periods, steps)
+    start = sorted(end for choices in found for end in _end_lifts(b, choices))
+    return _ScaledLoop(scale, steps, start, [close(p, scale) for p in start])
 
 
 class TorusPoint(FlatPoint):
     """A point with rational coordinates reduced to [0, 1) per circle: one
     coset of the lattice Z^n."""
 
-    @classmethod
-    def make(cls, values) -> "TorusPoint":
-        return cls(tuple(_reduce(_frac(v)) for v in values))
+    @staticmethod
+    def reduced(lift, scale: int) -> tuple[int, ...]:
+        return tuple(c % scale for c in lift)
 
     @property
     def periods(self) -> tuple[int, ...]:
@@ -236,18 +258,20 @@ class TorusPoint(FlatPoint):
     def cosets(self) -> tuple[tuple[Fraction, ...]]:
         return (self.coords,)
 
-    def deck_to(self, base, displacement) -> None:
+    def deck_to(self, end, scale: int) -> None:
         return None
 
 
-def _choices(x: TorusPoint, y: TorusPoint) -> list[tuple[Fraction, ...]]:
+def _choices(x: TorusPoint, y: TorusPoint) -> tuple[int, list[tuple[int, ...]]]:
+    """The scale and the per-coordinate displacement choices from ``x`` to ``y``."""
     _check_pair(x, y)
-    return _nearest_translates(x.coords, y.coords, x.periods)
+    d, _, (choices,) = _nearest_lifts(x.coords, y.cosets(), x.periods)
+    return d, choices
 
 
 def antipodal_indices(x: TorusPoint, y: TorusPoint) -> tuple[int, ...]:
     """Coordinates where ``y`` sits exactly opposite ``x`` (offset 1/2)."""
-    return tuple(i for i, c in enumerate(_choices(x, y)) if len(c) == 2)
+    return tuple(i for i, c in enumerate(_choices(x, y)[1]) if len(c) == 2)
 
 
 def torus_stratum(x: TorusPoint, y: TorusPoint) -> int:
@@ -331,9 +355,9 @@ def torus_plan(x: TorusPoint, y: TorusPoint) -> PlannerResult:
     Domain index is ``torus_stratum(x, y) - 1``; the chosen geodesic always
     belongs to ``torus_geodesics(x, y)``.
     """
-    choices = _choices(x, y)
+    d, choices = _choices(x, y)
     opposite = sum(len(c) == 2 for c in choices)
-    chosen = FlatGeodesic(x, tuple(c[-1] for c in choices), None)
+    chosen = FlatGeodesic(x, tuple(Fraction(c[-1], d) for c in choices), None)
     return PlannerResult(
         domain=opposite,
         count=2 ** opposite,
@@ -371,5 +395,7 @@ def torus_loop_monodromy(steps: int, x2=Fraction(1, 2)) -> tuple[int, ...]:
     x2 = _frac(x2)
     # The pair is (x, its antipode); the loop closes by the shift (1, 0).
     antipode = (_HALF, x2 + _HALF)
-    loop = _scaled_loop((Fraction(0), x2), (antipode,), (1, 1), steps, lambda p: (p[0] + 1, p[1]))
+    loop = _scaled_loop(
+        (Fraction(0), x2), (antipode,), (1, 1), steps, lambda p, s: (p[0] + s, p[1])
+    )
     return loop_monodromy(loop.lifts_at, steps, loop.closed)

@@ -72,6 +72,13 @@ class DeckElement:
             return (u + self.a, v + self.b)
         return (u + self.a, 1 - v - self.b)
 
+    def apply_scaled(self, point: tuple[int, int], scale: int) -> tuple[int, int]:
+        """:meth:`apply` to the point ``point / scale``, on the same scale."""
+        u, v = point
+        if self.a % 2 == 0:
+            return (u + self.a * scale, v + self.b * scale)
+        return (u + self.a * scale, (1 - self.b) * scale - v)
+
     def compose(self, other: "DeckElement") -> "DeckElement":
         """``self`` after ``other`` (apply ``other`` first)."""
         if other.a % 2 == 0:
@@ -99,28 +106,23 @@ class KleinPoint(FlatPoint):
     #: Periods of the translation subgroup <alpha^2, beta> = 2Z x Z.
     periods = (2, 1)
 
-    @classmethod
-    def make(cls, values) -> "KleinPoint":
-        """Project a plane point (any lift) to its fundamental-square
-        representative."""
-        u, v = (_frac(c) for c in values)
-        shift = u.numerator // u.denominator
-        u -= shift
-        if shift % 2 == 1:
-            v = 1 - v
-        v -= v.numerator // v.denominator
-        return cls((u, v))
+    @staticmethod
+    def reduced(lift, scale: int) -> tuple[int, int]:
+        """The fundamental-square representative of ``lift / scale``, times
+        ``scale``: each whole turn in u crosses the glide and flips v."""
+        u, v = lift
+        shift, u = divmod(u, scale)
+        return (u, (scale - v if shift % 2 else v) % scale)
 
     def cosets(self) -> tuple[Point2, Point2]:
         u, v = self.coords
         return ((u, v), (u + 1, 1 - v))
 
-    def deck_to(self, base, displacement) -> DeckElement:
-        """The deck element carrying this point to ``base + displacement``."""
-        u, v = self.coords
-        a = int(base[0] + displacement[0] - u)
-        end_v = base[1] + displacement[1]
-        return DeckElement(a, int(end_v - v if a % 2 == 0 else 1 - v - end_v))
+    def deck_to(self, end, scale: int) -> DeckElement:
+        """The deck element carrying this point to ``end / scale``."""
+        u, v = (c.numerator * (scale // c.denominator) for c in self.coords)
+        a = (end[0] - u) // scale
+        return DeckElement(a, (end[1] - v if a % 2 == 0 else scale - v - end[1]) // scale)
 
 
 def klein_lift_orbit(
@@ -261,7 +263,7 @@ def klein_monodromy(x2, steps: int) -> MonodromyResult:
     # Identify the final frame with the initial one: the lift of x has moved
     # by the deck element carrying (0, x2) to (1, x2).
     g_loop = DeckElement(1, int(1 - 2 * x2))
-    loop = _scaled_loop((Fraction(0), x2), y.cosets(), y.periods, steps, g_loop.apply)
+    loop = _scaled_loop((Fraction(0), x2), y.cosets(), y.periods, steps, g_loop.apply_scaled)
     permutation = loop_monodromy(loop.lifts_at, steps, loop.closed)
     level = x2.numerator * loop.scale // x2.denominator
     labels = tuple(

@@ -17,7 +17,9 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
+# The C quoting function that json.encoder wraps: importing it alone leaves
+# out json's decoder and scanner, which no renderer needs.
+from _json import encode_basestring_ascii as _quote
 
 _INF = float("inf")
 

@@ -849,9 +849,10 @@ def test_command_loads_only_its_layers(argv, layers):
 
 
 def test_import_leaves_verify_and_numpy_unloaded():
+    # The json package too: render takes its one quoting function from _json.
     code = (
         "import sys, geoplan.cli; "
-        "print(sorted(m for m in ('geoplan.verify', 'numpy') if m in sys.modules))"
+        "print(sorted(m for m in ('geoplan.verify', 'numpy', 'json') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoplan import flat_torus
@@ -15,7 +15,6 @@ from geoplan.cutgraph import dirichlet_cell
 from geoplan.flat_torus import (
     FlatGeodesic,
     TorusPoint,
-    _loop_lifts,
     antipodal_indices,
     torus_cut_locus,
     torus_geodesics,
@@ -27,6 +26,7 @@ from geoplan.flat_torus import (
 from geoplan.klein_bottle import (
     DeckElement,
     KleinPoint,
+    klein_cut_locus,
     klein_geodesics,
     klein_monodromy,
     klein_plan,
@@ -248,6 +248,14 @@ class TestMonodromyControl:
         assert fractions_built(lambda: loop(16)) == fractions_built(lambda: loop(64))
 
 
+class TestFractionSharing:
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_antipode_builds_each_choice_once(self, n):
+        # The 2^(n-1) geodesics share each coordinate's two Fractions.
+        x, y = TorusPoint.make([0] * n), TorusPoint.make([H] * n)
+        assert fractions_built(lambda: torus_geodesics(x, y)) <= 2 * n
+
+
 def outcome(run):
     """``run()``'s result, or the type of the exception it raised."""
     try:
@@ -264,7 +272,7 @@ def reference_meridian_loop(x2, steps):
     for j in range(steps + 1):
         t = F(j, steps)
         antipode = TorusPoint.make((t + H, x2 + H))
-        frames.append(_loop_lifts((t, x2), antipode.cosets(), antipode.periods))
+        frames.append(reference_loop_lifts((t, x2), antipode.cosets(), antipode.periods))
 
     def track():
         ancestor = tuple(range(len(frames[0])))
@@ -381,3 +389,195 @@ class TestFlatQuotientProperties:
         assert (chosen.displacement, chosen.deck) in {
             (g.displacement, g.deck) for g in geodesics(x, y)
         }
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference: the lift rule, make and deck_to one coordinate and one
+# geodesic at a time in Fraction arithmetic, as the library computed them
+# before it moved to one integer scale.
+# ---------------------------------------------------------------------------
+
+
+def reference_translates(base, target, periods):
+    """Per coordinate, the displacements to the nearest translates of
+    ``target``, in increasing order: both half periods on a tie."""
+    out = []
+    for b, t, p in zip(base, target, periods):
+        d = F(t) - F(b)
+        d -= p * (d.numerator // (p * d.denominator))
+        twice, width = 2 * d.numerator, p * d.denominator
+        if twice < width:
+            out.append((d,))
+        elif twice > width:
+            out.append((d - p,))
+        else:
+            out.append((d - p, d))
+    return out
+
+
+def reference_displacements(base, cosets, periods):
+    """Displacements from ``base`` to the nearest orbit points, in
+    increasing order: those of the closest coset, or of every tied one."""
+    best, found = None, []
+    for target in cosets:
+        choices = reference_translates(base, target, periods)
+        if len(cosets) > 1:
+            d = sum(c[0] * c[0] for c in choices)
+            if best is None or d < best:
+                best, found = d, []
+            elif d > best:
+                continue
+        found.append(choices)
+    lifts = [disp for choices in found for disp in itertools.product(*choices)]
+    return lifts if len(found) == 1 else sorted(lifts)
+
+
+def reference_loop_lifts(base, cosets, periods):
+    """The nearest lifts themselves, ``base + displacement``, in increasing
+    order: the lifts a loop monodromy starts from."""
+    return [
+        tuple(F(b) + d for b, d in zip(base, disp))
+        for disp in reference_displacements(base, cosets, periods)
+    ]
+
+
+def reference_klein_make(values):
+    """The fundamental-square representative of a plane point."""
+    u, v = (F(c) for c in values)
+    shift = u.numerator // u.denominator
+    u -= shift
+    if shift % 2 == 1:
+        v = 1 - v
+    v -= v.numerator // v.denominator
+    return (u, v)
+
+
+def reference_klein_deck(y, base, displacement):
+    """The deck element carrying ``y`` to ``base + displacement``."""
+    u, v = y.coords
+    a = int(base[0] + displacement[0] - u)
+    end_v = base[1] + displacement[1]
+    return DeckElement(a, int(end_v - v if a % 2 == 0 else 1 - v - end_v))
+
+
+def reference_geodesics(x, y):
+    """(displacement, deck) of each geodesic from ``x`` to ``y``."""
+    klein = isinstance(y, KleinPoint)
+    return [
+        (disp, reference_klein_deck(y, x.coords, disp) if klein else None)
+        for disp in reference_displacements(x.coords, y.cosets(), y.periods)
+    ]
+
+
+def reference_klein_graph(x):
+    """Vertices (point, multiplicity) and edges (ends, points, gluing) of
+    the cut locus, read off the Fraction cell with the reference make and
+    deck_to, as :func:`cutgraph.dirichlet_graph` defines them."""
+    cell = dirichlet_cell(x)
+    classes = {}
+    for i, (corner, _) in enumerate(cell):
+        classes.setdefault(reference_klein_make(corner), []).append(i)
+    vertex_of = {i: k for k, members in enumerate(classes.values()) for i in members}
+    decks = [reference_klein_deck(x, x.coords, tag) for _, tag in cell]
+    edges, emitted = [], set()
+    for i in sorted(range(len(cell)), key=decks.__getitem__):
+        g, j = decks[i], (i + 1) % len(cell)
+        if g.inverse() not in emitted:
+            emitted.add(g)
+            edges.append((vertex_of[i], vertex_of[j], (cell[i][0], cell[j][0]), g.tag))
+    return [(p, len(m)) for p, m in classes.items()], edges
+
+
+#: A prime denominator whose squares and products pass 10^24.
+BIG = 10**12 + 39
+
+
+@st.composite
+def lift_coordinate(draw):
+    """A coordinate of any lift: negative or beyond [0, 1) as often as
+    not, over a small denominator or over 10^12 + 39."""
+    d = draw(st.one_of(st.integers(1, 24), st.just(BIG)))
+    return F(draw(st.integers(-3 * d, 3 * d)), d)
+
+
+@st.composite
+def reference_pair(draw):
+    """A space (torus:1..6 or klein), a base lift and a target point.
+
+    Each target coordinate is free or half a period (of Z^n, or of 2Z x Z)
+    from the base.  A Klein target may instead tie its two cosets: take its
+    second displacement ``B`` to ``y`` in [-1/2, 1/2); the one to
+    ``alpha(y)`` is then ``1 - 2 x2 - B`` reduced to ``B'`` in [-1/2, 1/2),
+    and first displacements ``+-a`` and ``-+(1 - a)`` with
+    ``a = (1 + B'^2 - B^2) / 2`` give both cosets one squared length."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, "klein"]))
+    if n == "klein":
+        point, periods = KleinPoint, (2, 1)
+    else:
+        point, periods = TorusPoint, (1,) * n
+    base = [draw(lift_coordinate()) for _ in periods]
+    if point is KleinPoint and draw(st.booleans()):
+        b = draw(lift_coordinate()) % 1 - H
+        b_alpha = (1 - 2 * base[1] - b + H) % 1 - H
+        a = (1 + b_alpha**2 - b * b) / 2 * draw(st.sampled_from([-1, 1]))
+        return point, base, (base[0] + a, base[1] + b)
+    target = [
+        c + p * H * draw(st.sampled_from([-1, 1, 3]))
+        if draw(st.booleans())
+        else draw(lift_coordinate())
+        for c, p in zip(base, periods)
+    ]
+    return point, base, target
+
+
+class TestIntegerCoreMatchesTheFractionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(lift_coordinate(), lift_coordinate()), st.integers(-3, 3), st.integers(-3, 3))
+    def test_make_and_deck_elements(self, lift, a, b):
+        assert KleinPoint.make(lift).coords == reference_klein_make(lift)
+        g = DeckElement(a, b)
+        d = F(lift[0]).denominator * F(lift[1]).denominator
+        scaled = tuple(int(c * d) for c in lift)
+        assert tuple(F(c, d) for c in g.apply_scaled(scaled, d)) == g.apply(lift)
+
+    @settings(max_examples=400, deadline=None)
+    @given(reference_pair())
+    @example((TorusPoint, [F(-7, 2), 3], [0, F(1, 2)]))
+    @example((KleinPoint, [F(-1), F(5, 2)], [F(1, 2), F(1, 2)]))
+    def test_nearest_lifts_from_any_base(self, pair):
+        point, base, target = pair
+        y = point.make(target)
+        d, _, found = flat_torus._nearest_lifts(base, y.cosets(), y.periods)
+        got = sorted(
+            tuple(F(c, d) for c in disp)
+            for choices in found
+            for disp in itertools.product(*choices)
+        )
+        assert got == sorted(reference_displacements(base, y.cosets(), y.periods))
+
+    @settings(max_examples=400, deadline=None)
+    @given(reference_pair())
+    @example((KleinPoint, [0, 0], [F(1, 2), F(1, 2)]))
+    @example((KleinPoint, [F(1, 2), F(3, 10)], [F(3, 2), F(1, 2)]))
+    @example((TorusPoint, [0] * 6, [F(1, 2)] * 6))
+    def test_geodesics_and_plan(self, pair):
+        point, base, target = pair
+        x, y = point.make(base), point.make(target)
+        expected = reference_geodesics(x, y)
+        assert [(g.displacement, g.deck) for g in flat_torus._flat_geodesics(x, y)] == expected
+        if point is TorusPoint:
+            choices = reference_translates(x.coords, y.coords, x.periods)
+            plan = torus_plan(x, y)
+            assert plan.geodesic.displacement == tuple(c[-1] for c in choices)
+            assert plan.domain == sum(len(c) == 2 for c in choices)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lift_coordinate(), st.one_of(lift_coordinate(), st.sampled_from([0, H, -H, 3 * H])))
+    @example(F(1, 2), F(3, 10))
+    @example(F(-1, BIG), F(0))
+    def test_klein_cut_locus(self, x1, x2):
+        x = KleinPoint.make((x1, x2))
+        graph = klein_cut_locus(x)
+        vertices, edges = reference_klein_graph(x)
+        assert [(v.point, v.multiplicity) for v in graph.vertices] == vertices
+        assert [(e.start_vertex, e.end_vertex, e.points, e.gluing) for e in graph.edges] == edges

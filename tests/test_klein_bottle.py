@@ -24,11 +24,12 @@ from geoplan.klein_bottle import (
     klein_stratum,
 )
 from geoplan import cutgraph
-from geoplan.flat_torus import _loop_lifts
+from geoplan.flat_torus import _scaled_loop
 from geoplan.metric_core import dist_sq
 from geoplan.planning import nearest_lift_permutation
 from geoplan.strat_cover import klein_s4_poset, lower_bound, validate_poset
 from geoplan.verify import _klein_orbit_scan as orbit_scan
+from test_flat_torus import reference_loop_lifts
 
 F = Fraction
 H = F(1, 2)
@@ -172,7 +173,9 @@ class TestGeodesics:
         for _ in range(200):
             base = (F(rng.randrange(-64, 64), 32), F(rng.randrange(-32, 64), 32))
             y = KleinPoint.make((F(rng.randrange(16), 16), F(rng.randrange(16), 16)))
-            lifts = _loop_lifts(base, y.cosets(), y.periods)
+            loop = _scaled_loop(base, y.cosets(), y.periods, 8, IDENTITY.apply_scaled)
+            lifts = [tuple(F(c, loop.scale) for c in p) for p in loop.start]
+            assert loop.closed == loop.start
             assert lifts == [p for p, _ in orbit_scan(base, y)]
 
     def test_lift_orbit_covers_the_window(self):
@@ -466,7 +469,7 @@ def reference_glide_loop(x2, steps):
     for j in range(steps + 1):
         t = F(j, steps)
         y = KleinPoint.make((t + H, x2 + H))
-        frames.append(_loop_lifts((t, x2), y.cosets(), y.periods))
+        frames.append(reference_loop_lifts((t, x2), y.cosets(), y.periods))
 
     def track():
         ancestor = tuple(range(len(frames[0])))
