@@ -6,7 +6,11 @@ coset of the lattice (:class:`FlatPoint`), keeping the closest coset or
 every tied one; each is a :class:`FlatGeodesic`, here and in ``klein_bottle``.
 The base and the coset points go on one integer scale first, so rounding,
 coset distances, tie order and deck tags are integer work, and each
-coordinate's displacement choices become Fractions once.
+coordinate's displacement choices become Fractions once.  The planners of
+both spaces return a :class:`PlannerResult`, and both loop monodromies run
+through ``_loop_permutation``: one strictly-nearest matching of the lifts
+to themselves moved by one step, composed once per step, raising
+:class:`AmbiguousMatchError` rather than guess.
 
 The torus is the product of ``n`` circles of circumference 1; distances come
 from the flat product metric.  A geodesic between ``x`` and ``y`` moves every
@@ -26,18 +30,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import TYPE_CHECKING
+from operator import mul
+from typing import TYPE_CHECKING, Any
 
 from .cutgraph import CutEdge, CutLocusGraph, CutVertex
 from .metric_core import Polyline, _frac, integer_points
-from .planning import PlannerResult, loop_monodromy
 
 if TYPE_CHECKING:
     from .strat_cover import StratPoset
 
 __all__ = [
+    "AmbiguousMatchError",
     "FlatGeodesic",
     "FlatPoint",
+    "PlannerResult",
     "TorusCutLocus",
     "TorusCutStratum",
     "TorusPoint",
@@ -50,10 +56,6 @@ __all__ = [
 ]
 
 _HALF = Fraction(1, 2)
-
-
-def _reduce(value: Fraction) -> Fraction:
-    return value - (value.numerator // value.denominator)
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,21 @@ class FlatGeodesic:
         return Polyline((self.start_lift, self.end_lift))
 
 
+@dataclass(frozen=True)
+class PlannerResult:
+    """Outcome of a planner query: the chosen geodesic and its context.
+
+    ``domain`` is the index of the planner domain the pair falls in (0 for
+    the open dense cell), ``count`` the total number of minimizing geodesics,
+    ``rule`` a short human-readable tag for the tie-breaking rule applied.
+    """
+
+    domain: int
+    count: int
+    rule: str
+    geodesic: Any
+
+
 def _nearest_translates(base, target, widths) -> list[tuple[int, ...]]:
     """Per coordinate, the displacements from ``base`` to the nearest
     translates ``target_i + m * widths_i`` (``m`` an integer), all integers
@@ -204,43 +221,64 @@ def _flat_geodesics(x: FlatPoint, y: FlatPoint) -> tuple[FlatGeodesic, ...]:
     return tuple(FlatGeodesic(x, disp, y.deck_to(end, d)) for end, disp in lifts)
 
 
-@dataclass(frozen=True)
-class _ScaledLoop:
-    """The lifts of a loop that drags a pair along ``(t, 0)``, ``t`` from 0
-    to 1 in ``steps`` equal steps, as integers on the one ``scale``:
-    ``start`` at step 0 and ``closed``, the step-0 lifts carried by the deck
-    transformation that closes the loop, in the order of ``start``."""
-
-    scale: int
-    steps: int
-    start: list[tuple[int, ...]]
-    closed: list[tuple[int, ...]]
-
-    def lifts_at(self, j: int) -> list[tuple[int, ...]]:
-        """The nearest lifts at step ``j``: ``start`` moved by ``j / steps``
-        in the first coordinate."""
-        shift = j * self.scale // self.steps
-        return [(u + shift, *rest) for u, *rest in self.start]
+class AmbiguousMatchError(RuntimeError):
+    """Raised when nearest-lift tracking cannot decide a matching."""
 
 
-def _scaled_loop(base, cosets, periods, steps: int, close) -> _ScaledLoop:
-    """Put a loop monodromy on one integer scale before its first step.
+def _loop_permutation(base, cosets, periods, steps: int, close):
+    """Permutation of the nearest lifts after one trip around a loop that
+    drags ``base`` and the target with coset points ``cosets`` along
+    ``(t, 0)``, ``t`` from 0 to 1 in ``steps`` equal steps.
 
-    The loop moves ``base`` and the target with coset points ``cosets``
-    together by ``tau = (t, 0)``.  ``tau`` commutes with the deck group
-    (with every lattice translation, and with the Klein glide), so it
-    carries the target's orbit at step 0 onto its orbit at ``t``; being an
-    isometry that keeps lexicographic order, it carries the sorted nearest
-    lifts onto the sorted nearest lifts.  Step ``j``'s lifts are therefore
-    the step-0 lifts moved by ``j / steps``, which on the scale
-    ``S = lcm(steps, denominators of base and cosets)`` is the integer
-    ``j * S / steps``.  The step-0 lifts come from :func:`_nearest_lifts` on
-    ``S``, and ``close(lift, S)`` (the deck transformation that closes the
-    loop, on integers) acts on them once.
+    Returns the scale ``S = lcm(steps, denominators of base and cosets)``,
+    the sorted step-0 lifts on it (``start``) and the permutation: entry
+    ``i`` is the index of the step-0 lift that lift ``i`` arrives at, read
+    through ``close(lift, S)``, the deck transformation that closes the loop
+    on integers.
+
+    The translation by ``(t, 0)`` commutes with the deck group (with every
+    lattice translation, and with the Klein glide), and being an isometry
+    that keeps lexicographic order it carries the sorted nearest lifts at
+    step 0 onto those at ``t``: step ``j``'s lifts are ``start`` moved by
+    ``j * delta``, ``delta = S / steps``.  So ``|p_i - q_k|^2`` between
+    consecutive steps is ``|s_i - s_k - delta e_1|^2`` at every step, and
+    every step's strictly-nearest matching is the one permutation, found
+    once and composed ``steps`` times.  A tie or a matching that is not a
+    bijection raises :class:`AmbiguousMatchError` rather than guess.
     """
+    if steps < 8:
+        raise ValueError("need steps >= 8 for unambiguous matching")
     scale, b, found = _nearest_lifts(base, cosets, periods, steps)
     start = sorted(end for choices in found for end in _end_lifts(b, choices))
-    return _ScaledLoop(scale, steps, start, [close(p, scale) for p in start])
+    delta = scale // steps
+    advice = f"; rerun with a finer loop (steps > {steps})"
+    # |p - t|^2 = |p|^2 - 2 p.t + |t|^2, and |t|^2 is the same for every p:
+    # ranking by the first two terms picks the same nearest lift and ties.
+    norms = [sum(map(mul, p, p)) for p in start]
+    step: list[int] = []
+    for k, (u, *rest) in enumerate(start):
+        target = (u + delta, *rest)
+        dists = [n - 2 * sum(map(mul, p, target)) for n, p in zip(norms, start)]
+        best = min(dists)
+        hits = [i for i, d in enumerate(dists) if d == best]
+        if len(hits) != 1:
+            raise AmbiguousMatchError(
+                f"new lift {k} is equidistant from previous lifts {hits}{advice}"
+            )
+        step.append(hits[0])
+    if len(set(step)) != len(step):
+        raise AmbiguousMatchError(f"nearest-lift assignment is not a bijection{advice}")
+    ancestor = tuple(range(len(start)))
+    for _ in range(steps):
+        ancestor = tuple(ancestor[i] for i in step)
+    final = [(u + scale, *rest) for u, *rest in start]
+    closed = [close(p, scale) for p in start]
+    if sorted(closed) != final:
+        raise RuntimeError("loop closure failed: final lifts differ from expected")
+    permutation = [0] * len(start)
+    for m, i in enumerate(ancestor):
+        permutation[i] = closed.index(final[m])
+    return scale, start, tuple(permutation)
 
 
 class TorusPoint(FlatPoint):
@@ -317,13 +355,14 @@ def torus_cut_locus(x: TorusPoint) -> TorusCutLocus:
     subtorus.
     """
     n = x.n
+    antipode = tuple((c + _HALF) % 1 for c in x.coords)
     strata = []
     indices = range(n)
     for size in range(1, n + 1):
         for fixed in combinations(indices, size):
             rep = list(x.coords)
             for i in fixed:
-                rep[i] = _reduce(rep[i] + _HALF)
+                rep[i] = antipode[i]
             strata.append(
                 TorusCutStratum(
                     fixed=fixed,
@@ -334,7 +373,6 @@ def torus_cut_locus(x: TorusPoint) -> TorusCutLocus:
                 )
             )
     graph: CutLocusGraph | None = None
-    antipode = tuple(_reduce(c + _HALF) for c in x.coords)
     if n == 1:
         graph = CutLocusGraph((CutVertex(antipode, 2),), ())
     elif n == 2:
@@ -387,15 +425,13 @@ def torus_loop_monodromy(steps: int, x2=Fraction(1, 2)) -> tuple[int, ...]:
     the geodesics by nearest-lift matching; returns the permutation.
 
     This is the orientable control: the result is always the identity.
-    Mirrors the Klein-bottle monodromy contract, including ``steps >= 8``.
-    Moving the pair by ``(t, 0)`` commutes with the lattice Z², so every
-    step's lifts are the step-0 lifts moved by ``t``, all tracked as integers
-    on one scale (:func:`_scaled_loop`).
+    Mirrors the Klein-bottle monodromy contract, including ``steps >= 8``;
+    the loop runs as integers on one scale (:func:`_loop_permutation`).
     """
     x2 = _frac(x2)
     # The pair is (x, its antipode); the loop closes by the shift (1, 0).
     antipode = (_HALF, x2 + _HALF)
-    loop = _scaled_loop(
+    _, _, permutation = _loop_permutation(
         (Fraction(0), x2), (antipode,), (1, 1), steps, lambda p, s: (p[0] + s, p[1])
     )
-    return loop_monodromy(loop.lifts_at, steps, loop.closed)
+    return permutation

@@ -19,26 +19,29 @@ clipped exactly from bisector half-planes by ``cutgraph.dirichlet_graph``
 through the same ``FlatPoint`` interface.  The cut locus is a wedge of two
 circles when the basepoint's second coordinate is 0 or 1/2 and a
 theta-graph otherwise; the pair space accordingly splits into strata
-``S_1 .. S_4`` by geodesic count.  An optimal planner uses five domains, and
-dragging a four-geodesic pair around the glide loop permutes the geodesics
-nontrivially (the up/down swap), which is the obstruction showing four
-domains cannot suffice.
+``S_1 .. S_4`` by geodesic count.  An optimal planner uses five domains
+and answers with the shared ``flat_torus.PlannerResult``.  Dragging a
+four-geodesic pair around the glide loop, tracked by the flat-quotient loop
+matching of ``flat_torus``, permutes the geodesics nontrivially (the
+up/down swap), which is the obstruction showing four domains cannot
+suffice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cutgraph import CutLocusGraph, dirichlet_graph
-from .flat_torus import FlatGeodesic, FlatPoint, _flat_geodesics, _scaled_loop
-from .metric_core import _frac
-from .planning import (
+from .flat_torus import (
+    FlatGeodesic,
+    FlatPoint,
     PlannerResult,
-    loop_monodromy,
-    permutation_cycles,
-    permutation_order,
+    _flat_geodesics,
+    _loop_permutation,
 )
+from .metric_core import _frac
 
 __all__ = [
     "DeckElement",
@@ -47,7 +50,6 @@ __all__ = [
     "MonodromyResult",
     "klein_cut_locus",
     "klein_geodesics",
-    "klein_lift_orbit",
     "klein_monodromy",
     "klein_plan",
     "klein_stratum",
@@ -123,23 +125,6 @@ class KleinPoint(FlatPoint):
         u, v = (c.numerator * (scale // c.denominator) for c in self.coords)
         a = (end[0] - u) // scale
         return DeckElement(a, (end[1] - v if a % 2 == 0 else scale - v - end[1]) // scale)
-
-
-def klein_lift_orbit(
-    y: KleinPoint, window: int
-) -> tuple[tuple[DeckElement, Point2], ...]:
-    """Orbit points ``alpha^a beta^b . y`` for |a|, |b| <= window.
-
-    The deck group acts freely, so all points are distinct; the list is
-    sorted by point for determinism.  These points feed the orbit-scan
-    oracle of ``verify`` and the tests; geodesics and the cut locus use the
-    two cosets and the periods of :class:`KleinPoint`.
-    """
-    if window < 1:
-        raise ValueError("window must be a positive integer")
-    ks = range(-window, window + 1)
-    orbit = [(g, g.apply(y.coords)) for g in (DeckElement(a, b) for a in ks for b in ks)]
-    return tuple(sorted(orbit, key=lambda item: item[1]))
 
 
 def klein_geodesics(x: KleinPoint, y: KleinPoint) -> tuple[FlatGeodesic, ...]:
@@ -222,11 +207,22 @@ class MonodromyResult:
 
     @property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        return permutation_cycles(self.permutation)
+        """Disjoint cycles, each rotated to start at its smallest element."""
+        seen: set[int] = set()
+        cycles = []
+        for cur in range(len(self.permutation)):
+            cycle = []
+            while cur not in seen:
+                seen.add(cur)
+                cycle.append(cur)
+                cur = self.permutation[cur]
+            if cycle:
+                cycles.append(tuple(cycle))
+        return tuple(cycles)
 
     @property
     def order(self) -> int:
-        return permutation_order(self.permutation)
+        return lcm(*(len(c) for c in self.cycles))
 
     @property
     def is_identity(self) -> bool:
@@ -252,8 +248,9 @@ def klein_monodromy(x2, steps: int) -> MonodromyResult:
     The pair moves by ``(t, 0)``, and that translation commutes with the
     deck group: ``alpha`` maps ``(u + t, v)`` to ``alpha(u, v) + (t, 0)``
     and ``beta`` moves only ``v``.  So the lifts at step ``j`` are the step-0
-    lifts moved by ``j / steps``, and the whole loop runs on integers at one
-    scale fixed before the first step (``flat_torus._scaled_loop``).
+    lifts moved by ``j / steps``, every step's matching is the same one, and
+    the whole loop runs on integers at one scale
+    (``flat_torus._loop_permutation``).
     """
     x2 = _frac(x2)
     if x2 not in (Fraction(0), _HALF):
@@ -263,11 +260,10 @@ def klein_monodromy(x2, steps: int) -> MonodromyResult:
     # Identify the final frame with the initial one: the lift of x has moved
     # by the deck element carrying (0, x2) to (1, x2).
     g_loop = DeckElement(1, int(1 - 2 * x2))
-    loop = _scaled_loop((Fraction(0), x2), y.cosets(), y.periods, steps, g_loop.apply_scaled)
-    permutation = loop_monodromy(loop.lifts_at, steps, loop.closed)
-    level = x2.numerator * loop.scale // x2.denominator
-    labels = tuple(
-        ("U" if v > level else "D") + ("R" if u > 0 else "L") for u, v in loop.start
+    scale, start, permutation = _loop_permutation(
+        (Fraction(0), x2), y.cosets(), y.periods, steps, g_loop.apply_scaled
     )
+    level = x2.numerator * scale // x2.denominator
+    labels = tuple(("U" if v > level else "D") + ("R" if u > 0 else "L") for u, v in start)
     return MonodromyResult(permutation, labels)
 

@@ -215,7 +215,7 @@ def torus_planner_continuity(seed: int, trials: int, n: int) -> CheckResult:
                 y[i] = (x[i] + _HALF) % 1
         # detect antipodality from the coordinates: random pairs can land on
         # the stratum by themselves, and those must be nudged along it too
-        antipodal = [flat_torus._reduce(y[i] - x[i]) == _HALF for i in range(n)]
+        antipodal = [(y[i] - x[i]) % 1 == _HALF for i in range(n)]
         x2, y2 = list(x), list(y)
         i = rng.randrange(n)
         tau = Fraction(rng.randrange(-1000, 1001), 1000) * delta
@@ -224,7 +224,7 @@ def torus_planner_continuity(seed: int, trials: int, n: int) -> CheckResult:
             x2[i] = (x2[i] + tau) % 1
             y2[i] = (y2[i] + tau) % 1
         else:
-            d = flat_torus._reduce(y[i] - x[i])
+            d = (y[i] - x[i]) % 1
             rep = d if d < _HALF else d - 1
             if abs(rep + tau) >= _HALF:
                 tau = -tau
@@ -338,13 +338,26 @@ def torus_local_poset_shape(seed: int, trials: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _klein_orbit(y: KleinPoint, window: int) -> list[tuple[tuple, DeckElement]]:
+    """The orbit points ``alpha^a beta^b . y`` for |a|, |b| <= ``window``,
+    each with its deck element, sorted by point: ``beta^b`` adds ``b`` to
+    the second coordinate, and ``alpha^a`` adds ``a`` to the first and, for
+    odd ``a``, reflects the second in 1/2.  The deck group acts freely, so
+    no point repeats."""
+    from .klein_bottle import DeckElement
+    u, v = y.coords
+    ks = range(-window, window + 1)
+    return sorted(
+        ((u + a, 1 - v - b if a % 2 else v + b), DeckElement(a, b)) for a in ks for b in ks
+    )
+
+
 def _klein_orbit_scan(base, y: KleinPoint) -> list[tuple[tuple, DeckElement]]:
     """Brute-force oracle: the (end lift, deck element) pairs nearest to the
     plane point ``base`` over the deck orbit of ``y`` within window 3,
     sorted by end lift."""
-    from . import klein_bottle
-    orbit = klein_bottle.klein_lift_orbit(y, 3)
-    return [(orbit[i][1], orbit[i][0]) for i in _orbit_minimizers(base, [p for _, p in orbit])]
+    orbit = _klein_orbit(y, 3)
+    return [orbit[i] for i in _orbit_minimizers(base, [p for p, _ in orbit])]
 
 
 def klein_lift_oracle(seed: int, trials: int) -> CheckResult:

@@ -813,7 +813,7 @@ def test_console_script_entry_point():
 
 
 #: The geoplan modules each command loads, beyond ``cli`` and ``render``.
-TORUS_LAYERS = ["cutgraph", "flat_torus", "metric_core", "planning"]
+TORUS_LAYERS = ["cutgraph", "flat_torus", "metric_core"]
 LOADED = [
     (["geodesics", "torus:2", "0,0", "1/2,1/3"], TORUS_LAYERS),
     (["geodesics", "klein", "1/7,2/9", "3/5,5/7"], TORUS_LAYERS + ["klein_bottle"]),

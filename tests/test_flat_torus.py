@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from geoplan import flat_torus
 from geoplan.cutgraph import dirichlet_cell
 from geoplan.flat_torus import (
+    AmbiguousMatchError,
     FlatGeodesic,
     TorusPoint,
     antipodal_indices,
@@ -32,7 +33,6 @@ from geoplan.klein_bottle import (
     klein_plan,
 )
 from geoplan.metric_core import is_geodesic
-from geoplan.planning import nearest_lift_permutation
 from geoplan.strat_cover import lower_bound, validate_poset
 
 F = Fraction
@@ -217,13 +217,13 @@ class TestMonodromyControl:
             torus_loop_monodromy(steps=4)
 
     def test_integer_loop_matches_the_fraction_reference(self, monkeypatch):
-        built, original = [], flat_torus._scaled_loop
+        built, original = [], flat_torus._loop_permutation
 
         def recording(*args):
             built.append(original(*args))
             return built[-1]
 
-        monkeypatch.setattr(flat_torus, "_scaled_loop", recording)
+        monkeypatch.setattr(flat_torus, "_loop_permutation", recording)
         rng = random.Random(19)
         scale_is_steps = set()
         for _ in range(200):
@@ -231,11 +231,10 @@ class TestMonodromyControl:
             x2, steps = F(rng.randrange(d), d), rng.randint(8, 40)
             frames, expected = reference_meridian_loop(x2, steps)
             assert outcome(lambda: torus_loop_monodromy(steps, x2)) == expected
-            loop = built[-1]
-            assert loop.scale % steps == 0
-            scale_is_steps.add(loop.scale == steps)
-            for j, lifts in enumerate(frames):
-                assert loop.lifts_at(j) == [tuple(loop.scale * c for c in p) for p in lifts]
+            scale, start, _ = built[-1]
+            assert scale % steps == 0
+            scale_is_steps.add(scale == steps)
+            assert_steps_move_start(scale, start, frames)
         assert scale_is_steps == {True, False}
 
     @pytest.mark.parametrize(
@@ -264,6 +263,49 @@ def outcome(run):
         return type(exc)
 
 
+def reference_matching(prev, new):
+    """Each lift of ``new`` matched to its strictly nearest lift of ``prev``
+    by Fraction squared distance: ``perm[j] = i`` means ``new[j]`` continues
+    ``prev[i]``.  A tie, or a matching that is not a bijection, raises."""
+    perm = []
+    for j, q in enumerate(new):
+        dists = [sum((a - b) ** 2 for a, b in zip(p, q)) for p in prev]
+        best = min(dists)
+        hits = [i for i, d in enumerate(dists) if d == best]
+        if len(hits) != 1:
+            raise AmbiguousMatchError(f"new lift {j} is equidistant from previous lifts {hits}")
+        perm.append(hits[0])
+    if len(set(perm)) != len(perm):
+        raise AmbiguousMatchError("nearest-lift assignment is not a bijection")
+    return tuple(perm)
+
+
+def reference_track(frames, closed):
+    """The loop permutation of ``frames`` (each step's lifts), matched step
+    by step: entry ``i`` is the index in ``closed`` (the step-0 lifts carried
+    by the map that closes the loop) of the lift that lift ``i`` reaches."""
+    ancestor = tuple(range(len(frames[0])))
+    for prev, cur in zip(frames, frames[1:]):
+        ancestor = tuple(ancestor[i] for i in reference_matching(prev, cur))
+    if sorted(closed) != sorted(frames[-1]):
+        raise RuntimeError("loop closure failed")
+    sigma = [0] * len(ancestor)
+    for m, i in enumerate(ancestor):
+        sigma[i] = closed.index(frames[-1][m])
+    return tuple(sigma)
+
+
+def assert_steps_move_start(scale, start, frames):
+    """Each step's lifts, rebuilt from scratch in ``frames``, are the integer
+    step-0 lifts ``start`` moved by ``j * scale / steps``: the premise that
+    lets one matching stand for every step."""
+    steps = len(frames) - 1
+    for j, lifts in enumerate(frames):
+        shift = j * scale // steps
+        moved = [(u + shift, *rest) for u, *rest in start]
+        assert moved == [tuple(scale * c for c in p) for p in lifts]
+
+
 def reference_meridian_loop(x2, steps):
     """The meridian loop rebuilt in Fractions at every step: each step's
     nearest lifts to the antipode, and the permutation (or the error type)
@@ -273,20 +315,8 @@ def reference_meridian_loop(x2, steps):
         t = F(j, steps)
         antipode = TorusPoint.make((t + H, x2 + H))
         frames.append(reference_loop_lifts((t, x2), antipode.cosets(), antipode.periods))
-
-    def track():
-        ancestor = tuple(range(len(frames[0])))
-        for prev, cur in zip(frames, frames[1:]):
-            ancestor = tuple(ancestor[i] for i in nearest_lift_permutation(prev, cur))
-        closed = [(u + 1, v) for u, v in frames[0]]
-        if sorted(closed) != sorted(frames[-1]):
-            raise RuntimeError("loop closure failed")
-        sigma = [0] * len(ancestor)
-        for m, i in enumerate(ancestor):
-            sigma[i] = closed.index(frames[-1][m])
-        return tuple(sigma)
-
-    return frames, outcome(track)
+    closed = [(u + 1, v) for u, v in frames[0]]
+    return frames, outcome(lambda: reference_track(frames, closed))
 
 
 def fractions_built(run) -> int:

@@ -18,18 +18,16 @@ from geoplan.klein_bottle import (
     MonodromyResult,
     klein_cut_locus,
     klein_geodesics,
-    klein_lift_orbit,
     klein_monodromy,
     klein_plan,
     klein_stratum,
 )
 from geoplan import cutgraph
-from geoplan.flat_torus import _scaled_loop
+from geoplan.flat_torus import _end_lifts, _nearest_lifts
 from geoplan.metric_core import dist_sq
-from geoplan.planning import nearest_lift_permutation
 from geoplan.strat_cover import klein_s4_poset, lower_bound, validate_poset
 from geoplan.verify import _klein_orbit_scan as orbit_scan
-from test_flat_torus import reference_loop_lifts
+from test_flat_torus import assert_steps_move_start, reference_loop_lifts, reference_track
 
 F = Fraction
 H = F(1, 2)
@@ -173,17 +171,11 @@ class TestGeodesics:
         for _ in range(200):
             base = (F(rng.randrange(-64, 64), 32), F(rng.randrange(-32, 64), 32))
             y = KleinPoint.make((F(rng.randrange(16), 16), F(rng.randrange(16), 16)))
-            loop = _scaled_loop(base, y.cosets(), y.periods, 8, IDENTITY.apply_scaled)
-            lifts = [tuple(F(c, loop.scale) for c in p) for p in loop.start]
-            assert loop.closed == loop.start
+            d, b, found = _nearest_lifts(base, y.cosets(), y.periods)
+            lifts = sorted(
+                tuple(F(c, d) for c in end) for choices in found for end in _end_lifts(b, choices)
+            )
             assert lifts == [p for p, _ in orbit_scan(base, y)]
-
-    def test_lift_orbit_covers_the_window(self):
-        y = KleinPoint.make((F(1, 4), F(1, 4)))
-        orbit = klein_lift_orbit(y, window=1)
-        assert len(orbit) == 9
-        for deck, lift in orbit:
-            assert deck.apply(y.coords) == lift
 
 
 class TestCutLocusDichotomy:
@@ -437,21 +429,20 @@ class TestMonodromy:
             klein_monodromy(F(1, 2), steps=4)
 
     def test_integer_loop_matches_the_fraction_reference(self, monkeypatch):
-        built, original = [], klein_bottle._scaled_loop
+        built, original = [], klein_bottle._loop_permutation
 
         def recording(*args):
             built.append(original(*args))
             return built[-1]
 
-        monkeypatch.setattr(klein_bottle, "_scaled_loop", recording)
+        monkeypatch.setattr(klein_bottle, "_loop_permutation", recording)
         for x2 in (F(0), H):
             for steps in range(8, 41):
                 frames, expected = reference_glide_loop(x2, steps)
                 assert outcome(lambda: klein_monodromy(x2, steps)) == expected
-                loop = built[-1]
-                assert loop.scale % steps == 0
-                for j, lifts in enumerate(frames):
-                    assert loop.lifts_at(j) == [tuple(loop.scale * c for c in p) for p in lifts]
+                scale, start, _ = built[-1]
+                assert scale % steps == 0
+                assert_steps_move_start(scale, start, frames)
 
 
 def outcome(run):
@@ -471,22 +462,10 @@ def reference_glide_loop(x2, steps):
         y = KleinPoint.make((t + H, x2 + H))
         frames.append(reference_loop_lifts((t, x2), y.cosets(), y.periods))
 
-    def track():
-        ancestor = tuple(range(len(frames[0])))
-        for prev, cur in zip(frames, frames[1:]):
-            ancestor = tuple(ancestor[i] for i in nearest_lift_permutation(prev, cur))
-        closed = [DeckElement(1, int(1 - 2 * x2)).apply(p) for p in frames[0]]
-        if sorted(closed) != sorted(frames[-1]):
-            raise RuntimeError("loop closure failed")
-        sigma = [0] * len(ancestor)
-        for m, i in enumerate(ancestor):
-            sigma[i] = closed.index(frames[-1][m])
-        labels = tuple(
-            ("U" if v > x2 else "D") + ("R" if u > 0 else "L") for u, v in frames[0]
-        )
-        return MonodromyResult(tuple(sigma), labels)
-
-    return frames, outcome(track)
+    # The loop closes by alpha beta^k with k = 1 - 2 x2: (u, v) -> (u + 1, 1 - v - k).
+    closed = [(u + 1, 2 * x2 - v) for u, v in frames[0]]
+    labels = tuple(("U" if v > x2 else "D") + ("R" if u > 0 else "L") for u, v in frames[0])
+    return frames, outcome(lambda: MonodromyResult(reference_track(frames, closed), labels))
 
 
 class TestLocalPoset:

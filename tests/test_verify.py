@@ -64,6 +64,17 @@ def test_orbit_minimizers_scale_mixed_denominators():
     assert verify._orbit_minimizers(base, points) == [0, 1]
 
 
+def test_lift_orbit_covers_the_window():
+    from geoplan.klein_bottle import KleinPoint
+
+    y = KleinPoint.make((Fraction(1, 4), Fraction(1, 4)))
+    orbit = verify._klein_orbit(y, 1)
+    assert len(orbit) == 9
+    assert orbit == sorted(orbit)
+    for lift, deck in orbit:
+        assert deck.apply(y.coords) == lift
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_unit_lattice_window_is_exact(n):
     """Count-law samples lie in [0, 1), so offsets of 2 are never minimal:
