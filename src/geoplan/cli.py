@@ -37,7 +37,7 @@ the exact edges.
 
 Each command imports only the modules it runs: those of its space for
 ``geodesics``, ``cutlocus`` and ``plan``, the poset engine for ``bound``,
-and every layer for ``verify``.
+and those its suite's checks exercise for ``verify``.
 
 Exit codes: 0 on success, 1 when a verification or bound check fails, 2 on
 usage or input-parsing errors.  All outputs are byte-stable across runs.

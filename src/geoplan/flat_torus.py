@@ -8,9 +8,9 @@ The base and the coset points go on one integer scale first, so rounding,
 coset distances, tie order and deck tags are integer work, and each
 coordinate's displacement choices become Fractions once.  The planners of
 both spaces return a :class:`PlannerResult`, and both loop monodromies run
-through ``_loop_permutation``: one strictly-nearest matching of the lifts
-to themselves moved by one step, composed once per step, raising
-:class:`AmbiguousMatchError` rather than guess.
+through ``_loop_permutation``: the deck map closing the loop, certified by
+one strictly-nearest matching of the lifts to themselves moved by one step,
+raising :class:`AmbiguousMatchError` rather than guess.
 
 The torus is the product of ``n`` circles of circumference 1; distances come
 from the flat product metric.  A geodesic between ``x`` and ``y`` moves every
@@ -242,9 +242,11 @@ def _loop_permutation(base, cosets, periods, steps: int, close):
     step 0 onto those at ``t``: step ``j``'s lifts are ``start`` moved by
     ``j * delta``, ``delta = S / steps``.  So ``|p_i - q_k|^2`` between
     consecutive steps is ``|s_i - s_k - delta e_1|^2`` at every step, and
-    every step's strictly-nearest matching is the one permutation, found
-    once and composed ``steps`` times.  A tie or a matching that is not a
-    bijection raises :class:`AmbiguousMatchError` rather than guess.
+    every step's strictly-nearest matching is the same.  A bijective one is
+    the identity: lift ``k`` matched to ``i != k`` forces
+    ``(s_i - s_k)_1 > 0``, so the unfixed lift furthest along ``e_1`` would
+    share its match with a fixed lift.  One pass thus decides the loop: a tie
+    or an unfixed lift raises :class:`AmbiguousMatchError` rather than guess.
     """
     if steps < 8:
         raise ValueError("need steps >= 8 for unambiguous matching")
@@ -255,7 +257,7 @@ def _loop_permutation(base, cosets, periods, steps: int, close):
     # |p - t|^2 = |p|^2 - 2 p.t + |t|^2, and |t|^2 is the same for every p:
     # ranking by the first two terms picks the same nearest lift and ties.
     norms = [sum(map(mul, p, p)) for p in start]
-    step: list[int] = []
+    moved = False
     for k, (u, *rest) in enumerate(start):
         target = (u + delta, *rest)
         dists = [n - 2 * sum(map(mul, p, target)) for n, p in zip(norms, start)]
@@ -265,20 +267,14 @@ def _loop_permutation(base, cosets, periods, steps: int, close):
             raise AmbiguousMatchError(
                 f"new lift {k} is equidistant from previous lifts {hits}{advice}"
             )
-        step.append(hits[0])
-    if len(set(step)) != len(step):
+        moved = moved or hits[0] != k
+    if moved:
         raise AmbiguousMatchError(f"nearest-lift assignment is not a bijection{advice}")
-    ancestor = tuple(range(len(start)))
-    for _ in range(steps):
-        ancestor = tuple(ancestor[i] for i in step)
     final = [(u + scale, *rest) for u, *rest in start]
     closed = [close(p, scale) for p in start]
     if sorted(closed) != final:
         raise RuntimeError("loop closure failed: final lifts differ from expected")
-    permutation = [0] * len(start)
-    for m, i in enumerate(ancestor):
-        permutation[i] = closed.index(final[m])
-    return scale, start, tuple(permutation)
+    return scale, start, tuple(closed.index(p) for p in final)
 
 
 class TorusPoint(FlatPoint):
@@ -421,12 +417,13 @@ def torus_local_poset(x: TorusPoint, y: TorusPoint) -> StratPoset:
 
 
 def torus_loop_monodromy(steps: int, x2=Fraction(1, 2)) -> tuple[int, ...]:
-    """Drag a four-geodesic pair around the meridian loop on T² and track
-    the geodesics by nearest-lift matching; returns the permutation.
+    """Drag a four-geodesic pair around the meridian loop on T² and return
+    the permutation of its geodesics.
 
-    This is the orientable control: the result is always the identity.
-    Mirrors the Klein-bottle monodromy contract, including ``steps >= 8``;
-    the loop runs as integers on one scale (:func:`_loop_permutation`).
+    The orientable control: the closing shift (1, 0) keeps every lift on
+    its sheet, so once one unambiguous one-step matching certifies the loop
+    the result is the identity.  Mirrors the Klein-bottle contract,
+    including ``steps >= 8`` (:func:`_loop_permutation`).
     """
     x2 = _frac(x2)
     # The pair is (x, its antipode); the loop closes by the shift (1, 0).

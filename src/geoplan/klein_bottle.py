@@ -21,10 +21,10 @@ circles when the basepoint's second coordinate is 0 or 1/2 and a
 theta-graph otherwise; the pair space accordingly splits into strata
 ``S_1 .. S_4`` by geodesic count.  An optimal planner uses five domains
 and answers with the shared ``flat_torus.PlannerResult``.  Dragging a
-four-geodesic pair around the glide loop, tracked by the flat-quotient loop
-matching of ``flat_torus``, permutes the geodesics nontrivially (the
-up/down swap), which is the obstruction showing four domains cannot
-suffice.
+four-geodesic pair around the glide loop swaps its geodesics up and down,
+the obstruction showing four domains cannot suffice.  The swap is the
+closing glide acting on the lifts, certified by one unambiguous one-step
+nearest-lift matching (``flat_torus._loop_permutation``).
 """
 
 from __future__ import annotations
@@ -239,17 +239,17 @@ def klein_monodromy(x2, steps: int) -> MonodromyResult:
     """Track the four geodesics around the loop ``x(t) = (t, x2)``.
 
     ``x2`` must be 0 or 1/2, so that the target ``y(t)`` (the four-geodesic
-    vertex of the cut locus of ``x(t)``) exists for every ``t``.  Geodesics
-    are continued by strictly-nearest lift matching between consecutive
-    steps; ties raise with advice to refine.  The result is the up/down swap
-    (a nontrivial permutation of order two), which rules out a continuous
-    choice of geodesic on this stratum component.
+    vertex of the cut locus of ``x(t)``) exists for every ``t``.  The result
+    is the up/down swap (a nontrivial permutation of order two), which rules
+    out a continuous choice of geodesic on this stratum component.
 
     The pair moves by ``(t, 0)``, and that translation commutes with the
     deck group: ``alpha`` maps ``(u + t, v)`` to ``alpha(u, v) + (t, 0)``
     and ``beta`` moves only ``v``.  So the lifts at step ``j`` are the step-0
-    lifts moved by ``j / steps``, every step's matching is the same one, and
-    the whole loop runs on integers at one scale
+    lifts moved by ``j / steps``, and every step's nearest-lift matching is
+    the same one.  When it is unambiguous it keeps each lift on its sheet,
+    and the swap is the closing glide ``alpha beta^k``, which mirrors ``v``
+    about ``x2``; a tie raises with advice to refine
     (``flat_torus._loop_permutation``).
     """
     x2 = _frac(x2)

@@ -1,6 +1,8 @@
-"""Loop matching (``flat_torus._loop_permutation``): ties, bijectivity and
-closure, and agreement with a loop rebuilt and matched step by step in
-Fractions on mixed and huge denominators."""
+"""Loop monodromy (``flat_torus._loop_permutation``): ties, bijectivity and
+closure, agreement with a loop rebuilt and matched step by step in Fractions
+on mixed and huge denominators, and the premise that lets the permutation be
+read off the closing map: a decided step matching never changes a lift's
+sheet."""
 
 import random
 from fractions import Fraction
@@ -8,7 +10,14 @@ from fractions import Fraction
 import pytest
 
 from geoplan.flat_torus import AmbiguousMatchError, _loop_permutation
-from test_flat_torus import outcome, reference_loop_lifts, reference_track
+from test_flat_torus import (
+    outcome,
+    reference_loop_lifts,
+    reference_matching,
+    reference_meridian_loop,
+    reference_track,
+)
+from test_klein_bottle import reference_glide_loop
 
 F = Fraction
 BIG = 10**12 + 39
@@ -19,17 +28,23 @@ def shift(lift, scale):
     return (lift[0] + scale, *lift[1:])
 
 
-def reference_loop(base, cosets, periods, steps):
-    """The loop's permutation (or the error type) with every step rebuilt
-    from scratch: base and cosets moved by ``j / steps`` along the first
-    axis, the cosets' first coordinates reduced modulo the first period, the
-    nearest lifts found again and matched to the last step's by Fraction
-    distance."""
+def reference_frames(base, cosets, periods, steps):
+    """Every step's nearest lifts rebuilt from scratch: base and cosets moved
+    by ``j / steps`` along the first axis, the cosets' first coordinates
+    reduced modulo the first period, the nearest lifts found again."""
     frames = []
     for j in range(steps + 1):
         t = F(j, steps)
         moved = [((c[0] + t) % periods[0], *c[1:]) for c in cosets]
         frames.append(reference_loop_lifts((base[0] + t, *base[1:]), moved, periods))
+    return frames
+
+
+def reference_loop(base, cosets, periods, steps):
+    """The loop's permutation (or the error type) with every step rebuilt
+    (:func:`reference_frames`) and matched to the last step's by Fraction
+    distance."""
+    frames = reference_frames(base, cosets, periods, steps)
     return outcome(lambda: reference_track(frames, [shift(p, 1) for p in frames[0]]))
 
 
@@ -116,3 +131,36 @@ def test_other_dimensions_match_the_fraction_reference(dim):
         base, cosets, periods, steps = random_loop(rng, dim, (1, 7))
         expected = reference_loop(base, cosets, periods, steps)
         assert outcome(lambda: _loop_permutation(base, cosets, periods, steps, shift)[2]) == expected
+
+
+def keeps_every_sheet(frames):
+    """Whether the Fraction reference decides every step's matching of
+    ``frames``; if it does, each of them must be the identity."""
+    matchings = outcome(lambda: [reference_matching(p, q) for p, q in zip(frames, frames[1:])])
+    if matchings is AmbiguousMatchError:
+        return False
+    assert set(matchings) == {tuple(range(len(frames[0])))}
+    return True
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_decided_random_loops_never_change_sheet(dim):
+    rng = random.Random(100 + dim)
+    decided = [
+        keeps_every_sheet(reference_frames(*random_loop(rng, dim, (1, 3, 7))))
+        for _ in range(150)
+    ]
+    assert 100 < sum(decided) < 150
+
+
+def test_decided_library_loops_never_change_sheet():
+    rng = random.Random(25)
+    decided = 0
+    for _ in range(100):
+        d = rng.randint(1, 60)
+        frames, _ = reference_meridian_loop(F(rng.randrange(d), d), rng.randint(8, 40))
+        decided += keeps_every_sheet(frames)
+    for x2 in (F(0), F(1, 2)):
+        for steps in range(8, 41):
+            decided += keeps_every_sheet(reference_glide_loop(x2, steps)[0])
+    assert decided > 150
