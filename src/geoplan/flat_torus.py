@@ -8,9 +8,8 @@ The base and the coset points go on one integer scale first, so rounding,
 coset distances, tie order and deck tags are integer work, and each
 coordinate's displacement choices become Fractions once.  The planners of
 both spaces return a :class:`PlannerResult`, and both loop monodromies run
-through ``_loop_permutation``: the deck map closing the loop, certified by
-one strictly-nearest matching of the lifts to themselves moved by one step,
-raising :class:`AmbiguousMatchError` rather than guess.
+through ``_loop_permutation``: the deck map closing the loop acting on the
+nearest lifts, whatever the number of steps the loop is sampled at.
 
 The torus is the product of ``n`` circles of circumference 1; distances come
 from the flat product metric.  A geodesic between ``x`` and ``y`` moves every
@@ -30,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from operator import mul
+from operator import index
 from typing import TYPE_CHECKING, Any
 
 from .cutgraph import CutEdge, CutLocusGraph, CutVertex
@@ -40,7 +39,6 @@ if TYPE_CHECKING:
     from .strat_cover import StratPoset
 
 __all__ = [
-    "AmbiguousMatchError",
     "FlatGeodesic",
     "FlatPoint",
     "PlannerResult",
@@ -165,16 +163,16 @@ def _nearest_translates(base, target, widths) -> list[tuple[int, ...]]:
     return out
 
 
-def _nearest_lifts(base, cosets, periods, scale: int = 1):
+def _nearest_lifts(base, cosets, periods):
     """The nearest orbit points to ``base``, on one integer scale.
 
-    Returns ``d``, the lcm of ``scale`` and every denominator of ``base`` and
-    ``cosets``, ``base`` times ``d``, and the per-coordinate displacement
-    choices (:func:`_nearest_translates`, on ``d``) toward the closest of
+    Returns ``d``, the lcm of every denominator of ``base`` and ``cosets``,
+    ``base`` times ``d``, and the per-coordinate displacement choices
+    (:func:`_nearest_translates`, on ``d``) toward the closest of
     ``cosets``, or toward each tied one.  The displacements from ``base`` to
     the nearest orbit points are the products of these choices.
     """
-    d, (b, *targets) = integer_points((base, *cosets), scale)
+    d, (b, *targets) = integer_points((base, *cosets))
     widths = [p * d for p in periods]
     best, found = None, []
     for target in targets:
@@ -221,55 +219,31 @@ def _flat_geodesics(x: FlatPoint, y: FlatPoint) -> tuple[FlatGeodesic, ...]:
     return tuple(FlatGeodesic(x, disp, y.deck_to(end, d)) for end, disp in lifts)
 
 
-class AmbiguousMatchError(RuntimeError):
-    """Raised when nearest-lift tracking cannot decide a matching."""
-
-
 def _loop_permutation(base, cosets, periods, steps: int, close):
     """Permutation of the nearest lifts after one trip around a loop that
     drags ``base`` and the target with coset points ``cosets`` along
-    ``(t, 0)``, ``t`` from 0 to 1 in ``steps`` equal steps.
+    ``(t, 0)``, ``t`` from 0 to 1.
 
-    Returns the scale ``S = lcm(steps, denominators of base and cosets)``,
-    the sorted step-0 lifts on it (``start``) and the permutation: entry
-    ``i`` is the index of the step-0 lift that lift ``i`` arrives at, read
-    through ``close(lift, S)``, the deck transformation that closes the loop
-    on integers.
+    Returns the scale ``S`` (the lcm of the denominators of base and
+    cosets), the sorted nearest lifts at ``t = 0`` on it (``start``) and the
+    permutation: entry ``i`` is the index of the start lift that lift ``i``
+    arrives at, read through ``close(lift, S)``, the deck transformation
+    that closes the loop on integers.
 
-    The translation by ``(t, 0)`` commutes with the deck group (with every
-    lattice translation, and with the Klein glide), and being an isometry
-    that keeps lexicographic order it carries the sorted nearest lifts at
-    step 0 onto those at ``t``: step ``j``'s lifts are ``start`` moved by
-    ``j * delta``, ``delta = S / steps``.  So ``|p_i - q_k|^2`` between
-    consecutive steps is ``|s_i - s_k - delta e_1|^2`` at every step, and
-    every step's strictly-nearest matching is the same.  A bijective one is
-    the identity: lift ``k`` matched to ``i != k`` forces
-    ``(s_i - s_k)_1 > 0``, so the unfixed lift furthest along ``e_1`` would
-    share its match with a fixed lift.  One pass thus decides the loop: a tie
-    or an unfixed lift raises :class:`AmbiguousMatchError` rather than guess.
+    The translation by ``(t, 0)`` commutes with the deck group: with every
+    lattice translation, and with the Klein glide ``(u, v) -> (u + 1, 1 - v)``.
+    So it carries the orbit of the target at 0 onto the orbit at ``t``, and
+    as an isometry it carries the nearest lifts at 0 onto those at ``t``:
+    they are exactly ``start + (t, 0)``.  Each lift moves rigidly and
+    continuously, and lift ``i`` ends at ``start_i + (1, 0)``, which
+    ``close`` names as a start lift.  So the answer does not depend on how
+    finely the loop is sampled; ``steps`` must still be an integer of at
+    least 8, the callers' contract.
     """
-    if steps < 8:
-        raise ValueError("need steps >= 8 for unambiguous matching")
-    scale, b, found = _nearest_lifts(base, cosets, periods, steps)
+    if index(steps) < 8:
+        raise ValueError("need steps >= 8")
+    scale, b, found = _nearest_lifts(base, cosets, periods)
     start = sorted(end for choices in found for end in _end_lifts(b, choices))
-    delta = scale // steps
-    advice = f"; rerun with a finer loop (steps > {steps})"
-    # |p - t|^2 = |p|^2 - 2 p.t + |t|^2, and |t|^2 is the same for every p:
-    # ranking by the first two terms picks the same nearest lift and ties.
-    norms = [sum(map(mul, p, p)) for p in start]
-    moved = False
-    for k, (u, *rest) in enumerate(start):
-        target = (u + delta, *rest)
-        dists = [n - 2 * sum(map(mul, p, target)) for n, p in zip(norms, start)]
-        best = min(dists)
-        hits = [i for i, d in enumerate(dists) if d == best]
-        if len(hits) != 1:
-            raise AmbiguousMatchError(
-                f"new lift {k} is equidistant from previous lifts {hits}{advice}"
-            )
-        moved = moved or hits[0] != k
-    if moved:
-        raise AmbiguousMatchError(f"nearest-lift assignment is not a bijection{advice}")
     final = [(u + scale, *rest) for u, *rest in start]
     closed = [close(p, scale) for p in start]
     if sorted(closed) != final:
@@ -421,9 +395,9 @@ def torus_loop_monodromy(steps: int, x2=Fraction(1, 2)) -> tuple[int, ...]:
     the permutation of its geodesics.
 
     The orientable control: the closing shift (1, 0) keeps every lift on
-    its sheet, so once one unambiguous one-step matching certifies the loop
-    the result is the identity.  Mirrors the Klein-bottle contract,
-    including ``steps >= 8`` (:func:`_loop_permutation`).
+    its sheet, so the result is the identity for every ``steps``.  Mirrors
+    the Klein-bottle contract, including ``steps >= 8``
+    (:func:`_loop_permutation`).
     """
     x2 = _frac(x2)
     # The pair is (x, its antipode); the loop closes by the shift (1, 0).

@@ -23,8 +23,8 @@ theta-graph otherwise; the pair space accordingly splits into strata
 and answers with the shared ``flat_torus.PlannerResult``.  Dragging a
 four-geodesic pair around the glide loop swaps its geodesics up and down,
 the obstruction showing four domains cannot suffice.  The swap is the
-closing glide acting on the lifts, certified by one unambiguous one-step
-nearest-lift matching (``flat_torus._loop_permutation``).
+closing glide acting on the lifts, which the loop moves rigidly
+(``flat_torus._loop_permutation``), so it does not depend on ``steps``.
 """
 
 from __future__ import annotations
@@ -245,12 +245,11 @@ def klein_monodromy(x2, steps: int) -> MonodromyResult:
 
     The pair moves by ``(t, 0)``, and that translation commutes with the
     deck group: ``alpha`` maps ``(u + t, v)`` to ``alpha(u, v) + (t, 0)``
-    and ``beta`` moves only ``v``.  So the lifts at step ``j`` are the step-0
-    lifts moved by ``j / steps``, and every step's nearest-lift matching is
-    the same one.  When it is unambiguous it keeps each lift on its sheet,
-    and the swap is the closing glide ``alpha beta^k``, which mirrors ``v``
-    about ``x2``; a tie raises with advice to refine
-    (``flat_torus._loop_permutation``).
+    and ``beta`` moves only ``v``.  So the lifts at time ``t`` are the
+    lifts at 0 moved by ``(t, 0)``, each staying on its sheet, and the swap
+    is the closing glide ``alpha beta^k``, which mirrors ``v`` about ``x2``
+    (``flat_torus._loop_permutation``).  The answer is the same for every
+    ``steps >= 8``.
     """
     x2 = _frac(x2)
     if x2 not in (Fraction(0), _HALF):

@@ -55,12 +55,10 @@ def dist_sq(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum(((p - q) * (p - q) for p, q in zip(a, b)), Fraction(0))
 
 
-def integer_points(
-    points: Sequence[Sequence[Fraction]], d: int = 1
-) -> tuple[int, list[tuple[int, ...]]]:
-    """The lcm ``d`` of ``d`` and the coordinate denominators of ``points``
-    (ints have denominator 1), and each point times ``d`` as integers."""
-    d = lcm(d, *(c.denominator for p in points for c in p))
+def integer_points(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm ``d`` of the coordinate denominators of ``points`` (ints have
+    denominator 1), and each point times ``d`` as integers."""
+    d = lcm(*(c.denominator for p in points for c in p))
     return d, [tuple(c.numerator * (d // c.denominator) for c in p) for p in points]
 
 

@@ -253,9 +253,8 @@ def torus_subspace_convexity(seed: int, trials: int, n: int) -> CheckResult:
         for i in fixed:
             y[i] = x[i]
         geos = flat_torus.torus_geodesics(TorusPoint.make(x), TorusPoint.make(y))
-        for g in geos:
-            if any(g.displacement[i] != 0 for i in fixed):
-                check.fail(f"geodesic leaves the sub-torus at {x}->{y}")
+        if any(g.displacement[i] != 0 for g in geos for i in fixed):
+            check.fail(f"geodesic leaves the sub-torus at {x}->{y}")
     return check
 
 
@@ -285,8 +284,10 @@ def torus_cut_locus_shape(seed: int, trials: int) -> CheckResult:
             expect = 2 ** len(stratum.fixed)
             if stratum.geodesic_count != expect:
                 check.fail(f"stratum count {stratum.geodesic_count} != {expect}")
-            elif len(flat_torus.torus_geodesics(x, rep)) != expect:
+                break
+            if len(flat_torus.torus_geodesics(x, rep)) != expect:
                 check.fail(f"representative count mismatch at {x.coords}")
+                break
     return check
 
 
@@ -414,9 +415,9 @@ def klein_deck_composition(seed: int, trials: int) -> CheckResult:
         p = (_rand_frac(rng) + rng.randrange(-2, 3), _rand_frac(rng) + rng.randrange(-2, 3))
         if g1.compose(g2).apply(p) != g1.apply(g2.apply(p)):
             check.fail(f"composition law broken for {g1}, {g2}")
-        if g1.compose(g1.inverse()) != klein_bottle.IDENTITY:
+        elif g1.compose(g1.inverse()) != klein_bottle.IDENTITY:
             check.fail(f"inverse broken for {g1}")
-        if g1.compose(g2).compose(g3) != g1.compose(g2.compose(g3)):
+        elif g1.compose(g2).compose(g3) != g1.compose(g2.compose(g3)):
             check.fail("associativity broken")
     return check
 
@@ -447,6 +448,7 @@ def klein_cut_dichotomy(seed: int, trials: int) -> CheckResult:
             count = len(_klein_orbit_scan(x.coords, v))
             if count != vertex.multiplicity:
                 check.fail(f"multiplicity {vertex.multiplicity} vs oracle {count}")
+                break
     return check
 
 
@@ -606,10 +608,13 @@ def klein_monodromy_nontrivial(seed: int, trials: int) -> CheckResult:
             swap = result.label_map()
             if result.is_identity or result.order != 2:
                 check.fail(f"monodromy not order 2 at x2={x2}")
-            elif swap != {"DL": "UL", "UL": "DL", "DR": "UR", "UR": "DR"}:
+                break
+            if swap != {"DL": "UL", "UL": "DL", "DR": "UR", "UR": "DR"}:
                 check.fail(f"unexpected label action {swap}")
-        if flat_torus.torus_loop_monodromy(steps) != tuple(range(4)):
-            check.fail("torus control loop not identity")
+                break
+        else:
+            if flat_torus.torus_loop_monodromy(steps) != tuple(range(4)):
+                check.fail("torus control loop not identity")
     return check
 
 
@@ -801,7 +806,7 @@ def cube_corner_convergence(seed: int, trials: int) -> CheckResult:
             d_sq = sup_distance_sq(cs_path, cs_limit)
             if d_sq > (2 * a) ** 2:
                 check.fail(f"family {idx} too far from its limit at offset {a}")
-            if idx in previous and d_sq >= previous[idx]:
+            elif idx in previous and d_sq >= previous[idx]:
                 check.fail(f"family {idx} not converging")
             previous[idx] = d_sq
     return check
@@ -908,6 +913,7 @@ def core_sqrt_predicates(seed: int, trials: int) -> CheckResult:
         fa = math.sqrt(float(a))
         if metric_core.sqrt_exact(root * root) != root:
             check.fail(f"sqrt_exact misses the root of {root * root}")
+            continue
         exact = metric_core.sqrt_exact(a)
         if exact is not None and abs(float(exact) - fa) > 1e-12 * max(1.0, fa):
             check.fail(f"sqrt_exact off at {a}")
@@ -1021,10 +1027,10 @@ def poset_monotonicity(seed: int, trials: int) -> CheckResult:
             ),
         )
         report = strat_cover.lower_bound(truncated)
+        bottom = [e.id for e in poset.elements if e.level == 1]
         if report.lower_bound != base - 1:
             check.fail(f"truncated {name}: {report.lower_bound} != {base - 1}")
-        bottom = [e.id for e in poset.elements if e.level == 1]
-        if any(strat_cover.inconsistent_at(poset, b) for b in bottom):
+        elif any(strat_cover.inconsistent_at(poset, b) for b in bottom):
             check.fail(f"bottom element inconsistent in {name}")
     return check
 

@@ -1,16 +1,20 @@
-"""Loop monodromy (``flat_torus._loop_permutation``): ties, bijectivity and
-closure, agreement with a loop rebuilt and matched step by step in Fractions
-on mixed and huge denominators, and the premise that lets the permutation be
-read off the closing map: a decided step matching never changes a lift's
-sheet."""
+"""Loop monodromy (``flat_torus._loop_permutation``): closure, agreement
+with a loop rebuilt and matched step by step in Fractions on mixed and huge
+denominators, the exact step count from which that reference decides a
+loop, the premise that makes the answer independent of the step count, and
+the ``steps`` contract of both public loops."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from geoplan.flat_torus import AmbiguousMatchError, _loop_permutation
+from geoplan import flat_torus, klein_bottle
+from geoplan.flat_torus import _loop_permutation, torus_loop_monodromy
+from geoplan.klein_bottle import klein_monodromy
 from test_flat_torus import (
+    Undecided,
     outcome,
     reference_loop_lifts,
     reference_matching,
@@ -21,6 +25,7 @@ from test_klein_bottle import reference_glide_loop
 
 F = Fraction
 BIG = 10**12 + 39
+H = F(1, 2)
 
 
 def shift(lift, scale):
@@ -41,9 +46,9 @@ def reference_frames(base, cosets, periods, steps):
 
 
 def reference_loop(base, cosets, periods, steps):
-    """The loop's permutation (or the error type) with every step rebuilt
-    (:func:`reference_frames`) and matched to the last step's by Fraction
-    distance."""
+    """The loop's permutation (or the error type, :class:`Undecided` when a
+    step cannot be matched) with every step rebuilt (:func:`reference_frames`)
+    and matched to the last step's by Fraction distance."""
     frames = reference_frames(base, cosets, periods, steps)
     return outcome(lambda: reference_track(frames, [shift(p, 1) for p in frames[0]]))
 
@@ -81,19 +86,6 @@ def mirror_signs(dim):
     return [(a, b, *[1] * (dim - 2)) for a in (1, -1) for b in (1, -1)]
 
 
-def test_exact_tie_names_the_tied_lifts():
-    # One step takes lift 0 to the origin, midway between the two lifts.
-    tied = r"new lift 0 is equidistant from previous lifts \[0, 1\]; rerun with a finer loop \(steps > 8\)"
-    with pytest.raises(AmbiguousMatchError, match=tied):
-        _loop_permutation((F(0), F(0)), [(F(1, 8), F(0)), (F(-1, 8), F(0))], (1, 1), 8, shift)
-
-
-def test_non_bijective_assignment_raises():
-    # One step carries both lifts nearest to the right-hand one.
-    with pytest.raises(AmbiguousMatchError, match=r"not a bijection; rerun with a finer loop"):
-        _loop_permutation((F(0), F(0)), [(F(1, 20), F(0)), (F(-1, 20), F(0))], (1, 1), 8, shift)
-
-
 def test_closure_failure_raises():
     def two_units(lift, scale):
         return (lift[0] + 2 * scale, *lift[1:])
@@ -102,42 +94,82 @@ def test_closure_failure_raises():
         _loop_permutation((F(0), F(0)), [(F(1, 2), F(1, 3))], (1, 1), 8, two_units)
 
 
+def least_deciding_steps(base, cosets, periods):
+    """``N0 = max(8, floor(1 / d) + 1)``, ``d`` the least
+    ``|s_i - s_k|^2 / (2 (s_i - s_k)_1)`` over the start lifts with
+    ``(s_i - s_k)_1 > 0``.  One step of ``1 / steps`` along the first axis
+    leaves ``s_k`` strictly nearer to itself than to ``s_i`` exactly when
+    ``1 / steps < d``, so the reference decides the loop from ``N0`` on."""
+    lifts = reference_loop_lifts(base, cosets, periods)
+    ratios = [
+        sum((a - b) ** 2 for a, b in zip(p, q)) / (2 * (p[0] - q[0]))
+        for p in lifts
+        for q in lifts
+        if p[0] > q[0]
+    ]
+    return max(8, math.floor(1 / min(ratios)) + 1) if ratios else 8
+
+
+def reference_decides(base, cosets, periods, steps):
+    """The reference at ``steps``, and whether it decided there, which must
+    be exactly when ``steps`` reaches :func:`least_deciding_steps`."""
+    expected = reference_loop(base, cosets, periods, steps)
+    decided = expected is not Undecided
+    assert decided == (steps >= least_deciding_steps(base, cosets, periods))
+    return expected, decided
+
+
 def test_mixed_and_huge_denominators_match_the_fraction_reference():
+    # N0 can be near BIG^2 here, too many steps to rebuild: only the loops
+    # the reference decides at their drawn steps are compared.
     rng = random.Random(7)
-    seen = {"matched": 0, "ambiguous": 0}
+    seen = {True: 0, False: 0}
     for _ in range(300):
         base, cosets, periods, steps = random_loop(rng, 2, (1, 3, 7, BIG))
-        expected = reference_loop(base, cosets, periods, steps)
-        got = outcome(lambda: _loop_permutation(base, cosets, periods, steps, shift)[2])
-        assert got == expected
-        seen["ambiguous" if expected is AmbiguousMatchError else "matched"] += 1
+        expected, decided = reference_decides(base, cosets, periods, steps)
+        if decided:
+            assert _loop_permutation(base, cosets, periods, steps, shift)[2] == expected
+        seen[decided] += 1
     assert min(seen.values()) > 30
 
 
 def test_smallest_margin_decides_the_match():
     # Lifts at -r and r; one step of 1/8 takes -r to 1/8 - r.  At r = 1/8
-    # that is a tie, and 1/BIG^2 either side of it decides the matching.
-    for eps, expected in ((F(1, BIG**2), (0, 1)), (-F(1, BIG**2), AmbiguousMatchError)):
+    # that is a tie, and 1/BIG^2 either side of it decides whether the
+    # reference matches at 8 steps.  It matches both from N0 on, and the
+    # loop gives that answer at 8.
+    for eps, n0 in ((F(1, BIG**2), 8), (-F(1, BIG**2), 9)):
         r = F(1, 8) + eps
         cosets = [(r,), (-r,)]
-        assert reference_loop((F(0),), cosets, (1,), 8) == expected
-        assert outcome(lambda: _loop_permutation((F(0),), cosets, (1,), 8, shift)[2]) == expected
+        assert least_deciding_steps((F(0),), cosets, (1,)) == n0
+        assert reference_decides((F(0),), cosets, (1,), 8)[1] == (n0 == 8)
+        assert reference_loop((F(0),), cosets, (1,), n0) == (0, 1)
+        assert _loop_permutation((F(0),), cosets, (1,), 8, shift)[2] == (0, 1)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 4])
 def test_other_dimensions_match_the_fraction_reference(dim):
+    # No loop is skipped: one the reference leaves undecided at its drawn
+    # steps is compared at N0, where it decides.
     rng = random.Random(dim)
+    undecided = 0
     for _ in range(150):
         base, cosets, periods, steps = random_loop(rng, dim, (1, 7))
-        expected = reference_loop(base, cosets, periods, steps)
-        assert outcome(lambda: _loop_permutation(base, cosets, periods, steps, shift)[2]) == expected
+        expected, decided = reference_decides(base, cosets, periods, steps)
+        if not decided:
+            undecided += 1
+            expected = reference_loop(
+                base, cosets, periods, least_deciding_steps(base, cosets, periods)
+            )
+        assert _loop_permutation(base, cosets, periods, steps, shift)[2] == expected
+    assert undecided > 0
 
 
 def keeps_every_sheet(frames):
     """Whether the Fraction reference decides every step's matching of
     ``frames``; if it does, each of them must be the identity."""
     matchings = outcome(lambda: [reference_matching(p, q) for p, q in zip(frames, frames[1:])])
-    if matchings is AmbiguousMatchError:
+    if matchings is Undecided:
         return False
     assert set(matchings) == {tuple(range(len(frames[0])))}
     return True
@@ -145,12 +177,16 @@ def keeps_every_sheet(frames):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_decided_random_loops_never_change_sheet(dim):
+    # A loop undecided at its drawn steps is decided, and checked, at N0.
     rng = random.Random(100 + dim)
-    decided = [
-        keeps_every_sheet(reference_frames(*random_loop(rng, dim, (1, 3, 7))))
-        for _ in range(150)
-    ]
-    assert 100 < sum(decided) < 150
+    undecided = 0
+    for _ in range(150):
+        base, cosets, periods, steps = random_loop(rng, dim, (1, 3, 7))
+        if not keeps_every_sheet(reference_frames(base, cosets, periods, steps)):
+            undecided += 1
+            n0 = least_deciding_steps(base, cosets, periods)
+            assert keeps_every_sheet(reference_frames(base, cosets, periods, n0))
+    assert 0 < undecided < 50
 
 
 def test_decided_library_loops_never_change_sheet():
@@ -164,3 +200,68 @@ def test_decided_library_loops_never_change_sheet():
         for steps in range(8, 41):
             decided += keeps_every_sheet(reference_glide_loop(x2, steps)[0])
     assert decided > 150
+
+
+def unit_square_corners(x2, scale):
+    """The four lifts ``(0, x2) + (+-1/2, +-1/2)`` on ``scale``, sorted."""
+    u, v, h = 0, x2 * scale, scale // 2
+    return [(u + a, v + b) for a in (-h, h) for b in (-h, h)]
+
+
+def recording(monkeypatch, module):
+    """Every ``(scale, start, permutation)`` that ``module``'s loops build."""
+    built, original = [], module._loop_permutation
+
+    def record(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(module, "_loop_permutation", record)
+    return built
+
+
+STEP_COUNTS = [*range(8, 70), 10**30]
+
+
+def test_torus_loops_start_at_the_corners_whatever_the_steps(monkeypatch):
+    # The premise of the rigid-motion argument: the four lifts sit at the
+    # corners of a unit square about the base, so no step can confuse them.
+    built = recording(monkeypatch, flat_torus)
+    rng = random.Random(26)
+    for _ in range(500):
+        d = rng.randint(1, 1000)
+        x2 = F(rng.randrange(-2 * d, 2 * d), d)
+        assert {torus_loop_monodromy(steps, x2) for steps in STEP_COUNTS} == {(0, 1, 2, 3)}
+        assert {(scale, tuple(start)) for scale, start, _ in built} == {
+            (built[0][0], tuple(unit_square_corners(x2, built[0][0])))
+        }
+        built.clear()
+
+
+@pytest.mark.parametrize("x2", [F(0), H])
+def test_klein_loops_start_at_the_corners_whatever_the_steps(monkeypatch, x2):
+    built = recording(monkeypatch, klein_bottle)
+    results = {klein_monodromy(x2, steps) for steps in STEP_COUNTS}
+    assert len(results) == 1
+    assert results.pop().label_map() == {"DL": "UL", "UL": "DL", "DR": "UR", "UR": "DR"}
+    for scale, start, _ in built:
+        assert start == unit_square_corners(x2, scale)
+
+
+@pytest.mark.parametrize(
+    "steps, torus, klein",
+    [
+        (4, ValueError, ValueError),
+        (True, ValueError, ValueError),
+        (16.0, TypeError, TypeError),
+        (F(16), TypeError, TypeError),
+        ("16", TypeError, TypeError),
+        (10**30, (0, 1, 2, 3), (1, 0, 3, 2)),
+    ],
+    ids=["4", "True", "16.0", "Fraction(16)", "'16'", "10**30"],
+)
+def test_steps_contract(steps, torus, klein):
+    # Whole numbers of at least 8 answer; other whole numbers (a bool is
+    # one) raise ValueError, and anything else TypeError.
+    assert outcome(lambda: torus_loop_monodromy(steps)) == torus
+    assert outcome(lambda: klein_monodromy(H, steps).permutation) == klein
