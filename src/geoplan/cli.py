@@ -40,7 +40,9 @@ Each command imports only the modules it runs: those of its space for
 and those its suite's checks exercise for ``verify``.
 
 Exit codes: 0 on success, 1 when a verification or bound check fails, 2 on
-usage or input-parsing errors.  All outputs are byte-stable across runs.
+usage or input-parsing errors.  A ``verify`` check that raises is a failed
+check: it prints a ``FAIL`` line, the other checks and ``--out`` still run,
+and the exit code is 1.  All outputs are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -481,7 +483,7 @@ def cmd_verify(args) -> int:
 
     try:
         reports = verify.run_suite(args.suite, seed=args.seed, trials=args.trials)
-    except ValueError as exc:
+    except ValueError as exc:  # the arguments; a check reports its own errors
         raise UsageError(str(exc)) from exc
     for report in reports:
         for line in report.summary_lines():

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .cutgraph import CutLocusGraph, dirichlet_graph
 from .flat_torus import (
@@ -204,29 +203,6 @@ class MonodromyResult:
 
     permutation: tuple[int, ...]
     sheet_labels: tuple[str, ...]
-
-    @property
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Disjoint cycles, each rotated to start at its smallest element."""
-        seen: set[int] = set()
-        cycles = []
-        for cur in range(len(self.permutation)):
-            cycle = []
-            while cur not in seen:
-                seen.add(cur)
-                cycle.append(cur)
-                cur = self.permutation[cur]
-            if cycle:
-                cycles.append(tuple(cycle))
-        return tuple(cycles)
-
-    @property
-    def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == p for i, p in enumerate(self.permutation))
 
     def label_map(self) -> dict[str, str]:
         return {

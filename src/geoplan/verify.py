@@ -5,12 +5,18 @@ exact laws are asserted exactly (rational arithmetic end to end), metric
 comparisons go through the squared-distance predicates of ``metric_core``.
 Suites are deterministic for a fixed seed and shard cleanly by trial count.
 
-The torus and Klein suites carry one independent brute-force oracle,
-:func:`_orbit_minimizers`: it scans a finite window of lifts (lattice
-translates on the torus, the deck orbit on the Klein bottle) and keeps the
-nearest by exact integer squared distance.  So the closed-form classifier and
-the two-coset nearest-lift rule are confirmed against plain distance
-minimization rather than against themselves.
+Every check runs under one lifecycle, :func:`_check`: it gets a fresh
+:class:`CheckResult`, and an exception it raises is one more failure, so a
+broken layer shows as a ``FAIL`` line instead of ending the run.  A suite is
+a table of rows in :data:`SUITES`, run in order by :func:`run_suite`.
+
+The torus and Klein suites carry one independent brute-force oracle: the
+words of :func:`_orbit_window` (lattice translates on the torus, the deck
+orbit on the Klein bottle, from generator powers written here) and
+:func:`_orbit_minimizers`, which keeps the nearest by exact integer squared
+distance.  So the closed-form classifier and the two-coset nearest-lift rule
+are confirmed against plain distance minimization rather than against
+themselves.
 """
 
 from __future__ import annotations
@@ -19,14 +25,13 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import product
-from operator import add
-from typing import TYPE_CHECKING
+from functools import wraps
+from typing import TYPE_CHECKING, Callable
 
 # Each check imports the layers it exercises, so that a suite loads only its own.
 if TYPE_CHECKING:
     from .flat_torus import TorusPoint
-    from .klein_bottle import DeckElement, KleinPoint
+    from .klein_bottle import KleinPoint
     from .metric_core import Polyline
 
 __all__ = ["CheckResult", "SuiteReport", "SUITES", "run_suite"]
@@ -88,6 +93,35 @@ class SuiteReport:
         return {**asdict(self), "passed": self.passed}
 
 
+Check = Callable[..., CheckResult]
+
+
+def _check(name: str) -> Callable[[Callable[..., None]], Check]:
+    """Make ``body(check, seed, trials, *args)`` the check ``(seed, trials,
+    *args) -> CheckResult`` named ``name.format(*args)``.
+
+    The body records failures on ``check`` (and may recount its trials).  An
+    ``Exception`` it raises ends it as one more failure, detailed as
+    ``"<type>: <message>"`` unless an earlier failure set the detail, and
+    never leaves more failures than trials; other ``BaseException``s
+    propagate."""
+
+    def wrap(body: Callable[..., None]) -> Check:
+        @wraps(body)
+        def run(seed: int, trials: int, *args) -> CheckResult:
+            check = CheckResult(name=name.format(*args), trials=trials)
+            try:
+                body(check, seed, trials, *args)
+            except Exception as exc:
+                check.fail(f"{type(exc).__name__}: {exc}")
+                check.trials = max(check.trials, check.failures)
+            return check
+
+        return run
+
+    return wrap
+
+
 def _rand_frac(rng: random.Random, den: int = _DEN) -> Fraction:
     return Fraction(rng.randrange(den), den)
 
@@ -111,18 +145,30 @@ def _orbit_minimizers(base, points) -> list[int]:
     return [i for i, d in enumerate(dists) if d == best]
 
 
+def _orbit_window(y, powers, window: int) -> list[tuple[tuple, tuple[int, ...]]]:
+    """Every word ``g_1^k_1 ... g_m^k_m (y)`` with ``|k_i| <= window``, paired
+    with its exponents ``(k_1, ..., k_m)``; ``powers[i](p, k)`` is
+    ``g_i^k (p)``.  Built one generator at a time, ``g_m`` first."""
+    ks = range(-window, window + 1)
+    words = [(tuple(y), ())]
+    for power in reversed(powers):
+        words = [(power(p, k), (k,) + exps) for p, exps in words for k in ks]
+    return words
+
+
 # ---------------------------------------------------------------------------
 # Torus suite
 # ---------------------------------------------------------------------------
 
 
-def _lattice_lifts(y, window: int) -> list[tuple[int, ...]]:
-    """The lifts ``y + _DEN * k`` of an integer sample, k in [-window, window]^n."""
-    steps = range(-_DEN * window, _DEN * window + 1, _DEN)
-    return [tuple(map(add, y, ks)) for ks in product(steps, repeat=len(y))]
+def _unit_shifts(n: int) -> list[Callable]:
+    """The torus generator powers on the integer sample grid: ``e_i^k`` adds
+    ``k * _DEN`` to coordinate ``i``."""
+    return [lambda p, k, i=i: p[:i] + (p[i] + k * _DEN,) + p[i + 1:] for i in range(n)]
 
 
-def torus_count_law(seed: int, trials: int, n: int) -> CheckResult:
+@_check("count_law_n{}")
+def torus_count_law(check: CheckResult, seed: int, trials: int, n: int) -> None:
     """count == 2^(k-1) from the classifier, and equals the number of
     minimizing lattice lifts in the window [-1, 1]^n (integer brute force).
 
@@ -131,27 +177,27 @@ def torus_count_law(seed: int, trials: int, n: int) -> CheckResult:
     offset of 2 or more in any coordinate can be minimal."""
     from . import flat_torus
     from .flat_torus import TorusPoint
-    check = CheckResult(name=f"count_law_n{n}", trials=trials)
     rng = random.Random(seed + n)
+    shifts = _unit_shifts(n)
     for _ in range(trials):
         xs = [rng.randrange(_DEN) for _ in range(n)]
         ys = [(a + _DEN // 2) % _DEN if rng.random() < 0.25 else rng.randrange(_DEN) for a in xs]
-        brute = len(_orbit_minimizers(xs, _lattice_lifts(ys, 1)))
+        lifts = [p for p, _ in _orbit_window(ys, shifts, 1)]
+        brute = len(_orbit_minimizers(xs, lifts))
         x = TorusPoint.make([Fraction(v, _DEN) for v in xs])
         y = TorusPoint.make([Fraction(v, _DEN) for v in ys])
         k = flat_torus.torus_stratum(x, y)
         geos = flat_torus.torus_geodesics(x, y)
         if len(geos) != 2 ** (k - 1) or len(geos) != brute:
             check.fail(f"x={x.coords} y={y.coords}: k={k}, count={len(geos)}, brute={brute}")
-    return check
 
 
-def torus_planner_partition(seed: int, trials: int, n: int) -> CheckResult:
+@_check("planner_partition_n{}")
+def torus_planner_partition(check: CheckResult, seed: int, trials: int, n: int) -> None:
     """Planner domains are exactly 0..n, each realized; the section value is a
     genuine minimizing geodesic ending at the query point."""
     from . import flat_torus
     from .flat_torus import TorusPoint
-    check = CheckResult(name=f"planner_partition_n{n}", trials=0)
     rng = random.Random(seed + 10 * n)
     pairs: list[tuple[TorusPoint, TorusPoint]] = []
     if n == 1:
@@ -195,16 +241,15 @@ def torus_planner_partition(seed: int, trials: int, n: int) -> CheckResult:
             check.fail(f"section value not a geodesic at {x.coords}->{y.coords}")
     if seen != set(range(n + 1)):
         check.fail(f"domains realized: {sorted(seen)} != 0..{n}")
-    return check
 
 
-def torus_planner_continuity(seed: int, trials: int, n: int) -> CheckResult:
+@_check("planner_continuity_n{}")
+def torus_planner_continuity(check: CheckResult, seed: int, trials: int, n: int) -> None:
     """Perturbing a pair by <= delta inside its stratum moves the planned
     path by at most 4*delta in sup distance (exact squared comparison)."""
     from . import flat_torus
     from .flat_torus import TorusPoint
     from .metric_core import sup_distance_sq
-    check = CheckResult(name=f"planner_continuity_n{n}", trials=trials)
     rng = random.Random(seed + 100 * n)
     delta = _DELTA
     for _ in range(trials):
@@ -236,15 +281,14 @@ def torus_planner_continuity(seed: int, trials: int, n: int) -> CheckResult:
             continue
         if sup_distance_sq(a.geodesic.lift(), b.geodesic.lift()) > (4 * delta) ** 2:
             check.fail(f"sup distance exceeds 4*delta at x={x} y={y} i={i}")
-    return check
 
 
-def torus_subspace_convexity(seed: int, trials: int, n: int) -> CheckResult:
+@_check("subspace_convexity_n{}")
+def torus_subspace_convexity(check: CheckResult, seed: int, trials: int, n: int) -> None:
     """Coordinates shared by both endpoints stay constant along every
     geodesic (sub-torus convexity)."""
     from . import flat_torus
     from .flat_torus import TorusPoint
-    check = CheckResult(name=f"subspace_convexity_n{n}", trials=trials)
     rng = random.Random(seed + 1000 * n)
     for _ in range(trials):
         x = list(_rand_coords(rng, n))
@@ -255,15 +299,14 @@ def torus_subspace_convexity(seed: int, trials: int, n: int) -> CheckResult:
         geos = flat_torus.torus_geodesics(TorusPoint.make(x), TorusPoint.make(y))
         if any(g.displacement[i] != 0 for g in geos for i in fixed):
             check.fail(f"geodesic leaves the sub-torus at {x}->{y}")
-    return check
 
 
-def torus_cut_locus_shape(seed: int, trials: int) -> CheckResult:
+@_check("cut_locus_shape")
+def torus_cut_locus_shape(check: CheckResult, seed: int, trials: int) -> None:
     """n=2 cut locus is a wedge of two circles at the antipode (one vertex of
     multiplicity 4, two loop edges); strata carry 2^|F| geodesics each."""
     from . import flat_torus
     from .flat_torus import TorusPoint
-    check = CheckResult(name="cut_locus_shape", trials=trials)
     rng = random.Random(seed + 77)
     for _ in range(trials):
         x = TorusPoint.make(_rand_coords(rng, 2))
@@ -288,14 +331,13 @@ def torus_cut_locus_shape(seed: int, trials: int) -> CheckResult:
             if len(flat_torus.torus_geodesics(x, rep)) != expect:
                 check.fail(f"representative count mismatch at {x.coords}")
                 break
-    return check
 
 
-def torus_monodromy_control(seed: int, trials: int) -> CheckResult:
+@_check("monodromy_control")
+def torus_monodromy_control(check: CheckResult, seed: int, trials: int) -> None:
     """Transporting the four-geodesic labels around the horizontal loop in the
     torus gives the identity permutation."""
     from . import flat_torus
-    check = CheckResult(name="monodromy_control", trials=trials)
     rng = random.Random(seed + 404)
     for _ in range(trials):
         x2 = Fraction(rng.randrange(_DEN), _DEN)
@@ -303,15 +345,14 @@ def torus_monodromy_control(seed: int, trials: int) -> CheckResult:
         perm = flat_torus.torus_loop_monodromy(steps, x2=x2)
         if perm != tuple(range(4)):
             check.fail(f"nontrivial torus monodromy at x2={x2}: {perm}")
-    return check
 
 
-def torus_local_poset_shape(seed: int, trials: int) -> CheckResult:
+@_check("local_poset")
+def torus_local_poset_shape(check: CheckResult, seed: int, trials: int) -> None:
     """Local poset at a pair with a antipodal coordinates has a+1 levels and
     bound a (when a >= 1)."""
     from . import flat_torus, strat_cover
     from .flat_torus import TorusPoint
-    check = CheckResult(name="local_poset", trials=trials)
     rng = random.Random(seed + 505)
     for _ in range(trials):
         n = rng.randrange(1, 5)
@@ -331,7 +372,6 @@ def torus_local_poset_shape(seed: int, trials: int) -> CheckResult:
             check.fail(f"bound {report.lower_bound} != {a}")
         elif a == 0 and report.lower_bound != 0:
             check.fail("one-level poset should bound 0")
-    return check
 
 
 # ---------------------------------------------------------------------------
@@ -339,52 +379,45 @@ def torus_local_poset_shape(seed: int, trials: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _klein_orbit(y: KleinPoint, window: int) -> list[tuple[tuple, DeckElement]]:
-    """The orbit points ``alpha^a beta^b . y`` for |a|, |b| <= ``window``,
-    each with its deck element, sorted by point: ``beta^b`` adds ``b`` to
-    the second coordinate, and ``alpha^a`` adds ``a`` to the first and, for
-    odd ``a``, reflects the second in 1/2.  The deck group acts freely, so
-    no point repeats."""
-    from .klein_bottle import DeckElement
-    u, v = y.coords
-    ks = range(-window, window + 1)
-    return sorted(
-        ((u + a, 1 - v - b if a % 2 else v + b), DeckElement(a, b)) for a in ks for b in ks
-    )
+#: The powers of the deck generators: ``alpha^k (u, v) = (u + k, v)`` with
+#: ``v`` reflected to ``1 - v`` for odd ``k``, and ``beta^k (u, v) = (u, v + k)``.
+#: The word with exponents ``(a, b)`` is the deck element ``DeckElement(a, b)``.
+_KLEIN_POWERS = (
+    lambda p, k: (p[0] + k, 1 - p[1] if k % 2 else p[1]),
+    lambda p, k: (p[0], p[1] + k),
+)
 
 
-def _klein_orbit_scan(base, y: KleinPoint) -> list[tuple[tuple, DeckElement]]:
-    """Brute-force oracle: the (end lift, deck element) pairs nearest to the
-    plane point ``base`` over the deck orbit of ``y`` within window 3,
-    sorted by end lift."""
-    orbit = _klein_orbit(y, 3)
-    return [orbit[i] for i in _orbit_minimizers(base, [p for p, _ in orbit])]
-
-
-def klein_lift_oracle(seed: int, trials: int) -> CheckResult:
+@_check("lift_oracle")
+def klein_lift_oracle(check: CheckResult, seed: int, trials: int) -> None:
     """Geodesic end lifts and deck tags equal a brute-force scan of the deck
     orbit (window 3), which shares nothing with the two-coset rule."""
     from . import klein_bottle
-    from .klein_bottle import KleinPoint
-    check = CheckResult(name="lift_oracle", trials=trials)
+    from .klein_bottle import DeckElement, KleinPoint
     rng = random.Random(seed + 11)
     for _ in range(trials):
         x = KleinPoint.make(_rand_coords(rng, 2))
-        y = KleinPoint.make(_rand_coords(rng, 2))
+        u, v = _rand_coords(rng, 2)
+        if rng.random() < 0.25:
+            # half a period above x: the nearest coset ties up and down
+            v = (x.coords[1] + _HALF) % 1
+        y = KleinPoint.make((u, v))
+        words = _orbit_window(y.coords, _KLEIN_POWERS, 3)
+        nearest = _orbit_minimizers(x.coords, [p for p, _ in words])
+        want = sorted((words[i][0], DeckElement(*words[i][1])) for i in nearest)
         got = [(g.end_lift, g.deck) for g in klein_bottle.klein_geodesics(x, y)]
-        if got != _klein_orbit_scan(x.coords, y):
+        if got != want:
             check.fail(f"geodesics differ from the orbit scan at {x.coords}->{y.coords}")
-    return check
 
 
-def klein_horizontal_equivariance(seed: int, trials: int) -> CheckResult:
+@_check("horizontal_equivariance")
+def klein_horizontal_equivariance(check: CheckResult, seed: int, trials: int) -> None:
     """Horizontal translation is an isometry: a shifted pair has the same
     geodesic displacements.  When the base representative wraps through the
     glide gluing an odd number of times, re-basing is a glide reflection, so
     the vertical displacement components flip sign."""
     from . import klein_bottle
     from .klein_bottle import KleinPoint
-    check = CheckResult(name="horizontal_equivariance", trials=trials)
     rng = random.Random(seed + 22)
     for _ in range(trials):
         x = KleinPoint.make(_rand_coords(rng, 2))
@@ -398,15 +431,14 @@ def klein_horizontal_equivariance(seed: int, trials: int) -> CheckResult:
         expected = sorted((g.displacement[0], sign * g.displacement[1]) for g in a)
         if expected != sorted(g.displacement for g in b):
             check.fail(f"equivariance broken at {x.coords}->{y.coords}, t={t}")
-    return check
 
 
-def klein_deck_composition(seed: int, trials: int) -> CheckResult:
+@_check("deck_composition")
+def klein_deck_composition(check: CheckResult, seed: int, trials: int) -> None:
     """Deck transformations form a group acting on the plane: composition and
     inversion agree with pointwise application."""
     from . import klein_bottle
     from .klein_bottle import DeckElement
-    check = CheckResult(name="deck_composition", trials=trials)
     rng = random.Random(seed + 33)
     for _ in range(trials):
         g1 = DeckElement(rng.randrange(-3, 4), rng.randrange(-3, 4))
@@ -419,17 +451,16 @@ def klein_deck_composition(seed: int, trials: int) -> CheckResult:
             check.fail(f"inverse broken for {g1}")
         elif g1.compose(g2).compose(g3) != g1.compose(g2.compose(g3)):
             check.fail("associativity broken")
-    return check
 
 
-def klein_cut_dichotomy(seed: int, trials: int) -> CheckResult:
+@_check("cut_dichotomy")
+def klein_cut_dichotomy(check: CheckResult, seed: int, trials: int) -> None:
     """Wedge (one multiplicity-4 vertex, two edges) exactly when the base
     second coordinate is 0 or 1/2; otherwise a theta graph (two
     multiplicity-3 vertices, three edges).  Vertex multiplicities are
     confirmed by the brute-force orbit scan."""
     from . import klein_bottle
     from .klein_bottle import KleinPoint
-    check = CheckResult(name="cut_dichotomy", trials=trials)
     rng = random.Random(seed + 44)
     for _ in range(trials):
         x2 = rng.choice([Fraction(0), _HALF]) if rng.random() < 0.35 else _rand_frac(rng)
@@ -445,11 +476,11 @@ def klein_cut_dichotomy(seed: int, trials: int) -> CheckResult:
             continue
         for vertex in graph.vertices:
             v = KleinPoint.make(vertex.point)
-            count = len(_klein_orbit_scan(x.coords, v))
+            words = _orbit_window(v.coords, _KLEIN_POWERS, 3)
+            count = len(_orbit_minimizers(x.coords, [p for p, _ in words]))
             if count != vertex.multiplicity:
                 check.fail(f"multiplicity {vertex.multiplicity} vs oracle {count}")
                 break
-    return check
 
 
 def _klein_domain_samples(rng: random.Random) -> list[tuple[KleinPoint, KleinPoint]]:
@@ -481,12 +512,12 @@ def _klein_domain_samples(rng: random.Random) -> list[tuple[KleinPoint, KleinPoi
     return pairs
 
 
-def klein_planner_partition(seed: int, trials: int) -> CheckResult:
+@_check("planner_partition")
+def klein_planner_partition(check: CheckResult, seed: int, trials: int) -> None:
     """Domains 0..4 are all realized over sampled pairs, the domain index is
     the declared function of stratum and first coordinate, and every section
     value is a minimizing geodesic to the query point."""
     from . import klein_bottle
-    check = CheckResult(name="planner_partition", trials=0)
     rng = random.Random(seed + 55)
     pairs: list[tuple[KleinPoint, KleinPoint]] = []
     for _ in range(max(1, trials // 8)):
@@ -508,10 +539,10 @@ def klein_planner_partition(seed: int, trials: int) -> CheckResult:
             check.fail(f"section value not among geodesics at {x.coords}->{y.coords}")
     if seen != {0, 1, 2, 3, 4}:
         check.fail(f"domains realized: {sorted(seen)} != 0..4")
-    return check
 
 
-def klein_planner_continuity(seed: int, trials: int) -> CheckResult:
+@_check("planner_continuity")
+def klein_planner_continuity(check: CheckResult, seed: int, trials: int) -> None:
     """Within one domain path component, a delta-perturbation of the pair
     moves the planned path by at most 1/100 in sup distance (delta = 1/1000).
 
@@ -523,7 +554,6 @@ def klein_planner_continuity(seed: int, trials: int) -> CheckResult:
     from . import klein_bottle
     from .klein_bottle import KleinPoint
     from .metric_core import sup_distance_sq
-    check = CheckResult(name="planner_continuity", trials=0)
     rng = random.Random(seed + 66)
     delta = _DELTA
     tol_sq = Fraction(1, 100) ** 2
@@ -591,39 +621,33 @@ def klein_planner_continuity(seed: int, trials: int) -> CheckResult:
             continue
         if sup_distance_sq(ra.geodesic.lift(), rb.geodesic.lift()) > tol_sq:
             check.fail(f"sup distance exceeds tolerance at {xa.coords}->{ya.coords}")
-    return check
 
 
-def klein_monodromy_nontrivial(seed: int, trials: int) -> CheckResult:
+@_check("monodromy")
+def klein_monodromy_nontrivial(check: CheckResult, seed: int, trials: int) -> None:
     """Transporting the four geodesic labels around the horizontal loop swaps
     up and down (a nontrivial order-2 permutation) over both special circles,
     while the torus control loop is the identity."""
     from . import flat_torus, klein_bottle
-    check = CheckResult(name="monodromy", trials=trials)
     rng = random.Random(seed + 88)
     for _ in range(trials):
         steps = rng.choice([8, 12, 16, 24])
         for x2 in (Fraction(0), _HALF):
-            result = klein_bottle.klein_monodromy(x2, steps=steps)
-            swap = result.label_map()
-            if result.is_identity or result.order != 2:
-                check.fail(f"monodromy not order 2 at x2={x2}")
-                break
+            swap = klein_bottle.klein_monodromy(x2, steps=steps).label_map()
             if swap != {"DL": "UL", "UL": "DL", "DR": "UR", "UR": "DR"}:
-                check.fail(f"unexpected label action {swap}")
+                check.fail(f"unexpected label action {swap} at x2={x2}")
                 break
         else:
             if flat_torus.torus_loop_monodromy(steps) != tuple(range(4)):
                 check.fail("torus control loop not identity")
-    return check
 
 
-def klein_theta_frozen(seed: int, trials: int) -> CheckResult:
+@_check("theta_frozen")
+def klein_theta_frozen(check: CheckResult, seed: int, trials: int) -> None:
     """Frozen theta-graph data at base (1/2, 3/10): vertex classes
     (22/25, 4/5) and (3/25, 4/5), three edges, multiplicities (3, 3)."""
     from . import klein_bottle
     from .klein_bottle import KleinPoint
-    check = CheckResult(name="theta_frozen", trials=1)
     graph = klein_bottle.klein_cut_locus(KleinPoint.make((_HALF, Fraction(3, 10))))
     points = sorted(v.point for v in graph.vertices)
     expect = [
@@ -632,7 +656,6 @@ def klein_theta_frozen(seed: int, trials: int) -> CheckResult:
     ]
     if points != expect or graph.multiplicities() != (3, 3) or len(graph.edges) != 3:
         check.fail(f"frozen theta data mismatch: {points}")
-    return check
 
 
 # ---------------------------------------------------------------------------
@@ -641,14 +664,13 @@ def klein_theta_frozen(seed: int, trials: int) -> CheckResult:
 
 
 def _rand_interior(rng: random.Random, den: int = 60) -> Fraction:
-    v = Fraction(rng.randrange(-den + 1, den), 2 * den)
-    return v
+    return Fraction(rng.randrange(-den + 1, den), 2 * den)
 
 
-def cube_identity(seed: int, trials: int) -> CheckResult:
+@_check("normalization_identity")
+def cube_identity(check: CheckResult, seed: int, trials: int) -> None:
     """L_i^2 == 2*N_i + (|x|^2 + |y|^2 + 4) exactly, for every candidate."""
     from . import cube_sphere
-    check = CheckResult(name="normalization_identity", trials=trials)
     rng = random.Random(seed + 13)
     for _ in range(trials):
         x = (_rand_interior(rng), _rand_interior(rng))
@@ -657,14 +679,13 @@ def cube_identity(seed: int, trials: int) -> CheckResult:
         common = table.common_summand
         if any(l != 2 * n + common for l, n in zip(table.l_sq, table.n)):
             check.fail(f"identity fails at {x}, {y}")
-    return check
 
 
-def cube_formula_oracle(seed: int, trials: int) -> CheckResult:
+@_check("formula_oracle")
+def cube_formula_oracle(check: CheckResult, seed: int, trials: int) -> None:
     """The minimum over admissible closed-form candidates equals the unfolding
     oracle's minimum, with identical minimizer sets (compared by trace)."""
     from . import cube_sphere
-    check = CheckResult(name="formula_oracle", trials=trials)
     rng = random.Random(seed + 26)
     for _ in range(trials):
         x = (_rand_interior(rng), _rand_interior(rng))
@@ -681,14 +702,13 @@ def cube_formula_oracle(seed: int, trials: int) -> CheckResult:
         }
         if argmin_traces != {g.trace for g in geos}:
             check.fail(f"argmin sets differ at {x}, {y}")
-    return check
 
 
-def cube_symmetric_diagonal(seed: int, trials: int) -> CheckResult:
+@_check("symmetric_diagonal")
+def cube_symmetric_diagonal(check: CheckResult, seed: int, trials: int) -> None:
     """Symmetric diagonal pairs have exactly four geodesics, realized by
     candidates 1, 4, 7, 10."""
     from . import cube_sphere
-    check = CheckResult(name="symmetric_diagonal", trials=0)
     rng = random.Random(seed + 39)
     zs = [
         Fraction(1, 10),
@@ -710,51 +730,42 @@ def cube_symmetric_diagonal(seed: int, trials: int) -> CheckResult:
             check.fail(f"symmetric diagonal law fails at z={z}")
         elif table.n != cube_sphere.diagonal_table(z, z):
             check.fail(f"diagonal substitution mismatch at z={z}")
-    return check
 
 
-def cube_corner_geodesics(seed: int, trials: int) -> CheckResult:
+@_check("corner_geodesics")
+def cube_corner_geodesics(check: CheckResult, seed: int, trials: int) -> None:
     """Exactly six geodesics of squared length 5 between opposite corners,
     and the limit table is internally consistent with them."""
     from . import cube_sphere
-    check = CheckResult(name="corner_geodesics", trials=1)
     p, q = cube_sphere.corner_pair()
     geos = cube_sphere.cube_geodesics(p, q)
     if len(geos) != 6 or any(g.squared_length != 5 for g in geos):
         check.fail(f"corner count {len(geos)}")
-        return check
-    try:
-        labeled = cube_sphere.corner_limit_geodesics()
-    except RuntimeError as exc:
-        check.fail(str(exc))
-        return check
-    if sorted(labeled) != ["D1", "D2", "D3", "D4", "D5", "D6"]:
+    elif sorted(cube_sphere.corner_limit_geodesics()) != ["D1", "D2", "D3", "D4", "D5", "D6"]:
         check.fail("bad label set")
-    return check
 
 
-def cube_witnesses(seed: int, trials: int) -> CheckResult:
+@_check("witness_sequences")
+def cube_witnesses(check: CheckResult, seed: int, trials: int) -> None:
     """Witness pairs reproduce minimizer sets {1,4,7,10} / {1,4} / {1} for all
     i, j <= 5 with the symbolically-derived k (= 1)."""
     from . import cube_sphere
-    check = CheckResult(name="witness_sequences", trials=0)
-    for i in range(1, 6):
-        for j in range(1, 6):
-            k = cube_sphere.minimal_stable_k(i, j)
-            s, r, t = cube_sphere.witness_sequences(i, j, k)
-            check.trials += 1
-            if k != 1:
-                check.fail(f"stable k {k} != 1 at i={i}, j={j}")
-            elif (s.indices, r.indices, t.indices) != ((1, 4, 7, 10), (1, 4), (1,)):
-                check.fail(f"witness sets wrong at i={i}, j={j}")
-    return check
+    pairs = [(i, j) for i in range(1, 6) for j in range(1, 6)]
+    check.trials = len(pairs)
+    for i, j in pairs:
+        k = cube_sphere.minimal_stable_k(i, j)
+        s, r, t = cube_sphere.witness_sequences(i, j, k)
+        if k != 1:
+            check.fail(f"stable k {k} != 1 at i={i}, j={j}")
+        elif (s.indices, r.indices, t.indices) != ((1, 4, 7, 10), (1, 4), (1,)):
+            check.fail(f"witness sets wrong at i={i}, j={j}")
 
 
-def cube_rotation_symmetry(seed: int, trials: int) -> CheckResult:
+@_check("rotation_symmetry")
+def cube_rotation_symmetry(check: CheckResult, seed: int, trials: int) -> None:
     """The corner rotation is an isometry: geodesic traces of a rotated pair
     are the rotated traces."""
     from . import cube_sphere
-    check = CheckResult(name="rotation_symmetry", trials=trials)
     rng = random.Random(seed + 52)
     for _ in range(trials):
         x = cube_sphere.CubePoint.make("z-", _rand_interior(rng), _rand_interior(rng))
@@ -765,13 +776,12 @@ def cube_rotation_symmetry(seed: int, trials: int) -> CheckResult:
         b = {g.trace for g in cube_sphere.cube_geodesics(rx, ry)}
         if a != b:
             check.fail(f"rotation symmetry fails at {x}, {y}")
-    return check
 
 
-def cube_face_budget_stability(seed: int, trials: int) -> CheckResult:
+@_check("face_budget_stability")
+def cube_face_budget_stability(check: CheckResult, seed: int, trials: int) -> None:
     """Raising the face budget from 5 to 6 changes no geodesic set."""
     from . import cube_sphere
-    check = CheckResult(name="face_budget_stability", trials=trials)
     rng = random.Random(seed + 65)
     for _ in range(trials):
         x = cube_sphere.CubePoint.make("z-", _rand_interior(rng), _rand_interior(rng))
@@ -781,35 +791,33 @@ def cube_face_budget_stability(seed: int, trials: int) -> CheckResult:
         g6 = cube_sphere.cube_geodesics(x, y, max_faces=6)
         if [g.trace for g in g5] != [g.trace for g in g6]:
             check.fail(f"budget instability at {x}, {y}")
-    return check
 
 
-def cube_corner_convergence(seed: int, trials: int) -> CheckResult:
+@_check("corner_convergence")
+def cube_corner_convergence(check: CheckResult, seed: int, trials: int) -> None:
     """Diagonal-family paths converge to their labeled corner geodesics:
     at corner offset a the constant-speed sup distance is below 2a and
     shrinks when a does."""
     from . import cube_sphere, metric_core
     from .metric_core import Polyline, sup_distance_sq
-    check = CheckResult(name="corner_convergence", trials=0)
     labeled = cube_sphere.corner_limit_geodesics()
     table = cube_sphere.corner_limit_table()
     previous: dict[int, Fraction] = {}
-    for a in (Fraction(1, 10), Fraction(1, 100)):
-        for idx in (1, 4, 7, 10):
-            check.trials += 1
-            path = cube_sphere.candidate_path(
-                (-_HALF + a, -_HALF + a), (_HALF - a, -_HALF + a), idx
-            )
-            limit = labeled[table[("A", idx)]]
-            cs_path = metric_core.reparametrize_constant_speed(path.as_polyline())
-            cs_limit = metric_core.reparametrize_constant_speed(Polyline(limit))
-            d_sq = sup_distance_sq(cs_path, cs_limit)
-            if d_sq > (2 * a) ** 2:
-                check.fail(f"family {idx} too far from its limit at offset {a}")
-            elif idx in previous and d_sq >= previous[idx]:
-                check.fail(f"family {idx} not converging")
-            previous[idx] = d_sq
-    return check
+    cases = [(a, idx) for a in (Fraction(1, 10), Fraction(1, 100)) for idx in (1, 4, 7, 10)]
+    check.trials = len(cases)
+    for a, idx in cases:
+        path = cube_sphere.candidate_path(
+            (-_HALF + a, -_HALF + a), (_HALF - a, -_HALF + a), idx
+        )
+        limit = labeled[table[("A", idx)]]
+        cs_path = metric_core.reparametrize_constant_speed(path.as_polyline())
+        cs_limit = metric_core.reparametrize_constant_speed(Polyline(limit))
+        d_sq = sup_distance_sq(cs_path, cs_limit)
+        if d_sq > (2 * a) ** 2:
+            check.fail(f"family {idx} too far from its limit at offset {a}")
+        elif idx in previous and d_sq >= previous[idx]:
+            check.fail(f"family {idx} not converging")
+        previous[idx] = d_sq
 
 
 # ---------------------------------------------------------------------------
@@ -840,13 +848,13 @@ def _random_polyline(rng: random.Random, collinear: bool) -> Polyline:
     return Polyline(vertices)
 
 
-def core_reparametrization(seed: int, trials: int) -> CheckResult:
+@_check("reparametrization")
+def core_reparametrization(check: CheckResult, seed: int, trials: int) -> None:
     """Constant-speed output: a polyline is refused exactly when two of its
     chords have an irrational length ratio; otherwise the squared parameter
     steps are proportional to the squared chord lengths, the endpoints are 0
     and 1, the vertices are kept and the call is idempotent."""
     from . import metric_core
-    check = CheckResult(name="reparametrization", trials=trials)
     rng = random.Random(seed + 7)
     for _ in range(trials):
         p = _random_polyline(rng, collinear=rng.random() < 0.5)
@@ -870,15 +878,14 @@ def core_reparametrization(seed: int, trials: int) -> CheckResult:
             continue
         if metric_core.reparametrize_constant_speed(q) != q:
             check.fail("not idempotent")
-    return check
 
 
-def core_straight_segments(seed: int, trials: int) -> CheckResult:
+@_check("straight_segments")
+def core_straight_segments(check: CheckResult, seed: int, trials: int) -> None:
     """Reparametrized monotone collinear polylines and raw segments pass the
     exact geodesic test; a genuinely bent polyline fails it."""
     from . import metric_core
     from .metric_core import Polyline
-    check = CheckResult(name="straight_segments", trials=trials)
     rng = random.Random(seed + 14)
     for _ in range(trials):
         p = _random_polyline(rng, collinear=True)
@@ -898,14 +905,13 @@ def core_straight_segments(seed: int, trials: int) -> CheckResult:
         )
         if metric_core.is_geodesic(metric_core.reparametrize_constant_speed(bent)):
             check.fail("bent polyline accepted")
-    return check
 
 
-def core_sqrt_predicates(seed: int, trials: int) -> CheckResult:
+@_check("sqrt_predicates")
+def core_sqrt_predicates(check: CheckResult, seed: int, trials: int) -> None:
     """``metric_core.sqrt_exact`` agrees with floating point: it finds the
     root of every rational square and returns only true roots."""
     from . import metric_core
-    check = CheckResult(name="sqrt_predicates", trials=trials)
     rng = random.Random(seed + 21)
     for _ in range(trials):
         a = Fraction(rng.randrange(0, 400), rng.randrange(1, 40))
@@ -917,14 +923,13 @@ def core_sqrt_predicates(seed: int, trials: int) -> CheckResult:
         exact = metric_core.sqrt_exact(a)
         if exact is not None and abs(float(exact) - fa) > 1e-12 * max(1.0, fa):
             check.fail(f"sqrt_exact off at {a}")
-    return check
 
 
-def core_sup_distance(seed: int, trials: int) -> CheckResult:
+@_check("sup_distance")
+def core_sup_distance(check: CheckResult, seed: int, trials: int) -> None:
     """Sup distance: zero against itself, symmetric, and never exceeded at
     the 16 uniform parameters ``k/15``."""
     from .metric_core import dist_sq, sup_distance_sq
-    check = CheckResult(name="sup_distance", trials=trials)
     rng = random.Random(seed + 28)
     grid = [Fraction(k, 15) for k in range(16)]
     for _ in range(trials):
@@ -939,7 +944,6 @@ def core_sup_distance(seed: int, trials: int) -> CheckResult:
             check.fail("asymmetric")
         elif max(dist_sq(p.evaluate(t), q.evaluate(t)) for t in grid) > sup:
             check.fail("a sample exceeds the sup")
-    return check
 
 
 # ---------------------------------------------------------------------------
@@ -947,10 +951,10 @@ def core_sup_distance(seed: int, trials: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def poset_builtin_bounds(seed: int, trials: int) -> CheckResult:
+@_check("builtin_bounds")
+def poset_builtin_bounds(check: CheckResult, seed: int, trials: int) -> None:
     """Builtin posets validate and produce the expected lower bounds."""
     from . import strat_cover
-    check = CheckResult(name="builtin_bounds", trials=0)
     expected = {
         "circle": 1,
         "torus_corner:1": 1,
@@ -960,19 +964,18 @@ def poset_builtin_bounds(seed: int, trials: int) -> CheckResult:
         "klein_S4": 3,
         "cube_corner": 3,
     }
+    check.trials = len(expected)
     for name, bound in expected.items():
-        check.trials += 1
         poset, _flags = strat_cover.builtin_poset(name)
         report = strat_cover.lower_bound(poset)
         if not report.valid or report.lower_bound != bound:
             check.fail(f"{name}: bound {report.lower_bound} != {bound}")
-    return check
 
 
-def poset_relabel_invariance(seed: int, trials: int) -> CheckResult:
+@_check("relabel_invariance")
+def poset_relabel_invariance(check: CheckResult, seed: int, trials: int) -> None:
     """The bound is invariant under random relabeling of ids and sheets."""
     from . import strat_cover
-    check = CheckResult(name="relabel_invariance", trials=trials)
     rng = random.Random(seed + 35)
     names = ["circle", "torus_corner:2", "torus_corner:3", "klein_S4", "cube_corner"]
     for t in range(trials):
@@ -1007,16 +1010,16 @@ def poset_relabel_invariance(seed: int, trials: int) -> CheckResult:
         report = strat_cover.lower_bound(relabeled)
         if not report.valid or report.lower_bound != base:
             check.fail(f"relabeling changed the bound for {names[t % len(names)]}")
-    return check
 
 
-def poset_monotonicity(seed: int, trials: int) -> CheckResult:
+@_check("monotonicity")
+def poset_monotonicity(check: CheckResult, seed: int, trials: int) -> None:
     """Deleting the top level of an everywhere-inconsistent poset lowers the
     bound by exactly one; bottom elements are never inconsistent."""
     from . import strat_cover
-    check = CheckResult(name="monotonicity", trials=0)
-    for name in ["torus_corner:2", "torus_corner:3", "torus_corner:4", "cube_corner", "klein_S4"]:
-        check.trials += 1
+    names = ["torus_corner:2", "torus_corner:3", "torus_corner:4", "cube_corner", "klein_S4"]
+    check.trials = len(names)
+    for name in names:
         poset, _flags = strat_cover.builtin_poset(name)
         base = strat_cover.lower_bound(poset).lower_bound
         top = poset.level_count()
@@ -1032,45 +1035,43 @@ def poset_monotonicity(seed: int, trials: int) -> CheckResult:
             check.fail(f"truncated {name}: {report.lower_bound} != {base - 1}")
         elif any(strat_cover.inconsistent_at(poset, b) for b in bottom):
             check.fail(f"bottom element inconsistent in {name}")
-    return check
 
 
-def poset_rejects_violations(seed: int, trials: int) -> CheckResult:
+@_check("rejects_violations")
+def poset_rejects_violations(check: CheckResult, seed: int, trials: int) -> None:
     """Validation rejects non-adjacent covers, non-injective sheet maps, and
     composition-inconsistent chains."""
     from . import strat_cover
-    check = CheckResult(name="rejects_violations", trials=3)
     E = strat_cover.PosetElement
     C = strat_cover.CoverMap
-    skip = strat_cover.StratPoset(
-        elements=(E("a", 1, ("s",)), E("b", 2, ("s",)), E("c", 3, ("s",))),
-        covers=(C("a", "c", {"s": "s"}),),
-    )
-    if not strat_cover.validate_poset(skip):
-        check.fail("level-skipping cover accepted")
-    noninj = strat_cover.StratPoset(
-        elements=(E("a", 1, ("p", "q")), E("b", 2, ("r", "t"))),
-        covers=(C("a", "b", {"p": "r", "q": "r"}),),
-    )
-    if not strat_cover.validate_poset(noninj):
-        check.fail("non-injective sheet map accepted")
-    conflict = strat_cover.StratPoset(
-        elements=(
-            E("a", 1, ("s",)),
-            E("b1", 2, ("s",)),
-            E("b2", 2, ("s",)),
-            E("c", 3, ("u", "v")),
+    violations = {
+        "level-skipping cover": strat_cover.StratPoset(
+            elements=(E("a", 1, ("s",)), E("b", 2, ("s",)), E("c", 3, ("s",))),
+            covers=(C("a", "c", {"s": "s"}),),
         ),
-        covers=(
-            C("a", "b1", {"s": "s"}),
-            C("a", "b2", {"s": "s"}),
-            C("b1", "c", {"s": "u"}),
-            C("b2", "c", {"s": "v"}),
+        "non-injective sheet map": strat_cover.StratPoset(
+            elements=(E("a", 1, ("p", "q")), E("b", 2, ("r", "t"))),
+            covers=(C("a", "b", {"p": "r", "q": "r"}),),
         ),
-    )
-    if not strat_cover.validate_poset(conflict):
-        check.fail("composition-inconsistent chains accepted")
-    return check
+        "composition-inconsistent chains": strat_cover.StratPoset(
+            elements=(
+                E("a", 1, ("s",)),
+                E("b1", 2, ("s",)),
+                E("b2", 2, ("s",)),
+                E("c", 3, ("u", "v")),
+            ),
+            covers=(
+                C("a", "b1", {"s": "s"}),
+                C("a", "b2", {"s": "s"}),
+                C("b1", "c", {"s": "u"}),
+                C("b2", "c", {"s": "v"}),
+            ),
+        ),
+    }
+    check.trials = len(violations)
+    for violation, poset in violations.items():
+        if not strat_cover.validate_poset(poset):
+            check.fail(f"{violation} accepted")
 
 
 # ---------------------------------------------------------------------------
@@ -1078,64 +1079,70 @@ def poset_rejects_violations(seed: int, trials: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_core(seed: int, trials: int) -> SuiteReport:
-    report = SuiteReport(suite="core", seed=seed, trials=trials)
-    report.checks.append(core_reparametrization(seed, trials))
-    report.checks.append(core_straight_segments(seed, max(1, trials // 2)))
-    report.checks.append(core_sqrt_predicates(seed, trials))
-    report.checks.append(core_sup_distance(seed, max(1, trials // 2)))
-    report.checks.append(poset_builtin_bounds(seed, trials))
-    report.checks.append(poset_relabel_invariance(seed, min(trials, 50)))
-    report.checks.append(poset_monotonicity(seed, trials))
-    report.checks.append(poset_rejects_violations(seed, trials))
-    return report
+def _upto(cap: int) -> Callable[[int], int]:
+    return lambda trials: min(trials, cap)
 
 
-def _run_torus(seed: int, trials: int) -> SuiteReport:
-    report = SuiteReport(suite="torus", seed=seed, trials=trials)
-    for n in (1, 2, 3, 4):
-        report.checks.append(torus_count_law(seed, trials, n))
-    for n in (1, 2, 3):
-        report.checks.append(torus_planner_partition(seed, min(trials, 2000), n))
-        report.checks.append(torus_planner_continuity(seed, min(trials, 500), n))
-        report.checks.append(torus_subspace_convexity(seed, min(trials, 500), n))
-    report.checks.append(torus_cut_locus_shape(seed, min(trials, 200)))
-    report.checks.append(torus_monodromy_control(seed, min(trials, 20)))
-    report.checks.append(torus_local_poset_shape(seed, min(trials, 100)))
-    return report
+def _fixed(count: int) -> Callable[[int], int]:
+    return lambda trials: count
 
 
-def _run_klein(seed: int, trials: int) -> SuiteReport:
-    report = SuiteReport(suite="klein", seed=seed, trials=trials)
-    report.checks.append(klein_lift_oracle(seed, min(trials, 500)))
-    report.checks.append(klein_horizontal_equivariance(seed, min(trials, 500)))
-    report.checks.append(klein_deck_composition(seed, trials))
-    report.checks.append(klein_cut_dichotomy(seed, min(trials, 1000)))
-    report.checks.append(klein_planner_partition(seed, min(trials, 400)))
-    report.checks.append(klein_planner_continuity(seed, min(trials, 300)))
-    report.checks.append(klein_monodromy_nontrivial(seed, min(trials, 5)))
-    report.checks.append(klein_theta_frozen(seed, 1))
-    return report
+def _every(trials: int) -> int:
+    return trials
 
 
-def _run_cube(seed: int, trials: int) -> SuiteReport:
-    report = SuiteReport(suite="cube", seed=seed, trials=trials)
-    report.checks.append(cube_identity(seed, trials))
-    report.checks.append(cube_formula_oracle(seed, min(trials, 1000)))
-    report.checks.append(cube_symmetric_diagonal(seed, min(trials, 30)))
-    report.checks.append(cube_corner_geodesics(seed, 1))
-    report.checks.append(cube_witnesses(seed, 25))
-    report.checks.append(cube_rotation_symmetry(seed, min(trials, 50)))
-    report.checks.append(cube_face_budget_stability(seed, min(trials, 50)))
-    report.checks.append(cube_corner_convergence(seed, 8))
-    return report
+def _half(trials: int) -> int:
+    return max(1, trials // 2)
 
 
-SUITES = {
-    "core": _run_core,
-    "torus": _run_torus,
-    "klein": _run_klein,
-    "cube": _run_cube,
+#: Each suite's rows, in report order: (check, trial rule, extra arguments);
+#: a row runs ``check(seed, rule(trials), *args)``.
+SUITES: dict[str, list[tuple[Check, Callable[[int], int], tuple]]] = {
+    "core": [
+        (core_reparametrization, _every, ()),
+        (core_straight_segments, _half, ()),
+        (core_sqrt_predicates, _every, ()),
+        (core_sup_distance, _half, ()),
+        (poset_builtin_bounds, _every, ()),
+        (poset_relabel_invariance, _upto(50), ()),
+        (poset_monotonicity, _every, ()),
+        (poset_rejects_violations, _every, ()),
+    ],
+    "torus": [
+        *[(torus_count_law, _every, (n,)) for n in (1, 2, 3, 4)],
+        *[
+            (check, _upto(cap), (n,))
+            for n in (1, 2, 3)
+            for check, cap in (
+                (torus_planner_partition, 2000),
+                (torus_planner_continuity, 500),
+                (torus_subspace_convexity, 500),
+            )
+        ],
+        (torus_cut_locus_shape, _upto(200), ()),
+        (torus_monodromy_control, _upto(20), ()),
+        (torus_local_poset_shape, _upto(100), ()),
+    ],
+    "klein": [
+        (klein_lift_oracle, _upto(500), ()),
+        (klein_horizontal_equivariance, _upto(500), ()),
+        (klein_deck_composition, _every, ()),
+        (klein_cut_dichotomy, _upto(1000), ()),
+        (klein_planner_partition, _upto(400), ()),
+        (klein_planner_continuity, _upto(300), ()),
+        (klein_monodromy_nontrivial, _upto(5), ()),
+        (klein_theta_frozen, _fixed(1), ()),
+    ],
+    "cube": [
+        (cube_identity, _every, ()),
+        (cube_formula_oracle, _upto(1000), ()),
+        (cube_symmetric_diagonal, _upto(30), ()),
+        (cube_corner_geodesics, _fixed(1), ()),
+        (cube_witnesses, _fixed(25), ()),
+        (cube_rotation_symmetry, _upto(50), ()),
+        (cube_face_budget_stability, _upto(50), ()),
+        (cube_corner_convergence, _fixed(8), ()),
+    ],
 }
 
 
@@ -1143,8 +1150,14 @@ def run_suite(name: str, seed: int = 0, trials: int = 200) -> list[SuiteReport]:
     """Run one suite (or ``all``) and return its reports."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if name == "all":
-        return [runner(seed, trials) for runner in SUITES.values()]
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return [SUITES[name](seed, trials)]
+    return [
+        SuiteReport(
+            suite=suite,
+            seed=seed,
+            trials=trials,
+            checks=[check(seed, rule(trials), *args) for check, rule, args in SUITES[suite]],
+        )
+        for suite in (SUITES if name == "all" else [name])
+    ]

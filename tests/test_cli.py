@@ -295,6 +295,43 @@ class TestVerifyCommand:
         assert report[0]["suite"] == "core"
         assert report[0]["passed"] is True
 
+    def test_raising_check_is_a_failed_check(self, capsys, monkeypatch, tmp_path):
+        """With the closing glide planted as a plain shift the monodromy
+        check raises: it prints as a FAIL line, every other check still runs
+        and reports, the report file is written and the exit code is 1."""
+        from geoplan.klein_bottle import DeckElement
+
+        def plain_shift(self, point, scale):
+            return (point[0] + self.a * scale, point[1] + self.b * scale)
+
+        monkeypatch.setattr(DeckElement, "apply_scaled", plain_shift)
+        path = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, ["verify", "klein", "--trials", "5", "--out", str(path)])
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 9
+        assert lines[6].startswith(
+            "FAIL klein.monodromy: 1/5 trials (RuntimeError: loop closure failed"
+        )
+        assert [line[:4] for line in lines[:6] + lines[7:8]] == ["ok  "] * 7
+        assert lines[-1] == "FAIL suite klein (seed=0, trials=5)"
+        report = json.loads(path.read_text())
+        assert [c["failures"] for c in report[0]["checks"]] == [0] * 6 + [1, 0]
+
+    def test_value_error_in_a_check_exits_one(self, capsys, monkeypatch):
+        """A ``ValueError`` from inside a check is a failed check, not a
+        usage error."""
+        from geoplan import metric_core
+
+        def planted(*args):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(metric_core, "sup_distance_sq", planted)
+        code, out, err = run_cli(capsys, ["verify", "core", "--trials", "5"])
+        assert code == 1
+        assert "FAIL core.sup_distance: 1/2 trials (ValueError: planted)" in out.splitlines()
+        assert err == ""
+
 
 class TestFormatsAndStability:
     def test_json_output_is_byte_stable(self, capsys):

@@ -3,13 +3,14 @@
 Each row plants one defect in a library function with ``monkeypatch`` and
 runs one ``verify`` check at seed 0 with the trial count its suite uses by
 default.  The check kills the mutant when it reports failures (never more
-than its trials) or raises the expected error.  A row that no check kills
-is an open oracle gap, kept as a strict ``xfail`` with its reason, so that a
-stronger check shows up as an unexpected pass."""
+than its trials); a defect that makes the library raise is reported the same
+way, with the error in the detail.  A row that no check kills is an open
+oracle gap, kept as a strict ``xfail`` with its reason, so that a stronger
+check shows up as an unexpected pass."""
 
 import pytest
 
-from geoplan import flat_torus, klein_bottle, verify
+from geoplan import flat_torus, klein_bottle, strat_cover, verify
 from geoplan.klein_bottle import DeckElement
 
 
@@ -42,8 +43,27 @@ def one_sided_tie(monkeypatch):
     )
 
 
+def union_inconsistency(monkeypatch):
+    """``_inconsistent`` tests the union of the images, not their intersection."""
+
+    def mutant(incoming):
+        return bool(incoming) and not set().union(*(c.mapping.values() for c in incoming))
+
+    monkeypatch.setattr(strat_cover, "_inconsistent", mutant)
+
+
+def no_composition_errors(monkeypatch):
+    """``validate_poset`` drops its composition-mismatch errors."""
+    original = strat_cover.validate_poset
+    monkeypatch.setattr(
+        strat_cover,
+        "validate_poset",
+        lambda p: tuple(e for e in original(p) if not e.startswith("composition mismatch")),
+    )
+
+
 @pytest.mark.parametrize(
-    "plant, check, raises",
+    "plant, check, detail",
     [
         pytest.param(
             identity_permutation,
@@ -54,7 +74,7 @@ def one_sided_tie(monkeypatch):
         pytest.param(
             unflipped_glide,
             lambda: verify.klein_monodromy_nontrivial(0, 5),
-            "loop closure failed",
+            "RuntimeError: loop closure failed",
             id="unflipped-glide-klein-monodromy",
         ),
         pytest.param(
@@ -74,20 +94,30 @@ def one_sided_tie(monkeypatch):
             lambda: verify.klein_lift_oracle(0, 200),
             None,
             id="one-sided-tie-klein-lift-oracle",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="klein_lift_oracle draws both points independently on the 1/1000 "
-                "grid: no pair at seed 0 sits half a period apart in the nearest coset, "
-                "so no tie is there to lose",
-            ),
+        ),
+        pytest.param(
+            union_inconsistency,
+            lambda: verify.poset_builtin_bounds(0, 200),
+            None,
+            id="union-inconsistency-poset-builtin-bounds",
+        ),
+        pytest.param(
+            union_inconsistency,
+            lambda: verify.poset_monotonicity(0, 200),
+            "TypeError",
+            id="union-inconsistency-poset-monotonicity",
+        ),
+        pytest.param(
+            no_composition_errors,
+            lambda: verify.poset_rejects_violations(0, 200),
+            "composition-inconsistent chains accepted",
+            id="no-composition-errors-poset-rejects-violations",
         ),
     ],
 )
-def test_verify_kills_the_mutant(monkeypatch, plant, check, raises):
+def test_verify_kills_the_mutant(monkeypatch, plant, check, detail):
     plant(monkeypatch)
-    if raises:
-        with pytest.raises(RuntimeError, match=raises):
-            check()
-    else:
-        result = check()
-        assert 0 < result.failures <= result.trials
+    result = check()
+    assert 0 < result.failures <= result.trials
+    if detail:
+        assert detail in result.detail

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -51,6 +52,33 @@ def test_failures_are_counted_and_detailed():
     assert check.detail == "first problem"
 
 
+@verify._check("fails_then_raises_n{}")
+def fails_then_raises(check, seed, trials, n):
+    check.fail("first problem")
+    raise ValueError("planted")
+
+
+@verify._check("raises_at_once")
+def raises_at_once(check, seed, trials):
+    raise LookupError("planted")
+
+
+@verify._check("interrupted")
+def interrupted(check, seed, trials):
+    raise KeyboardInterrupt
+
+
+def test_check_lifecycle_turns_an_exception_into_one_failure():
+    check = fails_then_raises(0, 5, 3)
+    assert (check.name, check.trials, check.failures) == ("fails_then_raises_n3", 5, 2)
+    assert check.detail == "first problem"
+    check = raises_at_once(0, 0)
+    assert (check.trials, check.failures) == (1, 1)
+    assert check.detail == "LookupError: planted"
+    with pytest.raises(KeyboardInterrupt):
+        interrupted(0, 5)
+
+
 def test_klein_planner_continuity_skips_nudges_across_a_cut_edge():
     """At seed 3 a domain-0 nudge of the target crosses a cut edge, where the
     planned geodesic rightly jumps; that pair is not a continuity case."""
@@ -65,14 +93,16 @@ def test_orbit_minimizers_scale_mixed_denominators():
 
 
 def test_lift_orbit_covers_the_window():
-    from geoplan.klein_bottle import KleinPoint
+    """The Klein window lists each word alpha^a beta^b (y) with |a|, |b| <= 1
+    once, at the point its deck element sends y to."""
+    from geoplan.klein_bottle import DeckElement, KleinPoint
 
     y = KleinPoint.make((Fraction(1, 4), Fraction(1, 4)))
-    orbit = verify._klein_orbit(y, 1)
-    assert len(orbit) == 9
-    assert orbit == sorted(orbit)
-    for lift, deck in orbit:
-        assert deck.apply(y.coords) == lift
+    orbit = verify._orbit_window(y.coords, verify._KLEIN_POWERS, 1)
+    assert sorted(exps for _, exps in orbit) == list(product((-1, 0, 1), repeat=2))
+    assert len({lift for lift, _ in orbit}) == 9
+    for lift, exps in orbit:
+        assert DeckElement(*exps).apply(y.coords) == lift
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -88,8 +118,8 @@ def test_unit_lattice_window_is_exact(n):
         for i in range(n):
             if rng.random() < 0.5:
                 y[i] = (x[i] + den // 2) % den
-        narrow = verify._lattice_lifts(y, 1)
-        wide = verify._lattice_lifts(y, 2)
+        narrow = [p for p, _ in verify._orbit_window(y, verify._unit_shifts(n), 1)]
+        wide = [p for p, _ in verify._orbit_window(y, verify._unit_shifts(n), 2)]
         got = [narrow[i] for i in verify._orbit_minimizers(x, narrow)]
         assert got == [wide[i] for i in verify._orbit_minimizers(x, wide)]
         counts.add(len(got))
