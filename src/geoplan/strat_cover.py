@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import combinations
+from typing import NamedTuple
 
 __all__ = [
     "BoundReport",
@@ -49,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PosetElement:
+class PosetElement(NamedTuple):
     """A stratum path component: id, level (1-based) and its sheet labels."""
 
     id: str
@@ -58,18 +58,20 @@ class PosetElement:
     sheets: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CoverMap:
+class CoverMap(NamedTuple):
     """A covering relation ``src -> dst`` with its injective sheet map.
 
-    ``mapping`` is read-only, so covers may share one dict (the covers out
-    of one ``torus_corner`` element do).  :func:`validate_poset` still
-    checks a shared map against each cover's own source and destination.
+    A named tuple, like :class:`PosetElement`: immutable, built positionally
+    or by keyword, and equal to any tuple with equal fields.  Its ``mapping``
+    is a dict, so a cover is not hashable.  The dict is read-only, so covers
+    may share one (the covers out of one ``torus_corner`` element do).
+    :func:`validate_poset` still checks a shared map against each cover's own
+    source and destination.
     """
 
     src: str
     dst: str
-    mapping: dict[str, str] = field(hash=False)
+    mapping: dict[str, str]
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,6 @@ class StratPoset:
         self.elements: tuple[PosetElement, ...] = tuple(elements)
         self.covers: tuple[CoverMap, ...] = tuple(covers)
         self.by_id: dict[str, PosetElement] = {e.id: e for e in self.elements}
-        self._incoming: dict[str, list[CoverMap]] = {e.id: [] for e in self.elements}
-        for c in self.covers:
-            if c.dst in self._incoming:
-                self._incoming[c.dst].append(c)
 
     @property
     def levels(self) -> tuple[int, ...]:
@@ -115,10 +113,6 @@ class StratPoset:
 
     def __repr__(self) -> str:
         return f"StratPoset({len(self.elements)} elements, {len(self.covers)} covers)"
-
-
-def _tag(c: CoverMap) -> str:
-    return f"cover {c.src!r}->{c.dst!r}"
 
 
 def validate_poset(p: StratPoset) -> tuple[str, ...]:
@@ -141,84 +135,88 @@ def validate_poset(p: StratPoset) -> tuple[str, ...]:
     errors: list[str] = []
     if not p.elements:
         return ("poset has no elements",)
-    sheet_sets: dict[str, frozenset[str]] = {}
-    # The level of each id, ``None`` when it is invalid.
-    level_of: dict[str, int | None] = {}
+    # Per id: its sheet set, its level (``None`` when it is invalid) and,
+    # filled by the covers, destination -> map in cover order.
+    nodes: dict[str, tuple[frozenset[str], int | None, dict[str, dict[str, str]]]] = {}
     levels: set[int] = set()
-    for e in p.elements:
-        if not e.id:
+    for eid, level, sheets in p.elements:
+        if not eid:
             errors.append("element with empty id")
-        if e.id in sheet_sets:
-            errors.append(f"duplicate element id {e.id!r}")
-        if isinstance(e.level, int) and e.level >= 1:
-            level_of[e.id] = e.level
-            levels.add(e.level)
+        if eid in nodes:
+            errors.append(f"duplicate element id {eid!r}")
+        if isinstance(level, int) and level >= 1:
+            levels.add(level)
         else:
-            level_of[e.id] = None
-            errors.append(f"element {e.id!r} has invalid level {e.level!r}")
-        if not e.sheets:
-            errors.append(f"element {e.id!r} has no sheets")
-        sheet_sets[e.id] = frozenset(e.sheets)
-        if len(sheet_sets[e.id]) != len(e.sheets):
-            errors.append(f"element {e.id!r} repeats a sheet label")
+            errors.append(f"element {eid!r} has invalid level {level!r}")
+            level = None
+        if not sheets:
+            errors.append(f"element {eid!r} has no sheets")
+        sheet_set = frozenset(sheets)
+        if len(sheet_set) != len(sheets):
+            errors.append(f"element {eid!r} repeats a sheet label")
+        nodes[eid] = (sheet_set, level, {})
     if levels and len(levels) != max(levels) - min(levels) + 1:
         errors.append(f"levels {sorted(levels)} are not contiguous")
-    # Per source id: destination -> map, in cover order.
-    out: dict[str, dict[str, dict[str, str]]] = {i: {} for i in sheet_sets}
     # Per (map object, source id): whether the map is total on the source,
-    # its image, whether it is injective and whether it is an inclusion.
+    # its image and whether it is injective.
     facts: dict[tuple[int, str], tuple] = {}
     # Sources with a map that does not send every sheet to itself.
     mixed: set[str] = set()
-    for c in p.covers:
-        src, dst, mapping = c.src, c.dst, c.mapping
-        if src not in sheet_sets or dst not in sheet_sets:
-            errors.append(f"{_tag(c)} references a missing element")
+    # The builders emit each source's covers in one run sharing one map, so
+    # the facts are looked up only when the map or the source changes.
+    last_map: object = object()
+    last_src = None
+    for src, dst, mapping in p.covers:
+        try:
+            src_sheets, low, dests = nodes[src]
+            dst_sheets, high, _ = nodes[dst]
+        except KeyError:
+            errors.append(f"cover {src!r}->{dst!r} references a missing element")
             continue
-        dests = out[src]
         if dst in dests:
-            errors.append(f"{_tag(c)} is duplicated")
-        low, high = level_of[src], level_of[dst]
+            errors.append(f"cover {src!r}->{dst!r} is duplicated")
         if low is not None and high is not None and high != low + 1:
-            errors.append(f"{_tag(c)} is not between adjacent levels")
-        key = (id(mapping), src)
-        fact = facts.get(key)
-        if fact is None:
-            inclusion = list(mapping) == list(mapping.values())
-            image = mapping.keys() if inclusion else set(mapping.values())
-            fact = facts[key] = (
-                mapping.keys() == sheet_sets[src],
-                image,
-                inclusion or len(image) == len(mapping),
-                inclusion,
-            )
-        total, image, injective, inclusion = fact
+            errors.append(f"cover {src!r}->{dst!r} is not between adjacent levels")
+        if mapping is not last_map or src != last_src:
+            last_map, last_src = mapping, src
+            key = (id(mapping), src)
+            fact = facts.get(key)
+            if fact is None:
+                inclusion = list(mapping) == list(mapping.values())
+                image = mapping.keys() if inclusion else set(mapping.values())
+                fact = facts[key] = (
+                    mapping.keys() == src_sheets,
+                    image,
+                    inclusion or len(image) == len(mapping),
+                )
+                if not inclusion:
+                    mixed.add(src)
+            total, image, injective = fact
         if not total:
-            errors.append(f"{_tag(c)} map is not total on the source sheets")
-        if not image <= sheet_sets[dst]:
-            errors.append(f"{_tag(c)} map leaves the destination sheets")
+            errors.append(f"cover {src!r}->{dst!r} map is not total on the source sheets")
+        if not image <= dst_sheets:
+            errors.append(f"cover {src!r}->{dst!r} map leaves the destination sheets")
         if not injective:
-            errors.append(f"{_tag(c)} map is not injective")
+            errors.append(f"cover {src!r}->{dst!r} map is not injective")
         dests[dst] = mapping
-        if not inclusion:
-            mixed.add(src)
     # Composition consistency: two-step chains sharing endpoints must agree.
-    # A composite is the tuple of images of ``a.sheets``.  An inclusion that
-    # is total on its source sends ``a.sheets`` to itself, so when every
-    # one-step and two-step map out of ``a`` is an inclusion each composite
-    # is ``a.sheets`` and none can differ: such an ``a`` is skipped.
+    # A composite is the tuple of images of ``a``'s sheets.  An inclusion
+    # that is total on its source sends those sheets to themselves, so when
+    # every one-step and two-step map out of ``a`` is an inclusion each
+    # composite is ``a``'s sheets and none can differ: such an ``a`` is
+    # skipped.
     if not errors:
-        for a in p.elements:
-            steps = out[a.id]
-            if a.id not in mixed and mixed.isdisjoint(steps):
+        for a, _, sheets in p.elements:
+            steps = nodes[a][2]
+            if a not in mixed and mixed.isdisjoint(steps):
                 continue
             composites: dict[str, tuple[str, ...]] = {}
             for mid, m1 in steps.items():
-                first = tuple(map(m1.__getitem__, a.sheets))
-                for end, m2 in out[mid].items():
+                first = tuple(map(m1.__getitem__, sheets))
+                for end, m2 in nodes[mid][2].items():
                     comp = tuple(map(m2.__getitem__, first))
                     if composites.setdefault(end, comp) != comp:
-                        errors.append(f"composition mismatch from {a.id!r} to {end!r}")
+                        errors.append(f"composition mismatch from {a!r} to {end!r}")
     return tuple(errors)
 
 
@@ -237,10 +235,10 @@ def _inconsistent(incoming: list[CoverMap]) -> bool:
 
 def inconsistent_at(p: StratPoset, element_id: str) -> bool:
     """True iff ``element_id`` has incoming covering maps whose images have
-    empty intersection."""
+    empty intersection.  Scans every cover of ``p``."""
     if element_id not in p.by_id:
         raise KeyError(element_id)
-    return _inconsistent(p._incoming[element_id])
+    return _inconsistent([c for c in p.covers if c.dst == element_id])
 
 
 @dataclass(frozen=True)
@@ -271,18 +269,26 @@ def lower_bound(p: StratPoset) -> BoundReport:
         return BoundReport(valid=False, errors=errors)
     levels = p.levels
     bottom, n_levels = levels[0], len(levels)
-    incoming = p._incoming
-    verdicts = [(e, _inconsistent(incoming[e.id])) for e in p.elements]
-    inconsistent = tuple(e.id for e, bad in verdicts if bad)
-    consistent = tuple(e.id for e, bad in verdicts if e.level > bottom and not bad)
-    bound = n_levels - 1 if not consistent else None
+    # The incoming maps of each id; every destination exists, for ``p`` is
+    # valid.  Built here, not kept on ``p``: a poset that outlives its bound
+    # holds no list per element.
+    incoming: dict[str, list[CoverMap]] = {e.id: [] for e in p.elements}
+    for c in p.covers:
+        incoming[c.dst].append(c)
+    inconsistent: list[str] = []
+    consistent: list[str] = []
+    for eid, level, _ in p.elements:
+        if _inconsistent(incoming[eid]):
+            inconsistent.append(eid)
+        elif level > bottom:
+            consistent.append(eid)
     return BoundReport(
         valid=True,
         levels=n_levels,
         bottom_level=bottom,
-        lower_bound=bound,
-        inconsistent_ids=inconsistent,
-        consistent_above_bottom=consistent,
+        lower_bound=None if consistent else n_levels - 1,
+        inconsistent_ids=tuple(inconsistent),
+        consistent_above_bottom=tuple(consistent),
     )
 
 
@@ -346,9 +352,11 @@ def torus_corner_poset(n: int) -> StratPoset:
     ids = ["cell_" + pattern for pattern, _ in cells]
     elements = []
     covers = []
+    element, add_element = PosetElement, elements.append
+    cover, add_cover = CoverMap, covers.append
     for j, (pattern, sheets) in enumerate(cells):
         src = ids[j]
-        elements.append(PosetElement(src, 1 + pattern.count("o"), sheets))
+        add_element(element(src, 1 + pattern.count("o"), sheets))
         inclusion = dict(zip(sheets, sheets))
         # Pattern j is j in base 3 with digits ``+-o`` = 012, so turning
         # coordinate i from ``+`` or ``-`` into ``o`` adds 2 or 1 times
@@ -357,7 +365,7 @@ def torus_corner_poset(n: int) -> StratPoset:
         step = 1
         for c in reversed(pattern):
             if c != "o":
-                covers.append(CoverMap(src, ids[j + (2 * step if c == "+" else step)], inclusion))
+                add_cover(cover(src, ids[j + (2 * step if c == "+" else step)], inclusion))
             step *= 3
     # By level; the sort is stable and the elements come in id order.
     elements.sort(key=lambda e: e.level)

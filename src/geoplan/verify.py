@@ -974,13 +974,21 @@ def poset_builtin_bounds(check: CheckResult, seed: int, trials: int) -> None:
 
 @_check("relabel_invariance")
 def poset_relabel_invariance(check: CheckResult, seed: int, trials: int) -> None:
-    """The bound is invariant under random relabeling of ids and sheets."""
+    """The bound is invariant under random relabeling of ids and sheets.
+
+    Every builtin has a bound, so a trial whose unrelabeled poset is invalid
+    or has none fails before any relabeling is drawn: two missing bounds
+    would otherwise agree."""
     from . import strat_cover
     rng = random.Random(seed + 35)
     names = ["circle", "torus_corner:2", "torus_corner:3", "klein_S4", "cube_corner"]
     for t in range(trials):
-        poset, _flags = strat_cover.builtin_poset(names[t % len(names)])
+        name = names[t % len(names)]
+        poset, _flags = strat_cover.builtin_poset(name)
         base = strat_cover.lower_bound(poset).lower_bound
+        if base is None:
+            check.fail(f"no bound for {name} before relabeling")
+            continue
         ids = [e.id for e in poset.elements]
         id_map = dict(zip(ids, rng.sample(range(10 * len(ids)), len(ids))))
         sheet_names = sorted({s for e in poset.elements for s in e.sheets})
@@ -1009,7 +1017,7 @@ def poset_relabel_invariance(check: CheckResult, seed: int, trials: int) -> None
         )
         report = strat_cover.lower_bound(relabeled)
         if not report.valid or report.lower_bound != base:
-            check.fail(f"relabeling changed the bound for {names[t % len(names)]}")
+            check.fail(f"relabeling changed the bound for {name}")
 
 
 @_check("monotonicity")

@@ -498,8 +498,20 @@ def altered_corner_posets(draw):
     return from_document(doc)[0]
 
 
+@st.composite
+def shuffled_covers(draw, posets):
+    """A poset from ``posets`` with its covers in a drawn order: one source's
+    covers out of one run, and a shared map back after another map."""
+    poset = draw(posets)
+    return StratPoset(poset.elements, draw(st.permutations(poset.covers)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(shared_map_posets(), altered_corner_posets()))
+@given(
+    st.one_of(
+        shared_map_posets(), shuffled_covers(shared_map_posets()), altered_corner_posets()
+    )
+)
 def test_validate_poset_matches_reference(poset):
     assert validate_poset(poset) == reference_validate(poset)
 
@@ -562,6 +574,41 @@ def test_monotonicity_under_top_level_removal():
         report = lower_bound(trimmed)
         assert report.valid, name
         assert report.lower_bound == bound - 1, name
+
+
+class TestRecords:
+    """Elements and covers are named tuples: built positionally or by
+    keyword, immutable, compared as tuples."""
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert PosetElement("a", 1, ("s",)) == PosetElement(id="a", level=1, sheets=("s",))
+        assert CoverMap("a", "b", {"s": "t"}) == CoverMap(src="a", dst="b", mapping={"s": "t"})
+
+    def test_equality_is_tuple_equality(self):
+        assert PosetElement("a", 1, ("s",)) == ("a", 1, ("s",))
+        assert CoverMap("a", "b", {"s": "t"}) == ("a", "b", {"s": "t"})
+        with pytest.raises(TypeError):
+            hash(CoverMap("a", "b", {"s": "t"}))
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [(PosetElement("a", 1, ("s",)), "level"), (CoverMap("a", "b", {"s": "t"}), "dst")],
+    )
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, "x")
+
+    def test_repr(self):
+        cover = CoverMap("a", "b", {"s": "t"})
+        assert repr(cover) == "CoverMap(src='a', dst='b', mapping={'s': 't'})"
+        assert repr(PosetElement("a", 1, ("s",))) == "PosetElement(id='a', level=1, sheets=('s',))"
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_document_round_trip_returns_every_record(self, name):
+        poset, flags = builtin_poset(name)
+        back, _ = from_document(to_document(poset, flags))
+        assert back.elements == poset.elements
+        assert back.covers == poset.covers
 
 
 class TestDocuments:
