@@ -253,7 +253,7 @@ class _Space:
     geodesic_doc: Callable[[Any, Fraction], dict]  # (geodesic, squared length)
     chart: Callable | None  # (x, geodesics) -> svg text
     show: Callable[[Any], str] = lambda p: point_str(p.coords)
-    stratum: Callable = lambda x, y, geodesics: len(geodesics)
+    stratum: Callable = len  # minimizing geodesics -> stratum
     plan: Callable | None = None  # (x, y) -> PlannerResult
     cut_locus: Callable | None = None  # x -> (document fields, graph or None)
     cut_graph: bool = False  # whether cut_locus returns a graph, as csv needs
@@ -301,7 +301,8 @@ def _space(text: str) -> _Space:
         geodesics=_torus_geodesics,
         geodesic_doc=_torus_geodesic_doc,
         chart=_flat_chart if n == 2 else None,
-        stratum=lambda x, y, geodesics: flat_torus.torus_stratum(x, y),
+        # 2^(k-1) geodesics in stratum k
+        stratum=lambda geodesics: len(geodesics).bit_length(),
         plan=flat_torus.torus_plan,
         cut_locus=_torus_cut_locus,
         cut_graph=n <= 2,
@@ -334,7 +335,7 @@ def cmd_geodesics(args) -> int:
         return 0
     # Every minimizing geodesic of one answer has the same length.
     length = geos[0].squared_length
-    row = _csv_row(space.show(x), space.show(y), space.stratum(x, y, geos), len(geos), length)
+    row = _csv_row(space.show(x), space.show(y), space.stratum(geos), len(geos), length)
     if args.format == "csv":
         _emit(dump_csv([row], _CSV_COLUMNS), args.out)
     else:
@@ -369,8 +370,8 @@ def _cutlocus_rows(space: _Space, x, graph) -> list[dict]:
         if key not in seen:
             seen.add(key)
             geos = space.geodesics(x, target)
-            stratum = space.stratum(x, target, geos)
-            rows.append(_csv_row(base, key, stratum, len(geos), geos[0].squared_length))
+            length = geos[0].squared_length
+            rows.append(_csv_row(base, key, space.stratum(geos), len(geos), length))
     return rows
 
 

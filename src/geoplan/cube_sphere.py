@@ -6,8 +6,8 @@ are found by *unfolding*: every face sequence rolls out isometrically into
 the plane, a candidate path is the straight planar segment between the rolled
 endpoints, and the candidate is admissible when the segment crosses exactly
 the shared edges of the sequence, in order, without running through a cube
-corner mid-path.  The global minimizers over all short face sequences are the
-geodesics.
+corner mid-path.  The global minimizers over all simple face sequences are
+the geodesics.
 
 Every unfolding map is a quarter turn plus an integer shift, so each
 face sequence is cached once as small integer data, and each query scales
@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
+from operator import itemgetter
 
 from .metric_core import Polyline, _frac, integer_points
 
@@ -255,24 +256,27 @@ def _apply(m: _Map, a: int, b: int, half: int = 1) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def _unfold_maps(seq: tuple[str, ...]) -> tuple[tuple[_Map, ...], tuple[_Edge, ...]]:
     """Doubled unfolding map of every face of ``seq`` (the first is the
-    identity) and every crossed edge, cached per sequence."""
-    maps: list[_Map] = [(1, 0, 0, 0)]
-    edges: list[_Edge] = []
-    for f, g in zip(seq, seq[1:]):
-        e0, e1 = _shared_edge(f, g)
-        a0 = _apply(maps[-1], *_scaled_chart(f, e0, 1))
-        a1 = _apply(maps[-1], *_scaled_chart(f, e1, 1))
-        b0 = _scaled_chart(g, e0, 1)
-        b1 = _scaled_chart(g, e1, 1)
-        da = (a1[0] - a0[0], a1[1] - a0[1])
-        db = (b1[0] - b0[0], b1[1] - b0[1])
-        # both edges have doubled length 2, so cos and sin are exact quarters
-        c = (db[0] * da[0] + db[1] * da[1]) // 4
-        s = (db[0] * da[1] - db[1] * da[0]) // 4
-        r0, r1 = _apply((c, s, 0, 0), *b0)
-        maps.append((c, s, a0[0] - r0, a0[1] - r1))
-        edges.append((*a0, *da, e0, tuple(w - v for v, w in zip(e0, e1))))
-    return tuple(maps), tuple(edges)
+    identity) and every crossed edge, cached per sequence and built from
+    the entry of ``seq`` without its last face."""
+    if len(seq) == 1:
+        return ((1, 0, 0, 0),), ()
+    maps, edges = _unfold_maps(seq[:-1])
+    f, g = seq[-2:]
+    e0, e1 = _shared_edge(f, g)
+    a0 = _apply(maps[-1], *_scaled_chart(f, e0, 1))
+    a1 = _apply(maps[-1], *_scaled_chart(f, e1, 1))
+    b0 = _scaled_chart(g, e0, 1)
+    b1 = _scaled_chart(g, e1, 1)
+    da = (a1[0] - a0[0], a1[1] - a0[1])
+    db = (b1[0] - b0[0], b1[1] - b0[1])
+    # both edges have doubled length 2, so cos and sin are exact quarters
+    c = (db[0] * da[0] + db[1] * da[1]) // 4
+    s = (db[0] * da[1] - db[1] * da[0]) // 4
+    r0, r1 = _apply((c, s, 0, 0), *b0)
+    return (
+        (*maps, (c, s, a0[0] - r0, a0[1] - r1)),
+        (*edges, (*a0, *da, e0, tuple(w - v for v, w in zip(e0, e1)))),
+    )
 
 
 class _Query:
@@ -295,12 +299,6 @@ class _Query:
         maps, _ = _unfold_maps(seq)
         p = self.x_charts[seq[0]]
         return (*p, *_apply(maps[-1], *self.y_charts[seq[-1]], self.half))
-
-
-def _length_sq(ends: _Ends) -> int:
-    """Planar squared length of the unfolding, times ``scale**2``."""
-    px, py, qx, qy = ends
-    return (qx - px) ** 2 + (qy - py) ** 2
 
 
 def _crossings(query: _Query, seq: tuple[str, ...], ends: _Ends) -> list[tuple[int, int]] | None:
@@ -398,17 +396,23 @@ def _unfold_path(query: _Query, seq: tuple[str, ...]) -> UnfoldedPath | None:
     return _path(query, seq, ends, _breakpoints(query, seq, crossings))
 
 
+#: A ranking row: a face sequence, its first and last face, its last map.
+_Row = tuple[tuple[str, ...], str, str, _Map]
+
+
 @lru_cache(maxsize=None)
-def _face_sequences(starts, ends, max_faces: int) -> tuple[tuple[str, ...], ...]:
-    out = []
+def _face_sequences(starts, ends) -> tuple[_Row, ...]:
+    """Every simple face sequence from a face in ``starts`` to one in
+    ``ends``, as ranking rows.  No face repeats, so a sequence has at most
+    six faces."""
+    out: list[_Row] = []
 
     def extend(path: tuple[str, ...]) -> None:
-        if path[-1] in ends:
-            out.append(path)
-        if len(path) == max_faces:
-            return
+        last = path[-1]
+        if last in ends:
+            out.append((path, path[0], last, _unfold_maps(path)[0][-1]))
         for g in FACES:
-            if g not in path and _adjacent(path[-1], g):
+            if g not in path and _adjacent(last, g):
                 extend(path + (g,))
 
     for f in starts:
@@ -416,20 +420,23 @@ def _face_sequences(starts, ends, max_faces: int) -> tuple[tuple[str, ...], ...]
     return tuple(out)
 
 
-def cube_geodesics(
-    x: CubePoint, y: CubePoint, max_faces: int = 5
-) -> tuple[UnfoldedPath, ...]:
+def cube_geodesics(x: CubePoint, y: CubePoint) -> tuple[UnfoldedPath, ...]:
     """All shortest paths between two surface points.
 
-    Ranks every simple face sequence (up to ``max_faces`` faces, which is
-    sufficient: the surface diameter is below three face widths of travel)
-    between faces containing the endpoints by the planar length of its
-    unfolded segment, tests admissibility best-first, and stops after the
-    first length with an admissible candidate.  Those minimizers are
-    returned in trace order, one per exact surface trace: tied unfoldings
-    with one trace are dropped on exact integer keys of their breakpoints
-    before any Fraction is built, keeping the one with the shortest, then
-    least, face sequence.
+    Complete by the theorem of Sharir and Schorr ("On shortest paths in
+    polyhedral spaces", 1986): on a convex polyhedron a shortest path passes
+    through no vertex and meets each face in at most one segment, since a
+    path that left a convex face and came back could be shortened by the
+    straight segment inside it.  So the simple face sequences, which repeat
+    no face, hold every shortest path.
+
+    Ranks every simple face sequence between faces containing the endpoints
+    by the planar length of its unfolded segment, tests admissibility
+    best-first, and stops after the first length with an admissible
+    candidate.  Those minimizers are returned in trace order, one per exact
+    surface trace: tied unfoldings with one trace are dropped on exact
+    integer keys of their breakpoints before any Fraction is built, keeping
+    the one with the shortest, then least, face sequence.
     """
     if x.point == y.point:
         chart = (x.u, x.v)
@@ -443,11 +450,14 @@ def cube_geodesics(
             ),
         )
     query = _Query(x, y)
-    seqs = _face_sequences(x.faces(), y.faces(), max_faces)
-    ranked = sorted(
-        ((_length_sq(e), seq, e) for seq, e in zip(seqs, map(query.endpoints, seqs))),
-        key=lambda item: item[0],
-    )
+    x_charts, y_charts, half = query.x_charts, query.y_charts, query.half
+    ranked = []
+    for seq, first, last, (c, s, t0, t1) in _face_sequences(x.faces(), y.faces()):
+        px, py = x_charts[first]
+        a, b = y_charts[last]
+        qx, qy = c * a - s * b + half * t0, s * a + c * b + half * t1
+        ranked.append(((qx - px) ** 2 + (qy - py) ** 2, seq, (px, py, qx, qy)))
+    ranked.sort(key=itemgetter(0))
     winners: dict[_Key, tuple[tuple[str, ...], _Ends]] = {}
     best = None
     for length, seq, e in ranked:
@@ -461,7 +471,7 @@ def cube_geodesics(
                 winners[key] = (seq, e)
             best = length
     if not winners:
-        raise RuntimeError("no admissible unfolding found (raise max_faces)")
+        raise RuntimeError("no simple face sequence unfolds admissibly, against Sharir-Schorr")
     return tuple(
         sorted((_path(query, *kept, key) for key, kept in winners.items()), key=lambda c: c.trace)
     )
@@ -526,11 +536,7 @@ def _index_sequences() -> tuple[tuple[str, ...], ...]:
     faces is matched against the formula values at generic sample pairs; the
     match must be a bijection.
     """
-    seqs = [
-        tuple(s)
-        for s in _face_sequences(("z-",), ("z+",), 4)
-        if len(s) >= 2
-    ]
+    seqs = [row[0] for row in _face_sequences(("z-",), ("z+",)) if len(row[0]) <= 4]
     samples = [
         (Fraction(1, 37), Fraction(2, 53), Fraction(3, 41), Fraction(5, 67)),
         (Fraction(-3, 31), Fraction(5, 43), Fraction(-7, 59), Fraction(2, 61)),
@@ -541,7 +547,8 @@ def _index_sequences() -> tuple[tuple[str, ...], ...]:
         values = []
         for x1, x2, y1, y2 in samples:
             query = _Query(CubePoint("z-", x1, x2), CubePoint("z+", y1, y2))
-            values.append(Fraction(_length_sq(query.endpoints(seq)), query.scale ** 2))
+            px, py, qx, qy = query.endpoints(seq)
+            values.append(Fraction((qx - px) ** 2 + (qy - py) ** 2, query.scale ** 2))
         profiles[tuple(values)] = seq
     out = []
     for idx in range(12):

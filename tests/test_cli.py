@@ -796,7 +796,7 @@ GOLDEN = [
      + " --format csv", 2, EMPTY),
     ("cutlocus torus:15 " + ",".join(["0"] * 15), 2, EMPTY),
     ("verify all --trials 5 --seed 7", 0,
-     "3ab8e7d902e6d08a9ab5390da9e8415ecba5999092c4099a45f070044eb88654"),
+     "3028c7999bda7f2a14388f3144b1afb1258f3b040121c2a5cc58f9a2c014fe5b"),
 ]
 
 
@@ -813,7 +813,7 @@ def test_golden_verify_report_file(capsys, tmp_path):
     )
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "55d72c3ce256febc7cf14e86b036f7fb983b96ef0406265712bbad984b7c4f3b"
+        "1d11f7bb1a57491ea77f1b754d8bbad5f1d1fb0bce59b8468defd702eea205ef"
     )
 
 

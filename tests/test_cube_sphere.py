@@ -52,14 +52,14 @@ def interior(rng: random.Random) -> Fraction:
     return F(rng.randrange(-29, 30), 60)
 
 
-def reference_geodesics(x: CubePoint, y: CubePoint, max_faces: int = 5):
-    """Reference without pruning or integer keys: unfold every face
+def reference_geodesics(x: CubePoint, y: CubePoint):
+    """Reference without pruning or integer keys: unfold every simple face
     sequence, keep the admissible minimum, sort those paths by
     ``(trace, len, seq)`` and keep the first of each trace."""
     query = _Query(x, y)
     paths = [
         path
-        for seq in _face_sequences(x.faces(), y.faces(), max_faces)
+        for seq, *_ in _face_sequences(x.faces(), y.faces())
         if (path := _unfold_path(query, seq)) is not None
     ]
     best = min(p.squared_length for p in paths)
@@ -73,8 +73,8 @@ def reference_geodesics(x: CubePoint, y: CubePoint, max_faces: int = 5):
     return tuple(unique.values())
 
 
-def exhaustive_geodesics(x: CubePoint, y: CubePoint, max_faces: int = 5):
-    return [(p.trace, p.squared_length) for p in reference_geodesics(x, y, max_faces)]
+def exhaustive_geodesics(x: CubePoint, y: CubePoint):
+    return [(p.trace, p.squared_length) for p in reference_geodesics(x, y)]
 
 
 def assert_matches_exhaustive(x: CubePoint, y: CubePoint) -> None:
@@ -211,15 +211,20 @@ class TestGeodesics:
         poly = reparametrize_constant_speed(g.as_polyline())
         assert is_geodesic(poly)
 
-    def test_max_faces_five_is_enough(self):
-        rng = random.Random(17)
-        for _ in range(10):
-            x = CubePoint.make(rng.choice(FACES), interior(rng), interior(rng))
-            y = CubePoint.make(rng.choice(FACES), interior(rng), interior(rng))
-            a = [(g.trace, g.squared_length) for g in cube_geodesics(x, y, max_faces=5)]
-            b = [(g.trace, g.squared_length) for g in cube_geodesics(x, y, max_faces=6)]
-            assert a == b
-
+    def test_every_simple_face_sequence_is_ranked(self):
+        """The sequences never repeat a face, so none has more than six."""
+        rows = [row for f in FACES for g in FACES for row in _face_sequences((f,), (g,))]
+        assert len(rows) == 798
+        assert len(_face_sequences(("z-",), ("z+",))) == 28
+        lengths = [len(seq) for seq, *_ in rows]
+        assert [lengths.count(n) for n in range(1, 7)] == [6, 24, 72, 168, 288, 240]
+        for seq, first, last, closing in rows:
+            assert len(set(seq)) == len(seq)
+            assert all(_adjacent(f, g) for f, g in zip(seq, seq[1:]))
+            assert (first, last) == (seq[0], seq[-1])
+            # a quarter turn that puts the last face's center on an even point
+            c, s, t0, t1 = closing
+            assert c * c + s * s == 1 and t0 % 2 == t1 % 2 == 0
 
     @settings(max_examples=250, deadline=None)
     @given(surface_points, surface_points)
@@ -557,7 +562,7 @@ def test_integer_dedupe_matches_the_fraction_sort():
 
 
 def test_corner_pair_builds_one_path_per_geodesic(monkeypatch):
-    """The 126 tied admissible unfoldings of the corner pair are deduplicated
+    """The 150 tied admissible unfoldings of the corner pair are deduplicated
     before any path is built: one ``UnfoldedPath`` per geodesic."""
     built = 0
     init = UnfoldedPath.__init__
