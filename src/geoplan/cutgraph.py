@@ -123,21 +123,23 @@ def _scaled_cell(x: FlatPoint) -> tuple[int, tuple[int, int], list[Corner]]:
     d, ((bx, by), *scaled) = integer_points((x.coords, *x.cosets()))
     px, py = (p * d for p in x.periods)
     r2 = px * px + py * py
+    axes = ((px, 0), (0, py))
     orbit = sorted(
         (qx, qy)
         for cx, cy in scaled
         for qx in _window(bx, isqrt(r2), cx, px)
         for qy in _window(by, isqrt(r2 - (qx - bx) ** 2), cy, py)
+        if (qx - bx) ** 2 + (qy - by) ** 2 < px * abs(qx - bx) + py * abs(qy - by)
+        or (abs(qx - bx), abs(qy - by)) in axes
     )
     polygon: list[Corner] = [
         ((bx + i * px, by + j * py, 1), None) for i, j in ((-1, -1), (1, -1), (1, 1), (-1, 1))
     ]
     base_norm = bx * bx + by * by
     for qx, qy in orbit:
-        if (qx, qy) != (bx, by):
-            polygon = _clip(
-                polygon, (qx, qy), 2 * (qx - bx), 2 * (qy - by), qx * qx + qy * qy - base_norm
-            )
+        polygon = _clip(
+            polygon, (qx, qy), 2 * (qx - bx), 2 * (qy - by), qx * qx + qy * qy - base_norm
+        )
     return d, (bx, by), polygon
 
 
@@ -150,13 +152,20 @@ def dirichlet_cell(x: FlatPoint) -> list[tuple[Point2, Point2 | None]]:
     each tagged with the displacement from ``x`` to the orbit point whose
     bisector carries the edge leaving that corner.
 
-    The orbit is the lattice translates of ``cosets()``, pruned to the disc
-    ``|Q - X|^2 <= p1^2 + p2^2`` for ``periods`` ``(p1, p2)``: the four axis
-    translates bound the cell to the lattice box around X, where
-    ``|Z - X|^2 <= (p1^2 + p2^2) / 4``, and a bisector through Z has
-    ``|Q - X| <= |Z - X| + |Z - Q| = 2|Z - X|``.  The cell is clipped from
-    the box ``X +- (p1, p2)``, whose corners (tag ``None``) the axis
-    translates always cut, against the disc in sorted order.
+    The orbit is the lattice translates of ``cosets()``, pruned to the
+    points Q whose bisector meets the open box ``B = X +- (p1/2, p2/2)``
+    for ``periods`` ``(p1, p2)``, plus the four axis translates
+    ``X +- (p1, 0)``, ``X +- (0, p2)``, whose bisectors are B's sides and
+    confine the cell to B.  With ``D = Q - X``, the bisector is the line
+    ``D.(Z - X) = |D|^2 / 2``, at distance ``|D| / 2`` from X along D, and
+    B's support in the direction D is ``(p1|Dx| + p2|Dy|) / 2``.  So the
+    bisector meets the open box exactly when
+    ``|D|^2 < p1|Dx| + p2|Dy|``, and otherwise its half-plane holds all of
+    B and cannot cut the cell.  By Cauchy-Schwarz the kept points lie in
+    the disc ``|D|^2 < p1^2 + p2^2``, whose lattice windows are scanned.
+    The cell is clipped from the box ``X +- (p1, p2)``, whose corners (tag
+    ``None``) the axis translates always cut, by the kept points in sorted
+    ``(qx, qy)`` order.
     """
     d, (bx, by), polygon = _scaled_cell(x)
     return [

@@ -92,12 +92,26 @@ class FlatPoint:
         return len(self.coords)
 
 
+def _within_half(c: int, period: int, scale: int) -> bool:
+    """Whether the displacement ``c / scale`` lies within half a ``period``."""
+    return 2 * abs(c) <= period * scale
+
+
+def _half_period_error(c: Fraction, period: int) -> ValueError:
+    return ValueError(f"displacement {c} exceeds half a period {period}")
+
+
 @dataclass(frozen=True)
 class FlatGeodesic:
     """A minimizing geodesic: the segment from the canonical lift of
     ``start`` by ``displacement`` (each entry within half a lattice period)
     to ``deck`` applied to the canonical lift of ``end`` (``deck`` is None
-    on the torus)."""
+    on the torus).
+
+    The constructor checks every entry against half a period.
+    :func:`_flat_geodesics` checks each coordinate's choices once instead,
+    on integers and with the same predicate, and builds its records through
+    :meth:`_checked`, which skips the per-entry check."""
 
     start: FlatPoint
     displacement: tuple[Fraction, ...]
@@ -107,9 +121,20 @@ class FlatGeodesic:
         periods = self.start.periods
         if len(self.displacement) != len(periods):
             raise ValueError("dimension mismatch")
-        for d, p in zip(self.displacement, periods):
-            if 2 * abs(d.numerator) > p * d.denominator:
-                raise ValueError(f"displacement {d} exceeds half a period {p}")
+        for c, p in zip(self.displacement, periods):
+            if not _within_half(c.numerator, p, c.denominator):
+                raise _half_period_error(c, p)
+
+    @classmethod
+    def _checked(cls, start: FlatPoint, displacement, deck) -> "FlatGeodesic":
+        """The record of a displacement whose entries are already checked."""
+        # Field by field, as the generated __init__ does: a dict written
+        # through vars() would give each record its own, larger, dict.
+        self = object.__new__(cls)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "displacement", displacement)
+        object.__setattr__(self, "deck", deck)
+        return self
 
     @property
     def start_lift(self) -> tuple[Fraction, ...]:
@@ -121,7 +146,8 @@ class FlatGeodesic:
 
     @property
     def squared_length(self) -> Fraction:
-        return sum((d * d for d in self.displacement), Fraction(0))
+        scale, (lift,) = integer_points((self.displacement,))
+        return Fraction(sum([c * c for c in lift]), scale * scale)
 
     @property
     def end(self) -> FlatPoint:
@@ -198,25 +224,37 @@ def _check_pair(x: FlatPoint, y: FlatPoint) -> None:
         raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
 
 
+def _fractions(choices, periods, scale: int) -> list[tuple[Fraction, ...]]:
+    """Each coordinate's displacement ``choices`` on ``scale`` as Fractions,
+    each choice checked once against half its period."""
+    for cs, p in zip(choices, periods):
+        for c in cs:
+            if not _within_half(c, p, scale):
+                raise _half_period_error(Fraction(c, scale), p)
+    return [tuple(Fraction(c, scale) for c in cs) for cs in choices]
+
+
 def _flat_geodesics(x: FlatPoint, y: FlatPoint) -> tuple[FlatGeodesic, ...]:
     """All minimizing geodesics from ``x`` to ``y``, by increasing displacement.
 
-    Each coordinate's displacement choices become Fractions once and are
-    shared by every geodesic; the deck element of each is read from its
-    integer end lift.  Lifts of tied cosets are sorted on their integers.
+    Each coordinate's displacement choices are checked against half a
+    period and become Fractions once (:func:`_fractions`), shared by every
+    geodesic, so the records skip the per-entry check of the
+    :class:`FlatGeodesic` constructor: a torus:6 antipodal pair checks 12
+    choices, not 64 x 6 entries.  The deck element of each geodesic is read
+    from its integer end lift.  Lifts of tied cosets are sorted on their
+    integers.
     """
     _check_pair(x, y)
     d, b, found = _nearest_lifts(x.coords, y.cosets(), y.periods)
     lifts = (
         lift
         for choices in found
-        for lift in zip(
-            _end_lifts(b, choices), product(*[tuple(Fraction(c, d) for c in cs) for cs in choices])
-        )
+        for lift in zip(_end_lifts(b, choices), product(*_fractions(choices, x.periods, d)))
     )
     if len(found) > 1:
         lifts = sorted(lifts)
-    return tuple(FlatGeodesic(x, disp, y.deck_to(end, d)) for end, disp in lifts)
+    return tuple(FlatGeodesic._checked(x, disp, y.deck_to(end, d)) for end, disp in lifts)
 
 
 def _loop_permutation(base, cosets, periods, steps: int, close):

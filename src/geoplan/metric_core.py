@@ -43,6 +43,9 @@ Coords = tuple[Fraction, ...]
 
 
 def _frac(x) -> Fraction:
+    # An exact Fraction is immutable, so it is its own copy.
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}; pass Fraction, int or str")
     return Fraction(x)

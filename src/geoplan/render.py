@@ -8,8 +8,15 @@ paths, versions) is embedded - so artifacts are byte-stable across runs.
 The JSON text is written in one pass straight from the exact data, with no
 converted copy: it is the text ``json.dumps(..., indent=2, sort_keys=True)``
 gives once every Fraction and every dict key is replaced by its ``str``
-(a later key wins when two keys print alike).  A list of scalars is joined
-in one step, which is where most of the time of an answer goes.
+(a later key wins when two keys print alike).
+
+A list is written by one ``_SCALARS[type(v)]`` pass over its items, which
+stops at the first item that is not a scalar; a list of scalars is then
+joined in one step.  In a list that holds lists, each row of scalars
+(displacements, end lifts, vertices, traces) is joined the same way, without
+a recursive call per row.  What is left of the time of an answer is mostly
+the ``str`` of each Fraction and the joins themselves, that is, the size of
+the text.
 """
 
 from __future__ import annotations
@@ -68,6 +75,14 @@ def _subclass_scalar(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _scalar_list(items, newline: str) -> str:
+    """The JSON text of the nonempty list ``items`` when all its items are
+    scalars of an exact type in :data:`_SCALARS`; ``KeyError`` at the first
+    that is not."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join([_SCALARS[type(v)](v) for v in items]) + newline + "]"
+
+
 def _write(obj, newline: str, emit) -> None:
     """Emit the JSON text of ``obj`` piece by piece; ``newline`` is a line
     break plus the indent of the line that ``obj`` starts on."""
@@ -94,16 +109,30 @@ def _write(obj, newline: str, emit) -> None:
         if not obj:
             emit("[]")
             return
-        inner = newline + "  "
-        scalars = [_SCALARS.get(type(v)) for v in obj]
-        if None not in scalars:
-            texts = [f(v) for f, v in zip(scalars, obj)]
-            emit("[" + inner + ("," + inner).join(texts) + newline + "]")
+        try:
+            text = _scalar_list(obj, newline)
+        except KeyError:
+            pass
+        else:
+            emit(text)
             return
+        inner = newline + "  "
         sep = "[" + inner
         for value in obj:
-            emit(sep)
-            _write(value, inner, emit)
+            scalar = _SCALARS.get(type(value))
+            if scalar is not None:
+                emit(sep + scalar(value))
+            elif type(value) in (list, tuple) and value:
+                try:
+                    text = _scalar_list(value, inner)
+                except KeyError:
+                    emit(sep)
+                    _write(value, inner, emit)
+                else:
+                    emit(sep + text)
+            else:
+                emit(sep)
+                _write(value, inner, emit)
             sep = "," + inner
         emit(newline + "]")
     else:

@@ -246,10 +246,15 @@ def torus_planner_partition(check: CheckResult, seed: int, trials: int, n: int) 
 @_check("planner_continuity_n{}")
 def torus_planner_continuity(check: CheckResult, seed: int, trials: int, n: int) -> None:
     """Perturbing a pair by <= delta inside its stratum moves the planned
-    path by at most 4*delta in sup distance (exact squared comparison)."""
+    path by at most 4*delta in sup distance (exact squared comparison).
+
+    Paths are compared modulo Z^n: a nudge may carry a reduced coordinate
+    across the edge of the unit cube, which moves the canonical lift by a
+    whole period, so the perturbed path is first shifted by the integer
+    vector that brings its start nearest the first path's start."""
     from . import flat_torus
     from .flat_torus import TorusPoint
-    from .metric_core import sup_distance_sq
+    from .metric_core import Polyline, sup_distance_sq
     rng = random.Random(seed + 100 * n)
     delta = _DELTA
     for _ in range(trials):
@@ -279,7 +284,10 @@ def torus_planner_continuity(check: CheckResult, seed: int, trials: int, n: int)
         if a.domain != b.domain:
             check.fail("perturbation left the domain")
             continue
-        if sup_distance_sq(a.geodesic.lift(), b.geodesic.lift()) > (4 * delta) ** 2:
+        path = b.geodesic.lift()
+        shift = [math.floor(p - q + _HALF) for p, q in zip(a.geodesic.start_lift, path.vertices[0])]
+        path = Polyline([tuple(c + k for c, k in zip(v, shift)) for v in path.vertices])
+        if sup_distance_sq(a.geodesic.lift(), path) > (4 * delta) ** 2:
             check.fail(f"sup distance exceeds 4*delta at x={x} y={y} i={i}")
 
 
@@ -550,7 +558,8 @@ def klein_planner_continuity(check: CheckResult, seed: int, trials: int) -> None
     geodesic ends at the moved end lift (the Dirichlet cell is convex, so
     the nudge then crosses no cut edge); sliding along a cut edge for the
     two-geodesic domains; moving the basepoint (the cut vertices follow
-    continuously) for the three- and four-geodesic domains."""
+    continuously) for the three- and four-geodesic domains, each vertex
+    paired with the nearest one in the bottle after the move."""
     from . import klein_bottle
     from .klein_bottle import KleinPoint
     from .metric_core import sup_distance_sq
@@ -589,12 +598,14 @@ def klein_planner_continuity(check: CheckResult, seed: int, trials: int) -> None
                 xa = KleinPoint.make((x1, x2))
                 xb = KleinPoint.make((x1, x2 + delta if x2 + delta < 1 else x2 - delta))
                 ga = klein_bottle.klein_cut_locus(xa)
-                gb = klein_bottle.klein_cut_locus(xb)
-                va = sorted(v.point for v in ga.vertices)
-                vb = sorted(v.point for v in gb.vertices)
-                cases.append(
-                    (xa, KleinPoint.make(va[0]), xb, KleinPoint.make(vb[0]))
+                ya = KleinPoint.make(min(v.point for v in ga.vertices))
+                # ya moves to the vertex of xb's locus nearest it in the
+                # bottle; a reduced coordinate may wrap across v = 1
+                yb = min(
+                    (KleinPoint.make(v.point) for v in klein_bottle.klein_cut_locus(xb).vertices),
+                    key=lambda y: klein_bottle.klein_geodesics(ya, y)[0].squared_length,
                 )
+                cases.append((xa, ya, xb, yb))
         # domains 3/4: wedge vertex follows a horizontal move of the basepoint
         for x2c in (Fraction(0), _HALF):
             x1 = _rand_frac(rng, 97)

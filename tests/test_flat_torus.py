@@ -31,7 +31,7 @@ from geoplan.klein_bottle import (
     klein_monodromy,
     klein_plan,
 )
-from geoplan.metric_core import is_geodesic
+from geoplan.metric_core import _frac, is_geodesic
 from geoplan.strat_cover import lower_bound, validate_poset
 
 F = Fraction
@@ -240,6 +240,62 @@ class TestFractionSharing:
         # The 2^(n-1) geodesics share each coordinate's two Fractions.
         x, y = TorusPoint.make([0] * n), TorusPoint.make([H] * n)
         assert fractions_built(lambda: torus_geodesics(x, y)) <= 2 * n
+
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    def test_make_builds_one_fraction_per_coordinate(self, n):
+        # Exact Fractions pass through _frac as they are; only the reduced
+        # coordinates are new.
+        values = [F(7 * i + 3, 5) for i in range(n)]
+        assert fractions_built(lambda: TorusPoint.make(values)) == n
+        lift = (F(-7, 3), F(9, 4))
+        assert fractions_built(lambda: KleinPoint.make(lift)) == 2
+
+    def test_frac_returns_a_plain_fraction_and_refuses_floats(self):
+        class Tagged(Fraction):
+            pass
+
+        out = _frac(Tagged(3, 4))
+        assert type(out) is Fraction and out == F(3, 4)
+        same = F(5, 7)
+        assert _frac(same) is same
+        with pytest.raises(TypeError):
+            _frac(0.5)
+
+
+def beyond_half_period(monkeypatch):
+    """Plant: ``_nearest_translates`` moves the first coordinate's last
+    choice one whole width further, beyond half a period."""
+    original = flat_torus._nearest_translates
+
+    def mutant(base, target, widths):
+        first, *rest = original(base, target, widths)
+        return [(first[-1] + widths[0],), *rest]
+
+    monkeypatch.setattr(flat_torus, "_nearest_translates", mutant)
+
+
+@pytest.mark.parametrize(
+    "space, make, geodesics, deck",
+    [
+        ("torus", TorusPoint.make, torus_geodesics, None),
+        ("klein", KleinPoint.make, klein_geodesics, DeckElement(0, 0)),
+    ],
+)
+def test_geodesics_check_each_choice_against_half_a_period(
+    monkeypatch, space, make, geodesics, deck
+):
+    """The per-choice check of ``_flat_geodesics`` refuses what the public
+    constructor refuses, with the same message."""
+    x, y = make((H, F(1, 8))), make((F(1, 4), F(1, 8)))
+    beyond_half_period(monkeypatch)
+    with pytest.raises(ValueError, match="exceeds half a period") as raised:
+        geodesics(x, y)
+    # The choice -1/4 moved by one period (1 on the torus, 2 on the Klein
+    # bottle, whose other coset then lies further still).
+    period = x.periods[0]
+    with pytest.raises(ValueError) as public:
+        FlatGeodesic(x, (F(-1, 4) + period, F(0)), deck)
+    assert str(raised.value) == str(public.value)
 
 
 def outcome(run):

@@ -22,8 +22,8 @@ from geoplan.klein_bottle import (
     klein_stratum,
 )
 from geoplan import cutgraph
-from geoplan.flat_torus import _end_lifts, _nearest_lifts
-from geoplan.metric_core import dist_sq
+from geoplan.flat_torus import TorusPoint, _end_lifts, _nearest_lifts
+from geoplan.metric_core import dist_sq, integer_points
 from geoplan.strat_cover import klein_s4_poset, lower_bound, validate_poset
 from geoplan.verify import _KLEIN_POWERS, _orbit_minimizers, _orbit_window
 from test_flat_torus import reference_loop_lifts, reference_track
@@ -280,10 +280,10 @@ class TestCutLocusDichotomy:
         st.one_of(special_second, basepoint_coordinate()),
     )
     def test_cell_window_matches_a_wider_orbit(self, x1, x2):
-        """The disc |Q - X|^2 <= p1^2 + p2^2 loses no cut: clipping against
-        every coset translate with |i| <= 3, |j| <= 4 periods, in the same
-        sorted order and from the same outer box, gives the same corners
-        and tags."""
+        """The orbit cut to the box X +- (p1/2, p2/2) loses no cut:
+        clipping against every coset translate with |i| <= 3, |j| <= 4
+        periods, in the same sorted order and from the same outer box, gives
+        the same corners and tags."""
         x = KleinPoint.make((x1, x2))
         (p1, p2), base = x.periods, x.coords
         orbit = sorted(
@@ -325,6 +325,75 @@ def clip_fractions(polygon, base, q):
             cross = (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
             out.append((cross, q if a < 0 else tag))
     return out
+
+
+def disc_cell(x):
+    """The Dirichlet cell as it was clipped before the box cut: the same
+    outer box clipped by every orbit point of the disc
+    ``|Q - X|^2 <= p1^2 + p2^2``, in sorted order, with the same ``_clip``,
+    read out as :func:`cutgraph.dirichlet_cell` reads its corners."""
+    d, ((bx, by), *scaled) = integer_points((x.coords, *x.cosets()))
+    px, py = (p * d for p in x.periods)
+    orbit = sorted(
+        (cx + i * px, cy + j * py)
+        for cx, cy in scaled
+        for i in range(-3, 4)
+        for j in range(-4, 5)
+        if 0 < (cx + i * px - bx) ** 2 + (cy + j * py - by) ** 2 <= px * px + py * py
+    )
+    polygon = [
+        ((bx + i * px, by + j * py, 1), None) for i, j in ((-1, -1), (1, -1), (1, 1), (-1, 1))
+    ]
+    for qx, qy in orbit:
+        offset = qx * qx + qy * qy - bx * bx - by * by
+        polygon = cutgraph._clip(polygon, (qx, qy), 2 * (qx - bx), 2 * (qy - by), offset)
+    return [
+        ((F(vx, w * d), F(vy, w * d)), tag and (F(tag[0] - bx, d), F(tag[1] - by, d)))
+        for (vx, vy, w), tag in polygon
+    ]
+
+
+def random_klein_basepoints(count):
+    rng = random.Random(1500)
+    return [(F(rng.randrange(97), 97), F(rng.randrange(89), 89)) for _ in range(count)]
+
+
+class TestBoxCut:
+    """The orbit cut to the points whose bisector meets the box
+    X +- (p1/2, p2/2) clips the same cells as the whole disc did."""
+
+    def test_cells_match_the_disc_clip(self):
+        grid = [KleinPoint.make((F(i, 24), F(j, 24))) for i in range(24) for j in range(24)]
+        klein = [KleinPoint.make(p) for p in random_klein_basepoints(1500)]
+        rng = random.Random(300)
+        torus = [
+            TorusPoint.make((F(rng.randrange(-97, 98), 97), F(rng.randrange(-89, 90), 89)))
+            for _ in range(300)
+        ]
+        points = grid + klein + torus
+        assert len(points) == 2376
+        for x in points:
+            assert repr(cutgraph.dirichlet_cell(x)) == repr(disc_cell(x)), x
+
+    def test_clip_budget_per_klein_cell(self, monkeypatch):
+        points = [KleinPoint.make(p) for p in random_klein_basepoints(1500)]
+        calls = []
+        clip = cutgraph._clip
+
+        def counting(*args):
+            calls.append(None)
+            return clip(*args)
+
+        monkeypatch.setattr(cutgraph, "_clip", counting)
+        for x in points:
+            cutgraph.dirichlet_cell(x)
+        cut = len(calls) / len(points)
+        calls.clear()
+        for x in points:
+            disc_cell(x)
+        # measured: 18.02 clips per cell by the disc, 10.48 by the box cut
+        assert len(calls) / len(points) > 18
+        assert cut < 11
 
 
 def _pinned_basepoints():

@@ -8,10 +8,55 @@ way, with the error in the detail.  A row that no check kills is an open
 oracle gap, kept as a strict ``xfail`` with its reason, so that a stronger
 check shows up as an unexpected pass."""
 
+import __future__
+import inspect
+
 import pytest
 
-from geoplan import cube_sphere, flat_torus, klein_bottle, strat_cover, verify
+from geoplan import cube_sphere, cutgraph, flat_torus, klein_bottle, strat_cover, verify
 from geoplan.klein_bottle import DeckElement
+
+
+def source_mutant(module, name, old, new):
+    """A plant: ``module.name`` recompiled from its source with the one
+    occurrence of ``old`` replaced by ``new``, so a defect inside a function
+    body can be planted without copying the body into the test."""
+
+    def plant(monkeypatch):
+        source = inspect.getsource(getattr(module, name))
+        assert source.count(old) == 1, f"{name} no longer reads {old!r}"
+        code = compile(
+            source.replace(old, new),
+            f"<mutant of {name}>",
+            "exec",
+            flags=__future__.annotations.compiler_flag,
+            dont_inherit=True,
+        )
+        # A copy of the module's globals, so the mutant's def binds nothing there.
+        namespace = dict(vars(module))
+        exec(code, namespace)
+        monkeypatch.setattr(module, name, namespace[name])
+
+    return plant
+
+
+#: The Dirichlet cell clipped by the four axis translates only: every cell is
+#: the box X +- (p1/2, p2/2).
+box_cells = source_mutant(
+    cutgraph,
+    "_scaled_cell",
+    "if (qx - bx) ** 2 + (qy - by) ** 2 < px * abs(qx - bx) + py * abs(qy - by)\n        or ",
+    "if ",
+)
+
+#: ``_clip`` tags a crossing with the tag of the corner before it, also where
+#: the edge leaving the crossing lies on the new bisector.
+stale_crossing_tag = source_mutant(
+    cutgraph,
+    "_clip",
+    "out.append(((cx // g, cy // g, w // g), q if a < 0 else tag))",
+    "out.append(((cx // g, cy // g, w // g), tag))",
+)
 
 
 def identity_permutation(monkeypatch):
@@ -164,6 +209,24 @@ def without_errors(ending):
             lambda: verify.cube_formula_oracle(0, 200),
             "formula min != oracle min",
             id="three-face-budget-cube-formula-oracle",
+        ),
+        pytest.param(
+            box_cells,
+            lambda: verify.klein_cut_dichotomy(0, 200),
+            "dichotomy violated at",
+            id="box-cells-klein-cut-dichotomy",
+        ),
+        pytest.param(
+            box_cells,
+            lambda: verify.klein_theta_frozen(0, 1),
+            "frozen theta data mismatch",
+            id="box-cells-klein-theta-frozen",
+        ),
+        pytest.param(
+            stale_crossing_tag,
+            lambda: verify.klein_theta_frozen(0, 1),
+            "RuntimeError: unexpected Dirichlet cell of",
+            id="stale-crossing-tag-klein-theta-frozen",
         ),
     ],
 )

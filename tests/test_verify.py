@@ -86,6 +86,24 @@ def test_klein_planner_continuity_skips_nudges_across_a_cut_edge():
     assert check.passed, check.detail
 
 
+@pytest.mark.parametrize("seed, n", [(10, 3), (41, 1)])
+def test_torus_planner_continuity_compares_paths_modulo_the_lattice(seed, n):
+    """At these seeds a nudge moves a coordinate at 0 below it (x3 = 0 at
+    seed 10, x = 0 at seed 41), so the canonical lift of the nudged pair
+    starts a whole period away, while on the torus the planned path moves
+    by less than delta."""
+    check = verify.torus_planner_continuity(seed, 200, n)
+    assert check.passed, check.detail
+
+
+def test_klein_planner_continuity_pairs_theta_vertices_in_the_bottle():
+    """At seed 12, base (48/97, 44/89), a theta vertex at v = 177/178 moves
+    across v = 1, so sorted reduced coordinates pair it with the other
+    vertex; the nearest vertex in the bottle is the one it moved to."""
+    check = verify.klein_planner_continuity(12, 200)
+    assert check.passed, check.detail
+
+
 def test_orbit_minimizers_scale_mixed_denominators():
     base = (Fraction(1, 3), 0)
     points = [(Fraction(5, 6), 0), (Fraction(-1, 6), 0), (0, Fraction(1, 2)), (1, 1)]
