@@ -14,9 +14,9 @@ coset points go on one integer scale D (``metric_core.integer_points``), so
 each orbit point D*Q and each bisector 2(Q - X).Z <= |Q|^2 - |X|^2 is
 integer.  Cell vertices are homogeneous integer triples (x, y, w) standing
 for (x/w, y/w) in scaled units, kept with w > 0 and gcd 1.  The graph is
-read off them on integers too: the point's integer make groups the corners
-and its integer ``deck_to`` tags the edges, so Fractions are built only for
-what is returned, one pair per vertex class and per corner.
+read off them on integers too, by the point's ``locate``: its reduced point
+groups the corners and its deck element tags the edges, so Fractions are
+built only for what is returned, one pair per vertex class and per corner.
 """
 
 from __future__ import annotations
@@ -180,12 +180,12 @@ def dirichlet_graph(x: FlatPoint) -> CutLocusGraph:
     The corners over one point are its minimal lifts.  As reduced
     homogeneous triples they share their ``w``: a deck element moves a
     corner by whole periods (and may flip it), which keeps the gcd.  So the
-    integer make, ``x.reduced`` on the scale ``w * d``, groups them into
-    vertices whose multiplicity is the corner count, with one Fraction pair
-    per vertex class.  Each edge is glued to the one tagged by the inverse
-    of its deck element (``deck_to`` of its integer orbit point); of each
-    pair the edge with the smaller element is emitted, in element order,
-    with that element's ``tag`` as its gluing.
+    reduced point ``r`` of ``x.locate`` on the scale ``w * d`` groups them
+    into vertices whose multiplicity is the corner count, with one Fraction
+    pair per vertex class.  Each edge is glued to the one tagged by the
+    inverse of its deck element (the ``g`` of ``x.locate`` at its integer
+    orbit point); of each pair the edge with the smaller element is emitted,
+    in element order, with that element's ``tag`` as its gluing.
     """
     d, _, cell = _scaled_cell(x)
     if not (4 <= len(cell) <= 6) or any(tag is None for _, tag in cell):
@@ -194,14 +194,14 @@ def dirichlet_graph(x: FlatPoint) -> CutLocusGraph:
 
     classes: dict[tuple[int, ...], list[int]] = {}
     for i, ((vx, vy, w), _) in enumerate(cell):
-        classes.setdefault((*x.reduced((vx, vy), w * d), w), []).append(i)
+        classes.setdefault((*x.locate((vx, vy), w * d)[1], w), []).append(i)
     vertex_of = {i: k for k, members in enumerate(classes.values()) for i in members}
     vertices = tuple(
         CutVertex(_point(u, v, w * d), len(members)) for (u, v, w), members in classes.items()
     )
 
     corners = [_point(vx, vy, w * d) for (vx, vy, w), _ in cell]
-    decks = [x.deck_to(tag, d) for _, tag in cell]
+    decks = [x.locate(tag, d)[0] for _, tag in cell]
     n = len(cell)
     edges = []
     emitted = set()

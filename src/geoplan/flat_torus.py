@@ -61,12 +61,12 @@ class FlatPoint:
     """A point of R^n / Γ reduced to [0, 1)^n.
 
     Subclasses supply the lattice ``periods``, ``cosets()`` (one orbit point
-    per coset of the lattice in Γ) and two integer methods.  Both read a
-    lift as integers on a ``scale``, the point ``lift / scale``:
-    ``reduced(lift, scale)`` is the integer make, the reduced point of the
-    lift on the same scale, and ``deck_to(end, scale)`` is the element of Γ
-    carrying this point to ``end`` (None on the torus).  ``make`` reduces
-    any rational lift through ``reduced``."""
+    per coset of the lattice in Γ) and one integer method,
+    ``locate(lift, scale) -> (g, r)``.  It reads a lift as integers on a
+    ``scale``, the point ``lift / scale``, and returns the element ``g`` of
+    Γ and the reduced point ``r``, on the same scale, with ``lift = g(r)``;
+    ``g`` is None on the torus.  ``make`` keeps ``r``, and the geodesics
+    and the Dirichlet graph read ``g`` off their integer end lifts."""
 
     coords: tuple[Fraction, ...]
 
@@ -85,7 +85,7 @@ class FlatPoint:
     def make(cls, values) -> "FlatPoint":
         """Reduce any lift in the universal cover."""
         d, (lift,) = integer_points((tuple(map(_frac, values)),))
-        return cls(tuple(Fraction(c, d) for c in cls.reduced(lift, d)))
+        return cls(tuple(Fraction(c, d) for c in cls.locate(lift, d)[1]))
 
     @property
     def n(self) -> int:
@@ -241,12 +241,14 @@ def _flat_geodesics(x: FlatPoint, y: FlatPoint) -> tuple[FlatGeodesic, ...]:
     period and become Fractions once (:func:`_fractions`), shared by every
     geodesic, so the records skip the per-entry check of the
     :class:`FlatGeodesic` constructor: a torus:6 antipodal pair checks 12
-    choices, not 64 x 6 entries.  The deck element of each geodesic is read
-    from its integer end lift.  Lifts of tied cosets are sorted on their
-    integers.
+    choices, not 64 x 6 entries.  Lifts of tied cosets are sorted on their
+    integers.  Each deck element is the ``g`` of ``y.locate`` at the integer
+    end lift; a group of one coset (the torus) is its own lattice and keeps
+    none, without calling ``locate``.
     """
     _check_pair(x, y)
-    d, b, found = _nearest_lifts(x.coords, y.cosets(), y.periods)
+    cosets = y.cosets()
+    d, b, found = _nearest_lifts(x.coords, cosets, y.periods)
     lifts = (
         lift
         for choices in found
@@ -254,7 +256,9 @@ def _flat_geodesics(x: FlatPoint, y: FlatPoint) -> tuple[FlatGeodesic, ...]:
     )
     if len(found) > 1:
         lifts = sorted(lifts)
-    return tuple(FlatGeodesic._checked(x, disp, y.deck_to(end, d)) for end, disp in lifts)
+    if len(cosets) == 1:
+        return tuple(FlatGeodesic._checked(x, disp, None) for _, disp in lifts)
+    return tuple(FlatGeodesic._checked(x, disp, y.locate(end, d)[0]) for end, disp in lifts)
 
 
 def _loop_permutation(base, cosets, periods, steps: int, close):
@@ -294,8 +298,8 @@ class TorusPoint(FlatPoint):
     coset of the lattice Z^n."""
 
     @staticmethod
-    def reduced(lift, scale: int) -> tuple[int, ...]:
-        return tuple(c % scale for c in lift)
+    def locate(lift, scale: int) -> tuple[None, tuple[int, ...]]:
+        return None, tuple(c % scale for c in lift)
 
     @property
     def periods(self) -> tuple[int, ...]:
@@ -303,9 +307,6 @@ class TorusPoint(FlatPoint):
 
     def cosets(self) -> tuple[tuple[Fraction, ...]]:
         return (self.coords,)
-
-    def deck_to(self, end, scale: int) -> None:
-        return None
 
 
 def _choices(x: TorusPoint, y: TorusPoint) -> tuple[int, list[tuple[int, ...]]]:
@@ -398,8 +399,10 @@ def torus_cut_locus(x: TorusPoint) -> TorusCutLocus:
 def torus_plan(x: TorusPoint, y: TorusPoint) -> PlannerResult:
     """Planner: every opposite coordinate moves in the + direction.
 
-    Domain index is ``torus_stratum(x, y) - 1``; the chosen geodesic always
-    belongs to ``torus_geodesics(x, y)``.
+    The coordinates choose independently, so this is the greatest
+    displacement of ``torus_geodesics(x, y)`` in lexicographic order, as
+    ``klein_plan`` takes off its three-geodesic vertices.  Domain index is
+    ``torus_stratum(x, y) - 1``.
     """
     d, choices = _choices(x, y)
     opposite = sum(len(c) == 2 for c in choices)

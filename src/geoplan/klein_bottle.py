@@ -12,7 +12,7 @@ orbit of ``y`` is the union of the lattice translates of ``y`` and of
 with periods (2, 1) and those two coset points, and the geodesics are the
 shared ``FlatGeodesic`` records of the flat-quotient lift rule: the nearest
 translates in the closer coset, or in both on a tie, each tagged with the
-:class:`DeckElement` read back from its end lift.
+:class:`DeckElement` that :meth:`KleinPoint.locate` reads off its end lift.
 
 The cut locus of a basepoint is the projected boundary of its Dirichlet cell,
 clipped exactly from bisector half-planes by ``cutgraph.dirichlet_graph``
@@ -108,22 +108,18 @@ class KleinPoint(FlatPoint):
     periods = (2, 1)
 
     @staticmethod
-    def reduced(lift, scale: int) -> tuple[int, int]:
-        """The fundamental-square representative of ``lift / scale``, times
-        ``scale``: each whole turn in u crosses the glide and flips v."""
+    def locate(lift, scale: int) -> tuple[DeckElement, tuple[int, int]]:
+        """``(g, r)`` with ``lift = g(r)`` on ``scale``, ``r`` in the fundamental
+        square: ``g = alpha^a . beta^b``, ``a`` the whole turns in u, each of
+        which crosses the glide and flips v, and ``b`` the turns in v after."""
         u, v = lift
-        shift, u = divmod(u, scale)
-        return (u, (scale - v if shift % 2 else v) % scale)
+        a, u = divmod(u, scale)
+        b, v = divmod(scale - v if a % 2 else v, scale)
+        return DeckElement(a, b), (u, v)
 
     def cosets(self) -> tuple[Point2, Point2]:
         u, v = self.coords
         return ((u, v), (u + 1, 1 - v))
-
-    def deck_to(self, end, scale: int) -> DeckElement:
-        """The deck element carrying this point to ``end / scale``."""
-        u, v = (c.numerator * (scale // c.denominator) for c in self.coords)
-        a = (end[0] - u) // scale
-        return DeckElement(a, (end[1] - v if a % 2 == 0 else scale - v - end[1]) // scale)
 
 
 def klein_geodesics(x: KleinPoint, y: KleinPoint) -> tuple[FlatGeodesic, ...]:
@@ -159,9 +155,10 @@ def klein_plan(x: KleinPoint, y: KleinPoint) -> PlannerResult:
     Domains: 0 for unique-geodesic pairs; then each count-``m`` stratum is
     split by whether ``x`` lies on the circle ``x1 = 0``, giving
     ``2(m-1) - 1`` for pairs off the circle and ``2(m-1)`` on it.  Choices:
-    with two geodesics take the one going up when the lifts differ
-    vertically, otherwise the one going right; with three take the unique
-    one on the minority horizontal side; with four go up and to the right.
+    with three geodesics take the unique one on the minority horizontal
+    side; otherwise take the greatest displacement in lexicographic order,
+    as ``torus_plan`` does ("up" or "right" by how the two lifts differ,
+    "up_right" among four).
     """
     geos = klein_geodesics(x, y)
     m = len(geos)
@@ -169,15 +166,6 @@ def klein_plan(x: KleinPoint, y: KleinPoint) -> PlannerResult:
     if m == 1:
         return PlannerResult(0, 1, "unique", geos[0])
     domain = m if on_circle else m - 1
-    if m == 2:
-        d0, d1 = geos[0].displacement, geos[1].displacement
-        if d0[0] == d1[0]:
-            chosen = max(geos, key=lambda g: g.displacement[1])
-            rule = "up"
-        else:
-            chosen = max(geos, key=lambda g: g.displacement[0])
-            rule = "right"
-        return PlannerResult(domain, m, rule, chosen)
     if m == 3:
         left = [g for g in geos if g.displacement[0] < 0]
         right = [g for g in geos if g.displacement[0] > 0]
@@ -186,9 +174,10 @@ def klein_plan(x: KleinPoint, y: KleinPoint) -> PlannerResult:
         minority = left if len(left) == 1 else right
         return PlannerResult(domain, m, "minority_side", minority[0])
     if m == 4:
-        chosen = max(geos, key=lambda g: g.displacement)
-        return PlannerResult(domain, m, "up_right", chosen)
-    raise RuntimeError(f"unexpected geodesic count {m}")
+        rule = "up_right"
+    else:
+        rule = "up" if geos[0].displacement[0] == geos[1].displacement[0] else "right"
+    return PlannerResult(domain, m, rule, max(geos, key=lambda g: g.displacement))
 
 
 # ---------------------------------------------------------------------------

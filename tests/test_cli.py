@@ -747,6 +747,18 @@ GOLDEN = [
      "4d028bb126aa2976ae84386c36a573611a45310a891fcc5f64d6083721c585bc"),
     ("plan klein 1/7,2/9 3/5,5/7", 0,
      "457743de22b46fdeb74ad8d818c31a43880d551b1694eaec700a0796b9b92312"),
+    # One row per Klein planner rule and domain: "up" off and on the circle
+    # x1 = 0, "minority_side" off and on it, "up_right" on it.
+    ("plan klein 1/7,2/9 12/35,13/18", 0,
+     "af3c707c239d20bac8a2bbed18b7eab6999396f7475c18f8115db410b566f514"),
+    ("plan klein 0,3/10 3/25,4/5", 0,
+     "d6c6ed060b02f0c3df718cf11c1ded1b664db6d741e37ccf034bafe5e6b92b68"),
+    ("plan klein 1/2,3/10 3/25,4/5", 0,
+     "e6ba49048ab8eddf434c6fdb6d764d335ce4a519352871f667eba7c8e9610536"),
+    ("plan klein 0,3/10 19/50,4/5", 0,
+     "e7536bb7a584ab6beb8178b4da8dca8628ab983f0fabe75b2e95f1e54b3cc4ab"),
+    ("plan klein 0,0 1/2,1/2", 0,
+     "b53b4a40ba8885fadc4d5b7cf0b921267864e14636704e26b5e52531bc63c63b"),
     ("plan cube corner:p corner:q", 2, EMPTY),
     ("geodesics mobius 0,0 1,1", 2, EMPTY),
     ("geodesics torus:0 0 0", 2, EMPTY),

@@ -459,9 +459,9 @@ class TestFlatQuotientProperties:
 
 
 # ---------------------------------------------------------------------------
-# Fraction reference: the lift rule, make and deck_to one coordinate and one
-# geodesic at a time in Fraction arithmetic, as the library computed them
-# before it moved to one integer scale.
+# Fraction reference: the lift rule, make and the deck elements one
+# coordinate and one geodesic at a time in Fraction arithmetic, as the
+# library computed them before it moved to one integer scale.
 # ---------------------------------------------------------------------------
 
 
@@ -539,7 +539,7 @@ def reference_geodesics(x, y):
 def reference_klein_graph(x):
     """Vertices (point, multiplicity) and edges (ends, points, gluing) of
     the cut locus, read off the Fraction cell with the reference make and
-    deck_to, as :func:`cutgraph.dirichlet_graph` defines them."""
+    deck elements, as :func:`cutgraph.dirichlet_graph` defines them."""
     cell = dirichlet_cell(x)
     classes = {}
     for i, (corner, _) in enumerate(cell):
@@ -595,6 +595,48 @@ def reference_pair(draw):
         for c, p in zip(base, periods)
     ]
     return point, base, target
+
+
+class TestLocate:
+    """``locate(lift, scale)`` is the inverse of the group action on
+    integers: it returns ``(g, r)`` with ``lift = g(r)`` and ``r`` reduced."""
+
+    SCALES = (1, 2, 3, 12, BIG)
+
+    @staticmethod
+    def reduced_points(s):
+        """Every point of [0, s)^2 for a small scale, else the corners, the
+        centre and points next to 0 and s."""
+        if s <= 12:
+            return list(itertools.product(range(s), repeat=2))
+        edge = (0, 1, s // 2, s - 1)
+        return list(itertools.product(edge, repeat=2))
+
+    def test_klein_round_trip(self):
+        elements = [DeckElement(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+        for s in self.SCALES:
+            for r in self.reduced_points(s):
+                for g in elements:
+                    assert KleinPoint.locate(g.apply_scaled(r, s), s) == (g, r)
+
+    def test_torus_round_trip(self):
+        shifts = list(itertools.product(range(-3, 4), repeat=2))
+        for s in self.SCALES:
+            for r in self.reduced_points(s):
+                for m in shifts:
+                    lift = tuple(c + k * s for c, k in zip(r, m))
+                    assert TorusPoint.locate(lift, s) == (None, r)
+
+    def test_one_coset_reads_no_deck_element(self, monkeypatch):
+        """The torus is its own lattice: its geodesics keep no deck element
+        and never call ``locate``."""
+        x, y = TorusPoint.make([0, 0, F(1, 3)]), TorusPoint.make([H, H, F(1, 7)])
+
+        def refuse(lift, scale):
+            raise AssertionError("locate called")
+
+        monkeypatch.setattr(TorusPoint, "locate", staticmethod(refuse))
+        assert [g.deck for g in torus_geodesics(x, y)] == [None] * 4
 
 
 class TestIntegerCoreMatchesTheFractionReference:

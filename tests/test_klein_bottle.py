@@ -22,7 +22,7 @@ from geoplan.klein_bottle import (
     klein_stratum,
 )
 from geoplan import cutgraph
-from geoplan.flat_torus import TorusPoint, _end_lifts, _nearest_lifts
+from geoplan.flat_torus import PlannerResult, TorusPoint, _end_lifts, _nearest_lifts
 from geoplan.metric_core import dist_sq, integer_points
 from geoplan.strat_cover import klein_s4_poset, lower_bound, validate_poset
 from geoplan.verify import _KLEIN_POWERS, _orbit_minimizers, _orbit_window
@@ -490,6 +490,75 @@ class TestPlanner:
                 ((0, H), (H, 0)),                          # four, on circle
             ]
         }
+
+
+def reference_klein_plan(x, y):
+    """The planner with its four choice rules written out, as it was before
+    the two- and four-geodesic rules became one lexicographic maximum."""
+    geos = klein_geodesics(x, y)
+    m = len(geos)
+    on_circle = x.coords[0] == 0
+    if m == 1:
+        return PlannerResult(0, 1, "unique", geos[0])
+    domain = m if on_circle else m - 1
+    if m == 2:
+        d0, d1 = geos[0].displacement, geos[1].displacement
+        if d0[0] == d1[0]:
+            chosen = max(geos, key=lambda g: g.displacement[1])
+            rule = "up"
+        else:
+            chosen = max(geos, key=lambda g: g.displacement[0])
+            rule = "right"
+        return PlannerResult(domain, m, rule, chosen)
+    if m == 3:
+        left = [g for g in geos if g.displacement[0] < 0]
+        right = [g for g in geos if g.displacement[0] > 0]
+        if len(left) + len(right) != 3 or not left or not right:
+            raise RuntimeError("three-geodesic pair without a 2/1 horizontal split")
+        minority = left if len(left) == 1 else right
+        return PlannerResult(domain, m, "minority_side", minority[0])
+    if m == 4:
+        chosen = max(geos, key=lambda g: g.displacement)
+        return PlannerResult(domain, m, "up_right", chosen)
+    raise RuntimeError(f"unexpected geodesic count {m}")
+
+
+def planner_pairs():
+    """The 8 x 8 grid of pairs; each grid basepoint with its cut vertices
+    and the points k/8 along its cut edges; and 3,000 seeded basepoints with
+    their cut vertices and one point on one of their edges."""
+    grid = [KleinPoint.make((F(i, 8), F(j, 8))) for i in range(8) for j in range(8)]
+    pairs = [(x, y) for x in grid for y in grid]
+    for x in grid:
+        graph = klein_cut_locus(x)
+        pairs += [(x, KleinPoint.make(v.point)) for v in graph.vertices]
+        pairs += [
+            (x, KleinPoint.make(e.as_polyline().evaluate(F(k, 8))))
+            for e in graph.edges
+            for k in range(1, 8)
+        ]
+    rng = random.Random(3000)
+    for point in random_klein_basepoints(3000):
+        x = KleinPoint.make(point)
+        graph = klein_cut_locus(x)
+        pairs += [(x, KleinPoint.make(v.point)) for v in graph.vertices]
+        edge = rng.choice(graph.edges).as_polyline()
+        pairs.append((x, KleinPoint.make(edge.evaluate(F(rng.randrange(1, 20), 20)))))
+    return pairs
+
+
+def test_planner_equals_the_four_rule_reference():
+    """One lexicographic maximum off the three-geodesic vertices chooses as
+    the four rules did, with the same domain, count and rule label."""
+    domains = [0] * 5
+    for x, y in planner_pairs():
+        got, want = klein_plan(x, y), reference_klein_plan(x, y)
+        assert (got.domain, got.count, got.rule, got.geodesic) == (
+            want.domain, want.count, want.rule, want.geodesic
+        ), (x, y)
+        domains[got.domain] += 1
+    # 14,402 pairs, every domain met
+    assert domains == [3424, 4595, 6239, 140, 4]
 
 
 class TestMonodromy:

@@ -10,20 +10,23 @@ check shows up as an unexpected pass."""
 
 import __future__
 import inspect
+import textwrap
 
 import pytest
 
 from geoplan import cube_sphere, cutgraph, flat_torus, klein_bottle, strat_cover, verify
-from geoplan.klein_bottle import DeckElement
+from geoplan.klein_bottle import DeckElement, KleinPoint
 
 
-def source_mutant(module, name, old, new):
-    """A plant: ``module.name`` recompiled from its source with the one
+def source_mutant(owner, name, old, new):
+    """A plant: ``owner.name`` recompiled from its source with the one
     occurrence of ``old`` replaced by ``new``, so a defect inside a function
-    body can be planted without copying the body into the test."""
+    body can be planted without copying the body into the test.  The owner
+    is a module or a class: a method's source is dedented and keeps its
+    decorators, so a ``staticmethod`` stays one."""
 
     def plant(monkeypatch):
-        source = inspect.getsource(getattr(module, name))
+        source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
         assert source.count(old) == 1, f"{name} no longer reads {old!r}"
         code = compile(
             source.replace(old, new),
@@ -33,9 +36,9 @@ def source_mutant(module, name, old, new):
             dont_inherit=True,
         )
         # A copy of the module's globals, so the mutant's def binds nothing there.
-        namespace = dict(vars(module))
+        namespace = dict(vars(inspect.getmodule(owner)))
         exec(code, namespace)
-        monkeypatch.setattr(module, name, namespace[name])
+        monkeypatch.setattr(owner, name, namespace[name])
 
     return plant
 
@@ -57,6 +60,15 @@ stale_crossing_tag = source_mutant(
     "out.append(((cx // g, cy // g, w // g), q if a < 0 else tag))",
     "out.append(((cx // g, cy // g, w // g), tag))",
 )
+
+#: ``KleinPoint.locate`` without the glide flip: an odd turn in u no longer
+#: mirrors v, so ``make`` misreduces such lifts and deck tags with an odd
+#: ``a`` and ``b != 0`` come out wrong.
+flipless_locate = source_mutant(KleinPoint, "locate", "scale - v if a % 2 else v", "v")
+
+#: ``_breakpoints`` keeps crossing coordinates unreduced, so equal traces get
+#: different keys and tied unfoldings no longer merge.
+unreduced_breakpoints = source_mutant(cube_sphere, "_breakpoints", "g = gcd(num, den)", "g = 1")
 
 
 def identity_permutation(monkeypatch):
@@ -209,6 +221,24 @@ def without_errors(ending):
             lambda: verify.cube_formula_oracle(0, 200),
             "formula min != oracle min",
             id="three-face-budget-cube-formula-oracle",
+        ),
+        pytest.param(
+            flipless_locate,
+            lambda: verify.klein_lift_oracle(0, 200),
+            "geodesics differ from the orbit scan",
+            id="flipless-locate-klein-lift-oracle",
+        ),
+        pytest.param(
+            unreduced_breakpoints,
+            lambda: verify.cube_corner_geodesics(0, 1),
+            "corner count 150",
+            id="unreduced-breakpoints-cube-corner-geodesics",
+        ),
+        pytest.param(
+            unreduced_breakpoints,
+            lambda: verify.cube_corner_convergence(0, 8),
+            "does not match the printed label",
+            id="unreduced-breakpoints-cube-corner-convergence",
         ),
         pytest.param(
             box_cells,
