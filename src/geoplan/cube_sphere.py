@@ -48,7 +48,6 @@ __all__ = [
     "WitnessPair",
     "containing_faces",
     "corner_limit_geodesics",
-    "corner_limit_table",
     "corner_pair",
     "cube_geodesics",
     "diagonal_table",
@@ -759,18 +758,6 @@ def rotate_trace(trace: tuple[Vec3, ...], times: int = 1) -> tuple[Vec3, ...]:
     return out
 
 
-def corner_limit_table() -> dict[tuple[str, int], str]:
-    """Printed convergence table: family member -> corner geodesic label."""
-    # Imported here so that the geodesic commands do not load the poset engine.
-    from .strat_cover import CUBE_CORNER_LIMITS
-
-    return {
-        (family, idx): label
-        for family, row in CUBE_CORNER_LIMITS.items()
-        for idx, label in row.items()
-    }
-
-
 def _family_corner_trace(family: str, idx: int) -> tuple[Vec3, ...]:
     """Exact limit of a diagonal-family path at the corner pair.
 
@@ -796,9 +783,12 @@ def corner_limit_geodesics() -> dict[str, tuple[Vec3, ...]]:
     must be exactly the geodesic set of the corner pair.  Any mismatch
     raises.
     """
+    # Imported here so that the geodesic commands do not load the poset engine.
+    from .strat_cover import CUBE_CORNER_LIMITS
+
     label_to_trace: dict[str, tuple[Vec3, ...]] = {}
     hits: dict[str, int] = {}
-    for (family, idx), label in corner_limit_table().items():
+    for (family, idx), label in CUBE_CORNER_LIMITS.items():
         trace = _family_corner_trace(family, idx)
         if label_to_trace.setdefault(label, trace) != trace:
             raise RuntimeError(

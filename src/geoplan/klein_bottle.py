@@ -68,13 +68,11 @@ class DeckElement:
     b: int
 
     def apply(self, point) -> Point2:
-        u, v = (_frac(c) for c in point)
-        if self.a % 2 == 0:
-            return (u + self.a, v + self.b)
-        return (u + self.a, 1 - v - self.b)
+        return self.apply_scaled(tuple(map(_frac, point)), 1)
 
     def apply_scaled(self, point: tuple[int, int], scale: int) -> tuple[int, int]:
-        """:meth:`apply` to the point ``point / scale``, on the same scale."""
+        """The action on the point ``point / scale``, on the same scale: a
+        glide (odd ``a``) flips v."""
         u, v = point
         if self.a % 2 == 0:
             return (u + self.a * scale, v + self.b * scale)

@@ -15,9 +15,12 @@ here.  When additionally the coverings are trivial over each stratum, the
 strata are locally compact and each intersects the neighborhood, ``N - 1`` is
 also an upper bound, certifying equality.
 
+A :class:`StratPoset` is its elements and covers; :func:`lower_bound` is the
+one classification of them, and its report lists the inconsistent elements.
 The module is purely combinatorial; geometric facts enter only through the
-caller-asserted :class:`PosetFlags` and through the builtin poset data, which
-the geometry modules re-derive and cross-check in their own test suites.
+caller-asserted :class:`PosetFlags` and the builtin poset data (among them
+the flat corner table ``CUBE_CORNER_LIMITS``, ``{(family, index): label}``),
+which the geometry modules re-derive and cross-check in their own suites.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ __all__ = [
     "circle_poset",
     "cube_corner_poset",
     "from_document",
-    "inconsistent_at",
     "klein_s4_poset",
     "loads_document",
     "lower_bound",
@@ -88,28 +90,17 @@ class PosetFlags:
     locally_compact: bool
     nonempty_intersections: bool
 
-    def all_true(self) -> bool:
-        return (
-            self.trivial_coverings
-            and self.locally_compact
-            and self.nonempty_intersections
-        )
-
 
 class StratPoset:
-    """Immutable container for elements and covering relations."""
+    """A poset is its elements and its covering relations, nothing more."""
 
     def __init__(self, elements, covers):
         self.elements: tuple[PosetElement, ...] = tuple(elements)
         self.covers: tuple[CoverMap, ...] = tuple(covers)
-        self.by_id: dict[str, PosetElement] = {e.id: e for e in self.elements}
 
     @property
     def levels(self) -> tuple[int, ...]:
         return tuple(sorted({e.level for e in self.elements}))
-
-    def level_count(self) -> int:
-        return len(self.levels)
 
     def __repr__(self) -> str:
         return f"StratPoset({len(self.elements)} elements, {len(self.covers)} covers)"
@@ -233,14 +224,6 @@ def _inconsistent(incoming: list[CoverMap]) -> bool:
     return not meet
 
 
-def inconsistent_at(p: StratPoset, element_id: str) -> bool:
-    """True iff ``element_id`` has incoming covering maps whose images have
-    empty intersection.  Scans every cover of ``p``."""
-    if element_id not in p.by_id:
-        raise KeyError(element_id)
-    return _inconsistent([c for c in p.covers if c.dst == element_id])
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of the lower-bound analysis of a poset; an invalid poset gets
@@ -296,7 +279,9 @@ def upper_bound_if_trivial(report: BoundReport, flags: PosetFlags) -> int | None
     """Equality certificate read off a :func:`lower_bound` report: ``N - 1``
     when the poset is valid and the caller asserts all three hypotheses,
     else ``None``.  The poset is not validated again."""
-    if report.valid and flags.all_true():
+    if report.valid and (
+        flags.trivial_coverings and flags.locally_compact and flags.nonempty_intersections
+    ):
         return report.levels - 1
     return None
 
@@ -406,13 +391,13 @@ def klein_s4_poset() -> StratPoset:
     return StratPoset(elements, sorted(covers, key=lambda c: (c.src, c.dst)))
 
 
-#: Where each opposite-face path family lands among the six corner-to-corner
-#: geodesics, in the limit at the corner pair.  Cross-checked geometrically by
-#: the cube module's corner-limit computation.
-CUBE_CORNER_LIMITS: dict[str, dict[int, str]] = {
-    "A": {1: "D3", 4: "D4", 7: "D6", 10: "D1"},
-    "B": {1: "D5", 4: "D6", 7: "D2", 10: "D3"},
-    "C": {1: "D1", 4: "D2", 7: "D4", 10: "D5"},
+#: Where each opposite-face path family member ``(family, index)`` lands
+#: among the six corner-to-corner geodesics, in the limit at the corner pair.
+#: Cross-checked geometrically by the cube module's corner-limit computation.
+CUBE_CORNER_LIMITS: dict[tuple[str, int], str] = {
+    ("A", 1): "D3", ("A", 4): "D4", ("A", 7): "D6", ("A", 10): "D1",
+    ("B", 1): "D5", ("B", 4): "D6", ("B", 7): "D2", ("B", 10): "D3",
+    ("C", 1): "D1", ("C", 4): "D2", ("C", 7): "D4", ("C", 10): "D5",
 }
 
 
@@ -452,7 +437,7 @@ def cube_corner_poset() -> StratPoset:
     elements.append(PosetElement("corner", 4, corner_sheets))
     for fam in "ABC":
         mapping = {
-            f"{fam}{idx}": dest for idx, dest in CUBE_CORNER_LIMITS[fam].items()
+            f"{fam}{idx}": CUBE_CORNER_LIMITS[fam, idx] for idx in (1, 4, 7, 10)
         }
         covers.append(CoverMap(f"family_{fam}", "corner", mapping))
     return StratPoset(elements, sorted(covers, key=lambda c: (c.src, c.dst)))

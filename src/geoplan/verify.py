@@ -374,8 +374,8 @@ def torus_local_poset_shape(check: CheckResult, seed: int, trials: int) -> None:
                 y[i] = (x[i] + Fraction(1, 4)) % 1
         poset = flat_torus.torus_local_poset(TorusPoint.make(x), TorusPoint.make(y))
         report = strat_cover.lower_bound(poset)
-        if poset.level_count() != a + 1:
-            check.fail(f"levels {poset.level_count()} != {a + 1}")
+        if report.levels != a + 1:
+            check.fail(f"levels {report.levels} != {a + 1}")
         elif a >= 1 and report.lower_bound != a:
             check.fail(f"bound {report.lower_bound} != {a}")
         elif a == 0 and report.lower_bound != 0:
@@ -796,8 +796,8 @@ def cube_corner_convergence(check: CheckResult, seed: int, trials: int) -> None:
     shrinks when a does."""
     from . import cube_sphere, metric_core
     from .metric_core import Polyline, sup_distance_sq
+    from .strat_cover import CUBE_CORNER_LIMITS
     labeled = cube_sphere.corner_limit_geodesics()
-    table = cube_sphere.corner_limit_table()
     previous: dict[int, Fraction] = {}
     cases = [(a, idx) for a in (Fraction(1, 10), Fraction(1, 100)) for idx in (1, 4, 7, 10)]
     check.trials = len(cases)
@@ -805,7 +805,7 @@ def cube_corner_convergence(check: CheckResult, seed: int, trials: int) -> None:
         path = cube_sphere.candidate_path(
             (-_HALF + a, -_HALF + a), (_HALF - a, -_HALF + a), idx
         )
-        limit = labeled[table[("A", idx)]]
+        limit = labeled[CUBE_CORNER_LIMITS["A", idx]]
         cs_path = metric_core.reparametrize_constant_speed(path.as_polyline())
         cs_limit = metric_core.reparametrize_constant_speed(Polyline(limit))
         d_sq = sup_distance_sq(cs_path, cs_limit)
@@ -1025,19 +1025,19 @@ def poset_monotonicity(check: CheckResult, seed: int, trials: int) -> None:
     check.trials = len(names)
     for name in names:
         poset, _flags = strat_cover.builtin_poset(name)
-        base = strat_cover.lower_bound(poset).lower_bound
-        top = poset.level_count()
+        full = strat_cover.lower_bound(poset)
+        base, top = full.lower_bound, full.levels
+        elements = tuple(e for e in poset.elements if e.level < top)
+        kept = {e.id for e in elements}
         truncated = strat_cover.StratPoset(
-            elements=tuple(e for e in poset.elements if e.level < top),
-            covers=tuple(
-                c for c in poset.covers if poset.by_id[c.dst].level < top
-            ),
+            elements=elements,
+            covers=tuple(c for c in poset.covers if c.dst in kept),
         )
         report = strat_cover.lower_bound(truncated)
-        bottom = [e.id for e in poset.elements if e.level == 1]
+        bottom = {e.id for e in poset.elements if e.level == 1}
         if report.lower_bound != base - 1:
             check.fail(f"truncated {name}: {report.lower_bound} != {base - 1}")
-        elif any(strat_cover.inconsistent_at(poset, b) for b in bottom):
+        elif not bottom.isdisjoint(full.inconsistent_ids):
             check.fail(f"bottom element inconsistent in {name}")
 
 

@@ -296,9 +296,11 @@ class TestVerifyCommand:
         assert report[0]["passed"] is True
 
     def test_raising_check_is_a_failed_check(self, capsys, monkeypatch, tmp_path):
-        """With the closing glide planted as a plain shift the monodromy
-        check raises: it prints as a FAIL line, every other check still runs
-        and reports, the report file is written and the exit code is 1."""
+        """With the glide planted as a plain shift the monodromy check
+        raises and the composition check, whose ``apply`` is the same action
+        on scale 1, fails: each prints as a FAIL line, every other check
+        still runs and reports, the report file is written and the exit
+        code is 1."""
         from geoplan.klein_bottle import DeckElement
 
         def plain_shift(self, point, scale):
@@ -313,10 +315,11 @@ class TestVerifyCommand:
         assert lines[6].startswith(
             "FAIL klein.monodromy: 1/5 trials (RuntimeError: loop closure failed"
         )
-        assert [line[:4] for line in lines[:6] + lines[7:8]] == ["ok  "] * 7
+        assert lines[2].startswith("FAIL klein.deck_composition: 1/5 trials (composition law")
+        assert [line[:4] for line in lines[:2] + lines[3:6] + lines[7:8]] == ["ok  "] * 6
         assert lines[-1] == "FAIL suite klein (seed=0, trials=5)"
         report = json.loads(path.read_text())
-        assert [c["failures"] for c in report[0]["checks"]] == [0] * 6 + [1, 0]
+        assert [c["failures"] for c in report[0]["checks"]] == [0, 0, 1, 0, 0, 0, 1, 0]
 
     def test_value_error_in_a_check_exits_one(self, capsys, monkeypatch):
         """A ``ValueError`` from inside a check is a failed check, not a

@@ -25,7 +25,6 @@ from geoplan.cube_sphere import (
     candidate_path,
     containing_faces,
     corner_limit_geodesics,
-    corner_limit_table,
     corner_pair,
     cube_geodesics,
     diagonal_table,
@@ -42,7 +41,7 @@ from geoplan.metric_core import (
     sup_distance_sq,
 )
 from geoplan import metric_core, strat_cover, verify
-from geoplan.strat_cover import cube_corner_poset, lower_bound
+from geoplan.strat_cover import CUBE_CORNER_LIMITS, cube_corner_poset, lower_bound
 
 F = Fraction
 H = F(1, 2)
@@ -375,40 +374,34 @@ class TestCornerPair:
 
     def test_limit_labels_cover_each_geodesic_twice(self):
         limits = corner_limit_geodesics()
-        table = corner_limit_table()
         assert sorted(limits) == ["D1", "D2", "D3", "D4", "D5", "D6"]
         hits = {label: 0 for label in limits}
-        for (_family, _idx), label in table.items():
+        for label in CUBE_CORNER_LIMITS.values():
             hits[label] += 1
         assert set(hits.values()) == {2}
 
     @pytest.mark.parametrize(
         "misprint",
-        [{"A": {1: "D4", 4: "D3"}}, {"B": {4: "D7"}}],
+        [{("A", 1): "D4", ("A", 4): "D3"}, {("B", 4): "D7"}],
         ids=["swapped-labels", "unknown-label"],
     )
     def test_misprinted_limit_table_raises(self, monkeypatch, misprint):
-        limits = {
-            family: {**row, **misprint.get(family, {})}
-            for family, row in strat_cover.CUBE_CORNER_LIMITS.items()
-        }
-        monkeypatch.setattr(strat_cover, "CUBE_CORNER_LIMITS", limits)
+        monkeypatch.setattr(strat_cover, "CUBE_CORNER_LIMITS", {**CUBE_CORNER_LIMITS, **misprint})
         with pytest.raises(RuntimeError):
             corner_limit_geodesics()
         assert not verify.cube_corner_geodesics(0, 1).passed
 
     def test_limit_table_spot_values(self):
-        table = corner_limit_table()
-        assert table[("A", 1)] == "D3"
-        assert table[("A", 10)] == "D1"
-        assert table[("B", 7)] == "D2"
-        assert table[("C", 4)] == "D2"
+        assert len(CUBE_CORNER_LIMITS) == 12
+        assert CUBE_CORNER_LIMITS["A", 1] == "D3"
+        assert CUBE_CORNER_LIMITS["A", 10] == "D1"
+        assert CUBE_CORNER_LIMITS["B", 7] == "D2"
+        assert CUBE_CORNER_LIMITS["C", 4] == "D2"
 
     def test_family_a_limits_converge_at_known_rate(self):
         limits = corner_limit_geodesics()
-        table = corner_limit_table()
         for idx in (1, 4, 7, 10):
-            lim = reparametrize_constant_speed(Polyline(limits[table[("A", idx)]]))
+            lim = reparametrize_constant_speed(Polyline(limits[CUBE_CORNER_LIMITS["A", idx]]))
             for a in (F(1, 10), F(1, 100)):
                 cand = candidate_path((-H + a, -H + a), (H - a, -H + a), idx)
                 poly = reparametrize_constant_speed(cand.as_polyline())

@@ -387,8 +387,9 @@ class TestLocalPoset:
         poset = torus_local_poset(
             TorusPoint.make([0, 0]), TorusPoint.make([F(1, 10), F(1, 5)])
         )
-        assert poset.level_count() == 1
-        assert lower_bound(poset).lower_bound == 0
+        report = lower_bound(poset)
+        assert report.levels == 1
+        assert report.lower_bound == 0
 
     def test_full_antipode_recovers_corner_poset(self):
         for n in (1, 2, 3):
@@ -396,8 +397,9 @@ class TestLocalPoset:
             y = TorusPoint.make([H] * n)
             poset = torus_local_poset(x, y)
             assert validate_poset(poset) == ()
-            assert poset.level_count() == n + 1
-            assert lower_bound(poset).lower_bound == n
+            report = lower_bound(poset)
+            assert report.levels == n + 1
+            assert report.lower_bound == n
 
 
 #: point class, geodesics and planner of each flat quotient under test.

@@ -608,8 +608,9 @@ class TestLocalPoset:
     def test_s4_point_poset(self):
         poset = klein_s4_poset()
         assert validate_poset(poset) == ()
-        assert poset.level_count() == 4
-        assert lower_bound(poset).lower_bound == 3
+        report = lower_bound(poset)
+        assert report.levels == 4
+        assert report.lower_bound == 3
 
 
 def test_displacements_respect_metric():

@@ -1,5 +1,6 @@
 """Stratified-covering posets: validation, bounds, builtins, documents."""
 
+import hashlib
 import json
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoplan.render import dump_json
 from geoplan.strat_cover import (
     CoverMap,
     PosetElement,
@@ -14,7 +16,6 @@ from geoplan.strat_cover import (
     StratPoset,
     builtin_poset,
     from_document,
-    inconsistent_at,
     loads_document,
     lower_bound,
     to_document,
@@ -63,6 +64,24 @@ def test_equality_certificate_requires_all_flags(name):
         assert upper is None
 
 
+#: sha256 of each builtin's canonical JSON document, as ``geoplan`` prints it.
+BUILTIN_DOCUMENT_SHA256 = {
+    "circle": "5bdb5754f227a5deff49f5e6c0996f1acabe71f4bdaef49f9ce4ed638e73f79d",
+    "klein_S4": "9bca82a5d845df594fe059508a037eb57214f76b376dab096e40d23d547f0de2",
+    "cube_corner": "15ad7ac7c148cfef0cb1e41ba79a6d50a898d22f342ad6f0411a98c991e684b4",
+    "torus_corner:1": "d19f94c71bebf3c05a8906943a52662e1171a71b429a8218160e5d0af5a87b32",
+    "torus_corner:2": "2f4ef361bdfa1ca4423115fa420fc873a98aaf0fb63db2d1cc3eeca226703002",
+    "torus_corner:3": "556195e792f3ccfecbd8d05723cdab79048e9dcf771cbf23e0a0db4950e14cb2",
+    "torus_corner:4": "b78aee7308d0dff76e555ad8a447235d1071d59d56a2681c48732b5cb269b738",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_DOCUMENT_SHA256))
+def test_builtin_documents_are_pinned(name):
+    text = dump_json(to_document(*builtin_poset(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_DOCUMENT_SHA256[name]
+
+
 def test_unknown_builtin_rejected():
     with pytest.raises(ValueError):
         builtin_poset("mystery")
@@ -74,13 +93,30 @@ def test_unknown_builtin_rejected():
         builtin_poset("torus_corner:" + "1" * 5000)
 
 
+def reference_inconsistent_ids(p):
+    """The inconsistent elements found one element at a time: for each id,
+    scan every cover for those into it and meet their images; no incoming
+    map is consistent."""
+    found = []
+    for e in p.elements:
+        images = [set(c.mapping.values()) for c in p.covers if c.dst == e.id]
+        if images and not set.intersection(*images):
+            found.append(e.id)
+    return tuple(found)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS) + ["torus_corner:5"])
+def test_inconsistent_ids_match_the_per_element_scan(name):
+    poset, _ = builtin_poset(name)
+    assert lower_bound(poset).inconsistent_ids == reference_inconsistent_ids(poset)
+
+
 def test_bottom_elements_are_never_inconsistent():
     for name in BUILTINS:
         poset, _ = builtin_poset(name)
-        bottom = min(poset.levels)
-        for e in poset.elements:
-            if e.level == bottom:
-                assert not inconsistent_at(poset, e.id)
+        report = lower_bound(poset)
+        bottom = {e.id for e in poset.elements if e.level == report.bottom_level}
+        assert bottom.isdisjoint(report.inconsistent_ids), name
 
 
 def test_inconsistency_requires_incoming_maps():
@@ -92,8 +128,8 @@ def test_inconsistency_requires_incoming_maps():
         [],
     )
     # no incoming covers at "high": vacuously consistent, so no bound
-    assert not inconsistent_at(poset, "high")
     report = lower_bound(poset)
+    assert report.inconsistent_ids == ()
     assert report.lower_bound is None
     assert report.consistent_above_bottom == ("high",)
 
@@ -111,8 +147,8 @@ def test_two_sided_images_with_empty_intersection_are_inconsistent():
         ],
     )
     # images inside the *top* element's sheets: {a} and {b}, disjoint
-    assert inconsistent_at(poset, "top")
     report = lower_bound(poset)
+    assert report.inconsistent_ids == ("top",)
     assert report.lower_bound == 1
 
 
@@ -384,6 +420,7 @@ def reference_validate(p):
         return ("poset has no elements",)
     errors = []
     sheet_sets = {}
+    level = {}
     for e in p.elements:
         if not e.id:
             errors.append("element with empty id")
@@ -394,6 +431,7 @@ def reference_validate(p):
         if not e.sheets:
             errors.append(f"element {e.id!r} has no sheets")
         sheet_sets[e.id] = set(e.sheets)
+        level[e.id] = e.level
         if len(sheet_sets[e.id]) != len(e.sheets):
             errors.append(f"element {e.id!r} repeats a sheet label")
     levels = {e.level for e in p.elements if isinstance(e.level, int) and e.level >= 1}
@@ -413,7 +451,7 @@ def reference_validate(p):
         if (c.src, c.dst) in pairs:
             errors.append(f"{tag} is duplicated")
         pairs.add((c.src, c.dst))
-        low, high = p.by_id[c.src].level, p.by_id[c.dst].level
+        low, high = level[c.src], level[c.dst]
         if valid(low) and valid(high) and high != low + 1:
             errors.append(f"{tag} is not between adjacent levels")
         if set(c.mapping) != sheet_sets[c.src]:
@@ -522,10 +560,12 @@ def test_third_incoming_image_can_empty_the_meet():
     elements = [PosetElement(f"low{i}", 1, ("s", "t")) for i in range(3)]
     elements.append(PosetElement("top", 2, ("p", "q", "r")))
     covers = [CoverMap(f"low{i}", "top", {"s": u, "t": v}) for i, (u, v) in enumerate(images)]
-    assert not inconsistent_at(StratPoset(elements, covers[:2]), "top")
-    poset = StratPoset(elements, covers)
-    assert inconsistent_at(poset, "top")
-    assert lower_bound(poset).lower_bound == 1
+    two = lower_bound(StratPoset(elements, covers[:2]))
+    assert two.inconsistent_ids == ()
+    assert two.consistent_above_bottom == ("top",)
+    report = lower_bound(StratPoset(elements, covers))
+    assert report.inconsistent_ids == ("top",)
+    assert report.lower_bound == 1
 
 
 def test_relabel_invariance():
@@ -567,10 +607,9 @@ def test_monotonicity_under_top_level_removal():
             continue
         poset, _ = builtin_poset(name)
         top = max(poset.levels)
-        trimmed = StratPoset(
-            [e for e in poset.elements if e.level < top],
-            [c for c in poset.covers if poset.by_id[c.dst].level < top],
-        )
+        kept = [e for e in poset.elements if e.level < top]
+        kept_ids = {e.id for e in kept}
+        trimmed = StratPoset(kept, [c for c in poset.covers if c.dst in kept_ids])
         report = lower_bound(trimmed)
         assert report.valid, name
         assert report.lower_bound == bound - 1, name
