@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 
 from .metric_core import Polyline, _frac, integer_points
@@ -103,13 +103,16 @@ def _chart_to_space(face: str, u: Fraction, v: Fraction) -> Vec3:
 
 
 def containing_faces(p: Vec3) -> tuple[str, ...]:
-    """All faces whose closed square contains the surface point."""
+    """All faces whose closed square contains the surface point.
+
+    Each coordinate ``n/d`` is compared in integers: it lies in [-1/2, 1/2]
+    when ``2|n| <= d`` and sits on a face's plane when ``2n = +-d``."""
     out = []
-    for face in FACES:
-        axis = _AXIS[face[0]]
-        target = _HALF if face[1] == "+" else -_HALF
-        if p[axis] == target and all(abs(c) <= _HALF for c in p):
-            out.append(face)
+    if all(2 * abs(c.numerator) <= c.denominator for c in p):
+        for face in FACES:
+            c = p[_AXIS[face[0]]]
+            if 2 * c.numerator == (c.denominator if face[1] == "+" else -c.denominator):
+                out.append(face)
     if not out:
         raise ValueError(f"point {','.join(str(c) for c in p)} is not on the cube surface")
     return tuple(out)
@@ -130,15 +133,18 @@ class CubePoint:
     def __post_init__(self) -> None:
         if self.face not in _FRAMES:
             raise ValueError(f"unknown face {self.face!r}")
-        if not (abs(self.u) <= _HALF and abs(self.v) <= _HALF):
-            raise ValueError("chart coordinates must lie in [-1/2, 1/2]")
+        for c in (self.u, self.v):
+            if not isinstance(c, Fraction):
+                raise TypeError("coordinates must be Fractions; use CubePoint.make")
+            if 2 * abs(c.numerator) > c.denominator:
+                raise ValueError("chart coordinates must lie in [-1/2, 1/2]")
 
     @classmethod
     def make(cls, face: str, u, v) -> "CubePoint":
         if face not in _FRAMES:
             raise ValueError(f"unknown face {face!r}")
         u, v = _frac(u), _frac(v)
-        if abs(u) < _HALF and abs(v) < _HALF:
+        if 2 * abs(u.numerator) < u.denominator and 2 * abs(v.numerator) < v.denominator:
             # A strictly interior chart point lies on its own face only.
             return cls(face, u, v)
         return cls.from_space(_chart_to_space(face, u, v))
@@ -160,7 +166,7 @@ class CubePoint:
 
     @cached_property
     def _faces(self) -> tuple[str, ...]:
-        if abs(self.u) < _HALF and abs(self.v) < _HALF:
+        if all(2 * abs(c.numerator) < c.denominator for c in (self.u, self.v)):
             return (self.face,)
         return containing_faces(self.point)
 
@@ -218,9 +224,8 @@ class UnfoldedPath:
 # In doubled chart coordinates (face squares [-1, 1]^2, so unfolded face
 # centers sit at even and cube corners at odd integer points) every
 # unfolding map is a quarter turn plus an integer shift, stored as
-# (cos, sin, shift_u, shift_v).  A query puts both endpoints on one integer
-# scale with ``metric_core.integer_points``; every surface point has a +-1/2
-# coordinate, so that scale is even, ``2 * half``, and the charts are integers
+# (cos, sin, shift_u, shift_v).  A query lifts both endpoints to integers on
+# one even scale, ``2 * half`` (see ``_Query``), so their charts are integers
 # too.  A doubled map then acts on scaled charts with its shift multiplied by
 # ``half``.  All admissibility tests are integer cross-multiplications.
 # ---------------------------------------------------------------------------
@@ -279,18 +284,34 @@ def _unfold_maps(seq: tuple[str, ...]) -> tuple[tuple[_Map, ...], tuple[_Edge, .
 
 
 class _Query:
-    """Both endpoints of one query with integer charts in each containing face."""
+    """Both endpoints of one query, lifted once to integers.
+
+    ``scale`` is the lcm of 2 and the four chart denominators.  A surface
+    point's coordinates are +-u, +-v and +-1/2, so this equals the lcm of
+    the 3-D denominators, and ``scale`` times a point is an integer vector
+    ``q = half * c2 + U * eu + V * ev``: ``c2`` is the doubled face center,
+    ``eu`` and ``ev`` the chart axes, and ``(U, V)`` the chart times
+    ``scale``.  The chart in every face containing the endpoint is read off
+    ``q``, and ``exact_ends`` holds each ``q_i / scale`` as a reduced
+    (numerator, denominator) pair, so no Fraction is built."""
 
     __slots__ = ("half", "scale", "x_charts", "y_charts", "exact_ends")
 
     def __init__(self, x: CubePoint, y: CubePoint):
-        self.scale, (xq, yq) = integer_points((x.point, y.point))
-        self.half = self.scale // 2
-        self.x_charts = {f: _scaled_chart(f, xq, self.half) for f in x.faces()}
-        self.y_charts = {f: _scaled_chart(f, yq, self.half) for f in y.faces()}
-        # both endpoints as reduced (numerator, denominator) pairs per axis
+        scale = lcm(2, x.u.denominator, x.v.denominator, y.u.denominator, y.v.denominator)
+        half = scale // 2
+        lifts = []
+        for p in (x, y):
+            c2, eu, ev = _INT_FRAMES[p.face]
+            a = p.u.numerator * (scale // p.u.denominator)
+            b = p.v.numerator * (scale // p.v.denominator)
+            lifts.append(tuple(half * c2[i] + a * eu[i] + b * ev[i] for i in range(3)))
+        xq, yq = lifts
+        self.scale, self.half = scale, half
+        self.x_charts = {f: _scaled_chart(f, xq, half) for f in x.faces()}
+        self.y_charts = {f: _scaled_chart(f, yq, half) for f in y.faces()}
         self.exact_ends = tuple(
-            tuple((c.numerator, c.denominator) for c in p) for p in (x.point, y.point)
+            tuple((c // (g := gcd(c, scale)), scale // g) for c in q) for q in lifts
         )
 
     def endpoints(self, seq: tuple[str, ...]) -> _Ends:
@@ -402,13 +423,29 @@ _Row = tuple[tuple[str, ...], str, str, _Map]
 @lru_cache(maxsize=None)
 def _face_sequences(starts, ends) -> tuple[_Row, ...]:
     """Every simple face sequence from a face in ``starts`` to one in
-    ``ends``, as ranking rows.  No face repeats, so a sequence has at most
-    six faces."""
+    ``ends``, as ranking rows, less those with a touch-only end face.  No
+    face repeats, so a sequence has at most six faces.
+
+    A row is left out when its second face is in ``starts`` or its
+    second-to-last face is in ``ends``.  Say the second face ``f1`` holds x
+    too.  Then x lies on the edge that ``f1`` shares with the first face
+    ``f0``, and the unfolded segment starts on that edge's line, so it
+    crosses the edge at x itself or runs along it, which is inadmissible.
+    An admissible unfolding thus meets ``f0`` only at x.  The sequence
+    without ``f0`` is ranked too, unfolds to the same segment (x has one
+    place in the plane, on the shared edge), and crosses the same edges at
+    the same instants but the first one, so it is admissible and has the
+    same squared length.  The dropped crossing is x itself, which
+    :func:`_breakpoints` never lists twice, so the breakpoint key is the
+    same.  The dedupe in :func:`cube_geodesics` keeps the shorter sequence
+    of one key (or one shorter still, where that one is left out too), so
+    leaving the row out changes no answer; the last face mirrors this.
+    Single-face tables, ``(f,)`` to ``(g,)``, lose no row."""
     out: list[_Row] = []
 
     def extend(path: tuple[str, ...]) -> None:
         last = path[-1]
-        if last in ends:
+        if last in ends and (len(path) == 1 or path[1] not in starts and path[-2] not in ends):
             out.append((path, path[0], last, _unfold_maps(path)[0][-1]))
         for g in FACES:
             if g not in path and _adjacent(last, g):
@@ -429,15 +466,20 @@ def cube_geodesics(x: CubePoint, y: CubePoint) -> tuple[UnfoldedPath, ...]:
     straight segment inside it.  So the simple face sequences, which repeat
     no face, hold every shortest path.
 
-    Ranks every simple face sequence between faces containing the endpoints
-    by the planar length of its unfolded segment, tests admissibility
-    best-first, and stops after the first length with an admissible
-    candidate.  Those minimizers are returned in trace order, one per exact
-    surface trace: tied unfoldings with one trace are dropped on exact
-    integer keys of their breakpoints before any Fraction is built, keeping
-    the one with the shortest, then least, face sequence.
+    Both endpoints are lifted once to integers (:class:`_Query`).  Ranks
+    every simple face sequence between faces containing the endpoints, but
+    those that only touch their first or last face at an endpoint (see
+    :func:`_face_sequences`), by the planar length of its unfolded segment,
+    tests admissibility best-first, and stops after the first length with
+    an admissible candidate.  Those minimizers are returned in trace order,
+    one per exact surface trace: tied unfoldings with one trace are dropped
+    on exact integer keys of their breakpoints before any Fraction is built,
+    keeping the one with the shortest, then least, face sequence.  At the
+    corner pair the pruned table ranks 54 rows, not 240, and tests 6 for
+    admissibility, not 150: one per geodesic.
     """
-    if x.point == y.point:
+    query = _Query(x, y)
+    if query.exact_ends[0] == query.exact_ends[1]:
         chart = (x.u, x.v)
         return (
             UnfoldedPath(
@@ -448,7 +490,6 @@ def cube_geodesics(x: CubePoint, y: CubePoint) -> tuple[UnfoldedPath, ...]:
                 trace=(x.point,),
             ),
         )
-    query = _Query(x, y)
     x_charts, y_charts, half = query.x_charts, query.y_charts, query.half
     ranked = []
     for seq, first, last, (c, s, t0, t1) in _face_sequences(x.faces(), y.faces()):
@@ -605,7 +646,7 @@ def opposite_face_table(x, y) -> CandidateTable:
     x1, x2 = (_frac(c) for c in x)
     y1, y2 = (_frac(c) for c in y)
     for c in (x1, x2, y1, y2):
-        if not -_HALF < c < _HALF:
+        if 2 * abs(c.numerator) >= c.denominator:
             raise ValueError("opposite-face charts require interior points")
     query = _Query(CubePoint("z-", x1, x2), CubePoint("z+", y1, y2))
     admissible = tuple(

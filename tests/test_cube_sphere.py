@@ -2,6 +2,7 @@
 diagonal and corner behavior, witness pairs, corner limits."""
 
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from geoplan.cube_sphere import (
     UnfoldedPath,
     _face_sequences,
     _chart_to_space,
+    _scaled_chart,
     _lsq_formulas,
     _Query,
     _adjacent,
@@ -40,7 +42,7 @@ from geoplan.metric_core import (
     reparametrize_constant_speed,
     sup_distance_sq,
 )
-from geoplan import metric_core, strat_cover, verify
+from geoplan import cube_sphere, metric_core, strat_cover, verify
 from geoplan.strat_cover import CUBE_CORNER_LIMITS, cube_corner_poset, lower_bound
 
 F = Fraction
@@ -54,11 +56,14 @@ def interior(rng: random.Random) -> Fraction:
 def reference_geodesics(x: CubePoint, y: CubePoint):
     """Reference without pruning or integer keys: unfold every simple face
     sequence, keep the admissible minimum, sort those paths by
-    ``(trace, len, seq)`` and keep the first of each trace."""
+    ``(trace, len, seq)`` and keep the first of each trace.  The rows come
+    from the single-face tables, which leave out no touch-only end face."""
     query = _Query(x, y)
     paths = [
         path
-        for seq, *_ in _face_sequences(x.faces(), y.faces())
+        for f in x.faces()
+        for g in y.faces()
+        for seq, *_ in _face_sequences((f,), (g,))
         if (path := _unfold_path(query, seq)) is not None
     ]
     best = min(p.squared_length for p in paths)
@@ -162,6 +167,14 @@ class TestPoints:
     def test_unknown_face_rejected(self):
         with pytest.raises(ValueError):
             CubePoint.make("w+", F(0), F(0))
+
+    def test_float_coordinates_rejected(self):
+        with pytest.raises(TypeError, match="use CubePoint.make"):
+            CubePoint("z-", 0.1, 0.2)
+        with pytest.raises(TypeError, match="use CubePoint.make"):
+            CubePoint("z-", F(1, 10), 0)
+        with pytest.raises(TypeError, match="refusing float"):
+            CubePoint.make("z-", 0.1, 0.2)
 
 
 class TestGeodesics:
@@ -555,16 +568,92 @@ def test_integer_dedupe_matches_the_fraction_sort():
 
 
 def test_corner_pair_builds_one_path_per_geodesic(monkeypatch):
-    """The 150 tied admissible unfoldings of the corner pair are deduplicated
-    before any path is built: one ``UnfoldedPath`` per geodesic."""
-    built = 0
+    """The corner pair ranks 54 rows, not 240: a sequence that only touches
+    its first or last face at a corner is left out.  It tests 6 of them for
+    admissibility, one per geodesic, and builds one ``UnfoldedPath`` each."""
+    p, q = corner_pair()
+    assert len(_face_sequences(p.faces(), q.faces())) == 54
+    tested = built = 0
+    crossings = cube_sphere._crossings
     init = UnfoldedPath.__init__
+
+    def counting_crossings(*args):
+        nonlocal tested
+        tested += 1
+        return crossings(*args)
 
     def counting(self, *args, **kwargs):
         nonlocal built
         built += 1
         init(self, *args, **kwargs)
 
+    monkeypatch.setattr(cube_sphere, "_crossings", counting_crossings)
     monkeypatch.setattr(UnfoldedPath, "__init__", counting)
-    assert len(cube_geodesics(*corner_pair())) == 6
-    assert built == 6
+    assert len(cube_geodesics(p, q)) == 6
+    assert (tested, built) == (6, 6)
+
+
+def _grid_points() -> tuple[CubePoint, ...]:
+    """The 218 distinct surface points whose chart coordinates have
+    denominators at most 4: 150 face-interior points, 60 edge points and
+    the 8 corners, in the order ``make`` first meets them."""
+    coords = sorted({F(n, d) for d in (1, 2, 3, 4) for n in range(-d, d + 1) if 2 * abs(n) <= d})
+    return tuple(
+        dict.fromkeys(CubePoint.make(face, u, v) for face in FACES for u in coords for v in coords)
+    )
+
+
+def reference_query(x: CubePoint, y: CubePoint):
+    """``_Query``'s fields built from the Fraction 3-D points, as before the
+    integer lift: the lcm of the 3-D denominators, the integer points on it,
+    and the reduced pairs of the Fraction coordinates."""
+    scale, (xq, yq) = metric_core.integer_points((x.point, y.point))
+    half = scale // 2
+    return (
+        scale,
+        {f: _scaled_chart(f, xq, half) for f in x.faces()},
+        {f: _scaled_chart(f, yq, half) for f in y.faces()},
+        tuple(tuple((c.numerator, c.denominator) for c in p) for p in (x.point, y.point)),
+    )
+
+
+# sha256 of repr(cube_geodesics(x, y)), one line per pair, over every 7th
+# ordered pair of the grid, recorded before the integer lift and the pruned
+# end faces; both must keep these bytes.
+PINNED_GRID_SHA256 = "f6bf76587a7b873adec8bf1d59ad165e81838c4d192b8098c062c2bab71bbaa8"
+
+
+class TestGrid:
+    """Bounded-exhaustive checks on the small-denominator grid, which holds
+    every corner and points on every edge and face diagonal."""
+
+    points = _grid_points()
+
+    def test_grid_shape(self):
+        kinds = [len(p.faces()) for p in self.points]
+        assert [kinds.count(n) for n in (1, 2, 3)] == [150, 60, 8]
+
+    def test_direct_points_know_their_faces(self):
+        """``faces()`` of a point built without ``make``, owner or not."""
+        coords = sorted({c for p in self.points for c in (p.u, p.v)})
+        for face in FACES:
+            for u in coords:
+                for v in coords:
+                    point = CubePoint(face, u, v)
+                    assert point.faces() == containing_faces(_chart_to_space(face, u, v))
+
+    def test_query_lift_equals_the_fraction_construction(self):
+        for x in self.points:
+            for y in self.points:
+                query = _Query(x, y)
+                got = (query.scale, query.x_charts, query.y_charts, query.exact_ends)
+                assert got == reference_query(x, y)
+                assert query.half * 2 == query.scale
+
+    def test_geodesics_match_the_pinned_digest(self):
+        pairs = list(itertools.product(self.points, repeat=2))[::7]
+        assert len(pairs) == 6790
+        digest = hashlib.sha256()
+        for x, y in pairs:
+            digest.update(repr(cube_geodesics(x, y)).encode() + b"\n")
+        assert digest.hexdigest() == PINNED_GRID_SHA256
