@@ -370,7 +370,8 @@ def _crossings(query: _Query, seq: tuple[str, ...], ends: _Ends) -> list[tuple[i
 def _breakpoints(query: _Query, seq: tuple[str, ...], crossings: list[tuple[int, int]]) -> _Key:
     """Surface breakpoints of an admissible unfolding, each coordinate as a
     reduced (numerator, positive denominator) pair: the start, every edge
-    crossing that moves, and the end.  Equal keys mean equal traces."""
+    crossing that moves, and the end when it moves.  Equal keys mean equal
+    traces, and equal endpoints key to the one breakpoint ``(x,)``."""
     _, edges = _unfold_maps(seq)
     first, last = query.exact_ends
     points = [first]
@@ -388,7 +389,7 @@ def _breakpoints(query: _Query, seq: tuple[str, ...], crossings: list[tuple[int,
         cp = tuple(cp)
         if cp != points[-1]:
             points.append(cp)
-    if last != points[-1] or len(points) == 1:
+    if last != points[-1]:
         points.append(last)
     return tuple(points)
 
@@ -477,19 +478,16 @@ def cube_geodesics(x: CubePoint, y: CubePoint) -> tuple[UnfoldedPath, ...]:
     keeping the one with the shortest, then least, face sequence.  At the
     corner pair the pruned table ranks 54 rows, not 240, and tests 6 for
     admissibility, not 150: one per geodesic.
+
+    Equal endpoints take the same path.  The only admissible zero-length
+    rows are the single faces ``(f,)`` holding the point, since
+    :func:`_crossings` refuses a degenerate segment over two faces or more.
+    Each unfolds with no crossing and keys to the one breakpoint ``(x,)``,
+    and the tie rule keeps the least face: faces meeting at a point differ
+    in their axis letter, so that is the owner.  The answer depends only on the surface
+    point, also for a point built directly in a chart that does not own it.
     """
     query = _Query(x, y)
-    if query.exact_ends[0] == query.exact_ends[1]:
-        chart = (x.u, x.v)
-        return (
-            UnfoldedPath(
-                face_sequence=(x.face,),
-                planar_start=chart,
-                planar_end=chart,
-                squared_length=Fraction(0),
-                trace=(x.point,),
-            ),
-        )
     x_charts, y_charts, half = query.x_charts, query.y_charts, query.half
     ranked = []
     for seq, first, last, (c, s, t0, t1) in _face_sequences(x.faces(), y.faces()):
@@ -707,24 +705,14 @@ def diagonal_table(x_d, y_d) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class WitnessPair:
-    """A labeled pair with its computed minimizing candidate indices."""
+    """A labeled witness pair's minimizing candidate indices."""
 
     label: str
-    x: CubePoint
-    y: CubePoint
     indices: tuple[int, ...]
-    table: CandidateTable
 
 
 def _witness_pair(label: str, xcoords: Vec2, ycoords: Vec2) -> WitnessPair:
-    table = opposite_face_table(xcoords, ycoords)
-    return WitnessPair(
-        label=label,
-        x=CubePoint.make("z-", *xcoords),
-        y=CubePoint.make("z+", *ycoords),
-        indices=table.argmin_indices(),
-        table=table,
-    )
+    return WitnessPair(label, opposite_face_table(xcoords, ycoords).argmin_indices())
 
 
 def witness_sequences(i: int, j: int, k: int) -> tuple[WitnessPair, WitnessPair, WitnessPair]:

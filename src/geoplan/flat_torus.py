@@ -351,7 +351,6 @@ class TorusCutLocus:
     """Union-of-subtori description of the cut locus, plus a drawable graph
     for n <= 2 (a point for the circle, a wedge of two circles for n = 2)."""
 
-    base: TorusPoint
     strata: tuple[TorusCutStratum, ...]
     graph: CutLocusGraph | None
 
@@ -393,7 +392,7 @@ def torus_cut_locus(x: TorusPoint) -> TorusCutLocus:
                 CutEdge(0, 0, ((u, v), (u + 1, v)), gluing="longitude"),
             ),
         )
-    return TorusCutLocus(base=x, strata=tuple(strata), graph=graph)
+    return TorusCutLocus(strata=tuple(strata), graph=graph)
 
 
 def torus_plan(x: TorusPoint, y: TorusPoint) -> PlannerResult:

@@ -153,10 +153,22 @@ def klein_plan(x: KleinPoint, y: KleinPoint) -> PlannerResult:
     Domains: 0 for unique-geodesic pairs; then each count-``m`` stratum is
     split by whether ``x`` lies on the circle ``x1 = 0``, giving
     ``2(m-1) - 1`` for pairs off the circle and ``2(m-1)`` on it.  Choices:
-    with three geodesics take the unique one on the minority horizontal
-    side; otherwise take the greatest displacement in lexicographic order,
-    as ``torus_plan`` does ("up" or "right" by how the two lifts differ,
-    "up_right" among four).
+    with three geodesics take the longest horizontal run, the unique one on
+    the minority horizontal side; otherwise take the greatest displacement
+    in lexicographic order, as ``torus_plan`` does ("up" or "right" by how
+    the two lifts differ, "up_right" among four).
+
+    The three-geodesic pairs are the theta vertices, where the runs are
+    ``a, a, 1 - a`` with ``3/8 <= a < 1/2``, so the longest run is the one
+    lift on its own side.  Up to symmetry, put ``x`` at the origin and the
+    vertex at ``(a, 1/2)``: on the bisector of ``x`` and ``beta(x)``, so
+    two nearest lifts differ by ``beta`` and share the run ``a``.  The
+    vertex is as far from ``x`` as from the glide neighbour at ``(1, d)``,
+    whose vertical offset ``d`` is ``1 - 2 x2`` up to a whole turn, in
+    ``(0, 1)`` as ``x2`` is neither 0 nor 1/2.  So
+    ``2a = 3/4 + (1/2 - d)^2``.  A deck element moves ``u`` by a whole
+    shift, so the third lift's run is the vertex's run from that
+    neighbour, ``1 - a``.
     """
     geos = klein_geodesics(x, y)
     m = len(geos)
@@ -165,12 +177,9 @@ def klein_plan(x: KleinPoint, y: KleinPoint) -> PlannerResult:
         return PlannerResult(0, 1, "unique", geos[0])
     domain = m if on_circle else m - 1
     if m == 3:
-        left = [g for g in geos if g.displacement[0] < 0]
-        right = [g for g in geos if g.displacement[0] > 0]
-        if len(left) + len(right) != 3 or not left or not right:
-            raise RuntimeError("three-geodesic pair without a 2/1 horizontal split")
-        minority = left if len(left) == 1 else right
-        return PlannerResult(domain, m, "minority_side", minority[0])
+        return PlannerResult(
+            domain, m, "minority_side", max(geos, key=lambda g: abs(g.displacement[0]))
+        )
     if m == 4:
         rule = "up_right"
     else:

@@ -118,10 +118,10 @@ def validate_poset(p: StratPoset) -> tuple[str, ...]:
     adjacency check: that element's own error reports it.
 
     Cost: linear in the total size of the sheet maps, plus the two-step
-    chains compared.  A map shared by covers out of one source is examined
-    once for that source, then only its image is checked against each
-    cover's destination.  Chains are compared only from elements that reach
-    a map that is not an inclusion within two steps.
+    chains compared.  A map shared by consecutive covers out of one source
+    is examined once for the run, then only its image is checked against
+    each cover's destination.  Chains are compared only from elements that
+    reach a map that is not an inclusion within two steps.
     """
     errors: list[str] = []
     if not p.elements:
@@ -148,13 +148,11 @@ def validate_poset(p: StratPoset) -> tuple[str, ...]:
         nodes[eid] = (sheet_set, level, {})
     if levels and len(levels) != max(levels) - min(levels) + 1:
         errors.append(f"levels {sorted(levels)} are not contiguous")
-    # Per (map object, source id): whether the map is total on the source,
-    # its image and whether it is injective.
-    facts: dict[tuple[int, str], tuple] = {}
     # Sources with a map that does not send every sheet to itself.
     mixed: set[str] = set()
     # The builders emit each source's covers in one run sharing one map, so
-    # the facts are looked up only when the map or the source changes.
+    # whether the map is total on the source, its image and whether it is
+    # injective are worked out only when the map or the source changes.
     last_map: object = object()
     last_src = None
     for src, dst, mapping in p.covers:
@@ -170,19 +168,12 @@ def validate_poset(p: StratPoset) -> tuple[str, ...]:
             errors.append(f"cover {src!r}->{dst!r} is not between adjacent levels")
         if mapping is not last_map or src != last_src:
             last_map, last_src = mapping, src
-            key = (id(mapping), src)
-            fact = facts.get(key)
-            if fact is None:
-                inclusion = list(mapping) == list(mapping.values())
-                image = mapping.keys() if inclusion else set(mapping.values())
-                fact = facts[key] = (
-                    mapping.keys() == src_sheets,
-                    image,
-                    inclusion or len(image) == len(mapping),
-                )
-                if not inclusion:
-                    mixed.add(src)
-            total, image, injective = fact
+            inclusion = list(mapping) == list(mapping.values())
+            image = mapping.keys() if inclusion else set(mapping.values())
+            total = mapping.keys() == src_sheets
+            injective = inclusion or len(image) == len(mapping)
+            if not inclusion:
+                mixed.add(src)
         if not total:
             errors.append(f"cover {src!r}->{dst!r} map is not total on the source sheets")
         if not image <= dst_sheets:

@@ -879,11 +879,13 @@ def core_reparametrization(check: CheckResult, seed: int, trials: int) -> None:
 @_check("straight_segments")
 def core_straight_segments(check: CheckResult, seed: int, trials: int) -> None:
     """Reparametrized monotone collinear polylines and raw segments pass the
-    exact geodesic test; a genuinely bent polyline fails it."""
+    exact geodesic test; a genuinely bent polyline fails it.  Runs half the
+    trials given, at least one."""
+    check.trials = max(1, trials // 2)
     from . import metric_core
     from .metric_core import Polyline
     rng = random.Random(seed + 14)
-    for _ in range(trials):
+    for _ in range(check.trials):
         p = _random_polyline(rng, collinear=True)
         q = metric_core.reparametrize_constant_speed(p)
         if not metric_core.is_geodesic(q):
@@ -924,11 +926,13 @@ def core_sqrt_predicates(check: CheckResult, seed: int, trials: int) -> None:
 @_check("sup_distance")
 def core_sup_distance(check: CheckResult, seed: int, trials: int) -> None:
     """Sup distance: zero against itself, symmetric, and never exceeded at
-    the 16 uniform parameters ``k/15``."""
+    the 16 uniform parameters ``k/15``.  Runs half the trials given, at
+    least one."""
+    check.trials = max(1, trials // 2)
     from .metric_core import dist_sq, sup_distance_sq
     rng = random.Random(seed + 28)
     grid = [Fraction(k, 15) for k in range(16)]
-    for _ in range(trials):
+    for _ in range(check.trials):
         p = _random_polyline(rng, collinear=False)
         q = _random_polyline(rng, collinear=False)
         while q.dimension != p.dimension:
@@ -1088,39 +1092,24 @@ def poset_rejects_violations(check: CheckResult, seed: int, trials: int) -> None
 # ---------------------------------------------------------------------------
 
 
-def _upto(cap: int) -> Callable[[int], int]:
-    return lambda trials: min(trials, cap)
-
-
-def _fixed(count: int) -> Callable[[int], int]:
-    return lambda trials: count
-
-
-def _every(trials: int) -> int:
-    return trials
-
-
-def _half(trials: int) -> int:
-    return max(1, trials // 2)
-
-
-#: Each suite's rows, in report order: (check, trial rule, extra arguments);
-#: a row runs ``check(seed, rule(trials), *args)``.
-SUITES: dict[str, list[tuple[Check, Callable[[int], int], tuple]]] = {
+#: Each suite's rows, in report order: (check, trial cap, extra arguments);
+#: a row runs ``check(seed, min(trials, cap), *args)``, and ``math.inf``
+#: runs every trial.
+SUITES: dict[str, list[tuple[Check, float, tuple]]] = {
     "core": [
-        (core_reparametrization, _every, ()),
-        (core_straight_segments, _half, ()),
-        (core_sqrt_predicates, _every, ()),
-        (core_sup_distance, _half, ()),
-        (poset_builtin_bounds, _every, ()),
-        (poset_relabel_invariance, _upto(50), ()),
-        (poset_monotonicity, _every, ()),
-        (poset_rejects_violations, _every, ()),
+        (core_reparametrization, math.inf, ()),
+        (core_straight_segments, math.inf, ()),
+        (core_sqrt_predicates, math.inf, ()),
+        (core_sup_distance, math.inf, ()),
+        (poset_builtin_bounds, math.inf, ()),
+        (poset_relabel_invariance, 50, ()),
+        (poset_monotonicity, math.inf, ()),
+        (poset_rejects_violations, math.inf, ()),
     ],
     "torus": [
-        *[(torus_count_law, _every, (n,)) for n in (1, 2, 3, 4)],
+        *[(torus_count_law, math.inf, (n,)) for n in (1, 2, 3, 4)],
         *[
-            (check, _upto(cap), (n,))
+            (check, cap, (n,))
             for n in (1, 2, 3)
             for check, cap in (
                 (torus_planner_partition, 2000),
@@ -1128,28 +1117,28 @@ SUITES: dict[str, list[tuple[Check, Callable[[int], int], tuple]]] = {
                 (torus_subspace_convexity, 500),
             )
         ],
-        (torus_cut_locus_shape, _upto(200), ()),
-        (torus_monodromy_control, _upto(20), ()),
-        (torus_local_poset_shape, _upto(100), ()),
+        (torus_cut_locus_shape, 200, ()),
+        (torus_monodromy_control, 20, ()),
+        (torus_local_poset_shape, 100, ()),
     ],
     "klein": [
-        (klein_lift_oracle, _upto(500), ()),
-        (klein_horizontal_equivariance, _upto(500), ()),
-        (klein_deck_composition, _every, ()),
-        (klein_cut_dichotomy, _upto(1000), ()),
-        (klein_planner_partition, _upto(400), ()),
-        (klein_planner_continuity, _upto(300), ()),
-        (klein_monodromy_nontrivial, _upto(5), ()),
-        (klein_theta_frozen, _fixed(1), ()),
+        (klein_lift_oracle, 500, ()),
+        (klein_horizontal_equivariance, 500, ()),
+        (klein_deck_composition, math.inf, ()),
+        (klein_cut_dichotomy, 1000, ()),
+        (klein_planner_partition, 400, ()),
+        (klein_planner_continuity, 300, ()),
+        (klein_monodromy_nontrivial, 5, ()),
+        (klein_theta_frozen, 1, ()),
     ],
     "cube": [
-        (cube_identity, _every, ()),
-        (cube_formula_oracle, _upto(1000), ()),
-        (cube_symmetric_diagonal, _upto(30), ()),
-        (cube_corner_geodesics, _fixed(1), ()),
-        (cube_witnesses, _fixed(25), ()),
-        (cube_rotation_symmetry, _upto(50), ()),
-        (cube_corner_convergence, _fixed(8), ()),
+        (cube_identity, math.inf, ()),
+        (cube_formula_oracle, 1000, ()),
+        (cube_symmetric_diagonal, 30, ()),
+        (cube_corner_geodesics, 1, ()),
+        (cube_witnesses, 25, ()),
+        (cube_rotation_symmetry, 50, ()),
+        (cube_corner_convergence, 8, ()),
     ],
 }
 
@@ -1165,7 +1154,7 @@ def run_suite(name: str, seed: int = 0, trials: int = 200) -> list[SuiteReport]:
             suite=suite,
             seed=seed,
             trials=trials,
-            checks=[check(seed, rule(trials), *args) for check, rule, args in SUITES[suite]],
+            checks=[check(seed, min(trials, cap), *args) for check, cap, args in SUITES[suite]],
         )
         for suite in (SUITES if name == "all" else [name])
     ]

@@ -100,5 +100,6 @@ def test_criterion_6_poset_bounds_and_rejections():
 def test_criterion_7_exact_reparametrization():
     _assert_passed(
         verify.core_reparametrization(SEED, 1_000),
-        verify.core_straight_segments(SEED, 1_000),
+        # runs half the trials it is given: 1,000
+        verify.core_straight_segments(SEED, 2_000),
     )

@@ -642,6 +642,30 @@ class TestGrid:
                     point = CubePoint(face, u, v)
                     assert point.faces() == containing_faces(_chart_to_space(face, u, v))
 
+    def test_equal_points_match_the_shortcut_record(self):
+        """``cube_geodesics(x, x)`` goes through the ranking and gives the
+        record that an early return for equal endpoints used to build."""
+        for x in self.points:
+            chart = (x.u, x.v)
+            shortcut = UnfoldedPath(
+                face_sequence=(x.face,),
+                planar_start=chart,
+                planar_end=chart,
+                squared_length=F(0),
+                trace=(x.point,),
+            )
+            assert repr(cube_geodesics(x, x)) == repr((shortcut,))
+
+    def test_equal_points_answer_by_the_surface_point(self):
+        """A point built in a chart that does not own it answers as its
+        ``make`` form, in the owner's chart (the shortcut kept ``y-``)."""
+        direct = CubePoint("y-", F(1, 3), -H)
+        owned = CubePoint.make("y-", F(1, 3), -H)
+        assert owned.face == "x-"
+        geos = cube_geodesics(direct, direct)
+        assert geos == cube_geodesics(owned, owned)
+        assert geos[0].face_sequence == ("x-",)
+
     def test_query_lift_equals_the_fraction_construction(self):
         for x in self.points:
             for y in self.points:

@@ -561,6 +561,41 @@ def test_planner_equals_the_four_rule_reference():
     assert domains == [3424, 4595, 6239, 140, 4]
 
 
+def theta_vertex_pairs():
+    """Each basepoint with denominator 4 or 8, and with denominator 89 or 97
+    in every 11th column (x1 = 0 among them), paired with its
+    three-geodesic cut vertices."""
+    pairs = []
+    for d, step in ((4, 1), (8, 1), (89, 11), (97, 11)):
+        for i in range(0, d, step):
+            for j in range(d):
+                x = KleinPoint.make((F(i, d), F(j, d)))
+                pairs += [
+                    (x, KleinPoint.make(v.point))
+                    for v in klein_cut_locus(x).vertices
+                    if v.multiplicity == 3
+                ]
+    return pairs
+
+
+def test_theta_choice_is_the_minority_side():
+    """At the theta vertices the horizontal runs are ``a, a, 1 - a`` with
+    ``3/8 <= a < 1/2``, so the longest run is the lift that the 2/1
+    partition of the reference planner chooses."""
+    pairs = theta_vertex_pairs()
+    on_circle = 0
+    for x, y in pairs:
+        runs = sorted(abs(g.displacement[0]) for g in klein_geodesics(x, y))
+        a = runs[0]
+        assert runs == [a, a, 1 - a] and F(3, 8) <= a < H, (x, y)
+        got, want = klein_plan(x, y), reference_klein_plan(x, y)
+        assert (got.domain, got.count, got.rule, got.geodesic) == (
+            want.domain, want.count, want.rule, want.geodesic
+        ), (x, y)
+        on_circle += got.domain == 3
+    assert (len(pairs), on_circle) == (3424, 384)
+
+
 class TestMonodromy:
     @pytest.mark.parametrize("x2", [F(0), H])
     def test_glide_loop_swaps_up_down(self, x2):

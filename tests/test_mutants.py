@@ -99,6 +99,15 @@ unsorted_tied_cosets = source_mutant(
     flat_torus, "_flat_geodesics", "lifts = sorted(lifts)", "lifts = list(lifts)"
 )
 
+#: ``klein_plan`` takes the shortest horizontal run at its theta vertices,
+#: one of the two majority lifts, instead of the longest.
+shortest_theta_run = source_mutant(
+    klein_bottle,
+    "klein_plan",
+    "max(geos, key=lambda g: abs(g.displacement[0]))",
+    "min(geos, key=lambda g: abs(g.displacement[0]))",
+)
+
 
 def identity_permutation(monkeypatch):
     """The loop permutation read from ``start``: every loop is the identity."""
@@ -334,6 +343,23 @@ def without_errors(ending):
                 "directly on an edge reads the mutated test, and no verify check builds "
                 "one (every cube check passes at seed 0); "
                 "test_cube_sphere.py::TestGrid::test_direct_points_know_their_faces kills it",
+            ),
+        ),
+        pytest.param(
+            shortest_theta_run,
+            lambda: verify.klein_planner_continuity(0, 200),
+            None,
+            id="shortest-theta-run-klein-planner-continuity",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="oracle gap: both majority lifts also move continuously with the "
+                "basepoint, so no verify check looks at which lift the planner picks at a "
+                "theta vertex (every klein check passes at seed 0: lift_oracle 0/200, "
+                "horizontal_equivariance 0/200, deck_composition 0/200, cut_dichotomy "
+                "0/200, planner_partition 0/225, planner_continuity 0/228, monodromy 0/5, "
+                "theta_frozen 0/1); the golden rows 'plan klein 1/2,3/10 3/25,4/5' and "
+                "'plan klein 0,3/10 19/50,4/5' and "
+                "test_klein_bottle.py::test_theta_choice_is_the_minority_side kill it",
             ),
         ),
     ],
