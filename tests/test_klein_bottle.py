@@ -525,8 +525,10 @@ def reference_klein_plan(x, y):
 
 def planner_pairs():
     """The 8 x 8 grid of pairs; each grid basepoint with its cut vertices
-    and the points k/8 along its cut edges; and 3,000 seeded basepoints with
-    their cut vertices and one point on one of their edges."""
+    and the points k/8 along its cut edges; 3,000 seeded basepoints with
+    their cut vertices and one point on one of their edges; and the
+    basepoints with denominator 89 or 97 in every 11th column (x1 = 0 among
+    them) with their three-geodesic cut vertices."""
     grid = [KleinPoint.make((F(i, 8), F(j, 8))) for i in range(8) for j in range(8)]
     pairs = [(x, y) for x in grid for y in grid]
     for x in grid:
@@ -544,30 +546,8 @@ def planner_pairs():
         pairs += [(x, KleinPoint.make(v.point)) for v in graph.vertices]
         edge = rng.choice(graph.edges).as_polyline()
         pairs.append((x, KleinPoint.make(edge.evaluate(F(rng.randrange(1, 20), 20)))))
-    return pairs
-
-
-def test_planner_equals_the_four_rule_reference():
-    """One lexicographic maximum off the three-geodesic vertices chooses as
-    the four rules did, with the same domain, count and rule label."""
-    domains = [0] * 5
-    for x, y in planner_pairs():
-        got, want = klein_plan(x, y), reference_klein_plan(x, y)
-        assert (got.domain, got.count, got.rule, got.geodesic) == (
-            want.domain, want.count, want.rule, want.geodesic
-        ), (x, y)
-        domains[got.domain] += 1
-    # 14,402 pairs, every domain met
-    assert domains == [3424, 4595, 6239, 140, 4]
-
-
-def theta_vertex_pairs():
-    """Each basepoint with denominator 4 or 8, and with denominator 89 or 97
-    in every 11th column (x1 = 0 among them), paired with its
-    three-geodesic cut vertices."""
-    pairs = []
-    for d, step in ((4, 1), (8, 1), (89, 11), (97, 11)):
-        for i in range(0, d, step):
+    for d in (89, 97):
+        for i in range(0, d, 11):
             for j in range(d):
                 x = KleinPoint.make((F(i, d), F(j, d)))
                 pairs += [
@@ -578,22 +558,24 @@ def theta_vertex_pairs():
     return pairs
 
 
-def test_theta_choice_is_the_minority_side():
-    """At the theta vertices the horizontal runs are ``a, a, 1 - a`` with
-    ``3/8 <= a < 1/2``, so the longest run is the lift that the 2/1
-    partition of the reference planner chooses."""
-    pairs = theta_vertex_pairs()
-    on_circle = 0
-    for x, y in pairs:
-        runs = sorted(abs(g.displacement[0]) for g in klein_geodesics(x, y))
-        a = runs[0]
-        assert runs == [a, a, 1 - a] and F(3, 8) <= a < H, (x, y)
+def test_planner_equals_the_four_rule_reference():
+    """The planner chooses as the four rules did, with the same domain,
+    count and rule label.  At the three-geodesic vertices the horizontal
+    runs are ``a, a, 1 - a`` with ``3/8 <= a < 1/2``, so the longest run is
+    the lift alone on its side of the 2/1 partition."""
+    domains = [0] * 5
+    for x, y in planner_pairs():
         got, want = klein_plan(x, y), reference_klein_plan(x, y)
         assert (got.domain, got.count, got.rule, got.geodesic) == (
             want.domain, want.count, want.rule, want.geodesic
         ), (x, y)
-        on_circle += got.domain == 3
-    assert (len(pairs), on_circle) == (3424, 384)
+        if got.count == 3:
+            runs = sorted(abs(g.displacement[0]) for g in klein_geodesics(x, y))
+            a = runs[0]
+            assert runs == [a, a, 1 - a] and F(3, 8) <= a < H, (x, y)
+        domains[got.domain] += 1
+    # 17,714 pairs, every domain met
+    assert domains == [3424, 4595, 9183, 508, 4]
 
 
 class TestMonodromy:

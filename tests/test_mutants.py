@@ -359,7 +359,7 @@ def without_errors(ending):
                 "0/200, planner_partition 0/225, planner_continuity 0/228, monodromy 0/5, "
                 "theta_frozen 0/1); the golden rows 'plan klein 1/2,3/10 3/25,4/5' and "
                 "'plan klein 0,3/10 19/50,4/5' and "
-                "test_klein_bottle.py::test_theta_choice_is_the_minority_side kill it",
+                "test_klein_bottle.py::test_planner_equals_the_four_rule_reference kill it",
             ),
         ),
     ],
