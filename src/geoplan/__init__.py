@@ -8,7 +8,8 @@ engine for planner-count bounds (``strat_cover``); cut-locus graphs
 (``cutgraph``); JSON, CSV and SVG output (``render``); the verification
 suites (``verify``); and the ``geoplan`` command (``cli``).
 Everything is rational arithmetic; the only square root taken is an exact
-rational one, and a constant-speed path it cannot give is refused.
+rational one, and a constant-speed path it cannot give is refused.  Every
+record is a named tuple, so no command imports ``dataclasses``.
 """
 
 from __future__ import annotations

@@ -50,9 +50,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .render import dump_csv, dump_json, point_str, svg_path_chart
 
@@ -229,7 +228,7 @@ def _torus_cut_locus(x: flat_torus.TorusPoint) -> tuple[dict, Any]:
         for s in locus.strata
     ]
     graph = locus.graph
-    return {"strata": strata, "graph": asdict(graph) if graph is not None else None}, graph
+    return {"strata": strata, "graph": _graph_doc(graph) if graph is not None else None}, graph
 
 
 def _klein_cut_locus(x: klein_bottle.KleinPoint) -> tuple[dict, Any]:
@@ -237,11 +236,18 @@ def _klein_cut_locus(x: klein_bottle.KleinPoint) -> tuple[dict, Any]:
 
     graph = klein_bottle.klein_cut_locus(x)
     shape = "wedge" if len(graph.vertices) == 1 else "theta"
-    return {"shape": shape, "graph": asdict(graph)}, graph
+    return {"shape": shape, "graph": _graph_doc(graph)}, graph
 
 
-@dataclass(frozen=True)
-class _Space:
+def _graph_doc(graph) -> dict:
+    """The fields of a cut-locus graph and of its vertices and edges, by name."""
+    return {
+        "vertices": [v._asdict() for v in graph.vertices],
+        "edges": [e._asdict() for e in graph.edges],
+    }
+
+
+class _Space(NamedTuple):
     """What the commands use of one space.  ``chart`` is None where the space
     has no planar chart, so no svg output; ``plan`` and ``cut_locus`` are
     None where it has no planner or cut locus.  Points
@@ -461,7 +467,7 @@ def cmd_bound(args) -> int:
         "lower_bound": report.lower_bound,
         "inconsistent": list(report.inconsistent_ids),
         "consistent_above_bottom": list(report.consistent_above_bottom),
-        "flags": asdict(flags),
+        "flags": flags._asdict(),
         "upper_bound_if_trivial": upper,
         "equality": (
             report.lower_bound == upper

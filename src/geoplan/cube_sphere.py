@@ -26,16 +26,20 @@ geodesics, and the limit table saying which corner geodesic each diagonal
 family converges to.  The images of the three family maps intersect
 pairwise but have empty triple intersection, which is the obstruction
 bounding the planner count at the corner pair.
+
+Points, paths and tables are named tuples; :class:`CubePoint` checks its
+chart in ``__new__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
 from operator import itemgetter
+from typing import NamedTuple
 
 from .metric_core import Polyline, _frac, integer_points
 
@@ -118,26 +122,24 @@ def containing_faces(p: Vec3) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CubePoint:
-    """A surface point: owning face plus face-centered chart coordinates.
+class CubePoint(namedtuple("CubePoint", "face u v")):
+    """A surface point: owning face plus face-centered chart coordinates,
+    the named tuple ``(face, u, v)`` with Fraction charts, checked on
+    construction.  It keeps a ``__dict__`` for its cached views.
 
     Points on edges or corners are owned by the first containing face in
     canonical order; use :meth:`make` to construct with normalization.
     """
 
-    face: str
-    u: Fraction
-    v: Fraction
-
-    def __post_init__(self) -> None:
-        if self.face not in _FRAMES:
-            raise ValueError(f"unknown face {self.face!r}")
-        for c in (self.u, self.v):
+    def __new__(cls, face: str, u: Fraction, v: Fraction):
+        if face not in _FRAMES:
+            raise ValueError(f"unknown face {face!r}")
+        for c in (u, v):
             if not isinstance(c, Fraction):
                 raise TypeError("coordinates must be Fractions; use CubePoint.make")
             if 2 * abs(c.numerator) > c.denominator:
                 raise ValueError("chart coordinates must lie in [-1/2, 1/2]")
+        return tuple.__new__(cls, (face, u, v))
 
     @classmethod
     def make(cls, face: str, u, v) -> "CubePoint":
@@ -188,8 +190,7 @@ def _shared_edge(f: str, g: str) -> tuple[tuple[int, int, int], tuple[int, int, 
     return tuple(product(*coords))
 
 
-@dataclass(frozen=True)
-class UnfoldedPath:
+class UnfoldedPath(NamedTuple):
     """An admissible unfolded candidate: the face sequence, the straight
     planar segment, and the exact surface breakpoints (``trace``)."""
 
@@ -548,24 +549,6 @@ def _lsq_formulas(x1, x2, y1, y2) -> tuple[Fraction, ...]:
     )
 
 
-def _normalized_formulas(x1, x2, y1, y2) -> tuple[Fraction, ...]:
-    half = _HALF
-    return (
-        -x1 * y1 - 2 * x2 + 2 * y2 - x2 * y2,
-        half - x1 + y2 - x1 * y2 - 2 * x2 - 2 * y1 + x2 * y1,
-        half - x2 - y1 + x2 * y1 - 2 * x1 + 2 * y2 - x1 * y2,
-        x2 * y2 - 2 * x1 - 2 * y1 + x1 * y1,
-        half + x2 - y1 - x2 * y1 - 2 * x1 - 2 * y2 + x1 * y2,
-        half - x1 - y2 + x1 * y2 + 2 * x2 - 2 * y1 - x2 * y1,
-        -x1 * y1 + 2 * x2 - 2 * y2 - x2 * y2,
-        half + x1 - y2 - x1 * y2 + 2 * x2 + 2 * y1 + x2 * y1,
-        half + x2 + y1 + x2 * y1 + 2 * x1 - 2 * y2 - x1 * y2,
-        x2 * y2 + 2 * x1 + 2 * y1 + x1 * y1,
-        half - x2 + y1 - x2 * y1 + 2 * x1 + 2 * y2 + x1 * y2,
-        half + x1 + y2 + x1 * y2 - 2 * x2 + 2 * y1 - x2 * y1,
-    )
-
-
 @lru_cache(maxsize=1)
 def _index_sequences() -> tuple[tuple[str, ...], ...]:
     """Face sequence realizing each of the twelve formulas.
@@ -601,8 +584,7 @@ def _index_sequences() -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CandidateTable:
+class CandidateTable(NamedTuple):
     """Exact data for the twelve opposite-face candidates at one pair."""
 
     x: Vec2
@@ -610,10 +592,11 @@ class CandidateTable:
     l_sq: tuple[Fraction, ...]
     admissible: tuple[bool, ...]
 
-    @cached_property
+    @property
     def n(self) -> tuple[Fraction, ...]:
-        """The twelve normalized forms, evaluated on first read."""
-        return _normalized_formulas(*self.x, *self.y)
+        """The twelve normalized forms ``(L_i^2 - common_summand) / 2``."""
+        common = self.common_summand
+        return tuple((lsq - common) / 2 for lsq in self.l_sq)
 
     @property
     def common_summand(self) -> Fraction:
@@ -703,8 +686,7 @@ def diagonal_table(x_d, y_d) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(NamedTuple):
     """A labeled witness pair's minimizing candidate indices."""
 
     label: str

@@ -1,11 +1,11 @@
 """Cut-locus graph records, and the cut locus of a 2-D flat quotient read
 off its Dirichlet cell.
 
-A cut locus is reported as a small graph: vertices with their geodesic
-multiplicity, and edges whose interiors carry exactly two geodesics.  Edge
-geometry is stored as an exact polyline in lifted (unreduced) coordinates so
-that arcs wrapping around the space stay straight; consumers reduce mod 1
-when they need chart coordinates.
+A cut locus is reported as a small graph of named tuples: vertices with
+their geodesic multiplicity, and edges whose interiors carry exactly two
+geodesics.  Edge geometry is stored as an exact polyline in lifted
+(unreduced) coordinates so that arcs wrapping around the space stay
+straight; consumers reduce mod 1 when they need chart coordinates.
 
 On R^2/Γ the cut locus of ``x`` is the projected boundary of its Dirichlet
 cell, the plane points nearer the lift X of ``x`` than any other orbit
@@ -21,10 +21,9 @@ built only for what is returned, one pair per vertex class and per corner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .metric_core import Polyline, integer_points
 
@@ -34,16 +33,14 @@ if TYPE_CHECKING:
 __all__ = ["CutEdge", "CutLocusGraph", "CutVertex", "dirichlet_cell", "dirichlet_graph"]
 
 
-@dataclass(frozen=True)
-class CutVertex:
+class CutVertex(NamedTuple):
     """A cut-locus vertex with the number of geodesics reaching it."""
 
     point: tuple[Fraction, ...]
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class CutEdge:
+class CutEdge(NamedTuple):
     """An open cut-locus arc between two vertices (indices into the vertex
     list), carried by an exact lifted polyline; interior points all have the
     same geodesic multiplicity (two, for the flat spaces here).
@@ -62,12 +59,11 @@ class CutEdge:
         return Polyline(self.points)
 
 
-@dataclass(frozen=True)
-class CutLocusGraph:
+class CutLocusGraph(NamedTuple):
     """Vertices plus arcs; ``loops`` are edges with equal endpoints."""
 
     vertices: tuple[CutVertex, ...]
-    edges: tuple[CutEdge, ...] = field(default=())
+    edges: tuple[CutEdge, ...] = ()
 
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(v.multiplicity for v in self.vertices)

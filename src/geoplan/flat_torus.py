@@ -9,7 +9,9 @@ coset distances, tie order and deck tags are integer work, and each
 coordinate's displacement choices become Fractions once.  The planners of
 both spaces return a :class:`PlannerResult`, and both loop monodromies run
 through ``_loop_permutation``: the deck map closing the loop acting on the
-nearest lifts, whatever the number of steps the loop is sampled at.
+nearest lifts, whatever the number of steps the loop is sampled at.  Every
+record here is a named tuple; :class:`FlatPoint` and :class:`FlatGeodesic`
+check their fields in ``__new__``.
 
 The torus is the product of ``n`` circles of circumference 1; distances come
 from the flat product metric.  A geodesic between ``x`` and ``y`` moves every
@@ -26,11 +28,11 @@ continuous choice on each stratum, giving ``n + 1`` planner domains
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from operator import index
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .cutgraph import CutEdge, CutLocusGraph, CutVertex
 from .metric_core import Polyline, _frac, integer_points
@@ -56,9 +58,9 @@ __all__ = [
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class FlatPoint:
-    """A point of R^n / Γ reduced to [0, 1)^n.
+class FlatPoint(namedtuple("FlatPoint", "coords")):
+    """A point of R^n / Γ reduced to [0, 1)^n: the named tuple ``(coords,)``,
+    a tuple of Fractions, checked on construction.
 
     Subclasses supply the lattice ``periods``, ``cosets()`` (one orbit point
     per coset of the lattice in Γ) and one integer method,
@@ -68,18 +70,20 @@ class FlatPoint:
     ``g`` is None on the torus.  ``make`` keeps ``r``, and the geodesics
     and the Dirichlet graph read ``g`` off their integer end lifts."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.coords:
+    def __new__(cls, coords: tuple[Fraction, ...]):
+        self = tuple.__new__(cls, (coords,))
+        if not coords:
             raise ValueError("dimension must be at least 1")
-        if len(self.coords) != len(self.periods):
-            raise ValueError(f"{type(self).__name__} has {len(self.periods)} coordinates")
-        for c in self.coords:
+        if len(coords) != len(self.periods):
+            raise ValueError(f"{cls.__name__} has {len(self.periods)} coordinates")
+        for c in coords:
             if not isinstance(c, Fraction):
-                raise TypeError(f"coordinates must be Fractions; use {type(self).__name__}.make")
+                raise TypeError(f"coordinates must be Fractions; use {cls.__name__}.make")
             if not 0 <= c.numerator < c.denominator:
                 raise ValueError(f"coordinate {c} not reduced to [0, 1)")
+        return self
 
     @classmethod
     def make(cls, values) -> "FlatPoint":
@@ -101,40 +105,33 @@ def _half_period_error(c: Fraction, period: int) -> ValueError:
     return ValueError(f"displacement {c} exceeds half a period {period}")
 
 
-@dataclass(frozen=True)
-class FlatGeodesic:
+class FlatGeodesic(namedtuple("FlatGeodesic", "start displacement deck")):
     """A minimizing geodesic: the segment from the canonical lift of
-    ``start`` by ``displacement`` (each entry within half a lattice period)
-    to ``deck`` applied to the canonical lift of ``end`` (``deck`` is None
-    on the torus).
+    ``start`` (a :class:`FlatPoint`) by ``displacement`` (a tuple of
+    Fractions, each within half a lattice period) to ``deck`` applied to the
+    canonical lift of ``end`` (``deck`` is None on the torus).
 
     The constructor checks every entry against half a period.
     :func:`_flat_geodesics` checks each coordinate's choices once instead,
     on integers and with the same predicate, and builds its records through
     :meth:`_checked`, which skips the per-entry check."""
 
-    start: FlatPoint
-    displacement: tuple[Fraction, ...]
-    deck: object
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        periods = self.start.periods
-        if len(self.displacement) != len(periods):
+    def __new__(cls, start: FlatPoint, displacement: tuple[Fraction, ...], deck):
+        periods = start.periods
+        if len(displacement) != len(periods):
             raise ValueError("dimension mismatch")
-        for c, p in zip(self.displacement, periods):
+        for c, p in zip(displacement, periods):
             if not _within_half(c.numerator, p, c.denominator):
                 raise _half_period_error(c, p)
+        return tuple.__new__(cls, (start, displacement, deck))
 
     @classmethod
     def _checked(cls, start: FlatPoint, displacement, deck) -> "FlatGeodesic":
-        """The record of a displacement whose entries are already checked."""
-        # Field by field, as the generated __init__ does: a dict written
-        # through vars() would give each record its own, larger, dict.
-        self = object.__new__(cls)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "displacement", displacement)
-        object.__setattr__(self, "deck", deck)
-        return self
+        """The record of a displacement whose entries are already checked:
+        the tuple itself, without the constructor's per-entry check."""
+        return tuple.__new__(cls, (start, displacement, deck))
 
     @property
     def start_lift(self) -> tuple[Fraction, ...]:
@@ -157,8 +154,7 @@ class FlatGeodesic:
         return Polyline((self.start_lift, self.end_lift))
 
 
-@dataclass(frozen=True)
-class PlannerResult:
+class PlannerResult(NamedTuple):
     """Outcome of a planner query: the chosen geodesic and its context.
 
     ``domain`` is the index of the planner domain the pair falls in (0 for
@@ -297,6 +293,8 @@ class TorusPoint(FlatPoint):
     """A point with rational coordinates reduced to [0, 1) per circle: one
     coset of the lattice Z^n."""
 
+    __slots__ = ()
+
     @staticmethod
     def locate(lift, scale: int) -> tuple[None, tuple[int, ...]]:
         return None, tuple(c % scale for c in lift)
@@ -335,8 +333,7 @@ def torus_geodesics(x: TorusPoint, y: TorusPoint) -> tuple[FlatGeodesic, ...]:
     return _flat_geodesics(x, y)
 
 
-@dataclass(frozen=True)
-class TorusCutStratum:
+class TorusCutStratum(NamedTuple):
     """One cut-locus stratum: the points opposite in exactly ``fixed``."""
 
     fixed: tuple[int, ...]
@@ -346,8 +343,7 @@ class TorusCutStratum:
     representative: TorusPoint
 
 
-@dataclass(frozen=True)
-class TorusCutLocus:
+class TorusCutLocus(NamedTuple):
     """Union-of-subtori description of the cut locus, plus a drawable graph
     for n <= 2 (a point for the circle, a wedge of two circles for n = 2)."""
 

@@ -29,8 +29,8 @@ closing glide acting on the lifts, which the loop moves rigidly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cutgraph import CutLocusGraph, dirichlet_graph
 from .flat_torus import (
@@ -59,10 +59,9 @@ _HALF = Fraction(1, 2)
 Point2 = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True, order=True)
-class DeckElement:
-    """The deck transformation ``alpha^a . beta^b`` of the plane, ordered by
-    ``(a, b)``."""
+class DeckElement(NamedTuple):
+    """The deck transformation ``alpha^a . beta^b`` of the plane: the named
+    tuple ``(a, b)``, ordered as that tuple."""
 
     a: int
     b: int
@@ -101,6 +100,8 @@ class KleinPoint(FlatPoint):
     """A point of the bottle, reduced to the fundamental square [0,1)^2: the
     lattice 2Z x Z has two cosets in the deck group, those of y and
     alpha(y)."""
+
+    __slots__ = ()
 
     #: Periods of the translation subgroup <alpha^2, beta> = 2Z x Z.
     periods = (2, 1)
@@ -192,8 +193,7 @@ def klein_plan(x: KleinPoint, y: KleinPoint) -> PlannerResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonodromyResult:
+class MonodromyResult(NamedTuple):
     """Permutation of the four geodesics after one loop, with sheet labels
     (quadrant of the initial lift displacement) in tracking order."""
 

@@ -17,6 +17,7 @@ also an upper bound, certifying equality.
 
 A :class:`StratPoset` is its elements and covers; :func:`lower_bound` is the
 one classification of them, and its report lists the inconsistent elements.
+Elements, covers, flags and reports are named tuples.
 The module is purely combinatorial; geometric facts enter only through the
 caller-asserted :class:`PosetFlags` and the builtin poset data (among them
 the flat corner table ``CUBE_CORNER_LIMITS``, ``{(family, index): label}``),
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
 from itertools import combinations
 from typing import NamedTuple
 
@@ -76,8 +76,7 @@ class CoverMap(NamedTuple):
     mapping: dict[str, str]
 
 
-@dataclass(frozen=True)
-class PosetFlags:
+class PosetFlags(NamedTuple):
     """Caller-asserted hypotheses for the equality certificate.
 
     ``trivial_coverings``: the geodesic covering over every stratum is trivial
@@ -215,8 +214,7 @@ def _inconsistent(incoming: list[CoverMap]) -> bool:
     return not meet
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of the lower-bound analysis of a poset; an invalid poset gets
     its validation errors and no analysis."""
 
@@ -492,7 +490,7 @@ def to_document(p: StratPoset, flags: PosetFlags) -> dict:
             {"src": c.src, "dst": c.dst, "map": dict(sorted(c.mapping.items()))}
             for c in p.covers
         ],
-        "flags": asdict(flags),
+        "flags": flags._asdict(),
     }
 
 
@@ -527,7 +525,7 @@ def from_document(doc: dict) -> tuple[StratPoset, PosetFlags]:
         ]
         raw = _typed(doc.get("flags", {}), dict, "flags")
         flags = PosetFlags(
-            *(_typed(raw.get(f.name, False), bool, f.name) for f in fields(PosetFlags))
+            *(_typed(raw.get(name, False), bool, name) for name in PosetFlags._fields)
         )
     except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed poset document: {exc}") from exc

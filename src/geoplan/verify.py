@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import wraps
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # Each check imports the layers it exercises, so that a suite loads only its own.
 if TYPE_CHECKING:
@@ -43,14 +42,20 @@ _DELTA = Fraction(1, 1000)
 _DEN = 1000
 
 
-@dataclass
 class CheckResult:
-    """Outcome of one property check."""
+    """Outcome of one property check: mutable, since the check's body counts
+    its failures and may recount its trials as it runs."""
 
-    name: str
-    trials: int
-    failures: int = 0
-    detail: str = ""
+    __slots__ = ("name", "trials", "failures", "detail")
+
+    def __init__(self, name: str, trials: int) -> None:
+        self.name, self.trials, self.failures, self.detail = name, trials, 0, ""
+
+    def __repr__(self) -> str:
+        return (
+            f"CheckResult(name={self.name!r}, trials={self.trials},"
+            f" failures={self.failures}, detail={self.detail!r})"
+        )
 
     @property
     def passed(self) -> bool:
@@ -62,14 +67,13 @@ class CheckResult:
             self.detail = detail
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """Outcome of a suite run: per-check counts plus an overall verdict."""
 
     suite: str
     seed: int
     trials: int
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
 
     @property
     def passed(self) -> bool:
@@ -90,7 +94,16 @@ class SuiteReport:
         return lines
 
     def to_document(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {
+            "suite": self.suite,
+            "seed": self.seed,
+            "trials": self.trials,
+            "checks": [
+                {"name": c.name, "trials": c.trials, "failures": c.failures, "detail": c.detail}
+                for c in self.checks
+            ],
+            "passed": self.passed,
+        }
 
 
 Check = Callable[..., CheckResult]
@@ -524,11 +537,25 @@ def _klein_domain_samples(rng: random.Random) -> list[tuple[KleinPoint, KleinPoi
     return pairs
 
 
+def _odd_run_lift(x: KleinPoint, y: KleinPoint) -> tuple | None:
+    """The nearest lift of ``y`` alone on its horizontal run, from the
+    brute-force orbit scan: at a theta vertex the three runs ``|u - x1|``
+    are ``a, a, 1 - a`` with ``a < 1/2``.  None when the scan finds no
+    such lift."""
+    words = _orbit_window(y.coords, _KLEIN_POWERS, 3)
+    nearest = [words[i][0] for i in _orbit_minimizers(x.coords, [p for p, _ in words])]
+    runs = [abs(p[0] - x.coords[0]) for p in nearest]
+    odd = [p for p, run in zip(nearest, runs) if runs.count(run) == 1]
+    return odd[0] if len(nearest) == 3 and len(odd) == 1 else None
+
+
 @_check("planner_partition")
 def klein_planner_partition(check: CheckResult, seed: int, trials: int) -> None:
     """Domains 0..4 are all realized over sampled pairs, the domain index is
     the declared function of stratum and first coordinate, and every section
-    value is a minimizing geodesic to the query point."""
+    value is a minimizing geodesic to the query point.  At a three-geodesic
+    pair the section takes the lift alone on its horizontal run
+    (:func:`_odd_run_lift`)."""
     from . import klein_bottle
     rng = random.Random(seed + 55)
     pairs: list[tuple[KleinPoint, KleinPoint]] = []
@@ -549,6 +576,8 @@ def klein_planner_partition(check: CheckResult, seed: int, trials: int) -> None:
             check.fail(f"section does not end at target {y.coords}")
         elif (choice.end_lift, choice.deck) not in {(g.end_lift, g.deck) for g in geos}:
             check.fail(f"section value not among geodesics at {x.coords}->{y.coords}")
+        elif m == 3 and choice.end_lift != _odd_run_lift(x, y):
+            check.fail(f"theta choice is not the lift alone on its run at {x.coords}->{y.coords}")
     if seen != {0, 1, 2, 3, 4}:
         check.fail(f"domains realized: {sorted(seen)} != 0..4")
 
@@ -682,17 +711,39 @@ def _rand_interior(rng: random.Random, den: int = 60) -> Fraction:
     return Fraction(rng.randrange(-den + 1, den), 2 * den)
 
 
+def _normalized_formulas(x1, x2, y1, y2) -> tuple[Fraction, ...]:
+    """The twelve normalized forms N_i of the opposite-face candidates,
+    typed out as polynomials in the charts: the oracle of the library's
+    ``CandidateTable.n``, which it reads off the squared lengths."""
+    half = _HALF
+    return (
+        -x1 * y1 - 2 * x2 + 2 * y2 - x2 * y2,
+        half - x1 + y2 - x1 * y2 - 2 * x2 - 2 * y1 + x2 * y1,
+        half - x2 - y1 + x2 * y1 - 2 * x1 + 2 * y2 - x1 * y2,
+        x2 * y2 - 2 * x1 - 2 * y1 + x1 * y1,
+        half + x2 - y1 - x2 * y1 - 2 * x1 - 2 * y2 + x1 * y2,
+        half - x1 - y2 + x1 * y2 + 2 * x2 - 2 * y1 - x2 * y1,
+        -x1 * y1 + 2 * x2 - 2 * y2 - x2 * y2,
+        half + x1 - y2 - x1 * y2 + 2 * x2 + 2 * y1 + x2 * y1,
+        half + x2 + y1 + x2 * y1 + 2 * x1 - 2 * y2 - x1 * y2,
+        x2 * y2 + 2 * x1 + 2 * y1 + x1 * y1,
+        half - x2 + y1 - x2 * y1 + 2 * x1 + 2 * y2 + x1 * y2,
+        half + x1 + y2 + x1 * y2 - 2 * x2 + 2 * y1 - x2 * y1,
+    )
+
+
 @_check("normalization_identity")
 def cube_identity(check: CheckResult, seed: int, trials: int) -> None:
-    """L_i^2 == 2*N_i + (|x|^2 + |y|^2 + 4) exactly, for every candidate."""
+    """L_i^2 == 2*N_i + (|x|^2 + |y|^2 + 4) exactly, for every candidate:
+    the library's normalized forms, read off its squared lengths, equal the
+    typed forms of :func:`_normalized_formulas`."""
     from . import cube_sphere
     rng = random.Random(seed + 13)
     for _ in range(trials):
         x = (_rand_interior(rng), _rand_interior(rng))
         y = (_rand_interior(rng), _rand_interior(rng))
         table = cube_sphere.opposite_face_table(x, y)
-        common = table.common_summand
-        if any(l != 2 * n + common for l, n in zip(table.l_sq, table.n)):
+        if table.n != _normalized_formulas(*x, *y):
             check.fail(f"identity fails at {x}, {y}")
 
 

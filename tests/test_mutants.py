@@ -347,20 +347,9 @@ def without_errors(ending):
         ),
         pytest.param(
             shortest_theta_run,
-            lambda: verify.klein_planner_continuity(0, 200),
-            None,
-            id="shortest-theta-run-klein-planner-continuity",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="oracle gap: both majority lifts also move continuously with the "
-                "basepoint, so no verify check looks at which lift the planner picks at a "
-                "theta vertex (every klein check passes at seed 0: lift_oracle 0/200, "
-                "horizontal_equivariance 0/200, deck_composition 0/200, cut_dichotomy "
-                "0/200, planner_partition 0/225, planner_continuity 0/228, monodromy 0/5, "
-                "theta_frozen 0/1); the golden rows 'plan klein 1/2,3/10 3/25,4/5' and "
-                "'plan klein 0,3/10 19/50,4/5' and "
-                "test_klein_bottle.py::test_planner_equals_the_four_rule_reference kill it",
-            ),
+            lambda: verify.klein_planner_partition(0, 200),
+            "theta choice is not the lift alone on its run",
+            id="shortest-theta-run-klein-planner-partition",
         ),
     ],
 )

@@ -44,7 +44,6 @@ compared modulo the group as well.
 """
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -126,7 +125,7 @@ def lowest_index(plan):
     """The continuous mirror of the +1/2 rule: every tie goes to -1/2."""
 
     def mutant(x, y):
-        return replace(plan(x, y), geodesic=torus_geodesics(x, y)[0])
+        return plan(x, y)._replace(geodesic=torus_geodesics(x, y)[0])
 
     return mutant
 
@@ -139,7 +138,7 @@ def flipped_at_one_half(plan):
         chosen = plan(x, y)
         if x.coords[0] < H:
             return chosen
-        return replace(chosen, geodesic=torus_geodesics(x, y)[0])
+        return chosen._replace(geodesic=torus_geodesics(x, y)[0])
 
     return mutant
 
@@ -153,7 +152,7 @@ def swapped_at_one_half(plan):
         if chosen.count != 2 or x.coords[1] < H:
             return chosen
         (other,) = (g for g in klein_geodesics(x, y) if g != chosen.geodesic)
-        return replace(chosen, geodesic=other)
+        return chosen._replace(geodesic=other)
 
     return mutant
 
