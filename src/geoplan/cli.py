@@ -29,9 +29,10 @@ torus:2 and klein; ``plan`` json for torus:N and klein.  The cube has no cut
 locus or planner output.  Any other request exits with code 2.
 
 An answer of more than 3^9 items is refused with exit code 2 before it is
-built: ``builtin:torus_corner:N`` has 3^N elements (N <= 9), a ``torus:N``
-pair with ``a`` opposite coordinates has 2^a geodesics (a <= 14), and the
-``torus:N`` cut locus has 2^N - 1 strata (N <= 14).  The ``cutlocus`` csv
+built: ``builtin:torus_corner:N`` has 3^N elements, whose ids above the
+bottom level its report lists (N <= 9), a ``torus:N`` pair with ``a``
+opposite coordinates has 2^a geodesics (a <= 14), and the ``torus:N`` cut
+locus has 2^N - 1 strata (N <= 14).  The ``cutlocus`` csv
 samples each cut-locus edge at a fixed number of points; json and svg print
 the exact edges.
 
@@ -50,8 +51,9 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any
 
 from .render import dump_csv, dump_json, point_str, svg_path_chart
 
@@ -70,8 +72,9 @@ _CSV_COLUMNS = ["x", "y", "stratum", "count", "min_sq_length"]
 _MAX_DIGITS = 1050
 
 #: Most items one answer may hold (the three sizes are in the module
-#: docstring).  Each largest admitted answer takes about 2-3 s (2-core x86-64
-#: VM, Python 3.11); one step further doubles or triples an answer.
+#: docstring).  Each largest admitted ``geodesics`` or ``cutlocus`` answer
+#: takes about 2-3 s (2-core x86-64 VM, Python 3.11), the largest ``bound``
+#: about 0.1 s; one step further doubles or triples an answer.
 _MAX_ANSWER_ITEMS = 3**9
 
 #: Points the cut-locus csv samples on each edge, both ends included.  Every
@@ -247,22 +250,30 @@ def _graph_doc(graph) -> dict:
     }
 
 
-class _Space(NamedTuple):
+class _Space(
+    namedtuple(
+        "_Space",
+        [
+            "parse",  # text -> point
+            "geodesics",  # (x, y) -> minimizing geodesics
+            "geodesic_doc",  # (geodesic, squared length) -> dict
+            "chart",  # (x, geodesics) -> svg text, or None
+            "show",  # point -> text
+            "stratum",  # minimizing geodesics -> stratum
+            "plan",  # (x, y) -> PlannerResult, or None
+            "cut_locus",  # x -> (document fields, graph or None), or None
+            "cut_graph",  # whether cut_locus returns a graph, as csv needs
+        ],
+        defaults=(lambda p: point_str(p.coords), len, None, None, False),
+    )
+):
     """What the commands use of one space.  ``chart`` is None where the space
     has no planar chart, so no svg output; ``plan`` and ``cut_locus`` are
     None where it has no planner or cut locus.  Points
     show as their coordinates and the stratum is the geodesic count unless
     the space says otherwise."""
 
-    parse: Callable[[str], Any]
-    geodesics: Callable  # (x, y) -> minimizing geodesics
-    geodesic_doc: Callable[[Any, Fraction], dict]  # (geodesic, squared length)
-    chart: Callable | None  # (x, geodesics) -> svg text
-    show: Callable[[Any], str] = lambda p: point_str(p.coords)
-    stratum: Callable = len  # minimizing geodesics -> stratum
-    plan: Callable | None = None  # (x, y) -> PlannerResult
-    cut_locus: Callable | None = None  # x -> (document fields, graph or None)
-    cut_graph: bool = False  # whether cut_locus returns a graph, as csv needs
+    __slots__ = ()
 
 
 def _space(text: str) -> _Space:

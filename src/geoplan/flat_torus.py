@@ -414,7 +414,9 @@ def torus_local_poset(x: TorusPoint, y: TorusPoint) -> StratPoset:
     """Local stratified-covering poset at the pair (x, y).
 
     Only the opposite coordinates branch, so the poset is the corner poset in
-    that many variables; a unique-geodesic pair yields the one-element poset.
+    that many variables, the power of the circle's sign factor that builds
+    its elements only when they are read; a unique-geodesic pair yields the
+    one-element poset.
     """
     # Imported here so that the geodesic and cut-locus commands do not load
     # the poset engine.

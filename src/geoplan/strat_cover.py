@@ -17,6 +17,11 @@ also an upper bound, certifying equality.
 
 A :class:`StratPoset` is its elements and covers; :func:`lower_bound` is the
 one classification of them, and its report lists the inconsistent elements.
+The flat torus's corner poset ``torus_corner_poset(n)`` is the n-th power of
+a three-element sign factor, the circle's poset renamed.  It builds its 3^n
+elements and covers only when one of them is read: :func:`lower_bound`
+classifies the factor and lifts its report by the product rule proved in
+:func:`_power_bound`.
 Elements, covers, flags and reports are named tuples.
 The module is purely combinatorial; geometric facts enter only through the
 caller-asserted :class:`PosetFlags` and the builtin poset data (among them
@@ -28,8 +33,9 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import namedtuple
 from itertools import combinations
-from typing import NamedTuple
+from operator import itemgetter
 
 __all__ = [
     "BoundReport",
@@ -52,15 +58,13 @@ __all__ = [
 ]
 
 
-class PosetElement(NamedTuple):
+class PosetElement(namedtuple("PosetElement", "id level sheets")):
     """A stratum path component: id, level (1-based) and its sheet labels."""
 
-    id: str
-    level: int
-    sheets: tuple[str, ...]
+    __slots__ = ()
 
 
-class CoverMap(NamedTuple):
+class CoverMap(namedtuple("CoverMap", "src dst mapping")):
     """A covering relation ``src -> dst`` with its injective sheet map.
 
     A named tuple, like :class:`PosetElement`: immutable, built positionally
@@ -71,12 +75,12 @@ class CoverMap(NamedTuple):
     source and destination.
     """
 
-    src: str
-    dst: str
-    mapping: dict[str, str]
+    __slots__ = ()
 
 
-class PosetFlags(NamedTuple):
+class PosetFlags(
+    namedtuple("PosetFlags", "trivial_coverings locally_compact nonempty_intersections")
+):
     """Caller-asserted hypotheses for the equality certificate.
 
     ``trivial_coverings``: the geodesic covering over every stratum is trivial
@@ -85,9 +89,7 @@ class PosetFlags(NamedTuple):
     ``nonempty_intersections``: every stratum meets the neighborhood.
     """
 
-    trivial_coverings: bool
-    locally_compact: bool
-    nonempty_intersections: bool
+    __slots__ = ()
 
 
 class StratPoset:
@@ -214,17 +216,17 @@ def _inconsistent(incoming: list[CoverMap]) -> bool:
     return not meet
 
 
-class BoundReport(NamedTuple):
+class BoundReport(
+    namedtuple(
+        "BoundReport",
+        "valid errors levels bottom_level lower_bound inconsistent_ids consistent_above_bottom",
+        defaults=((), 0, 0, None, (), ()),
+    )
+):
     """Outcome of the lower-bound analysis of a poset; an invalid poset gets
     its validation errors and no analysis."""
 
-    valid: bool
-    errors: tuple[str, ...] = ()
-    levels: int = 0
-    bottom_level: int = 0
-    lower_bound: int | None = None
-    inconsistent_ids: tuple[str, ...] = ()
-    consistent_above_bottom: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def lower_bound(p: StratPoset) -> BoundReport:
@@ -233,9 +235,22 @@ def lower_bound(p: StratPoset) -> BoundReport:
 
     The bound applies only when every element above the bottom level is
     inconsistent; otherwise ``lower_bound`` is ``None`` and the consistent
-    offenders are listed.  An invalid poset yields ``valid=False`` with its
-    errors.
+    offenders are listed, like the inconsistent ids, by level and then id.
+    An invalid poset yields ``valid=False`` with its errors.
+
+    A corner poset from :func:`torus_corner_poset` is answered from its
+    factor: the factor is validated and classified, and
+    :func:`_power_bound` lifts that report without building an element or
+    a cover of the power.  Every other poset is validated and classified
+    element by element.
     """
+    if isinstance(p, _CornerPower):
+        return _power_bound(p.factor, p.n)
+    return _plain_bound(p)
+
+
+def _plain_bound(p: StratPoset) -> BoundReport:
+    """:func:`lower_bound` of ``p`` read off its own elements and covers."""
     errors = validate_poset(p)
     if errors:
         return BoundReport(valid=False, errors=errors)
@@ -261,6 +276,60 @@ def lower_bound(p: StratPoset) -> BoundReport:
         lower_bound=None if consistent else n_levels - 1,
         inconsistent_ids=tuple(inconsistent),
         consistent_above_bottom=tuple(consistent),
+    )
+
+
+def _power_bound(factor: StratPoset, n: int) -> BoundReport:
+    """:func:`lower_bound` of the ``n``-th power of ``factor``, a poset
+    whose ids are single characters and whose bottom level is 1, read off
+    the factor's own report.
+
+    An element of the power is a word ``x = x_1 ... x_n`` of factor
+    elements, with id ``cell_`` and the word, level
+    ``1 + sum(level(x_i) - 1)`` and the sheets of ``x_1 x ... x x_n``; its
+    covers raise one coordinate ``i`` along a factor cover ``m_i`` and map
+    every sheet by ``m_i`` on coordinate ``i`` and the identity elsewhere.
+    Hence:
+
+    * The levels add: ``n (L - 1) + 1`` of them for ``L`` factor levels,
+      bottom 1.
+    * The power is valid exactly when the factor is.  Ids, sheet sets and
+      maps are products of the factor's: unique, total and injective
+      exactly when the factor's are, and a cover raises the level by one.
+      A two-step chain raises one coordinate twice, where the factor's
+      composition consistency applies, or two coordinates ``i != j``, where
+      both orders map by ``m_i`` on ``i`` and ``m_j`` on ``j``: mixed
+      composites commute.  An invalid factor's report, whose errors name
+      the factor's elements, stands for the power's.
+    * The meet of the images into ``x`` is the product over ``i`` of the
+      meet of the factor images into ``x_i``, or all of ``x_i``'s sheets
+      when none come in.  A product of sets is empty exactly when one set
+      is, so ``x`` is inconsistent exactly when one of its coordinates is;
+      no bottom word is.
+
+    The ids are listed by level, then id, as the built power lists them.
+    """
+    report = _plain_bound(factor)
+    if not report.valid:
+        return report
+    inconsistent = set(report.inconsistent_ids)
+    # Per factor element in id order: its id, its height above level 1 and
+    # whether it is inconsistent.  The words grow one coordinate at a time
+    # with the last varying fastest, so they come in id order.
+    coords = sorted((e.id, e.level - 1, e.id in inconsistent) for e in factor.elements)
+    words = [("cell_", 0, False)]
+    for _ in range(n):
+        words = [(w + c, h + ch, bad or cbad) for w, h, bad in words for c, ch, cbad in coords]
+    words.sort(key=itemgetter(1))  # stable: by level, then id
+    levels = n * (report.levels - 1) + 1
+    consistent = tuple([w for w, h, bad in words if h and not bad])
+    return BoundReport(
+        valid=True,
+        levels=levels,
+        bottom_level=1,
+        lower_bound=None if consistent else levels - 1,
+        inconsistent_ids=tuple([w for w, _, bad in words if bad]),
+        consistent_above_bottom=consistent,
     )
 
 
@@ -298,16 +367,72 @@ def circle_poset() -> StratPoset:
     return StratPoset(elements, covers)
 
 
+#: One coordinate of the flat torus at an antipodal pair: ``+`` and ``-``
+#: (the shortest arc runs forward or backward) under ``o`` (the coordinate
+#: sits on its antipodal wall, both arcs are shortest).  It is
+#: :func:`circle_poset` with ``near_cw, near_ccw, antipodal`` renamed
+#: ``+, -, o`` and the sheets ``cw, ccw`` renamed ``+, -``.
+_SIGN_FACTOR = StratPoset(
+    [
+        PosetElement("+", 1, ("+",)),
+        PosetElement("-", 1, ("-",)),
+        PosetElement("o", 2, ("+", "-")),
+    ],
+    [CoverMap("+", "o", {"+": "+"}), CoverMap("-", "o", {"-": "-"})],
+)
+
+
+class _CornerPower(StratPoset):
+    """The ``n``-th power of ``factor``, :data:`_SIGN_FACTOR`.
+
+    Its elements and covers are built together by :func:`_corner_cells`
+    when one of them is first read, and kept.  Its levels and repr, and
+    :func:`lower_bound`, read only the factor and ``n``.
+    """
+
+    factor = _SIGN_FACTOR
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __getattr__(self, name: str):
+        # Reached only while ``elements`` and ``covers`` are not yet set.
+        if name not in ("elements", "covers"):
+            raise AttributeError(name)
+        self.elements, self.covers = _corner_cells(self.n)
+        return getattr(self, name)
+
+    @property
+    def levels(self) -> tuple[int, ...]:
+        return tuple(range(1, self.n * (len(self.factor.levels) - 1) + 2))
+
+    def __repr__(self) -> str:
+        k, n = len(self.factor.elements), self.n
+        return f"StratPoset({k**n} elements, {n * len(self.factor.covers) * k ** (n - 1)} covers)"
+
+
 def torus_corner_poset(n: int) -> StratPoset:
-    """Local poset at an all-antipodal pair on the flat n-torus.
+    """Local poset at an all-antipodal pair on the flat n-torus: the n-th
+    power of the sign factor :data:`_SIGN_FACTOR`.
 
     Patterns over {+,-,o} per coordinate: ``o`` marks a coordinate sitting on
     its antipodal wall, signs mark the shortest-arc direction of the rest.
     Level = 1 + number of ``o``; sheets are the full sign vectors compatible
-    with the pattern; sheet maps are inclusions.
+    with the pattern; sheet maps are inclusions.  The element ids are
+    ``cell_`` and the pattern.
+
+    Nothing is built here: the 3^n elements and 2n 3^(n-1) covers are built
+    when ``elements`` or ``covers`` is first read, and :func:`lower_bound`
+    answers from the factor without them.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    return _CornerPower(n)
+
+
+def _corner_cells(n: int) -> tuple[tuple[PosetElement, ...], tuple[CoverMap, ...]]:
+    """The elements, by level and then id, and the covers, by source and
+    then destination, of ``torus_corner_poset(n)``."""
     # Grow (pattern, sheets) one coordinate at a time, the last coordinate
     # varying fastest over ``+-o``, which is id order.  A sign extends each
     # sheet of the prefix and an ``o`` doubles them, ``+`` before ``-``, so
@@ -343,7 +468,7 @@ def torus_corner_poset(n: int) -> StratPoset:
             step *= 3
     # By level; the sort is stable and the elements come in id order.
     elements.sort(key=lambda e: e.level)
-    return StratPoset(elements, covers)
+    return tuple(elements), tuple(covers)
 
 
 _KLEIN_LABELS = ("DL", "DR", "UL", "UR")

@@ -805,6 +805,8 @@ GOLDEN = [
      "78eb45330b33f22092c63ef8c0a110e10069f3bb81cb747c654b854457bacf56"),
     ("bound builtin:torus_corner:4", 0,
      "d356c51088b201d714ccece2657ad417dc2f510e743b1976d71f1e9560b55d4b"),
+    ("bound builtin:torus_corner:9", 0,
+     "02019857a0b7507c032e969f1bb2eaf9411cf900cd050f0d98e3cb8100d2dd7e"),
     ("bound builtin:torus_corner:10", 2, EMPTY),
     ("geodesics torus:15 " + ",".join(["0"] * 15) + " " + ",".join(["1/2"] * 15), 2, EMPTY),
     ("geodesics torus:15 " + ",".join(["0"] * 15) + " " + ",".join(["1/2"] * 15)

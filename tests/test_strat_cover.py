@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoplan import strat_cover
 from geoplan.render import dump_json
 from geoplan.strat_cover import (
     CoverMap,
@@ -15,6 +16,7 @@ from geoplan.strat_cover import (
     PosetFlags,
     StratPoset,
     builtin_poset,
+    circle_poset,
     from_document,
     loads_document,
     lower_bound,
@@ -265,12 +267,13 @@ def corner_reference(n):
         )
 
     patterns = ["".join(p) for p in product("+-o", repeat=n)]
+    sheets_of = {p: sheets(p) for p in patterns}
     elements = sorted(
-        ((f"cell_{p}", 1 + p.count("o"), sheets(p)) for p in patterns),
+        ((f"cell_{p}", 1 + p.count("o"), sheets_of[p]) for p in patterns),
         key=lambda e: (e[1], e[0]),
     )
     covers = sorted(
-        (f"cell_{p}", f"cell_{p[:i]}o{p[i + 1:]}", {s: s for s in sheets(p)})
+        (f"cell_{p}", f"cell_{p[:i]}o{p[i + 1:]}", {s: s for s in sheets_of[p]})
         for p in patterns
         for i, c in enumerate(p)
         if c != "o"
@@ -278,15 +281,128 @@ def corner_reference(n):
     return elements, covers
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_torus_corner_poset_matches_its_definition(n):
+    """The power's report, levels and repr, read before anything is built,
+    equal those of the plain path over its built elements and covers, and
+    those are the definition's."""
     elements, covers = corner_reference(n)
     poset = torus_corner_poset(n)
+    report, levels, text = lower_bound(poset), poset.levels, repr(poset)
+    assert not {"elements", "covers"} & set(vars(poset))
     assert [(e.id, e.level, e.sheets) for e in poset.elements] == elements
     assert [(c.src, c.dst, c.mapping) for c in poset.covers] == covers
-    if n == 6:
-        report = lower_bound(poset)
-        assert (report.valid, report.levels, report.lower_bound) == (True, 7, 6)
+    plain = StratPoset(poset.elements, poset.covers)
+    assert report._asdict() == lower_bound(plain)._asdict()
+    assert (levels, text) == (plain.levels, repr(plain))
+    assert (report.valid, report.levels, report.lower_bound) == (True, n + 1, n)
+
+
+def test_largest_admitted_power_is_answered_unbuilt():
+    poset = torus_corner_poset(9)
+    report = lower_bound(poset)
+    assert (report.levels, report.lower_bound) == (10, 9)
+    assert len(report.inconsistent_ids) == 3**9 - 2**9
+    assert report.inconsistent_ids[0] == "cell_" + "+" * 8 + "o"
+    assert report.inconsistent_ids[-1] == "cell_" + "o" * 9
+    assert poset.levels == tuple(range(1, 11))
+    assert repr(poset) == "StratPoset(19683 elements, 118098 covers)"
+    assert not {"elements", "covers"} & set(vars(poset))
+
+
+def test_sign_factor_is_the_renamed_circle():
+    ids = {"near_cw": "+", "near_ccw": "-", "antipodal": "o"}
+    sheets = {"cw": "+", "ccw": "-"}
+    circle = circle_poset()
+    factor = torus_corner_poset(1).factor
+    assert factor.elements == tuple(
+        PosetElement(ids[e.id], e.level, tuple(sheets[s] for s in e.sheets))
+        for e in circle.elements
+    )
+    assert factor.covers == tuple(
+        CoverMap(ids[c.src], ids[c.dst], {sheets[k]: sheets[v] for k, v in c.mapping.items()})
+        for c in circle.covers
+    )
+
+
+def built_power(factor, n):
+    """The ``n``-th power of a factor with one-character ids and sheets,
+    built word by word: level 1 + the sum of the coordinates' heights,
+    sheets the words of their sheets, and a cover for each factor cover on
+    one coordinate, mapping that coordinate's letter and keeping the rest."""
+    by_id = {e.id: e for e in factor.elements}
+    elements = []
+    for word in product(sorted(by_id), repeat=n):
+        level = 1 + sum(by_id[x].level - 1 for x in word)
+        sheets = tuple("".join(s) for s in product(*(by_id[x].sheets for x in word)))
+        elements.append(PosetElement("cell_" + "".join(word), level, sheets))
+    elements.sort(key=lambda e: (e.level, e.id))
+    covers = []
+    for e in elements:
+        word = e.id[len("cell_"):]
+        for i, x in enumerate(word):
+            for c in factor.covers:
+                if c.src == x:
+                    dst = "cell_" + word[:i] + c.dst + word[i + 1:]
+                    mapping = {s: s[:i] + c.mapping[s[i]] + s[i + 1:] for s in e.sheets}
+                    covers.append(CoverMap(e.id, dst, mapping))
+    return StratPoset(elements, covers)
+
+
+#: Factors for the product rule beside the sign factor, which
+#: ``test_torus_corner_poset_matches_its_definition`` covers: it with its
+#: elements listed top first; one whose level-2 ``d`` and level-3 ``e`` keep
+#: a common sheet, so consistent words exist; and one with two chains from
+#: ``a`` to ``e`` that disagree.
+SIGN = torus_corner_poset(1).factor
+FACTORS = {
+    "sign_top_first": StratPoset(SIGN.elements[::-1], SIGN.covers),
+    "consistent_tops": StratPoset(
+        [
+            PosetElement("a", 1, ("x",)),
+            PosetElement("b", 1, ("y",)),
+            PosetElement("c", 2, ("x", "y")),
+            PosetElement("d", 2, ("x",)),
+            PosetElement("e", 3, ("x", "y")),
+        ],
+        [
+            CoverMap("a", "c", {"x": "x"}),
+            CoverMap("a", "d", {"x": "x"}),
+            CoverMap("b", "c", {"y": "y"}),
+            CoverMap("c", "e", {"x": "x", "y": "y"}),
+            CoverMap("d", "e", {"x": "x"}),
+        ],
+    ),
+    "mismatch": StratPoset(
+        [
+            PosetElement("a", 1, ("x",)),
+            PosetElement("c", 2, ("x",)),
+            PosetElement("d", 2, ("x",)),
+            PosetElement("e", 3, ("x", "y")),
+        ],
+        [
+            CoverMap("a", "c", {"x": "x"}),
+            CoverMap("a", "d", {"x": "x"}),
+            CoverMap("c", "e", {"x": "x"}),
+            CoverMap("d", "e", {"x": "y"}),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(FACTORS))
+def test_power_bound_is_the_bound_of_the_built_power(name, n):
+    factor = FACTORS[name]
+    lifted = strat_cover._power_bound(factor, n)
+    built = lower_bound(built_power(factor, n))
+    if name == "mismatch":
+        assert not lifted.valid and not built.valid
+        assert lifted.errors == lower_bound(factor).errors
+    else:
+        assert lifted._asdict() == built._asdict()
+    if name == "consistent_tops":
+        assert lifted.lower_bound is None and "cell_" + "e" * n in lifted.consistent_above_bottom
 
 
 def _break(doc, how, pick=lambda seq, i: seq[i]):
