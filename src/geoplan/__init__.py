@@ -9,7 +9,8 @@ engine for planner-count bounds (``strat_cover``); cut-locus graphs
 suites (``verify``); and the ``geoplan`` command (``cli``).
 Everything is rational arithmetic; the only square root taken is an exact
 rational one, and a constant-speed path it cannot give is refused.  Every
-record is a named tuple, so no command imports ``dataclasses``.
+record is declared one way, as a subclass of a ``collections.namedtuple``,
+so no command imports ``dataclasses`` or builds ``typing`` annotations.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
 from operator import itemgetter
-from typing import NamedTuple
 
 from .metric_core import Polyline, _frac, integer_points
 
@@ -54,8 +53,6 @@ __all__ = [
     "corner_limit_geodesics",
     "corner_pair",
     "cube_geodesics",
-    "diagonal_table",
-    "minimal_stable_k",
     "opposite_face_table",
     "rotate_point",
     "rotate_trace",
@@ -190,15 +187,15 @@ def _shared_edge(f: str, g: str) -> tuple[tuple[int, int, int], tuple[int, int, 
     return tuple(product(*coords))
 
 
-class UnfoldedPath(NamedTuple):
+class UnfoldedPath(
+    namedtuple(
+        "UnfoldedPath", "face_sequence planar_start planar_end squared_length trace"
+    )
+):
     """An admissible unfolded candidate: the face sequence, the straight
     planar segment, and the exact surface breakpoints (``trace``)."""
 
-    face_sequence: tuple[str, ...]
-    planar_start: Vec2
-    planar_end: Vec2
-    squared_length: Fraction
-    trace: tuple[Vec3, ...]
+    __slots__ = ()
 
     @property
     def planar_segment(self) -> tuple[Vec2, Vec2]:
@@ -584,13 +581,10 @@ def _index_sequences() -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
-class CandidateTable(NamedTuple):
+class CandidateTable(namedtuple("CandidateTable", "x y l_sq admissible")):
     """Exact data for the twelve opposite-face candidates at one pair."""
 
-    x: Vec2
-    y: Vec2
-    l_sq: tuple[Fraction, ...]
-    admissible: tuple[bool, ...]
+    __slots__ = ()
 
     @property
     def n(self) -> tuple[Fraction, ...]:
@@ -652,45 +646,15 @@ def candidate_path(x, y, index: int) -> UnfoldedPath | None:
     return _unfold_path(query, _index_sequences()[index - 1])
 
 
-def diagonal_table(x_d, y_d) -> tuple[Fraction, ...]:
-    """Normalized lengths for pairs on the main face diagonals.
-
-    Coordinates: ``x = (-x_d, -x_d)`` on the bottom face and
-    ``y = (y_d, -y_d)`` on the top face, both in (0, 1/2).
-    """
-    x_d, y_d = _frac(x_d), _frac(y_d)
-    for c in (x_d, y_d):
-        if not 0 < c < _HALF:
-            raise ValueError("diagonal coordinates must lie in (0, 1/2)")
-    half = _HALF
-    d = x_d - y_d
-    mixed = 2 * x_d * y_d
-    return (
-        2 * d,
-        half + 3 * d - mixed,
-        half + 3 * d - mixed,
-        2 * d,
-        half + x_d + y_d + mixed,
-        half - x_d - y_d + mixed,
-        -2 * d,
-        half - 3 * d - mixed,
-        half - 3 * d - mixed,
-        -2 * d,
-        half - x_d - y_d + mixed,
-        half + x_d + y_d + mixed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Witness pairs along the diagonal
 # ---------------------------------------------------------------------------
 
 
-class WitnessPair(NamedTuple):
+class WitnessPair(namedtuple("WitnessPair", "label indices")):
     """A labeled witness pair's minimizing candidate indices."""
 
-    label: str
-    indices: tuple[int, ...]
+    __slots__ = ()
 
 
 def _witness_pair(label: str, xcoords: Vec2, ycoords: Vec2) -> WitnessPair:
@@ -703,9 +667,10 @@ def witness_sequences(i: int, j: int, k: int) -> tuple[WitnessPair, WitnessPair,
     The first pair sits on both face diagonals at equal distance from the
     corners (four minimizing candidates, indices 1/4/7/10); the second moves
     the bottom point outward along its diagonal (two candidates, 1/4); the
-    third breaks the remaining tie with a small second-coordinate push
-    (a single candidate for every sufficiently large ``k``, and in fact for
-    all ``k >= 1`` at these coordinates).
+    third breaks the remaining tie with the second-coordinate push
+    ``1/(100k)``, which leaves the single candidate 1 for every ``k >= 1``
+    at these coordinates (``verify``'s ``witness_sequences`` check reads it
+    at ``k = 1``).
     """
     for name, value in (("i", i), ("j", j), ("k", k)):
         if value < 1:
@@ -729,19 +694,6 @@ def witness_sequences(i: int, j: int, k: int) -> tuple[WitnessPair, WitnessPair,
         (_HALF - a, -_HALF + a),
     )
     return (s, r, t)
-
-
-#: Largest ``k`` that :func:`minimal_stable_k` tries.
-_STABLE_K_LIMIT = 64
-
-
-def minimal_stable_k(i: int, j: int) -> int:
-    """Smallest ``k`` for which the third witness pair has a unique
-    minimizing candidate (index 1), decided by exact comparison."""
-    for k in range(1, _STABLE_K_LIMIT + 1):
-        if witness_sequences(i, j, k)[2].indices == (1,):
-            return k
-    raise RuntimeError(f"no stable k below {_STABLE_K_LIMIT}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ built only for what is returned, one pair per vertex class and per corner.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .metric_core import Polyline, integer_points
 
@@ -33,14 +34,19 @@ if TYPE_CHECKING:
 __all__ = ["CutEdge", "CutLocusGraph", "CutVertex", "dirichlet_cell", "dirichlet_graph"]
 
 
-class CutVertex(NamedTuple):
+class CutVertex(namedtuple("CutVertex", "point multiplicity")):
     """A cut-locus vertex with the number of geodesics reaching it."""
 
-    point: tuple[Fraction, ...]
-    multiplicity: int
+    __slots__ = ()
 
 
-class CutEdge(NamedTuple):
+class CutEdge(
+    namedtuple(
+        "CutEdge",
+        "start_vertex end_vertex points multiplicity gluing",
+        defaults=(2, None),
+    )
+):
     """An open cut-locus arc between two vertices (indices into the vertex
     list), carried by an exact lifted polyline; interior points all have the
     same geodesic multiplicity (two, for the flat spaces here).
@@ -49,21 +55,16 @@ class CutEdge(NamedTuple):
     geodesic across this arc (e.g. a deck transformation tag).
     """
 
-    start_vertex: int
-    end_vertex: int
-    points: tuple[tuple[Fraction, ...], ...]
-    multiplicity: int = 2
-    gluing: str | None = None
+    __slots__ = ()
 
     def as_polyline(self) -> Polyline:
         return Polyline(self.points)
 
 
-class CutLocusGraph(NamedTuple):
+class CutLocusGraph(namedtuple("CutLocusGraph", "vertices edges", defaults=((),))):
     """Vertices plus arcs; ``loops`` are edges with equal endpoints."""
 
-    vertices: tuple[CutVertex, ...]
-    edges: tuple[CutEdge, ...] = ()
+    __slots__ = ()
 
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(v.multiplicity for v in self.vertices)

@@ -32,7 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from operator import index
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING
 
 from .cutgraph import CutEdge, CutLocusGraph, CutVertex
 from .metric_core import Polyline, _frac, integer_points
@@ -154,7 +154,7 @@ class FlatGeodesic(namedtuple("FlatGeodesic", "start displacement deck")):
         return Polyline((self.start_lift, self.end_lift))
 
 
-class PlannerResult(NamedTuple):
+class PlannerResult(namedtuple("PlannerResult", "domain count rule geodesic")):
     """Outcome of a planner query: the chosen geodesic and its context.
 
     ``domain`` is the index of the planner domain the pair falls in (0 for
@@ -162,10 +162,7 @@ class PlannerResult(NamedTuple):
     ``rule`` a short human-readable tag for the tie-breaking rule applied.
     """
 
-    domain: int
-    count: int
-    rule: str
-    geodesic: Any
+    __slots__ = ()
 
 
 def _nearest_translates(base, target, widths) -> list[tuple[int, ...]]:
@@ -333,22 +330,19 @@ def torus_geodesics(x: TorusPoint, y: TorusPoint) -> tuple[FlatGeodesic, ...]:
     return _flat_geodesics(x, y)
 
 
-class TorusCutStratum(NamedTuple):
+class TorusCutStratum(
+    namedtuple("TorusCutStratum", "fixed dimension geodesic_count level representative")
+):
     """One cut-locus stratum: the points opposite in exactly ``fixed``."""
 
-    fixed: tuple[int, ...]
-    dimension: int
-    geodesic_count: int
-    level: int
-    representative: TorusPoint
+    __slots__ = ()
 
 
-class TorusCutLocus(NamedTuple):
+class TorusCutLocus(namedtuple("TorusCutLocus", "strata graph")):
     """Union-of-subtori description of the cut locus, plus a drawable graph
     for n <= 2 (a point for the circle, a wedge of two circles for n = 2)."""
 
-    strata: tuple[TorusCutStratum, ...]
-    graph: CutLocusGraph | None
+    __slots__ = ()
 
 
 def torus_cut_locus(x: TorusPoint) -> TorusCutLocus:

@@ -29,8 +29,8 @@ closing glide acting on the lifts, which the loop moves rigidly
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .cutgraph import CutLocusGraph, dirichlet_graph
 from .flat_torus import (
@@ -59,12 +59,11 @@ _HALF = Fraction(1, 2)
 Point2 = tuple[Fraction, Fraction]
 
 
-class DeckElement(NamedTuple):
+class DeckElement(namedtuple("DeckElement", "a b")):
     """The deck transformation ``alpha^a . beta^b`` of the plane: the named
     tuple ``(a, b)``, ordered as that tuple."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
     def apply(self, point) -> Point2:
         return self.apply_scaled(tuple(map(_frac, point)), 1)
@@ -193,12 +192,11 @@ def klein_plan(x: KleinPoint, y: KleinPoint) -> PlannerResult:
 # ---------------------------------------------------------------------------
 
 
-class MonodromyResult(NamedTuple):
+class MonodromyResult(namedtuple("MonodromyResult", "permutation sheet_labels")):
     """Permutation of the four geodesics after one loop, with sheet labels
     (quadrant of the initial lift displacement) in tracking order."""
 
-    permutation: tuple[int, ...]
-    sheet_labels: tuple[str, ...]
+    __slots__ = ()
 
     def label_map(self) -> dict[str, str]:
         return {

@@ -70,9 +70,9 @@ class CoverMap(namedtuple("CoverMap", "src dst mapping")):
     A named tuple, like :class:`PosetElement`: immutable, built positionally
     or by keyword, and equal to any tuple with equal fields.  Its ``mapping``
     is a dict, so a cover is not hashable.  The dict is read-only, so covers
-    may share one (the covers out of one ``torus_corner`` element do).
-    :func:`validate_poset` still checks a shared map against each cover's own
-    source and destination.
+    may share one (the covers out of one ``torus_corner`` element do);
+    :func:`validate_poset` checks a shared map per cover, against that
+    cover's own source and destination, as it checks any other.
     """
 
     __slots__ = ()
@@ -119,10 +119,9 @@ def validate_poset(p: StratPoset) -> tuple[str, ...]:
     adjacency check: that element's own error reports it.
 
     Cost: linear in the total size of the sheet maps, plus the two-step
-    chains compared.  A map shared by consecutive covers out of one source
-    is examined once for the run, then only its image is checked against
-    each cover's destination.  Chains are compared only from elements that
-    reach a map that is not an inclusion within two steps.
+    chains compared.  Each cover's map is examined on its own, shared or
+    not.  Chains are compared only from elements that reach a map that is
+    not an inclusion within two steps.
     """
     errors: list[str] = []
     if not p.elements:
@@ -151,11 +150,6 @@ def validate_poset(p: StratPoset) -> tuple[str, ...]:
         errors.append(f"levels {sorted(levels)} are not contiguous")
     # Sources with a map that does not send every sheet to itself.
     mixed: set[str] = set()
-    # The builders emit each source's covers in one run sharing one map, so
-    # whether the map is total on the source, its image and whether it is
-    # injective are worked out only when the map or the source changes.
-    last_map: object = object()
-    last_src = None
     for src, dst, mapping in p.covers:
         try:
             src_sheets, low, dests = nodes[src]
@@ -167,19 +161,15 @@ def validate_poset(p: StratPoset) -> tuple[str, ...]:
             errors.append(f"cover {src!r}->{dst!r} is duplicated")
         if low is not None and high is not None and high != low + 1:
             errors.append(f"cover {src!r}->{dst!r} is not between adjacent levels")
-        if mapping is not last_map or src != last_src:
-            last_map, last_src = mapping, src
-            inclusion = list(mapping) == list(mapping.values())
-            image = mapping.keys() if inclusion else set(mapping.values())
-            total = mapping.keys() == src_sheets
-            injective = inclusion or len(image) == len(mapping)
-            if not inclusion:
-                mixed.add(src)
-        if not total:
+        inclusion = list(mapping) == list(mapping.values())
+        image = mapping.keys() if inclusion else set(mapping.values())
+        if not inclusion:
+            mixed.add(src)
+        if mapping.keys() != src_sheets:
             errors.append(f"cover {src!r}->{dst!r} map is not total on the source sheets")
         if not image <= dst_sheets:
             errors.append(f"cover {src!r}->{dst!r} map leaves the destination sheets")
-        if not injective:
+        if not (inclusion or len(image) == len(mapping)):
             errors.append(f"cover {src!r}->{dst!r} map is not injective")
         dests[dst] = mapping
     # Composition consistency: two-step chains sharing endpoints must agree.

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 # Each check imports the layers it exercises, so that a suite loads only its own.
 if TYPE_CHECKING:
@@ -67,13 +68,10 @@ class CheckResult:
             self.detail = detail
 
 
-class SuiteReport(NamedTuple):
+class SuiteReport(namedtuple("SuiteReport", "suite seed trials checks")):
     """Outcome of a suite run: per-check counts plus an overall verdict."""
 
-    suite: str
-    seed: int
-    trials: int
-    checks: list[CheckResult]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -732,6 +730,29 @@ def _normalized_formulas(x1, x2, y1, y2) -> tuple[Fraction, ...]:
     )
 
 
+def _diagonal_formulas(x_d, y_d) -> tuple[Fraction, ...]:
+    """The twelve normalized forms on the main face diagonals, typed out:
+    :func:`_normalized_formulas` at ``x = (-x_d, -x_d)`` on the bottom face
+    and ``y = (y_d, -y_d)`` on the top face, both in (0, 1/2)."""
+    half = _HALF
+    d = x_d - y_d
+    mixed = 2 * x_d * y_d
+    return (
+        2 * d,
+        half + 3 * d - mixed,
+        half + 3 * d - mixed,
+        2 * d,
+        half + x_d + y_d + mixed,
+        half - x_d - y_d + mixed,
+        -2 * d,
+        half - 3 * d - mixed,
+        half - 3 * d - mixed,
+        -2 * d,
+        half - x_d - y_d + mixed,
+        half + x_d + y_d + mixed,
+    )
+
+
 @_check("normalization_identity")
 def cube_identity(check: CheckResult, seed: int, trials: int) -> None:
     """L_i^2 == 2*N_i + (|x|^2 + |y|^2 + 4) exactly, for every candidate:
@@ -773,7 +794,8 @@ def cube_formula_oracle(check: CheckResult, seed: int, trials: int) -> None:
 @_check("symmetric_diagonal")
 def cube_symmetric_diagonal(check: CheckResult, seed: int, trials: int) -> None:
     """Symmetric diagonal pairs have exactly four geodesics, realized by
-    candidates 1, 4, 7, 10."""
+    candidates 1, 4, 7, 10, and the library's normalized forms there equal
+    the typed forms of :func:`_diagonal_formulas`."""
     from . import cube_sphere
     rng = random.Random(seed + 39)
     zs = [
@@ -794,7 +816,7 @@ def cube_symmetric_diagonal(check: CheckResult, seed: int, trials: int) -> None:
         geos = cube_sphere.cube_geodesics(x, y)
         if table.argmin_indices() != (1, 4, 7, 10) or len(geos) != 4:
             check.fail(f"symmetric diagonal law fails at z={z}")
-        elif table.n != cube_sphere.diagonal_table(z, z):
+        elif table.n != _diagonal_formulas(z, z):
             check.fail(f"diagonal substitution mismatch at z={z}")
 
 
@@ -814,16 +836,14 @@ def cube_corner_geodesics(check: CheckResult, seed: int, trials: int) -> None:
 @_check("witness_sequences")
 def cube_witnesses(check: CheckResult, seed: int, trials: int) -> None:
     """Witness pairs reproduce minimizer sets {1,4,7,10} / {1,4} / {1} for all
-    i, j <= 5 with the symbolically-derived k (= 1)."""
+    i, j <= 5 at k = 1, so the tie-breaking push is stable from its first
+    step (the third set is {1} exactly when the smallest stable k is 1)."""
     from . import cube_sphere
     pairs = [(i, j) for i in range(1, 6) for j in range(1, 6)]
     check.trials = len(pairs)
     for i, j in pairs:
-        k = cube_sphere.minimal_stable_k(i, j)
-        s, r, t = cube_sphere.witness_sequences(i, j, k)
-        if k != 1:
-            check.fail(f"stable k {k} != 1 at i={i}, j={j}")
-        elif (s.indices, r.indices, t.indices) != ((1, 4, 7, 10), (1, 4), (1,)):
+        s, r, t = cube_sphere.witness_sequences(i, j, 1)
+        if (s.indices, r.indices, t.indices) != ((1, 4, 7, 10), (1, 4), (1,)):
             check.fail(f"witness sets wrong at i={i}, j={j}")
 
 

@@ -29,8 +29,6 @@ from geoplan.cube_sphere import (
     corner_limit_geodesics,
     corner_pair,
     cube_geodesics,
-    diagonal_table,
-    minimal_stable_k,
     opposite_face_table,
     rotate_point,
     rotate_trace,
@@ -331,7 +329,7 @@ class TestCandidateTable:
 class TestSymmetricDiagonal:
     def test_quarter_point_normalized_values(self):
         z = F(1, 4)
-        assert diagonal_table(z, z) == (
+        assert verify._diagonal_formulas(z, z) == (
             F(0),
             F(3, 8),
             F(3, 8),
@@ -354,7 +352,7 @@ class TestSymmetricDiagonal:
         y = (z, -z)
         table = opposite_face_table(x, y)
         assert table.argmin_indices() == (1, 4, 7, 10)
-        assert table.n == diagonal_table(z, z)
+        assert table.n == verify._diagonal_formulas(z, z)
         geos = cube_geodesics(CubePoint.make("z-", *x), CubePoint.make("z+", *y))
         assert len(geos) == 4
 
@@ -433,11 +431,6 @@ class TestWitnesses:
                 assert by_label["four_path"].indices == (1, 4, 7, 10)
                 assert by_label["two_path"].indices == (1, 4)
                 assert by_label["one_path"].indices == (1,)
-
-    def test_minimal_stable_k_is_one(self):
-        for i in (2, 3, 5):
-            for j in (2, 4, 5):
-                assert minimal_stable_k(i, j) == 1
 
 
 class TestRotation:

@@ -20,3 +20,29 @@ def test_all_names_exist(name):
     missing = [export for export in module.__all__ if not hasattr(module, export)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def _records():
+    """Every record class a ``geoplan`` module defines: the classes with
+    named-tuple ``_fields``."""
+    for name in MODULES:
+        module = importlib.import_module(f"geoplan.{name}")
+        for obj in vars(module).values():
+            if (
+                isinstance(obj, type)
+                and obj.__module__ == module.__name__
+                and hasattr(obj, "_fields")
+            ):
+                yield obj
+
+
+def test_records_are_declared_one_way():
+    """Each record subclasses a ``collections.namedtuple`` with empty
+    ``__slots__``, so instances carry no ``__dict__``.  A ``typing.NamedTuple``
+    class has ``tuple`` as a direct base.  ``CubePoint`` alone keeps a
+    ``__dict__``, for its cached views."""
+    records = list(_records())
+    assert len(records) > 20
+    assert [r.__name__ for r in records if tuple in r.__bases__] == []
+    open_dicts = [r.__name__ for r in records if "__slots__" not in vars(r)]
+    assert open_dicts == ["CubePoint"]
