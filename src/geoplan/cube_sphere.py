@@ -27,16 +27,19 @@ family converges to.  The images of the three family maps intersect
 pairwise but have empty triple intersection, which is the obstruction
 bounding the planner count at the corner pair.
 
-Points, paths and tables are named tuples; :class:`CubePoint` checks its
-chart in ``__new__``.
+A point times an even common denominator lifts to an integer vector ``q``,
+and lies on face ``f`` when ``n_f . q`` is half that denominator, ``n_f``
+being the face's doubled center (its outward normal).  This one rule lists
+a point's faces, picks its owner and gives each query its end faces.
+Points, paths and tables are named tuples with empty ``__slots__``;
+:class:`CubePoint` checks its chart in ``__new__``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import product
+from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -49,7 +52,6 @@ __all__ = [
     "FACES",
     "UnfoldedPath",
     "WitnessPair",
-    "containing_faces",
     "corner_limit_geodesics",
     "corner_pair",
     "cube_geodesics",
@@ -67,66 +69,57 @@ Vec2 = tuple[Fraction, Fraction]
 #: Face labels in canonical (ownership) order.
 FACES: tuple[str, ...] = ("x-", "x+", "y-", "y+", "z-", "z+")
 
-#: Face frames: center, chart u-axis, chart v-axis (all unit, inward-consistent).
-_FRAMES: dict[str, tuple[Vec3, Vec3, Vec3]] = {
-    "x-": ((-_HALF, Fraction(0), Fraction(0)), (0, 1, 0), (0, 0, 1)),
-    "x+": ((_HALF, Fraction(0), Fraction(0)), (0, 1, 0), (0, 0, -1)),
-    "y-": ((Fraction(0), -_HALF, Fraction(0)), (0, 0, 1), (1, 0, 0)),
-    "y+": ((Fraction(0), _HALF, Fraction(0)), (0, 0, 1), (-1, 0, 0)),
-    "z-": ((Fraction(0), Fraction(0), -_HALF), (1, 0, 0), (0, 1, 0)),
-    "z+": ((Fraction(0), Fraction(0), _HALF), (1, 0, 0), (0, -1, 0)),
+#: Face frames: the doubled center (the outward normal ``n_f``), the chart
+#: u-axis and v-axis.
+_FRAMES: dict[str, tuple[tuple[int, int, int], ...]] = {
+    "x-": ((-1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    "x+": ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
+    "y-": ((0, -1, 0), (0, 0, 1), (1, 0, 0)),
+    "y+": ((0, 1, 0), (0, 0, 1), (-1, 0, 0)),
+    "z-": ((0, 0, -1), (1, 0, 0), (0, 1, 0)),
+    "z+": ((0, 0, 1), (1, 0, 0), (0, -1, 0)),
 }
-
-_AXIS = {"x": 0, "y": 1, "z": 2}
-
-#: Face frames with the center doubled, so that every entry is an integer.
-_INT_FRAMES: dict[str, tuple[tuple[int, ...], Vec3, Vec3]] = {
-    face: (tuple(int(2 * v) for v in c), eu, ev) for face, (c, eu, ev) in _FRAMES.items()
-}
-
 
 #: Each face's chart in space, axis by axis: ``(sign, k)`` copies chart entry
 #: ``k`` (0 for u, 1 for v) with that sign, ``(c, None)`` is the face's own
 #: center coordinate ``c``.
 _EMBED: dict[str, tuple[tuple, ...]] = {
     face: tuple(
-        (eu[i], 0) if eu[i] else (ev[i], 1) if ev[i] else (c[i], None) for i in range(3)
+        (eu[i], 0) if eu[i] else (ev[i], 1) if ev[i] else (Fraction(n[i], 2), None)
+        for i in range(3)
     )
-    for face, (c, eu, ev) in _FRAMES.items()
+    for face, (n, eu, ev) in _FRAMES.items()
 }
 
 
-def _chart_to_space(face: str, u: Fraction, v: Fraction) -> Vec3:
-    chart = (u, v)
+def _lift(face: str, u: Fraction, v: Fraction, scale: int) -> tuple[int, int, int]:
+    """``scale`` (even, a multiple of both chart denominators) times the
+    point with chart ``(u, v)`` in ``face``, as integers."""
+    n, eu, ev = _FRAMES[face]
+    half = scale // 2
+    a = u.numerator * (scale // u.denominator)
+    b = v.numerator * (scale // v.denominator)
+    return tuple(half * n[i] + a * eu[i] + b * ev[i] for i in range(3))
+
+
+def _faces_at(q: tuple[int, ...], half: int) -> tuple[str, ...]:
+    """The faces, in ``FACES`` order, that hold the surface point
+    ``q / (2 * half)``: those whose plane it lies on, ``n_f . q == half``."""
     return tuple(
-        s if k is None else chart[k] if s == 1 else -chart[k] for s, k in _EMBED[face]
+        f for f, (n, _, _) in _FRAMES.items() if n[0] * q[0] + n[1] * q[1] + n[2] * q[2] == half
     )
-
-
-def containing_faces(p: Vec3) -> tuple[str, ...]:
-    """All faces whose closed square contains the surface point.
-
-    Each coordinate ``n/d`` is compared in integers: it lies in [-1/2, 1/2]
-    when ``2|n| <= d`` and sits on a face's plane when ``2n = +-d``."""
-    out = []
-    if all(2 * abs(c.numerator) <= c.denominator for c in p):
-        for face in FACES:
-            c = p[_AXIS[face[0]]]
-            if 2 * c.numerator == (c.denominator if face[1] == "+" else -c.denominator):
-                out.append(face)
-    if not out:
-        raise ValueError(f"point {','.join(str(c) for c in p)} is not on the cube surface")
-    return tuple(out)
 
 
 class CubePoint(namedtuple("CubePoint", "face u v")):
     """A surface point: owning face plus face-centered chart coordinates,
     the named tuple ``(face, u, v)`` with Fraction charts, checked on
-    construction.  It keeps a ``__dict__`` for its cached views.
+    construction.
 
     Points on edges or corners are owned by the first containing face in
     canonical order; use :meth:`make` to construct with normalization.
     """
+
+    __slots__ = ()
 
     def __new__(cls, face: str, u: Fraction, v: Fraction):
         if face not in _FRAMES:
@@ -146,31 +139,37 @@ class CubePoint(namedtuple("CubePoint", "face u v")):
         if 2 * abs(u.numerator) < u.denominator and 2 * abs(v.numerator) < v.denominator:
             # A strictly interior chart point lies on its own face only.
             return cls(face, u, v)
-        return cls.from_space(_chart_to_space(face, u, v))
+        scale = lcm(2, u.denominator, v.denominator)
+        return cls._owned(_lift(face, u, v, scale), scale)
 
     @classmethod
     def from_space(cls, point) -> "CubePoint":
-        p: Vec3 = tuple(_frac(c) for c in point)
-        faces = containing_faces(p)
-        scale, (q,) = integer_points((p,))
-        u, v = _scaled_chart(faces[0], q, scale // 2)
-        out = cls(faces[0], Fraction(u, scale), Fraction(v, scale))
-        # the scan above is the new point's own, so its cached views start filled
-        vars(out).update(point=p, _faces=faces)
-        return out
+        p = tuple(_frac(c) for c in point)
+        scale = lcm(2, *(c.denominator for c in p))
+        return cls._owned(tuple(c.numerator * (scale // c.denominator) for c in p), scale)
 
-    @cached_property
+    @classmethod
+    def _owned(cls, q: tuple[int, ...], scale: int) -> "CubePoint":
+        """The point ``q / scale`` (``scale`` even) in its owner's chart."""
+        half = scale // 2
+        # a point outside the cube may still lie on a face's plane
+        faces = _faces_at(q, half) if all(abs(c) <= half for c in q) else ()
+        if not faces:
+            coords = ",".join(str(Fraction(c, scale)) for c in q)
+            raise ValueError(f"point {coords} is not on the cube surface")
+        u, v = _scaled_chart(faces[0], q, half)
+        return cls(faces[0], Fraction(u, scale), Fraction(v, scale))
+
+    @property
     def point(self) -> Vec3:
-        return _chart_to_space(self.face, self.u, self.v)
-
-    @cached_property
-    def _faces(self) -> tuple[str, ...]:
-        if all(2 * abs(c.numerator) < c.denominator for c in (self.u, self.v)):
-            return (self.face,)
-        return containing_faces(self.point)
+        chart = (self.u, self.v)
+        return tuple(
+            s if k is None else chart[k] if s == 1 else -chart[k] for s, k in _EMBED[self.face]
+        )
 
     def faces(self) -> tuple[str, ...]:
-        return self._faces
+        scale = lcm(2, self.u.denominator, self.v.denominator)
+        return _faces_at(_lift(self.face, self.u, self.v, scale), scale // 2)
 
 
 def _adjacent(f: str, g: str) -> bool:
@@ -178,13 +177,12 @@ def _adjacent(f: str, g: str) -> bool:
 
 
 def _shared_edge(f: str, g: str) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Doubled endpoints (sorted) of the common edge of two adjacent faces."""
+    """Doubled endpoints (sorted) of the common edge of two adjacent faces:
+    one step either way from ``n_f + n_g`` along the axis both normals miss."""
     if not _adjacent(f, g):
         raise ValueError(f"faces {f!r} and {g!r} share no edge")
-    coords = [(-1, 1)] * 3
-    for face in (f, g):
-        coords[_AXIS[face[0]]] = (1 if face[1] == "+" else -1,)
-    return tuple(product(*coords))
+    mid = [a + b for a, b in zip(_FRAMES[f][0], _FRAMES[g][0])]
+    return tuple(c or -1 for c in mid), tuple(c or 1 for c in mid)
 
 
 class UnfoldedPath(
@@ -242,8 +240,8 @@ _Ends = tuple[int, int, int, int]
 def _scaled_chart(face: str, q: tuple[int, ...], half: int) -> tuple[int, int]:
     """Chart coordinates in ``face``, times ``2 * half``, of the surface
     point ``q / (2 * half)`` given by its integer coordinates ``q``."""
-    c2, eu, ev = _INT_FRAMES[face]
-    d = [q[i] - half * c2[i] for i in range(3)]
+    n, eu, ev = _FRAMES[face]
+    d = [q[i] - half * n[i] for i in range(3)]
     return (
         d[0] * eu[0] + d[1] * eu[1] + d[2] * eu[2],
         d[0] * ev[0] + d[1] * ev[1] + d[2] * ev[2],
@@ -287,10 +285,9 @@ class _Query:
     ``scale`` is the lcm of 2 and the four chart denominators.  A surface
     point's coordinates are +-u, +-v and +-1/2, so this equals the lcm of
     the 3-D denominators, and ``scale`` times a point is an integer vector
-    ``q = half * c2 + U * eu + V * ev``: ``c2`` is the doubled face center,
-    ``eu`` and ``ev`` the chart axes, and ``(U, V)`` the chart times
-    ``scale``.  The chart in every face containing the endpoint is read off
-    ``q``, and ``exact_ends`` holds each ``q_i / scale`` as a reduced
+    ``q`` (:func:`_lift`).  The faces holding the endpoint are read off
+    ``q`` (:func:`_faces_at`), in ``FACES`` order, and so is the chart in
+    each of them; ``exact_ends`` holds each ``q_i / scale`` as a reduced
     (numerator, denominator) pair, so no Fraction is built."""
 
     __slots__ = ("half", "scale", "x_charts", "y_charts", "exact_ends")
@@ -298,16 +295,10 @@ class _Query:
     def __init__(self, x: CubePoint, y: CubePoint):
         scale = lcm(2, x.u.denominator, x.v.denominator, y.u.denominator, y.v.denominator)
         half = scale // 2
-        lifts = []
-        for p in (x, y):
-            c2, eu, ev = _INT_FRAMES[p.face]
-            a = p.u.numerator * (scale // p.u.denominator)
-            b = p.v.numerator * (scale // p.v.denominator)
-            lifts.append(tuple(half * c2[i] + a * eu[i] + b * ev[i] for i in range(3)))
-        xq, yq = lifts
+        lifts = xq, yq = _lift(*x, scale), _lift(*y, scale)
         self.scale, self.half = scale, half
-        self.x_charts = {f: _scaled_chart(f, xq, half) for f in x.faces()}
-        self.y_charts = {f: _scaled_chart(f, yq, half) for f in y.faces()}
+        self.x_charts = {f: _scaled_chart(f, xq, half) for f in _faces_at(xq, half)}
+        self.y_charts = {f: _scaled_chart(f, yq, half) for f in _faces_at(yq, half)}
         self.exact_ends = tuple(
             tuple((c // (g := gcd(c, scale)), scale // g) for c in q) for q in lifts
         )
@@ -488,7 +479,7 @@ def cube_geodesics(x: CubePoint, y: CubePoint) -> tuple[UnfoldedPath, ...]:
     query = _Query(x, y)
     x_charts, y_charts, half = query.x_charts, query.y_charts, query.half
     ranked = []
-    for seq, first, last, (c, s, t0, t1) in _face_sequences(x.faces(), y.faces()):
+    for seq, first, last, (c, s, t0, t1) in _face_sequences(tuple(x_charts), tuple(y_charts)):
         px, py = x_charts[first]
         a, b = y_charts[last]
         qx, qy = c * a - s * b + half * t0, s * a + c * b + half * t1
@@ -661,23 +652,22 @@ def _witness_pair(label: str, xcoords: Vec2, ycoords: Vec2) -> WitnessPair:
     return WitnessPair(label, opposite_face_table(xcoords, ycoords).argmin_indices())
 
 
-def witness_sequences(i: int, j: int, k: int) -> tuple[WitnessPair, WitnessPair, WitnessPair]:
+def witness_sequences(i: int, j: int) -> tuple[WitnessPair, WitnessPair, WitnessPair]:
     """The nested witness pairs marching toward the opposite-corner pair.
 
     The first pair sits on both face diagonals at equal distance from the
     corners (four minimizing candidates, indices 1/4/7/10); the second moves
     the bottom point outward along its diagonal (two candidates, 1/4); the
     third breaks the remaining tie with the second-coordinate push
-    ``1/(100k)``, which leaves the single candidate 1 for every ``k >= 1``
-    at these coordinates (``verify``'s ``witness_sequences`` check reads it
-    at ``k = 1``).
+    ``1/100``, which leaves the single candidate 1 (``verify``'s
+    ``witness_sequences`` check reads it for all ``i, j <= 5``).
     """
-    for name, value in (("i", i), ("j", j), ("k", k)):
+    for name, value in (("i", i), ("j", j)):
         if value < 1:
             raise ValueError(f"{name} must be a positive integer")
     a = Fraction(1, 5 * i)
     b = Fraction(1, 5 * j)
-    eps = Fraction(1, 100 * k)
+    eps = Fraction(1, 100)
     s = _witness_pair(
         "four_path",
         (-_HALF + a, -_HALF + a),

@@ -822,12 +822,16 @@ def cube_symmetric_diagonal(check: CheckResult, seed: int, trials: int) -> None:
 
 @_check("corner_geodesics")
 def cube_corner_geodesics(check: CheckResult, seed: int, trials: int) -> None:
-    """Exactly six geodesics of squared length 5 between opposite corners,
-    and the limit table is internally consistent with them."""
+    """Both corners are built in their owner's chart, as ``from_space``
+    builds them; exactly six geodesics of squared length 5 join them, and
+    the limit table is internally consistent with them."""
     from . import cube_sphere
     p, q = cube_sphere.corner_pair()
+    moved = [x for x in (p, q) if x != cube_sphere.CubePoint.from_space(x.point)]
     geos = cube_sphere.cube_geodesics(p, q)
-    if len(geos) != 6 or any(g.squared_length != 5 for g in geos):
+    if moved:
+        check.fail("corner {}:{},{} is not in its owner's chart".format(*moved[0]))
+    elif len(geos) != 6 or any(g.squared_length != 5 for g in geos):
         check.fail(f"corner count {len(geos)}")
     elif sorted(cube_sphere.corner_limit_geodesics()) != ["D1", "D2", "D3", "D4", "D5", "D6"]:
         check.fail("bad label set")
@@ -836,13 +840,12 @@ def cube_corner_geodesics(check: CheckResult, seed: int, trials: int) -> None:
 @_check("witness_sequences")
 def cube_witnesses(check: CheckResult, seed: int, trials: int) -> None:
     """Witness pairs reproduce minimizer sets {1,4,7,10} / {1,4} / {1} for all
-    i, j <= 5 at k = 1, so the tie-breaking push is stable from its first
-    step (the third set is {1} exactly when the smallest stable k is 1)."""
+    i, j <= 5: the tie-breaking push of 1/100 leaves one candidate."""
     from . import cube_sphere
     pairs = [(i, j) for i in range(1, 6) for j in range(1, 6)]
     check.trials = len(pairs)
     for i, j in pairs:
-        s, r, t = cube_sphere.witness_sequences(i, j, 1)
+        s, r, t = cube_sphere.witness_sequences(i, j)
         if (s.indices, r.indices, t.indices) != ((1, 4, 7, 10), (1, 4), (1,)):
             check.fail(f"witness sets wrong at i={i}, j={j}")
 

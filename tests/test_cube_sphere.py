@@ -17,7 +17,6 @@ from geoplan.cube_sphere import (
     CubePoint,
     UnfoldedPath,
     _face_sequences,
-    _chart_to_space,
     _scaled_chart,
     _lsq_formulas,
     _Query,
@@ -25,7 +24,6 @@ from geoplan.cube_sphere import (
     _shared_edge,
     _unfold_path,
     candidate_path,
-    containing_faces,
     corner_limit_geodesics,
     corner_pair,
     cube_geodesics,
@@ -49,6 +47,21 @@ H = F(1, 2)
 
 def interior(rng: random.Random) -> Fraction:
     return F(rng.randrange(-29, 30), 60)
+
+
+def space_point(face: str, u, v) -> tuple[Fraction, Fraction, Fraction]:
+    """The point with chart ``(u, v)`` in ``face``: half the face's doubled
+    center plus ``u * eu + v * ev``."""
+    n, eu, ev = _FRAMES[face]
+    return tuple(F(n[i], 2) + F(u) * eu[i] + F(v) * ev[i] for i in range(3))
+
+
+def faces_holding(p) -> tuple[str, ...]:
+    """The faces whose closed square holds ``p``, coordinate by coordinate:
+    all of them lie in [-1/2, 1/2], and the face's own one is +-1/2."""
+    if any(abs(c) > H for c in p):
+        return ()
+    return tuple(f for f in FACES if p["xyz".index(f[0])] == (H if f[1] == "+" else -H))
 
 
 def reference_geodesics(x: CubePoint, y: CubePoint):
@@ -86,7 +99,7 @@ def assert_matches_exhaustive(x: CubePoint, y: CubePoint) -> None:
         # the trace runs over the surface and is as long as the planar segment
         assert g.trace[0] == x.point and g.trace[-1] == y.point
         for p, q in zip(g.trace, g.trace[1:]):
-            assert set(containing_faces(p)) & set(containing_faces(q))
+            assert set(faces_holding(p)) & set(faces_holding(q))
         length = sum(math.dist(p, q) for p, q in zip(g.trace, g.trace[1:]))
         assert math.isclose(length, math.sqrt(g.squared_length), rel_tol=1e-9)
 
@@ -122,7 +135,7 @@ class TestPoints:
             for u in grid:
                 for v in grid:
                     point = CubePoint.make(face, u, v)
-                    assert point == CubePoint.from_space(_chart_to_space(face, u, v))
+                    assert point == CubePoint.from_space(space_point(face, u, v))
                     if abs(u) < H and abs(v) < H:
                         assert (point.face, point.u, point.v) == (face, u, v)
         for u, v in [(F(3, 5), F(0)), (F(0), F(-3, 5))]:
@@ -139,13 +152,12 @@ class TestPoints:
             (H, -H),
         ]
         for face in FACES:
-            c, eu, ev = _FRAMES[face]
             for u, v in charts:
                 point = CubePoint.make(face, u, v)
-                expected = tuple(c[i] + F(u) * eu[i] + F(v) * ev[i] for i in range(3))
+                expected = space_point(face, u, v)
                 assert point.point == expected
                 assert all(type(x) is Fraction for x in point.point)
-                assert point.faces() == containing_faces(expected)
+                assert point.faces() == faces_holding(expected)
 
     def test_shared_edge_is_twice_the_edge_endpoints(self):
         pairs = [(f, g) for f in FACES for g in FACES if _adjacent(f, g)]
@@ -159,8 +171,10 @@ class TestPoints:
             assert _shared_edge(f, g) == tuple(tuple(2 * c for c in e) for e in ends)
 
     def test_off_surface_rejected(self):
-        with pytest.raises(ValueError):
-            containing_faces((F(0), F(0), F(0)))
+        # the center, and a point on the plane of y+ but outside the cube
+        for p in [(F(0), F(0), F(0)), (F(1), H, F(0))]:
+            with pytest.raises(ValueError, match="is not on the cube surface"):
+                CubePoint.from_space(p)
 
     def test_unknown_face_rejected(self):
         with pytest.raises(ValueError):
@@ -206,10 +220,10 @@ class TestGeodesics:
             y = CubePoint.make(rng.choice(FACES), interior(rng), interior(rng))
             for g in cube_geodesics(x, y):
                 for p in g.trace:
-                    assert containing_faces(p)
+                    assert faces_holding(p)
                 # interior breakpoints are genuine edge crossings
                 for p in g.trace[1:-1]:
-                    assert len(containing_faces(p)) >= 2
+                    assert len(faces_holding(p)) >= 2
                 # the planar unfolding is a straight segment of the same length
                 s, e = g.planar_segment
                 assert (e[0] - s[0]) ** 2 + (e[1] - s[1]) ** 2 == g.squared_length
@@ -426,7 +440,7 @@ class TestWitnesses:
     def test_three_tier_argmin_chain(self):
         for i in (2, 3, 5):
             for j in (2, 4, 5):
-                chain = witness_sequences(i, j, 1)
+                chain = witness_sequences(i, j)
                 by_label = {w.label: w for w in chain}
                 assert by_label["four_path"].indices == (1, 4, 7, 10)
                 assert by_label["two_path"].indices == (1, 4)
@@ -632,7 +646,7 @@ class TestGrid:
             for u in coords:
                 for v in coords:
                     point = CubePoint(face, u, v)
-                    assert point.faces() == containing_faces(_chart_to_space(face, u, v))
+                    assert point.faces() == faces_holding(space_point(face, u, v))
 
     def test_equal_points_match_the_shortcut_record(self):
         """``cube_geodesics(x, x)`` goes through the ranking and gives the

@@ -38,11 +38,10 @@ def _records():
 
 def test_records_are_declared_one_way():
     """Each record subclasses a ``collections.namedtuple`` with empty
-    ``__slots__``, so instances carry no ``__dict__``.  A ``typing.NamedTuple``
-    class has ``tuple`` as a direct base.  ``CubePoint`` alone keeps a
-    ``__dict__``, for its cached views."""
+    ``__slots__``, so no instance carries a ``__dict__``.  A
+    ``typing.NamedTuple`` class has ``tuple`` as a direct base."""
     records = list(_records())
     assert len(records) > 20
     assert [r.__name__ for r in records if tuple in r.__bases__] == []
     open_dicts = [r.__name__ for r in records if "__slots__" not in vars(r)]
-    assert open_dicts == ["CubePoint"]
+    assert open_dicts == []

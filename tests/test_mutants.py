@@ -9,7 +9,6 @@ oracle gap, kept as a strict ``xfail`` with its reason, so that a stronger
 check shows up as an unexpected pass."""
 
 import __future__
-import functools
 import inspect
 import textwrap
 
@@ -24,12 +23,10 @@ def source_mutant(owner, name, old, new):
     occurrence of ``old`` replaced by ``new``, so a defect inside a function
     body can be planted without copying the body into the test.  The owner
     is a module or a class: a method's source is dedented and keeps its
-    decorators, so a ``staticmethod`` or a ``cached_property`` stays one."""
+    decorators, so a ``staticmethod`` or a ``classmethod`` stays one."""
 
     def plant(monkeypatch):
-        target = getattr(owner, name)
-        # a cached_property keeps its function as ``func``
-        source = textwrap.dedent(inspect.getsource(getattr(target, "func", target)))
+        source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
         assert source.count(old) == 1, f"{name} no longer reads {old!r}"
         code = compile(
             source.replace(old, new),
@@ -41,10 +38,7 @@ def source_mutant(owner, name, old, new):
         # A copy of the module's globals, so the mutant's def binds nothing there.
         namespace = dict(vars(inspect.getmodule(owner)))
         exec(code, namespace)
-        mutant = namespace[name]
-        if isinstance(mutant, functools.cached_property):
-            mutant.__set_name__(owner, name)
-        monkeypatch.setattr(owner, name, mutant)
+        monkeypatch.setattr(owner, name, namespace[name])
 
     return plant
 
@@ -86,10 +80,18 @@ wrong_prune = source_mutant(
     cube_sphere, "_face_sequences", "path[1] not in starts", "path[1] not in ends"
 )
 
-#: ``CubePoint._faces`` counts a chart coordinate of +-1/2 as interior, so a
-#: point built on an edge without ``make`` lists its own face only.
-closed_interior = source_mutant(
-    cube_sphere.CubePoint, "_faces", "< c.denominator", "<= c.denominator"
+#: ``_faces_at`` keeps the first face only, so an edge or corner point reads
+#: as lying on its owner face alone: a query at the corner pair then has no
+#: chart in the faces its limit sequences start in.
+closed_interior = source_mutant(cube_sphere, "_faces_at", "== half\n    )", "== half\n    )[:1]")
+
+#: ``CubePoint.make`` takes a chart coordinate of +-1/2 as interior, so an
+#: edge or corner point keeps the face it was given instead of its owner.
+closed_make_shortcut = source_mutant(
+    cube_sphere.CubePoint,
+    "make",
+    "< u.denominator and 2 * abs(v.numerator) < v.denominator",
+    "<= u.denominator and 2 * abs(v.numerator) <= v.denominator",
 )
 
 #: ``_flat_geodesics`` leaves the lifts of tied cosets in coset order instead
@@ -334,16 +336,20 @@ def without_errors(ending):
         pytest.param(
             closed_interior,
             lambda: verify.cube_corner_geodesics(0, 1),
-            None,
+            "KeyError: 'z-'",
             id="closed-interior-cube-corner-geodesics",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="equivalent on every path the library takes: make and from_space "
-                "fill _faces for every edge and corner point, so only a CubePoint built "
-                "directly on an edge reads the mutated test, and no verify check builds "
-                "one (every cube check passes at seed 0); "
-                "test_cube_sphere.py::TestGrid::test_direct_points_know_their_faces kills it",
-            ),
+        ),
+        pytest.param(
+            closed_interior,
+            lambda: verify.cube_corner_convergence(0, 8),
+            "KeyError: 'z-'",
+            id="closed-interior-cube-corner-convergence",
+        ),
+        pytest.param(
+            closed_make_shortcut,
+            lambda: verify.cube_corner_geodesics(0, 1),
+            "corner z-:-1/2,-1/2 is not in its owner's chart",
+            id="closed-make-shortcut-cube-corner-geodesics",
         ),
         pytest.param(
             shortest_theta_run,
