@@ -17,15 +17,15 @@ best-first, in integers, stopping after the first length that has an
 admissible candidate.  Tied candidates with one surface trace are merged on
 integer keys, so fractions are built only for the returned paths.
 
-For opposite-face pairs there are twelve candidate unfoldings with closed
-squared-length formulas; the module evaluates those formulas exactly, keeps
-the correspondence between formula index and face sequence (derived by exact
-matching, not hardcoded), and exposes the corner machinery: the witness pairs
-marching down a face diagonal toward an opposite-corner pair, the six corner
-geodesics, and the limit table saying which corner geodesic each diagonal
-family converges to.  The images of the three family maps intersect
-pairwise but have empty triple intersection, which is the obstruction
-bounding the planner count at the corner pair.
+For opposite-face pairs the twelve candidates are twelve face sequences,
+listed by index; each one's squared length and admissibility come off the
+same unfolding (the closed-form lengths are the oracle in ``verify``).  The
+module also exposes the corner machinery: the witness pairs marching down a
+face diagonal toward an opposite-corner pair, the six corner geodesics, and
+the limit table saying which corner geodesic each diagonal family converges
+to.  The images of the three family maps intersect pairwise but have empty
+triple intersection, which is the obstruction bounding the planner count at
+the corner pair.
 
 A point times an even common denominator lifts to an integer vector ``q``,
 and lies on face ``f`` when ``n_f . q`` is half that denominator, ``n_f``
@@ -43,7 +43,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter
 
-from .metric_core import Polyline, _frac, integer_points
+from .metric_core import Polyline, _frac
 
 __all__ = [
     "CandidateTable",
@@ -383,6 +383,12 @@ def _breakpoints(query: _Query, seq: tuple[str, ...], crossings: list[tuple[int,
     return tuple(points)
 
 
+def _squared_length(query: _Query, ends: _Ends) -> Fraction:
+    """Squared length of the unfolded segment with scaled ends ``ends``."""
+    px, py, qx, qy = ends
+    return Fraction((qx - px) ** 2 + (qy - py) ** 2, query.scale ** 2)
+
+
 def _path(query: _Query, seq: tuple[str, ...], ends: _Ends, key: _Key) -> UnfoldedPath:
     """The unfolded path of ``seq`` with breakpoints ``key``, in Fractions."""
     px, py, qx, qy = ends
@@ -391,7 +397,7 @@ def _path(query: _Query, seq: tuple[str, ...], ends: _Ends, key: _Key) -> Unfold
         face_sequence=seq,
         planar_start=(Fraction(px, m), Fraction(py, m)),
         planar_end=(Fraction(qx, m), Fraction(qy, m)),
-        squared_length=Fraction((qx - px) ** 2 + (qy - py) ** 2, m * m),
+        squared_length=_squared_length(query, ends),
         trace=tuple(tuple(Fraction(n, d) for n, d in p) for p in key),
     )
 
@@ -509,67 +515,23 @@ def cube_geodesics(x: CubePoint, y: CubePoint) -> tuple[UnfoldedPath, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _lsq_formulas(x1, x2, y1, y2) -> tuple[Fraction, ...]:
-    """The twelve closed-form squared lengths, evaluated on one integer
-    scale ``d``: the charts times ``d`` and the constants 1 and 2 as ``d``
-    and ``2d``, so each sum of squares is ``d**2`` times the value.
-
-    This is the closed form that the unfolding is checked against, so it
-    reads no unfolding code."""
-    d, ((x1, x2, y1, y2),) = integer_points(((x1, x2, y1, y2),))
-    one, two = d, 2 * d
-    return tuple(
-        Fraction(value, d * d)
-        for value in (
-            (x1 - y1) ** 2 + (two - x2 + y2) ** 2,
-            (one - x1 + y2) ** 2 + (two - x2 - y1) ** 2,
-            (one - x2 - y1) ** 2 + (two - x1 + y2) ** 2,
-            (x2 + y2) ** 2 + (two - x1 - y1) ** 2,
-            (one + x2 - y1) ** 2 + (two - x1 - y2) ** 2,
-            (one - x1 - y2) ** 2 + (two + x2 - y1) ** 2,
-            (x1 - y1) ** 2 + (two + x2 - y2) ** 2,
-            (one + x1 - y2) ** 2 + (two + x2 + y1) ** 2,
-            (one + x2 + y1) ** 2 + (two + x1 - y2) ** 2,
-            (x2 + y2) ** 2 + (two + x1 + y1) ** 2,
-            (one - x2 + y1) ** 2 + (two + x1 + y2) ** 2,
-            (one + x1 + y2) ** 2 + (two - x2 + y1) ** 2,
-        )
-    )
-
-
-@lru_cache(maxsize=1)
-def _index_sequences() -> tuple[tuple[str, ...], ...]:
-    """Face sequence realizing each of the twelve formulas.
-
-    Derived, not hardcoded: every bottom-to-top unfolding of at most four
-    faces is matched against the formula values at generic sample pairs; the
-    match must be a bijection.
-    """
-    seqs = [row[0] for row in _face_sequences(("z-",), ("z+",)) if len(row[0]) <= 4]
-    samples = [
-        (Fraction(1, 37), Fraction(2, 53), Fraction(3, 41), Fraction(5, 67)),
-        (Fraction(-3, 31), Fraction(5, 43), Fraction(-7, 59), Fraction(2, 61)),
-        (Fraction(4, 29), Fraction(-6, 47), Fraction(1, 71), Fraction(-8, 73)),
-    ]
-    profiles = {}
-    for seq in seqs:
-        values = []
-        for x1, x2, y1, y2 in samples:
-            query = _Query(CubePoint("z-", x1, x2), CubePoint("z+", y1, y2))
-            px, py, qx, qy = query.endpoints(seq)
-            values.append(Fraction((qx - px) ** 2 + (qy - py) ** 2, query.scale ** 2))
-        profiles[tuple(values)] = seq
-    out = []
-    for idx in range(12):
-        targets = tuple(
-            _lsq_formulas(*sample)[idx] for sample in samples
-        )
-        if targets not in profiles:
-            raise RuntimeError(f"no unfolding realizes candidate {idx + 1}")
-        out.append(profiles[targets])
-    if len(set(out)) != 12:
-        raise RuntimeError("candidate-to-unfolding matching is not a bijection")
-    return tuple(out)
+#: The twelve opposite-face candidates by index, as face sequences from the
+#: bottom face z- to the top face z+.  They run around z- through y+, x+, y-,
+#: x-: each side alone, then with the next side, then the next side with it.
+_CANDIDATES: tuple[tuple[str, ...], ...] = (
+    ("z-", "y+", "z+"),
+    ("z-", "y+", "x+", "z+"),
+    ("z-", "x+", "y+", "z+"),
+    ("z-", "x+", "z+"),
+    ("z-", "x+", "y-", "z+"),
+    ("z-", "y-", "x+", "z+"),
+    ("z-", "y-", "z+"),
+    ("z-", "y-", "x-", "z+"),
+    ("z-", "x-", "y-", "z+"),
+    ("z-", "x-", "z+"),
+    ("z-", "x-", "y+", "z+"),
+    ("z-", "y+", "x-", "z+"),
+)
 
 
 class CandidateTable(namedtuple("CandidateTable", "x y l_sq admissible")):
@@ -603,11 +565,12 @@ class CandidateTable(namedtuple("CandidateTable", "x y l_sq admissible")):
 
 
 def opposite_face_table(x, y) -> CandidateTable:
-    """Evaluate the twelve candidate formulas for a bottom/top face pair.
+    """Unfold the twelve candidates of a bottom/top face pair.
 
     ``x`` and ``y`` are chart coordinates on the two opposite faces, both
     strictly interior; boundary points go through the general oracle.
-    Admissibility of each candidate is decided by its actual unfolding.
+    Each candidate's squared length and admissibility are read off its
+    integer unfolding, the one that :func:`cube_geodesics` ranks.
     """
     x1, x2 = (_frac(c) for c in x)
     y1, y2 = (_frac(c) for c in y)
@@ -615,14 +578,14 @@ def opposite_face_table(x, y) -> CandidateTable:
         if 2 * abs(c.numerator) >= c.denominator:
             raise ValueError("opposite-face charts require interior points")
     query = _Query(CubePoint("z-", x1, x2), CubePoint("z+", y1, y2))
-    admissible = tuple(
-        _crossings(query, seq, query.endpoints(seq)) is not None for seq in _index_sequences()
-    )
+    ends = [query.endpoints(seq) for seq in _CANDIDATES]
     return CandidateTable(
         x=(x1, x2),
         y=(y1, y2),
-        l_sq=_lsq_formulas(x1, x2, y1, y2),
-        admissible=admissible,
+        l_sq=tuple(_squared_length(query, e) for e in ends),
+        admissible=tuple(
+            _crossings(query, seq, e) is not None for seq, e in zip(_CANDIDATES, ends)
+        ),
     )
 
 
@@ -634,7 +597,7 @@ def candidate_path(x, y, index: int) -> UnfoldedPath | None:
     x1, x2 = (_frac(c) for c in x)
     y1, y2 = (_frac(c) for c in y)
     query = _Query(CubePoint.make("z-", x1, x2), CubePoint.make("z+", y1, y2))
-    return _unfold_path(query, _index_sequences()[index - 1])
+    return _unfold_path(query, _CANDIDATES[index - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +682,7 @@ def _family_corner_trace(family: str, idx: int) -> tuple[Vec3, ...]:
     under the corner rotation.
     """
     p, q = corner_pair()
-    seq = _index_sequences()[idx - 1]
+    seq = _CANDIDATES[idx - 1]
     path = _unfold_path(_Query(p, q), seq)
     if path is None:
         raise RuntimeError(f"candidate {idx} is not admissible at the corner pair")

@@ -756,8 +756,9 @@ def _diagonal_formulas(x_d, y_d) -> tuple[Fraction, ...]:
 @_check("normalization_identity")
 def cube_identity(check: CheckResult, seed: int, trials: int) -> None:
     """L_i^2 == 2*N_i + (|x|^2 + |y|^2 + 4) exactly, for every candidate:
-    the library's normalized forms, read off its squared lengths, equal the
-    typed forms of :func:`_normalized_formulas`."""
+    the library's normalized forms, read off the squared lengths of its
+    unfolded candidates, equal the closed forms typed out in
+    :func:`_normalized_formulas`, which share no code with the unfolding."""
     from . import cube_sphere
     rng = random.Random(seed + 13)
     for _ in range(trials):
@@ -770,8 +771,9 @@ def cube_identity(check: CheckResult, seed: int, trials: int) -> None:
 
 @_check("formula_oracle")
 def cube_formula_oracle(check: CheckResult, seed: int, trials: int) -> None:
-    """The minimum over admissible closed-form candidates equals the unfolding
-    oracle's minimum, with identical minimizer sets (compared by trace)."""
+    """The minimum over the twelve admissible candidates equals the minimum
+    over every simple face sequence (``cube_geodesics``), with identical
+    minimizer sets (compared by trace)."""
     from . import cube_sphere
     rng = random.Random(seed + 26)
     for _ in range(trials):
@@ -892,6 +894,29 @@ def cube_corner_convergence(check: CheckResult, seed: int, trials: int) -> None:
         elif idx in previous and d_sq >= previous[idx]:
             check.fail(f"family {idx} not converging")
         previous[idx] = d_sq
+
+
+@_check("halves")
+def cube_halves(check: CheckResult, seed: int, trials: int) -> None:
+    """The halves of a shortest path are shortest: on random adjacent-face
+    pairs, the constant-speed midpoint m of each geodesic of squared length
+    L has ``cube_geodesics`` of squared length L/4 both from x and to y."""
+    from . import cube_sphere
+    from .metric_core import reparametrize_constant_speed
+    rng = random.Random(seed + 65)
+    for _ in range(trials):
+        f = rng.choice(cube_sphere.FACES)
+        g = rng.choice([h for h in cube_sphere.FACES if h[0] != f[0]])
+        x = cube_sphere.CubePoint.make(f, _rand_interior(rng), _rand_interior(rng))
+        y = cube_sphere.CubePoint.make(g, _rand_interior(rng), _rand_interior(rng))
+        for geo in cube_sphere.cube_geodesics(x, y):
+            mid = reparametrize_constant_speed(geo.as_polyline()).evaluate(_HALF)
+            m = cube_sphere.CubePoint.from_space(mid)
+            quarter = geo.squared_length / 4
+            halves = (cube_sphere.cube_geodesics(x, m), cube_sphere.cube_geodesics(m, y))
+            if any(h[0].squared_length != quarter for h in halves):
+                check.fail(f"halves of a geodesic are not shortest at {x}, {y}")
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -1217,6 +1242,7 @@ SUITES: dict[str, list[tuple[Check, float, tuple]]] = {
         (cube_witnesses, math.inf, ()),
         (cube_rotation_symmetry, 50, ()),
         (cube_corner_convergence, math.inf, ()),
+        (cube_halves, 1000, ()),
     ],
 }
 

@@ -19,7 +19,9 @@ budgets where a guarantee carries one.
   5. Cube tables: the length/normalized-form identity, table argmins equal to
      the enumeration oracle's argmins exactly, the six listed symmetric
      diagonals with exactly four geodesics, six corner geodesics of squared
-     length 5, and the three-tier witness chain at derived offsets; under 60 s.
+     length 5, the three-tier witness chain at derived offsets, and on 10^3
+     adjacent-face pairs both halves of every geodesic a quarter of its
+     squared length; under 60 s.
   6. Poset engine: builtin bounds (1, n, 3, 3) and rejection of each covering
      axiom violation; under 5 s.
   7. Exact constant-speed reparametrization on 10^3 random polylines of up to
@@ -80,6 +82,7 @@ def test_criterion_5_cube_tables_and_witnesses():
         verify.cube_symmetric_diagonal(SEED, 6),
         verify.cube_corner_geodesics(SEED, 1),
         verify.cube_witnesses(SEED, 25),
+        verify.cube_halves(SEED, 1_000),
     ]
     elapsed = time.monotonic() - start
     _assert_passed(*checks)

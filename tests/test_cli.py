@@ -813,7 +813,7 @@ GOLDEN = [
      + " --format csv", 2, EMPTY),
     ("cutlocus torus:15 " + ",".join(["0"] * 15), 2, EMPTY),
     ("verify all --trials 5 --seed 7", 0,
-     "3028c7999bda7f2a14388f3144b1afb1258f3b040121c2a5cc58f9a2c014fe5b"),
+     "6243a45fa57a481d663ce604c032350f682dc4e02aa585c86e7c95e59739e503"),
 ]
 
 
@@ -830,7 +830,7 @@ def test_golden_verify_report_file(capsys, tmp_path):
     )
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "1d11f7bb1a57491ea77f1b754d8bbad5f1d1fb0bce59b8468defd702eea205ef"
+        "de08f1650c8ba9516a174751f42faa12895a1f8c07df018cc2dd2e855b5f5c43"
     )
 
 

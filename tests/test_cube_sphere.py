@@ -18,7 +18,6 @@ from geoplan.cube_sphere import (
     UnfoldedPath,
     _face_sequences,
     _scaled_chart,
-    _lsq_formulas,
     _Query,
     _adjacent,
     _shared_edge,
@@ -313,7 +312,7 @@ class TestCandidateTable:
     @given(st.lists(interior_charts, min_size=4, max_size=4))
     @example([F(1, 37), F(2, 53), F(3, 41), F(5, 67)])
     @example([F(0), F(1, 2**20 + 7), F(-1, 10**6 + 3), F(1, 3)])
-    def test_integer_formulas_match_the_fraction_polynomials(self, charts):
+    def test_unfolded_lengths_match_the_fraction_polynomials(self, charts):
         x1, x2, y1, y2 = charts
         expected = (
             (x1 - y1) ** 2 + (2 - x2 + y2) ** 2,
@@ -329,7 +328,7 @@ class TestCandidateTable:
             (1 - x2 + y1) ** 2 + (2 + x1 + y2) ** 2,
             (1 + x1 + y2) ** 2 + (2 - x2 + y1) ** 2,
         )
-        got = _lsq_formulas(x1, x2, y1, y2)
+        got = opposite_face_table((x1, x2), (y1, y2)).l_sq
         assert got == expected
         assert all(type(v) is Fraction for v in got)
 

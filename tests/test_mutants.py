@@ -160,17 +160,20 @@ def no_composition_errors(monkeypatch):
 
 
 def three_face_budget(monkeypatch):
-    """``cube_geodesics`` ranks only the face sequences of at most 3 faces.
-
-    The twelve opposite-face candidates are read first, so that their
-    cached sequences keep the fourth face."""
-    cube_sphere._index_sequences()
+    """``cube_geodesics`` ranks only the face sequences of at most 3 faces."""
     original = cube_sphere._face_sequences
     monkeypatch.setattr(
         cube_sphere,
         "_face_sequences",
         lambda starts, ends: tuple(row for row in original(starts, ends) if len(row[0]) <= 3),
     )
+
+
+def swapped_candidates(monkeypatch):
+    """The opposite-face candidates 2 and 3 trade face sequences."""
+    seqs = list(cube_sphere._CANDIDATES)
+    seqs[1], seqs[2] = seqs[2], seqs[1]
+    monkeypatch.setattr(cube_sphere, "_CANDIDATES", tuple(seqs))
 
 
 def without_errors(ending):
@@ -321,17 +324,15 @@ def without_errors(ending):
         ),
         pytest.param(
             wrong_prune,
-            lambda: verify.cube_formula_oracle(0, 200),
-            None,
-            id="wrong-prune-cube-formula-oracle",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="oracle gap: no cube check uses an adjacent-face pair "
-                "(identity 0/200, formula_oracle 0/200, symmetric_diagonal 0/30, "
-                "corner_geodesics 0/1, witnesses 0/25, rotation_symmetry 0/50, "
-                "corner_convergence 0/8 at seed 0); "
-                "test_cube_sphere.py::TestGeodesics::test_adjacent_face_unfolding kills it",
-            ),
+            lambda: verify.cube_halves(0, 200),
+            "halves of a geodesic are not shortest",
+            id="wrong-prune-cube-halves",
+        ),
+        pytest.param(
+            swapped_candidates,
+            lambda: verify.cube_identity(0, 200),
+            "identity fails at",
+            id="swapped-candidates-cube-normalization-identity",
         ),
         pytest.param(
             closed_interior,
