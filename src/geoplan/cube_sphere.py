@@ -22,10 +22,14 @@ listed by index; each one's squared length and admissibility come off the
 same unfolding (the closed-form lengths are the oracle in ``verify``).  The
 module also exposes the corner machinery: the witness pairs marching down a
 face diagonal toward an opposite-corner pair, the six corner geodesics, and
-the limit table saying which corner geodesic each diagonal family converges
-to.  The images of the three family maps intersect pairwise but have empty
-triple intersection, which is the obstruction bounding the planner count at
-the corner pair.
+the limits saying which corner geodesic each diagonal family converges to.
+Both are read off the unfolding alone: the corner geodesics are labeled
+D1..D6 by their edge midpoints, stepped by the corner symmetry
+``(X, Y, Z) -> (-Z, -X, -Y)``, and each family limit is looked up among
+them.  ``verify`` checks them against the corner poset's typed table.  The
+images of the three family maps intersect pairwise but have empty triple
+intersection, which is the obstruction bounding the planner count at the
+corner pair.
 
 A point times an even common denominator lifts to an integer vector ``q``,
 and lies on face ``f`` when ``n_f . q`` is half that denominator, ``n_f``
@@ -53,6 +57,7 @@ __all__ = [
     "UnfoldedPath",
     "WitnessPair",
     "corner_limit_geodesics",
+    "corner_limits",
     "corner_pair",
     "cube_geodesics",
     "opposite_face_table",
@@ -534,22 +539,11 @@ _CANDIDATES: tuple[tuple[str, ...], ...] = (
 )
 
 
-class CandidateTable(namedtuple("CandidateTable", "x y l_sq admissible")):
-    """Exact data for the twelve opposite-face candidates at one pair."""
+class CandidateTable(namedtuple("CandidateTable", "l_sq admissible")):
+    """The twelve opposite-face candidates at one pair, by index: their
+    exact squared lengths and whether each unfolds admissibly."""
 
     __slots__ = ()
-
-    @property
-    def n(self) -> tuple[Fraction, ...]:
-        """The twelve normalized forms ``(L_i^2 - common_summand) / 2``."""
-        common = self.common_summand
-        return tuple((lsq - common) / 2 for lsq in self.l_sq)
-
-    @property
-    def common_summand(self) -> Fraction:
-        x1, x2 = self.x
-        y1, y2 = self.y
-        return x1 ** 2 + x2 ** 2 + y1 ** 2 + y2 ** 2 + 4
 
     def argmin_indices(self) -> tuple[int, ...]:
         """1-based indices of the admissible candidates of minimal length."""
@@ -580,8 +574,6 @@ def opposite_face_table(x, y) -> CandidateTable:
     query = _Query(CubePoint("z-", x1, x2), CubePoint("z+", y1, y2))
     ends = [query.endpoints(seq) for seq in _CANDIDATES]
     return CandidateTable(
-        x=(x1, x2),
-        y=(y1, y2),
         l_sq=tuple(_squared_length(query, e) for e in ends),
         admissible=tuple(
             _crossings(query, seq, e) is not None for seq, e in zip(_CANDIDATES, ends)
@@ -691,30 +683,34 @@ def _family_corner_trace(family: str, idx: int) -> tuple[Vec3, ...]:
 
 
 def corner_limit_geodesics() -> dict[str, tuple[Vec3, ...]]:
-    """Derive the six corner geodesics as labeled exact traces.
+    """The six corner geodesics as exact traces, labeled D1 to D6 in order.
 
-    In table order, the first entry with a label pins it to that entry's
-    computed limit; every later entry with the label must have the same
-    limit, six labels must each be hit exactly twice, and the six traces
-    must be exactly the geodesic set of the corner pair.  Any mismatch
-    raises.
+    Each trace is named by its edge midpoint ``trace[1]``: D1 crosses
+    (-1/2, 0, 1/2), and D(k+1) crosses sigma of the midpoint of Dk, where
+    sigma (X, Y, Z) = (-Z, -X, -Y) is minus the square of
+    :func:`rotate_point`.  Sigma swaps the two corners, so it permutes the
+    corner geodesics, and it cycles their six midpoints.
     """
-    # Imported here so that the geodesic commands do not load the poset engine.
-    from .strat_cover import CUBE_CORNER_LIMITS
+    traces = {g.trace[1]: g.trace for g in cube_geodesics(*corner_pair())}
+    m = (-_HALF, Fraction(0), _HALF)
+    labeled = {}
+    for k in range(1, 7):
+        labeled[f"D{k}"] = traces[m]
+        m = (-m[2], -m[0], -m[1])
+    return labeled
 
-    label_to_trace: dict[str, tuple[Vec3, ...]] = {}
-    hits: dict[str, int] = {}
-    for (family, idx), label in CUBE_CORNER_LIMITS.items():
-        trace = _family_corner_trace(family, idx)
-        if label_to_trace.setdefault(label, trace) != trace:
-            raise RuntimeError(
-                f"limit of {family}{idx} does not match the printed label {label}"
-            )
-        hits[label] = hits.get(label, 0) + 1
-    if len(hits) != 6 or set(hits.values()) != {2}:
-        raise RuntimeError("six corner geodesics should each absorb exactly two limits")
-    p, q = corner_pair()
-    oracle = {g.trace for g in cube_geodesics(p, q)}
-    if oracle != set(label_to_trace.values()):
-        raise RuntimeError("corner limits differ from the corner geodesic set")
-    return label_to_trace
+
+def corner_limits() -> dict[tuple[str, int], str]:
+    """The label of the corner geodesic each diagonal-family member
+    ``(family, index)`` converges to (:func:`_family_corner_trace`), in the
+    labeling of :func:`corner_limit_geodesics`.  Raises ``RuntimeError``
+    when a limit is none of the six."""
+    labels = {trace: label for label, trace in corner_limit_geodesics().items()}
+    out = {}
+    for family in "ABC":
+        for index in (1, 4, 7, 10):
+            label = labels.get(_family_corner_trace(family, index))
+            if label is None:
+                raise RuntimeError(f"limit of {family}{index} is not a corner geodesic")
+            out[family, index] = label
+    return out

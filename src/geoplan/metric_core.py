@@ -23,6 +23,7 @@ The exactness policy, concretely:
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt, lcm
@@ -77,17 +78,19 @@ def sqrt_exact(x: Fraction) -> Fraction | None:
     return None
 
 
-class Polyline:
-    """A piecewise-linear path: rational vertices plus parameter breakpoints.
+class Polyline(namedtuple("Polyline", "vertices params")):
+    """A piecewise-linear path: rational vertices plus parameter breakpoints,
+    the named tuple ``(vertices, params)``, checked on construction.
 
     ``params`` must be strictly increasing rationals from 0 to 1, one per
-    vertex.  Consecutive vertices must differ, except for the constant path,
-    which is represented by all-equal vertices.
+    vertex (evenly spaced when omitted).  Consecutive vertices must differ,
+    except for the constant path, which is represented by all-equal
+    vertices.
     """
 
-    __slots__ = ("vertices", "params")
+    __slots__ = ()
 
-    def __init__(self, vertices: Iterable[Sequence], params: Iterable | None = None):
+    def __new__(cls, vertices: Iterable[Sequence], params: Iterable | None = None):
         verts = tuple(tuple(_frac(c) for c in v) for v in vertices)
         if len(verts) < 2:
             raise ValueError("a polyline needs at least two vertices")
@@ -110,8 +113,7 @@ class Polyline:
             verts[i] == verts[i + 1] for i in range(len(verts) - 1)
         ):
             raise ValueError("repeated consecutive vertices (only the constant path may repeat)")
-        self.vertices = verts
-        self.params = ps
+        return tuple.__new__(cls, (verts, ps))
 
     @property
     def dimension(self) -> int:
@@ -132,19 +134,6 @@ class Polyline:
         a, b = self.vertices[lo], self.vertices[lo + 1]
         s = (t - ps[lo]) / (ps[lo + 1] - ps[lo])
         return tuple(x + s * (y - x) for x, y in zip(a, b))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polyline)
-            and self.vertices == other.vertices
-            and self.params == other.params
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.params))
-
-    def __repr__(self) -> str:
-        return f"Polyline(vertices={self.vertices!r}, params={self.params!r})"
 
 
 def chord_sq_lengths(p: Polyline) -> tuple[Fraction, ...]:

@@ -26,7 +26,7 @@ Elements, covers, flags and reports are named tuples.
 The module is purely combinatorial; geometric facts enter only through the
 caller-asserted :class:`PosetFlags` and the builtin poset data (among them
 the flat corner table ``CUBE_CORNER_LIMITS``, ``{(family, index): label}``),
-which the geometry modules re-derive and cross-check in their own suites.
+which ``verify``'s ``cube.corner_geodesics`` checks against the unfolding.
 """
 
 from __future__ import annotations
@@ -497,7 +497,7 @@ def klein_s4_poset() -> StratPoset:
 
 #: Where each opposite-face path family member ``(family, index)`` lands
 #: among the six corner-to-corner geodesics, in the limit at the corner pair.
-#: Cross-checked geometrically by the cube module's corner-limit computation.
+#: ``verify``'s ``cube.corner_geodesics`` checks it against ``corner_limits()``.
 CUBE_CORNER_LIMITS: dict[tuple[str, int], str] = {
     ("A", 1): "D3", ("A", 4): "D4", ("A", 7): "D6", ("A", 10): "D1",
     ("B", 1): "D5", ("B", 4): "D6", ("B", 7): "D2", ("B", 10): "D3",

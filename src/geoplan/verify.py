@@ -411,12 +411,22 @@ _KLEIN_POWERS = (
 )
 
 
+def _klein_scan(x: KleinPoint, y: KleinPoint) -> list[tuple]:
+    """The nearest ``(end_lift, deck)`` of the deck orbit of ``y`` seen from
+    ``x``, sorted by end lift: a brute-force scan (window 3) that shares
+    nothing with the two-coset rule."""
+    from .klein_bottle import DeckElement
+    words = _orbit_window(y.coords, _KLEIN_POWERS, 3)
+    nearest = _orbit_minimizers(x.coords, [p for p, _ in words])
+    return sorted((words[i][0], DeckElement(*words[i][1])) for i in nearest)
+
+
 @_check("lift_oracle")
 def klein_lift_oracle(check: CheckResult, seed: int, trials: int) -> None:
-    """Geodesic end lifts and deck tags equal a brute-force scan of the deck
-    orbit (window 3), which shares nothing with the two-coset rule."""
+    """Geodesic end lifts and deck tags equal the orbit scan
+    :func:`_klein_scan`, in its order."""
     from . import klein_bottle
-    from .klein_bottle import DeckElement, KleinPoint
+    from .klein_bottle import KleinPoint
     rng = random.Random(seed + 11)
     for _ in range(trials):
         x = KleinPoint.make(_rand_coords(rng, 2))
@@ -425,11 +435,8 @@ def klein_lift_oracle(check: CheckResult, seed: int, trials: int) -> None:
             # half a period above x: the nearest coset ties up and down
             v = (x.coords[1] + _HALF) % 1
         y = KleinPoint.make((u, v))
-        words = _orbit_window(y.coords, _KLEIN_POWERS, 3)
-        nearest = _orbit_minimizers(x.coords, [p for p, _ in words])
-        want = sorted((words[i][0], DeckElement(*words[i][1])) for i in nearest)
         got = [(g.end_lift, g.deck) for g in klein_bottle.klein_geodesics(x, y)]
-        if got != want:
+        if got != _klein_scan(x, y):
             check.fail(f"geodesics differ from the orbit scan at {x.coords}->{y.coords}")
 
 
@@ -480,8 +487,9 @@ def klein_deck_composition(check: CheckResult, seed: int, trials: int) -> None:
 def klein_cut_dichotomy(check: CheckResult, seed: int, trials: int) -> None:
     """Wedge (one multiplicity-4 vertex, two edges) exactly when the base
     second coordinate is 0 or 1/2; otherwise a theta graph (two
-    multiplicity-3 vertices, three edges).  Vertex multiplicities are
-    confirmed by the brute-force orbit scan."""
+    multiplicity-3 vertices, three edges).  At every cut vertex the
+    geodesics, their lifts spread over both cosets, equal the orbit scan
+    :func:`_klein_scan` in its order, which confirms the multiplicity too."""
     from . import klein_bottle
     from .klein_bottle import KleinPoint
     rng = random.Random(seed + 44)
@@ -499,10 +507,12 @@ def klein_cut_dichotomy(check: CheckResult, seed: int, trials: int) -> None:
             continue
         for vertex in graph.vertices:
             v = KleinPoint.make(vertex.point)
-            words = _orbit_window(v.coords, _KLEIN_POWERS, 3)
-            count = len(_orbit_minimizers(x.coords, [p for p, _ in words]))
-            if count != vertex.multiplicity:
-                check.fail(f"multiplicity {vertex.multiplicity} vs oracle {count}")
+            want = _klein_scan(x, v)
+            if len(want) != vertex.multiplicity:
+                check.fail(f"multiplicity {vertex.multiplicity} vs oracle {len(want)}")
+                break
+            if [(g.end_lift, g.deck) for g in klein_bottle.klein_geodesics(x, v)] != want:
+                check.fail(f"geodesics differ from the orbit scan at cut vertex {v.coords}")
                 break
 
 
@@ -540,8 +550,7 @@ def _odd_run_lift(x: KleinPoint, y: KleinPoint) -> tuple | None:
     brute-force orbit scan: at a theta vertex the three runs ``|u - x1|``
     are ``a, a, 1 - a`` with ``a < 1/2``.  None when the scan finds no
     such lift."""
-    words = _orbit_window(y.coords, _KLEIN_POWERS, 3)
-    nearest = [words[i][0] for i in _orbit_minimizers(x.coords, [p for p, _ in words])]
+    nearest = [p for p, _ in _klein_scan(x, y)]
     runs = [abs(p[0] - x.coords[0]) for p in nearest]
     odd = [p for p, run in zip(nearest, runs) if runs.count(run) == 1]
     return odd[0] if len(nearest) == 3 and len(odd) == 1 else None
@@ -711,8 +720,8 @@ def _rand_interior(rng: random.Random, den: int = 60) -> Fraction:
 
 def _normalized_formulas(x1, x2, y1, y2) -> tuple[Fraction, ...]:
     """The twelve normalized forms N_i of the opposite-face candidates,
-    typed out as polynomials in the charts: the oracle of the library's
-    ``CandidateTable.n``, which it reads off the squared lengths."""
+    typed out as polynomials in the charts: the oracle of the unfolded
+    squared lengths ``L_i^2 == 2 * N_i + |x|^2 + |y|^2 + 4``."""
     half = _HALF
     return (
         -x1 * y1 - 2 * x2 + 2 * y2 - x2 * y2,
@@ -756,16 +765,17 @@ def _diagonal_formulas(x_d, y_d) -> tuple[Fraction, ...]:
 @_check("normalization_identity")
 def cube_identity(check: CheckResult, seed: int, trials: int) -> None:
     """L_i^2 == 2*N_i + (|x|^2 + |y|^2 + 4) exactly, for every candidate:
-    the library's normalized forms, read off the squared lengths of its
-    unfolded candidates, equal the closed forms typed out in
-    :func:`_normalized_formulas`, which share no code with the unfolding."""
+    the squared lengths of the library's unfolded candidates equal the
+    closed forms typed out in :func:`_normalized_formulas` plus the unit
+    cube's common summand, which share no code with the unfolding."""
     from . import cube_sphere
     rng = random.Random(seed + 13)
     for _ in range(trials):
         x = (_rand_interior(rng), _rand_interior(rng))
         y = (_rand_interior(rng), _rand_interior(rng))
         table = cube_sphere.opposite_face_table(x, y)
-        if table.n != _normalized_formulas(*x, *y):
+        common = x[0] ** 2 + x[1] ** 2 + y[0] ** 2 + y[1] ** 2 + 4
+        if table.l_sq != tuple(2 * n + common for n in _normalized_formulas(*x, *y)):
             check.fail(f"identity fails at {x}, {y}")
 
 
@@ -796,8 +806,8 @@ def cube_formula_oracle(check: CheckResult, seed: int, trials: int) -> None:
 @_check("symmetric_diagonal")
 def cube_symmetric_diagonal(check: CheckResult, seed: int, trials: int) -> None:
     """Symmetric diagonal pairs have exactly four geodesics, realized by
-    candidates 1, 4, 7, 10, and the library's normalized forms there equal
-    the typed forms of :func:`_diagonal_formulas`."""
+    candidates 1, 4, 7, 10, and the library's squared lengths there equal
+    ``2 * N_i + 4 z^2 + 4`` with the typed forms of :func:`_diagonal_formulas`."""
     from . import cube_sphere
     rng = random.Random(seed + 39)
     zs = [
@@ -818,7 +828,7 @@ def cube_symmetric_diagonal(check: CheckResult, seed: int, trials: int) -> None:
         geos = cube_sphere.cube_geodesics(x, y)
         if table.argmin_indices() != (1, 4, 7, 10) or len(geos) != 4:
             check.fail(f"symmetric diagonal law fails at z={z}")
-        elif table.n != _diagonal_formulas(z, z):
+        elif table.l_sq != tuple(2 * n + 4 * z * z + 4 for n in _diagonal_formulas(z, z)):
             check.fail(f"diagonal substitution mismatch at z={z}")
 
 
@@ -826,8 +836,9 @@ def cube_symmetric_diagonal(check: CheckResult, seed: int, trials: int) -> None:
 def cube_corner_geodesics(check: CheckResult, seed: int, trials: int) -> None:
     """Both corners are built in their owner's chart, as ``from_space``
     builds them; exactly six geodesics of squared length 5 join them, and
-    the limit table is internally consistent with them."""
+    the corner limits read off the unfolding equal the corner poset's table."""
     from . import cube_sphere
+    from .strat_cover import CUBE_CORNER_LIMITS
     p, q = cube_sphere.corner_pair()
     moved = [x for x in (p, q) if x != cube_sphere.CubePoint.from_space(x.point)]
     geos = cube_sphere.cube_geodesics(p, q)
@@ -835,8 +846,8 @@ def cube_corner_geodesics(check: CheckResult, seed: int, trials: int) -> None:
         check.fail("corner {}:{},{} is not in its owner's chart".format(*moved[0]))
     elif len(geos) != 6 or any(g.squared_length != 5 for g in geos):
         check.fail(f"corner count {len(geos)}")
-    elif sorted(cube_sphere.corner_limit_geodesics()) != ["D1", "D2", "D3", "D4", "D5", "D6"]:
-        check.fail("bad label set")
+    elif cube_sphere.corner_limits() != CUBE_CORNER_LIMITS:
+        check.fail("corner limits differ from the poset's table")
 
 
 @_check("witness_sequences")
@@ -876,16 +887,16 @@ def cube_corner_convergence(check: CheckResult, seed: int, trials: int) -> None:
     shrinks when a does."""
     from . import cube_sphere, metric_core
     from .metric_core import Polyline, sup_distance_sq
-    from .strat_cover import CUBE_CORNER_LIMITS
     cases = [(a, idx) for a in (Fraction(1, 10), Fraction(1, 100)) for idx in (1, 4, 7, 10)]
     check.trials = len(cases)
     labeled = cube_sphere.corner_limit_geodesics()
+    limits = cube_sphere.corner_limits()
     previous: dict[int, Fraction] = {}
     for a, idx in cases:
         path = cube_sphere.candidate_path(
             (-_HALF + a, -_HALF + a), (_HALF - a, -_HALF + a), idx
         )
-        limit = labeled[CUBE_CORNER_LIMITS["A", idx]]
+        limit = labeled[limits["A", idx]]
         cs_path = metric_core.reparametrize_constant_speed(path.as_polyline())
         cs_limit = metric_core.reparametrize_constant_speed(Polyline(limit))
         d_sq = sup_distance_sq(cs_path, cs_limit)

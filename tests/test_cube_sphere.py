@@ -24,6 +24,7 @@ from geoplan.cube_sphere import (
     _unfold_path,
     candidate_path,
     corner_limit_geodesics,
+    corner_limits,
     corner_pair,
     cube_geodesics,
     opposite_face_table,
@@ -289,8 +290,9 @@ class TestCandidateTable:
             x = (interior(rng), interior(rng))
             y = (interior(rng), interior(rng))
             table = opposite_face_table(x, y)
-            # ``n`` is read off ``l_sq``; the typed forms are verify's oracle
-            assert table.n == verify._normalized_formulas(*x, *y)
+            # the typed forms N_i are verify's oracle of the unfolded lengths
+            common = x[0] ** 2 + x[1] ** 2 + y[0] ** 2 + y[1] ** 2 + 4
+            assert table.l_sq == tuple(2 * n + common for n in verify._normalized_formulas(*x, *y))
 
     def test_argmin_matches_enumerated_geodesics(self):
         rng = random.Random(23)
@@ -365,7 +367,7 @@ class TestSymmetricDiagonal:
         y = (z, -z)
         table = opposite_face_table(x, y)
         assert table.argmin_indices() == (1, 4, 7, 10)
-        assert table.n == verify._diagonal_formulas(z, z)
+        assert table.l_sq == tuple(2 * n + 4 * z * z + 4 for n in verify._diagonal_formulas(z, z))
         geos = cube_geodesics(CubePoint.make("z-", *x), CubePoint.make("z+", *y))
         assert len(geos) == 4
 
@@ -397,11 +399,22 @@ class TestCornerPair:
 
     def test_limit_labels_cover_each_geodesic_twice(self):
         limits = corner_limit_geodesics()
-        assert sorted(limits) == ["D1", "D2", "D3", "D4", "D5", "D6"]
+        assert list(limits) == ["D1", "D2", "D3", "D4", "D5", "D6"]
+        derived = corner_limits()
+        assert derived == CUBE_CORNER_LIMITS
         hits = {label: 0 for label in limits}
-        for label in CUBE_CORNER_LIMITS.values():
+        for label in derived.values():
             hits[label] += 1
         assert set(hits.values()) == {2}
+
+    def test_labels_follow_the_sixth_turn(self):
+        """D1 crosses (-1/2, 0, 1/2); sigma (X, Y, Z) = (-Z, -X, -Y), minus
+        the square of the corner rotation, carries each midpoint to the
+        next label's."""
+        midpoints = [trace[1] for trace in corner_limit_geodesics().values()]
+        assert midpoints[0] == (-H, F(0), H)
+        for m, following in zip(midpoints, midpoints[1:] + midpoints[:1]):
+            assert following == tuple(-c for c in rotate_point(rotate_point(m)))
 
     @pytest.mark.parametrize(
         "misprint",
@@ -410,9 +423,9 @@ class TestCornerPair:
     )
     def test_misprinted_limit_table_raises(self, monkeypatch, misprint):
         monkeypatch.setattr(strat_cover, "CUBE_CORNER_LIMITS", {**CUBE_CORNER_LIMITS, **misprint})
-        with pytest.raises(RuntimeError):
-            corner_limit_geodesics()
-        assert not verify.cube_corner_geodesics(0, 1).passed
+        result = verify.cube_corner_geodesics(0, 1)
+        assert not result.passed
+        assert "corner limits differ from the poset's table" in result.detail
 
     def test_limit_table_spot_values(self):
         assert len(CUBE_CORNER_LIMITS) == 12
@@ -505,14 +518,18 @@ def _pinned_cube_reprs():
         yield repr((x, y))
         yield repr(cube_geodesics(x, y))
     for _ in range(40):
-        t = opposite_face_table(_pinned_chart(rng, "interior"), _pinned_chart(rng, "interior"))
-        yield repr((t.x, t.y, t.l_sq, t.n, t.admissible))
+        x, y = _pinned_chart(rng, "interior"), _pinned_chart(rng, "interior")
+        t = opposite_face_table(x, y)
+        common = x[0] ** 2 + x[1] ** 2 + y[0] ** 2 + y[1] ** 2 + 4
+        n = tuple((v - common) / 2 for v in t.l_sq)
+        yield repr((x, y, t.l_sq, n, t.admissible))
 
 
 # sha256 of the reprs above, recorded while each cube query still scaled its
 # charts by 2 * lcm(chart denominators) and each table still stored its
-# normalized forms; a change of integer scale or of when a field is
-# evaluated must keep these bytes.
+# charts and normalized forms (now rebuilt above from the inputs and
+# ``l_sq``); a change of integer scale or of when a field is evaluated must
+# keep these bytes.
 PINNED_CUBE_SHA256 = "1feadd2905a27778d1b1dbb93a392d8c752a0cda7bd8bbe50930db8f461ed85e"
 
 

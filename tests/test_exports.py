@@ -1,6 +1,8 @@
 """Every name a ``geoplan`` module exports in ``__all__`` exists."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -45,3 +47,19 @@ def test_records_are_declared_one_way():
     assert [r.__name__ for r in records if tuple in r.__bases__] == []
     open_dicts = [r.__name__ for r in records if "__slots__" not in vars(r)]
     assert open_dicts == []
+
+
+def test_cube_sphere_imports_nothing_from_the_poset_engine():
+    """The cube layer reads its corner labels off its own unfolding, so no
+    import in ``cube_sphere``, at module level or inside a function, names
+    ``strat_cover``; ``verify`` cross-checks the two."""
+    from geoplan import cube_sphere
+
+    names = []
+    for node in ast.walk(ast.parse(inspect.getsource(cube_sphere))):
+        if isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert names
+    assert [n for n in names if "strat_cover" in n.split(".")] == []

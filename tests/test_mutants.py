@@ -68,8 +68,8 @@ flipless_locate = source_mutant(KleinPoint, "locate", "scale - v if a % 2 else v
 
 #: ``_breakpoints`` keeps crossing coordinates unreduced, so equal traces get
 #: different keys and tied unfoldings no longer merge, and a crossing at a
-#: path's corner start no longer reads as the start point: the corner limit
-#: traces then repeat it.
+#: path's corner start or end no longer reads as that corner: the corner
+#: limit traces then repeat it and match no corner geodesic.
 unreduced_breakpoints = source_mutant(cube_sphere, "_breakpoints", "g = gcd(num, den)", "g = 1")
 
 #: ``_face_sequences`` tests the second face against ``ends``, not
@@ -94,12 +94,26 @@ closed_make_shortcut = source_mutant(
     "<= u.denominator and 2 * abs(v.numerator) <= v.denominator",
 )
 
-#: ``_flat_geodesics`` leaves the lifts of tied cosets in coset order instead
-#: of sorting them, so the geodesics of a pair with two nearest cosets come
-#: out of order.
-unsorted_tied_cosets = source_mutant(
-    flat_torus, "_flat_geodesics", "lifts = sorted(lifts)", "lifts = list(lifts)"
+#: ``corner_limit_geodesics`` steps its midpoints by the inverse of the
+#: corner symmetry, so D2..D6 name the corner geodesics in reverse order: the
+#: labeling agrees with itself but not with the corner poset's table.
+reversed_sixth_turn = source_mutant(
+    cube_sphere,
+    "corner_limit_geodesics",
+    "m = (-m[2], -m[0], -m[1])",
+    "m = (-m[1], -m[2], -m[0])",
 )
+
+
+def unsorted_tied_cosets(monkeypatch):
+    """``_flat_geodesics`` leaves the lifts of tied cosets in coset order
+    instead of sorting them, so the geodesics of a pair with two nearest
+    cosets come out of order.  ``klein_bottle`` binds the name itself, so
+    the mutant is planted there too."""
+    source_mutant(
+        flat_torus, "_flat_geodesics", "lifts = sorted(lifts)", "lifts = list(lifts)"
+    )(monkeypatch)
+    monkeypatch.setattr(klein_bottle, "_flat_geodesics", flat_torus._flat_geodesics)
 
 #: ``klein_plan`` takes the shortest horizontal run at its theta vertices,
 #: one of the two majority lifts, instead of the longest.
@@ -280,13 +294,13 @@ def without_errors(ending):
         pytest.param(
             unreduced_breakpoints,
             lambda: verify.cube_corner_geodesics(0, 1),
-            "limit of B4 does not match the printed label D6",
+            "RuntimeError: limit of A1 is not a corner geodesic",
             id="unreduced-breakpoints-cube-corner-geodesics",
         ),
         pytest.param(
             unreduced_breakpoints,
             lambda: verify.cube_corner_convergence(0, 8),
-            "does not match the printed label",
+            "RuntimeError: limit of A1 is not a corner geodesic",
             id="unreduced-breakpoints-cube-corner-convergence",
         ),
         pytest.param(
@@ -309,18 +323,9 @@ def without_errors(ending):
         ),
         pytest.param(
             unsorted_tied_cosets,
-            lambda: verify.klein_lift_oracle(0, 200),
-            None,
-            id="unsorted-tied-cosets-klein-lift-oracle",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="oracle gap: no verify check compares the order of the geodesics "
-                "(lift_oracle 0/200 and 0/2,000, planner_partition 0/225, "
-                "planner_continuity 0/228, cut_dichotomy 0/200, horizontal_equivariance "
-                "0/200, monodromy 0/5 at seed 0); the Fraction-reference test "
-                "test_flat_torus.py::TestIntegerCoreMatchesTheFractionReference"
-                "::test_geodesics_and_plan kills it",
-            ),
+            lambda: verify.klein_cut_dichotomy(0, 200),
+            "geodesics differ from the orbit scan at cut vertex",
+            id="unsorted-tied-cosets-klein-cut-dichotomy",
         ),
         pytest.param(
             wrong_prune,
@@ -345,6 +350,12 @@ def without_errors(ending):
             lambda: verify.cube_corner_convergence(0, 8),
             "KeyError: 'z-'",
             id="closed-interior-cube-corner-convergence",
+        ),
+        pytest.param(
+            reversed_sixth_turn,
+            lambda: verify.cube_corner_geodesics(0, 1),
+            "corner limits differ from the poset's table",
+            id="reversed-sixth-turn-cube-corner-geodesics",
         ),
         pytest.param(
             closed_make_shortcut,
