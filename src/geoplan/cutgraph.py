@@ -9,7 +9,10 @@ straight; consumers reduce mod 1 when they need chart coordinates.
 
 On R^2/Γ the cut locus of ``x`` is the projected boundary of its Dirichlet
 cell, the plane points nearer the lift X of ``x`` than any other orbit
-point; only the ``flat_torus.FlatPoint`` interface is read.  x and its
+point.  The cell reads only the ``flat_torus.FlatPoint`` interface; the
+graph also needs the deck element that ``locate`` names for each orbit
+point, which a Klein-bottle point gives and a torus point does not (the
+torus cut locus is ``flat_torus.torus_cut_locus``).  x and its
 coset points go on one integer scale D (``metric_core.integer_points``), so
 each orbit point D*Q and each bisector 2(Q - X).Z <= |Q|^2 - |X|^2 is
 integer.  Cell vertices are homogeneous integer triples (x, y, w) standing
@@ -183,11 +186,20 @@ def dirichlet_graph(x: FlatPoint) -> CutLocusGraph:
     inverse of its deck element (the ``g`` of ``x.locate`` at its integer
     orbit point); of each pair the edge with the smaller element is emitted,
     in element order, with that element's ``tag`` as its gluing.
+
+    Raises ``ValueError`` when ``x.locate`` names no deck elements, as on
+    the torus.
     """
     d, _, cell = _scaled_cell(x)
     if not (4 <= len(cell) <= 6) or any(tag is None for _, tag in cell):
         tags = [tag for _, tag in dirichlet_cell(x)]
         raise RuntimeError(f"unexpected Dirichlet cell of {x.coords}: edge tags {tags}")
+    decks = [x.locate(tag, d)[0] for _, tag in cell]
+    if None in decks:
+        raise ValueError(
+            f"{type(x).__name__}.locate names no deck elements to glue the cell edges of"
+            f" {x.coords}; the torus cut locus is flat_torus.torus_cut_locus"
+        )
 
     classes: dict[tuple[int, ...], list[int]] = {}
     for i, ((vx, vy, w), _) in enumerate(cell):
@@ -198,7 +210,6 @@ def dirichlet_graph(x: FlatPoint) -> CutLocusGraph:
     )
 
     corners = [_point(vx, vy, w * d) for (vx, vy, w), _ in cell]
-    decks = [x.locate(tag, d)[0] for _, tag in cell]
     n = len(cell)
     edges = []
     emitted = set()

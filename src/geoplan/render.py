@@ -14,8 +14,13 @@ A list is written by one ``_SCALARS[type(v)]`` pass over its items, which
 stops at the first item that is not a scalar; a list of scalars is then
 joined in one step.  In a list that holds lists, each row of scalars
 (displacements, end lifts, vertices, traces) is joined the same way, without
-a recursive call per row.  What is left of the time of an answer is mostly
-the ``str`` of each Fraction and the joins themselves, that is, the size of
+a recursive call per row.  A list of records, plain dicts that all have one
+set of exact-``str`` keys (poset elements and covers, ``verify`` reports,
+geodesic lists), sorts those keys once and writes every record by one loop
+over them, with no copy or sort per record; a lone dict is a run of one
+record, copied first only when its keys are not all exact ``str`` or it is
+a dict subclass.  What is left of the time of an answer is mostly the
+``str`` of each Fraction and the joins themselves, that is, the size of
 the text.
 """
 
@@ -24,11 +29,13 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
+from itertools import chain
 # The C quoting function that json.encoder wraps: importing it alone leaves
 # out json's decoder and scanner, which no renderer needs.
 from _json import encode_basestring_ascii as _quote
 
 _INF = float("inf")
+_STR = frozenset([str])
 
 __all__ = [
     "dump_csv",
@@ -83,6 +90,29 @@ def _scalar_list(items, newline: str) -> str:
     return "[" + inner + ("," + inner).join([_SCALARS[type(v)](v) for v in items]) + newline + "]"
 
 
+def _records(rows, keys: list[str], newline: str, emit) -> None:
+    """Emit the dicts ``rows`` as JSON objects that start on the indent of
+    ``newline``, joined by ``,`` and that line break.  Each row has exactly
+    the keys ``keys``, sorted exact ``str``s, which are read in that order:
+    a row is neither copied nor sorted."""
+    inner = newline + "  "
+    comma = "," + inner
+    close = newline + "}"
+    sep = "{" + inner
+    for row in rows:
+        for key in keys:
+            value = row[key]
+            scalar = _SCALARS.get(type(value))
+            if scalar is None:
+                emit(sep + _quote(key) + ": ")
+                _write(value, inner, emit)
+            else:
+                emit(sep + _quote(key) + ": " + scalar(value))
+            sep = comma
+        emit(close)
+        sep = "," + newline + "{" + inner
+
+
 def _write(obj, newline: str, emit) -> None:
     """Emit the JSON text of ``obj`` piece by piece; ``newline`` is a line
     break plus the indent of the line that ``obj`` starts on."""
@@ -93,18 +123,10 @@ def _write(obj, newline: str, emit) -> None:
         if not obj:
             emit("{}")
             return
-        inner = newline + "  "
-        sep = "{" + inner
-        # keys become strings before sorting, so a later key wins a collision
-        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
-            scalar = _SCALARS.get(type(value))
-            if scalar is None:
-                emit(sep + _quote(key) + ": ")
-                _write(value, inner, emit)
-            else:
-                emit(sep + _quote(key) + ": " + scalar(value))
-            sep = "," + inner
-        emit(newline + "}")
+        if type(obj) is not dict or not _STR.issuperset(map(type, obj)):
+            # keys become strings before sorting, so a later key wins a collision
+            obj = {str(k): v for k, v in obj.items()}
+        _records((obj,), sorted(obj), newline, emit)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             emit("[]")
@@ -117,6 +139,16 @@ def _write(obj, newline: str, emit) -> None:
             emit(text)
             return
         inner = newline + "  "
+        first = obj[0]
+        if type(first) is dict and first:
+            keys = first.keys()
+            if all(type(row) is dict and row.keys() == keys for row in obj) and _STR.issuperset(
+                map(type, chain.from_iterable(obj))
+            ):
+                emit("[" + inner)
+                _records(obj, sorted(keys), inner, emit)
+                emit(newline + "]")
+                return
         sep = "[" + inner
         for value in obj:
             scalar = _SCALARS.get(type(value))

@@ -31,10 +31,9 @@ which ``verify``'s ``cube.corner_geodesics`` checks against the unfolding.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import itemgetter
 
 __all__ = [
@@ -595,14 +594,17 @@ def builtin_poset(name: str) -> tuple[StratPoset, PosetFlags]:
 # ---------------------------------------------------------------------------
 
 def to_document(p: StratPoset, flags: PosetFlags) -> dict:
-    """Serialize to the interchange schema (elements/covers/flags)."""
+    """Serialize to the interchange schema (elements/covers/flags).
+
+    Each cover's map is a copy of the poset's, in the poset's order: the
+    canonical writer sorts keys itself."""
     return {
         "elements": [
             {"id": e.id, "level": e.level, "sheets": list(e.sheets)}
             for e in p.elements
         ],
         "covers": [
-            {"src": c.src, "dst": c.dst, "map": dict(sorted(c.mapping.items()))}
+            {"src": c.src, "dst": c.dst, "map": dict(c.mapping)}
             for c in p.covers
         ],
         "flags": flags._asdict(),
@@ -616,17 +618,29 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _strings(values: list, what: str) -> tuple[str, ...]:
+    """``values`` as a tuple when every item is a string, which one C-level
+    pass checks; else :func:`_typed` reports the first item that is not."""
+    if not all(map(isinstance, values, repeat(str))):
+        for value in values:
+            _typed(value, str, what)
+    return tuple(values)
+
+
 def from_document(doc: dict) -> tuple[StratPoset, PosetFlags]:
     """Parse the interchange schema; raises ``ValueError`` on a missing key or
     a value of the wrong JSON type.  Ids and map values are read as strings;
-    the poset axioms are left to :func:`validate_poset`."""
+    the poset axioms are left to :func:`validate_poset`.
+
+    Each list of sheets is checked in one pass; only a list that fails it is
+    read again item by item, so the error names the first wrong value."""
     _typed(doc, dict, "document")
     try:
         elements = [
             PosetElement(
                 id=str(_typed(e, dict, "element")["id"]),
                 level=_typed(e["level"], int, "level"),
-                sheets=tuple(_typed(s, str, "sheet") for s in _typed(e["sheets"], list, "sheets")),
+                sheets=_strings(_typed(e["sheets"], list, "sheets"), "sheet"),
             )
             for e in _typed(doc["elements"], list, "elements")
         ]
@@ -648,6 +662,9 @@ def from_document(doc: dict) -> tuple[StratPoset, PosetFlags]:
 
 
 def loads_document(text: str) -> tuple[StratPoset, PosetFlags]:
+    # Imported here: only a document read from text needs json's decoder.
+    import json
+
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -923,3 +923,28 @@ def test_import_leaves_verify_and_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_builtin_bound_leaves_the_json_decoder_unloaded(tmp_path):
+    # Only ``loads_document`` needs json's decoder; the probe itself does not
+    # import json, and a document file still loads.
+    from geoplan.render import dump_json
+    from geoplan.strat_cover import builtin_poset, to_document
+
+    doc = tmp_path / "circle.json"
+    doc.write_text(dump_json(to_document(*builtin_poset("circle"))))
+    code = (
+        "import contextlib, io, sys\n"
+        "import geoplan.cli\n"
+        "codes = []\n"
+        "for argv in (['bound', 'builtin:circle'], ['verify', 'core', '--trials', '5']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(geoplan.cli.main(argv))\n"
+        "before = 'json.decoder' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    codes.append(geoplan.cli.main(['bound', sys.argv[1]]))\n"
+        "print(codes, before, 'json.decoder' in sys.modules, '\"lower_bound\": 1' in out.getvalue())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(doc)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0,", "0]", "False", "True", "True"]

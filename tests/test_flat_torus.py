@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoplan import flat_torus
-from geoplan.cutgraph import dirichlet_cell
+from geoplan.cutgraph import dirichlet_cell, dirichlet_graph
 from geoplan.flat_torus import (
     FlatGeodesic,
     TorusPoint,
@@ -692,3 +692,31 @@ class TestIntegerCoreMatchesTheFractionReference:
         vertices, edges = reference_klein_graph(x)
         assert [(v.point, v.multiplicity) for v in graph.vertices] == vertices
         assert [(e.start_vertex, e.end_vertex, e.points, e.gluing) for e in graph.edges] == edges
+
+
+def test_dirichlet_graph_refuses_a_torus_point():
+    x = TorusPoint.make((F(1, 3), F(1, 5)))
+    with pytest.raises(ValueError, match=r"^TorusPoint\.locate names no deck elements .*torus_cut_locus$"):
+        dirichlet_graph(x)
+
+
+def _seeded_basepoints(count: int, seed: int):
+    rng = random.Random(seed)
+    return [
+        tuple(F(rng.randrange(q), q) for q in (97, 89)) for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("space", [TorusPoint, KleinPoint], ids=["torus", "klein"])
+def test_dirichlet_cell_area_is_covolume_over_cosets(space):
+    for coords in _seeded_basepoints(300, 13):
+        x = space.make(coords)
+        corners = [p for p, _ in dirichlet_cell(x)]
+        twice = sum(
+            a[0] * b[1] - b[0] * a[1] for a, b in zip(corners, corners[1:] + corners[:1])
+        )
+        covolume = x.periods[0] * x.periods[1]
+        assert twice / 2 == F(covolume, len(x.cosets())) == 1, coords
+        if space is KleinPoint:
+            graph = dirichlet_graph(x)
+            assert len(graph.vertices) - len(graph.edges) == -1, coords

@@ -63,6 +63,62 @@ def test_dump_json_matches_the_standard_encoder(data):
     assert dump_json(data) == oracle(data)
 
 
+class LoudStr(str):
+    def __str__(self):
+        return "loud"
+
+
+class Row(dict):
+    pass
+
+
+record_values = st.one_of(
+    scalars,
+    st.sampled_from([[], {}, ()]),
+    st.lists(st.dictionaries(st.sampled_from("ab"), scalars, min_size=2, max_size=2), max_size=3),
+    st.dictionaries(keys, scalars, max_size=3),
+)
+
+
+@st.composite
+def record_lists(draw):
+    """Two or more dicts on one set of ``str`` keys, with values of every
+    kind, and at times one odd row in the middle: another key set, a
+    ``LoudStr`` key equal to a shared key, a key ``1`` beside ``"1"``, or a
+    dict subclass."""
+    names = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    rows = [
+        {name: draw(record_values) for name in draw(st.permutations(names))}
+        for _ in range(draw(st.integers(2, 5)))
+    ]
+    odd = dict(rows[0])
+    odd_kind = draw(st.sampled_from(["none", "keys", "loud", "collide", "subclass"]))
+    if odd_kind == "keys":
+        odd[names[0] + "x"] = 0
+    elif odd_kind == "loud":
+        odd[LoudStr(names[0])] = odd.pop(names[0])
+    elif odd_kind == "collide":
+        odd.update({1: "int", "1": "str"})
+    elif odd_kind == "subclass":
+        odd = Row(odd)
+    if odd_kind != "none":
+        rows.insert(len(rows) // 2, odd)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_lists())
+def test_record_lists_match_the_standard_encoder(rows):
+    assert dump_json(rows) == oracle(rows)
+    assert dump_json({"rows": rows}) == oracle({"rows": rows})
+
+
+def test_loud_key_equal_to_a_shared_key_prints_as_its_str():
+    rows = [{"a": 1, "b": 2}, {LoudStr("a"): 3, "b": 4}, {"a": 5, "b": 6}]
+    assert dump_json(rows) == oracle(rows)
+    assert '"loud": 3' in dump_json(rows)
+
+
 def test_colliding_keys_keep_the_last_value():
     data = {1: "int", "1": "str", Fraction(1, 2): "frac", "1/2": "text", None: 0, "None": 1}
     assert dump_json(data) == oracle(data)
@@ -96,11 +152,6 @@ class LoudInt(int):
         return "loud"
 
     __str__ = __repr__
-
-
-class LoudStr(str):
-    def __str__(self):
-        return "loud"
 
 
 class LoudFraction(Fraction):

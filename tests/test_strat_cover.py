@@ -785,6 +785,33 @@ class TestDocuments:
         with pytest.raises(ValueError):
             from_document({"elements": [{"id": "a"}]})
 
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            (lambda d: d["elements"][1]["sheets"].extend([3, None]), "sheet must be str, not int"),
+            (lambda d: d["elements"][1].update(sheets=("+",)), "sheets must be list, not tuple"),
+            (lambda d: d["elements"][2].update(level=True), "level must be int, not bool"),
+            (lambda d: d["covers"].insert(1, ["+", "o"]), "cover must be dict, not list"),
+        ],
+        ids=["sheet", "sheets", "level", "cover"],
+    )
+    def test_first_wrong_type_is_named(self, damage, message):
+        doc = json.loads(dump_json(to_document(*builtin_poset("circle"))))
+        damage(doc)
+        with pytest.raises(ValueError) as info:
+            from_document(doc)
+        assert str(info.value) == f"malformed poset document: {message}"
+
+    def test_document_maps_are_copies(self):
+        poset, flags = builtin_poset("torus_corner:2")
+        doc = to_document(poset, flags)
+        for i, cover in enumerate(doc["covers"]):
+            assert cover["map"] == poset.covers[i].mapping
+            assert cover["map"] is not poset.covers[i].mapping
+            cover["map"].clear()
+        assert validate_poset(poset) == ()
+        assert all(c.mapping for c in poset.covers)
+
     def test_missing_flags_default_to_false(self):
         poset, _ = builtin_poset("circle")
         doc = to_document(poset, PosetFlags(True, True, True))
