@@ -72,9 +72,10 @@ _CSV_COLUMNS = ["x", "y", "stratum", "count", "min_sq_length"]
 _MAX_DIGITS = 1050
 
 #: Most items one answer may hold (the three sizes are in the module
-#: docstring).  Each largest admitted ``geodesics`` or ``cutlocus`` answer
-#: takes about 2-3 s (2-core x86-64 VM, Python 3.11), the largest ``bound``
-#: about 0.1 s; one step further doubles or triples an answer.
+#: docstring).  The largest admitted ``geodesics`` (torus:14, full antipode),
+#: ``cutlocus`` (torus:14) and ``bound`` (torus_corner:9) answers take 0.80,
+#: 0.35 and 0.08 s (fastest of 3 runs, 2-core x86-64 Xeon VM, Python 3.11);
+#: one step further doubles or triples an answer.
 _MAX_ANSWER_ITEMS = 3**9
 
 #: Points the cut-locus csv samples on each edge, both ends included.  Every

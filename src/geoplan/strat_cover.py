@@ -24,16 +24,18 @@ classifies the factor and lifts its report by the product rule proved in
 :func:`_power_bound`.
 Elements, covers, flags and reports are named tuples.
 The module is purely combinatorial; geometric facts enter only through the
-caller-asserted :class:`PosetFlags` and the builtin poset data (among them
-the flat corner table ``CUBE_CORNER_LIMITS``, ``{(family, index): label}``),
-which ``verify``'s ``cube.corner_geodesics`` checks against the unfolding.
+caller-asserted :class:`PosetFlags` and the builtins, which list their
+strata only: one rule, :func:`_inclusions`, derives every cover that maps
+sheets to themselves, and the only typed maps are the cube's, the corner
+table ``CUBE_CORNER_LIMITS`` (``{(family, index): label}``), which
+``verify``'s ``cube.corner_geodesics`` checks against the unfolding.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from operator import itemgetter
 
 __all__ = [
@@ -69,7 +71,7 @@ class CoverMap(namedtuple("CoverMap", "src dst mapping")):
     A named tuple, like :class:`PosetElement`: immutable, built positionally
     or by keyword, and equal to any tuple with equal fields.  Its ``mapping``
     is a dict, so a cover is not hashable.  The dict is read-only, so covers
-    may share one (the covers out of one ``torus_corner`` element do);
+    may share one (the inclusions out of one builtin element do);
     :func:`validate_poset` checks a shared map per cover, against that
     cover's own source and destination, as it checks any other.
     """
@@ -337,11 +339,28 @@ def upper_bound_if_trivial(report: BoundReport, flags: PosetFlags) -> int | None
 # Builtin posets
 # ---------------------------------------------------------------------------
 
+def _inclusions(elements) -> list[CoverMap]:
+    """The covers ``a -> b``, for each ``b`` one level above ``a`` whose
+    sheets hold all of ``a``'s, each mapping every sheet to itself: the face
+    lattice's rule, "sheet maps are inclusions, the level is 1 + dim F".
+    By source, then destination, in element order; one map per source."""
+    rows: dict[int, list[tuple[str, frozenset[str]]]] = {}
+    for e in elements:
+        rows.setdefault(e.level, []).append((e.id, frozenset(e.sheets)))
+    covers = []
+    for src, level, sheets in elements:
+        inclusion = dict(zip(sheets, sheets))
+        for dst, held in rows.get(level + 1, ()):
+            if held.issuperset(sheets):
+                covers.append(CoverMap(src, dst, inclusion))
+    return covers
+
+
 def circle_poset() -> StratPoset:
     """Local poset at an antipodal pair on the unit-circumference circle.
 
     Two one-geodesic components (clockwise side, counterclockwise side) sit
-    under the antipodal component with sheets {cw, ccw}; the two incoming maps
+    under the antipodal component with sheets {cw, ccw}; the two inclusions
     have disjoint images, so the top is inconsistent and the bound is 1.
     """
     elements = [
@@ -349,11 +368,7 @@ def circle_poset() -> StratPoset:
         PosetElement("near_ccw", 1, ("ccw",)),
         PosetElement("antipodal", 2, ("cw", "ccw")),
     ]
-    covers = [
-        CoverMap("near_cw", "antipodal", {"cw": "cw"}),
-        CoverMap("near_ccw", "antipodal", {"ccw": "ccw"}),
-    ]
-    return StratPoset(elements, covers)
+    return StratPoset(elements, _inclusions(elements))
 
 
 #: One coordinate of the flat torus at an antipodal pair: ``+`` and ``-``
@@ -361,14 +376,12 @@ def circle_poset() -> StratPoset:
 #: sits on its antipodal wall, both arcs are shortest).  It is
 #: :func:`circle_poset` with ``near_cw, near_ccw, antipodal`` renamed
 #: ``+, -, o`` and the sheets ``cw, ccw`` renamed ``+, -``.
-_SIGN_FACTOR = StratPoset(
-    [
-        PosetElement("+", 1, ("+",)),
-        PosetElement("-", 1, ("-",)),
-        PosetElement("o", 2, ("+", "-")),
-    ],
-    [CoverMap("+", "o", {"+": "+"}), CoverMap("-", "o", {"-": "-"})],
+_SIGN_FACTOR_ELEMENTS = (
+    PosetElement("+", 1, ("+",)),
+    PosetElement("-", 1, ("-",)),
+    PosetElement("o", 2, ("+", "-")),
 )
+_SIGN_FACTOR = StratPoset(_SIGN_FACTOR_ELEMENTS, _inclusions(_SIGN_FACTOR_ELEMENTS))
 
 
 class _CornerPower(StratPoset):
@@ -421,7 +434,9 @@ def torus_corner_poset(n: int) -> StratPoset:
 
 def _corner_cells(n: int) -> tuple[tuple[PosetElement, ...], tuple[CoverMap, ...]]:
     """The elements, by level and then id, and the covers, by source and
-    then destination, of ``torus_corner_poset(n)``."""
+    then destination, of ``torus_corner_poset(n)``: the covers are the
+    rule :func:`_inclusions` on the 3^n elements, found by base-3 index
+    arithmetic where a scan of the next level would be quadratic in 3^n."""
     # Grow (pattern, sheets) one coordinate at a time, the last coordinate
     # varying fastest over ``+-o``, which is id order.  A sign extends each
     # sheet of the prefix and an ``o`` doubles them, ``+`` before ``-``, so
@@ -471,8 +486,8 @@ def klein_s4_poset() -> StratPoset:
     cell edges, the diagonal pairs from the slanted-edge families, and the
     short-edge families {DR, DL} / {UR, UL} from the two hexagon branches),
     4 three-geodesic components (all 3-subsets), and the apex with all four
-    sheets.  All maps are inclusions; every non-bottom element is
-    inconsistent, giving the bound 3.
+    sheets: a tetrahedron's faces.  All maps are inclusions; every non-bottom
+    element is inconsistent, giving the bound 3.
     """
     elements = [
         PosetElement(f"chamber_{lab}", 1, (lab,)) for lab in _KLEIN_LABELS
@@ -482,16 +497,7 @@ def klein_s4_poset() -> StratPoset:
     for triple in combinations(_KLEIN_LABELS, 3):
         elements.append(PosetElement("vertex_" + "_".join(triple), 3, triple))
     elements.append(PosetElement("apex", 4, _KLEIN_LABELS))
-    covers = []
-    by_level = {1: [], 2: [], 3: [], 4: []}
-    for e in elements:
-        by_level[e.level].append(e)
-    for low, high in ((1, 2), (2, 3), (3, 4)):
-        for a in by_level[low]:
-            for b in by_level[high]:
-                if set(a.sheets) <= set(b.sheets):
-                    covers.append(CoverMap(a.id, b.id, {s: s for s in a.sheets}))
-    return StratPoset(elements, sorted(covers, key=lambda c: (c.src, c.dst)))
+    return StratPoset(elements, sorted(_inclusions(elements), key=lambda c: (c.src, c.dst)))
 
 
 #: Where each opposite-face path family member ``(family, index)`` lands
@@ -509,40 +515,24 @@ def cube_corner_poset() -> StratPoset:
 
     For each of the three faces at the corner there is a four-geodesic
     diagonal family; pinching one coordinate splits it into two-geodesic
-    families and then single-geodesic ones.  At the corner pair itself six
-    geodesics survive, and the three family maps (given by the corner limit
-    table) have pairwise two-element intersections but empty triple
-    intersection, hence the bound 3.
+    families and then single-geodesic ones, joined by inclusions.  At the
+    corner pair itself six geodesics survive, and the three family maps
+    (read from :data:`CUBE_CORNER_LIMITS`) have pairwise two-element
+    intersections but empty triple intersection, hence the bound 3.
     """
+    limits: dict[str, dict[str, str]] = {}
+    for (fam, idx), label in CUBE_CORNER_LIMITS.items():
+        limits.setdefault(fam, {})[f"{fam}{idx}"] = label
     elements = []
-    covers = []
-    for fam in "ABC":
-        for idx in (1, 4, 7, 10):
-            elements.append(PosetElement(f"path_{fam}{idx}", 1, (f"{fam}{idx}",)))
-        for duo in ((1, 4), (7, 10)):
-            sheets = tuple(f"{fam}{i}" for i in duo)
-            eid = "pair_" + "_".join(sheets)
-            elements.append(PosetElement(eid, 2, sheets))
-            for s in sheets:
-                covers.append(CoverMap(f"path_{s}", eid, {s: s}))
-        fam_sheets = tuple(f"{fam}{i}" for i in (1, 4, 7, 10))
-        elements.append(PosetElement(f"family_{fam}", 3, fam_sheets))
-        for duo in ((1, 4), (7, 10)):
-            sheets = tuple(f"{fam}{i}" for i in duo)
-            covers.append(
-                CoverMap(
-                    "pair_" + "_".join(sheets),
-                    f"family_{fam}",
-                    {s: s for s in sheets},
-                )
-            )
-    corner_sheets = tuple(f"D{i}" for i in range(1, 7))
-    elements.append(PosetElement("corner", 4, corner_sheets))
-    for fam in "ABC":
-        mapping = {
-            f"{fam}{idx}": CUBE_CORNER_LIMITS[fam, idx] for idx in (1, 4, 7, 10)
-        }
-        covers.append(CoverMap(f"family_{fam}", "corner", mapping))
+    for fam, mapping in limits.items():
+        sheets = tuple(mapping)
+        elements += [PosetElement(f"path_{s}", 1, (s,)) for s in sheets]
+        for duo in (sheets[:2], sheets[2:]):
+            elements.append(PosetElement("pair_" + "_".join(duo), 2, duo))
+        elements.append(PosetElement(f"family_{fam}", 3, sheets))
+    elements.append(PosetElement("corner", 4, tuple(f"D{i}" for i in range(1, 7))))
+    covers = _inclusions(elements)
+    covers += [CoverMap(f"family_{fam}", "corner", m) for fam, m in limits.items()]
     return StratPoset(elements, sorted(covers, key=lambda c: (c.src, c.dst)))
 
 
@@ -629,29 +619,36 @@ def _strings(values: list, what: str) -> tuple[str, ...]:
 
 def from_document(doc: dict) -> tuple[StratPoset, PosetFlags]:
     """Parse the interchange schema; raises ``ValueError`` on a missing key or
-    a value of the wrong JSON type.  Ids and map values are read as strings;
-    the poset axioms are left to :func:`validate_poset`.
+    a value of the wrong JSON type; ids, sheets and map entries are strings.
+    The poset axioms are left to :func:`validate_poset`.
 
-    Each list of sheets is checked in one pass; only a list that fails it is
-    read again item by item, so the error names the first wrong value."""
+    Each list of strings (an element's sheets, all ids, sources, ...) is
+    checked in one pass once its records are read; only a list that fails it
+    is read again item by item, so the error names its first wrong value."""
     _typed(doc, dict, "document")
     try:
         elements = [
             PosetElement(
-                id=str(_typed(e, dict, "element")["id"]),
+                id=_typed(e, dict, "element")["id"],
                 level=_typed(e["level"], int, "level"),
                 sheets=_strings(_typed(e["sheets"], list, "sheets"), "sheet"),
             )
             for e in _typed(doc["elements"], list, "elements")
         ]
+        _strings(list(map(itemgetter(0), elements)), "id")
         covers = [
             CoverMap(
-                src=str(_typed(c, dict, "cover")["src"]),
-                dst=str(c["dst"]),
-                mapping={str(k): str(v) for k, v in _typed(c["map"], dict, "map").items()},
+                src=_typed(c, dict, "cover")["src"],
+                dst=c["dst"],
+                mapping=dict(_typed(c["map"], dict, "map")),
             )
             for c in _typed(doc.get("covers", []), list, "covers")
         ]
+        _strings(list(map(itemgetter(0), covers)), "src")
+        _strings(list(map(itemgetter(1), covers)), "dst")
+        maps = list(map(itemgetter(2), covers))
+        _strings(list(chain.from_iterable(maps)), "map key")
+        _strings(list(chain.from_iterable(map(dict.values, maps))), "map value")
         raw = _typed(doc.get("flags", {}), dict, "flags")
         flags = PosetFlags(
             *(_typed(raw.get(name, False), bool, name) for name in PosetFlags._fields)

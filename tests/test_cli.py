@@ -239,26 +239,32 @@ class TestBoundCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "cover_map,flags,level,sheets",
+        "cover_map,flags,level,sheets,ident",
         [
-            ([["s", "s"]], {}, 1, ["s"]),
-            ({"s": "s"}, ["trivial_coverings"], 1, ["s"]),
-            ({"s": "s"}, {"trivial_coverings": "false"}, 1, ["s"]),
-            ({"s": "s"}, {}, 1.5, ["s"]),
-            ({"s": "s"}, {}, True, ["s"]),
-            ({"st": "st"}, {}, 1, "st"),
+            ([["s", "s"]], {}, 1, ["s"], "a"),
+            ({"s": "s"}, ["trivial_coverings"], 1, ["s"], "a"),
+            ({"s": "s"}, {"trivial_coverings": "false"}, 1, ["s"], "a"),
+            ({"s": "s"}, {}, 1.5, ["s"], "a"),
+            ({"s": "s"}, {}, True, ["s"], "a"),
+            ({"st": "st"}, {}, 1, "st", "a"),
+            # Read through ``str``, the null id and source would both name
+            # the element "None" and the bound would be 1.
+            ({"s": "s"}, {}, 1, ["s"], None),
         ],
-        ids=["list-map", "list-flags", "string-flag", "float-level", "bool-level", "string-sheets"],
+        ids=[
+            "list-map", "list-flags", "string-flag", "float-level", "bool-level",
+            "string-sheets", "null-id",
+        ],
     )
     def test_wrongly_typed_document_is_usage_error(
-        self, capsys, tmp_path, cover_map, flags, level, sheets
+        self, capsys, tmp_path, cover_map, flags, level, sheets, ident
     ):
         doc = {
             "elements": [
-                {"id": "a", "level": level, "sheets": sheets},
+                {"id": ident, "level": level, "sheets": sheets},
                 {"id": "b", "level": 2, "sheets": ["s"]},
             ],
-            "covers": [{"src": "a", "dst": "b", "map": cover_map}],
+            "covers": [{"src": ident, "dst": "b", "map": cover_map}],
             "flags": flags,
         }
         path = tmp_path / "typed.json"

@@ -190,6 +190,17 @@ def swapped_candidates(monkeypatch):
     monkeypatch.setattr(cube_sphere, "_CANDIDATES", tuple(seqs))
 
 
+#: ``_inclusions`` without its adjacent-level test: a source's sheets held
+#: at any higher level make a cover, so ``klein_S4`` gains the chamber-apex
+#: covers and ``cube_corner`` the path-family ones.
+level_blind_inclusions = source_mutant(
+    strat_cover,
+    "_inclusions",
+    "rows.get(level + 1, ())",
+    "[row for high in rows if high > level for row in rows[high]]",
+)
+
+
 def without_errors(ending):
     """A plant: ``validate_poset`` drops its errors that end with ``ending``."""
 
@@ -266,6 +277,12 @@ def without_errors(ending):
             lambda: verify.poset_relabel_invariance(0, 50),
             "no bound for circle",
             id="union-inconsistency-poset-relabel-invariance",
+        ),
+        pytest.param(
+            level_blind_inclusions,
+            lambda: verify.poset_builtin_bounds(0, 200),
+            "klein_S4: bound None != 3",
+            id="level-blind-inclusions-poset-builtin-bounds",
         ),
         pytest.param(
             without_errors("is not between adjacent levels"),

@@ -310,6 +310,37 @@ def test_largest_admitted_power_is_answered_unbuilt():
     assert not {"elements", "covers"} & set(vars(poset))
 
 
+def inclusion_covers(elements):
+    """The sheet-inclusion covers of ``elements`` by brute force over every
+    ordered pair: ``(a, b, a's sheet map onto itself)`` wherever ``b`` sits
+    one level above ``a`` and holds all of its sheets."""
+    return [
+        (a.id, b.id, {s: s for s in a.sheets})
+        for a, b in product(elements, repeat=2)
+        if b.level - a.level == 1 and set(b.sheets).issuperset(a.sheets)
+    ]
+
+
+def cover_key(cover):
+    return cover[0], cover[1], sorted(cover[2].items())
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_covers_are_the_sheet_inclusions(name):
+    """Every builtin's covers are the inclusion covers of its own elements,
+    and the cube's also its three corner maps, which are its table's."""
+    poset, _ = builtin_poset(name)
+    covers = sorted(map(cover_key, poset.covers))
+    expected = inclusion_covers(poset.elements)
+    if name == "cube_corner":
+        corner = [c for c in poset.covers if c.dst == "corner"]
+        assert {(c.src[-1], int(k[1:])): v for c in corner for k, v in c.mapping.items()} == (
+            strat_cover.CUBE_CORNER_LIMITS
+        )
+        expected += corner
+    assert covers == sorted(map(cover_key, expected))
+
+
 def test_sign_factor_is_the_renamed_circle():
     ids = {"near_cw": "+", "near_ccw": "-", "antipodal": "o"}
     sheets = {"cw": "+", "ccw": "-"}
@@ -792,8 +823,18 @@ class TestDocuments:
             (lambda d: d["elements"][1].update(sheets=("+",)), "sheets must be list, not tuple"),
             (lambda d: d["elements"][2].update(level=True), "level must be int, not bool"),
             (lambda d: d["covers"].insert(1, ["+", "o"]), "cover must be dict, not list"),
+            # Names are not read through ``str``: a null id is not "None".
+            (lambda d: d["elements"][0].update(id=None), "id must be str, not NoneType"),
+            (lambda d: d["elements"][2].update(id=7), "id must be str, not int"),
+            (lambda d: d["covers"][1].update(src=["near_ccw"]), "src must be str, not list"),
+            (lambda d: d["covers"][0].update(dst=2.0), "dst must be str, not float"),
+            (lambda d: d["covers"][1]["map"].update(ccw=None), "map value must be str, not NoneType"),
+            (lambda d: d["covers"][0].update(map={1: "cw"}), "map key must be str, not int"),
         ],
-        ids=["sheet", "sheets", "level", "cover"],
+        ids=[
+            "sheet", "sheets", "level", "cover",
+            "null-id", "int-id", "src", "dst", "map-value", "map-key",
+        ],
     )
     def test_first_wrong_type_is_named(self, damage, message):
         doc = json.loads(dump_json(to_document(*builtin_poset("circle"))))
