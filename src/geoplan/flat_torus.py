@@ -6,8 +6,10 @@ coset of the lattice (:class:`FlatPoint`), keeping the closest coset or
 every tied one; each is a :class:`FlatGeodesic`, here and in ``klein_bottle``.
 The base and the coset points go on one integer scale first, so rounding,
 coset distances, tie order and deck tags are integer work, and each
-coordinate's displacement choices become Fractions once.  The planners of
-both spaces return a :class:`PlannerResult`, and both loop monodromies run
+coordinate's displacement choices become Fractions once.  ``make`` keeps a
+lift that is already reduced and builds no Fraction for it.  The planners of
+both spaces choose on the integer lifts, build only the one geodesic they
+answer with and return a :class:`PlannerResult`, and both loop monodromies run
 through ``_loop_permutation``: the deck map closing the loop acting on the
 nearest lifts, whatever the number of steps the loop is sampled at.  Every
 record here is a named tuple; :class:`FlatPoint` and :class:`FlatGeodesic`
@@ -67,8 +69,10 @@ class FlatPoint(namedtuple("FlatPoint", "coords")):
     ``locate(lift, scale) -> (g, r)``.  It reads a lift as integers on a
     ``scale``, the point ``lift / scale``, and returns the element ``g`` of
     Γ and the reduced point ``r``, on the same scale, with ``lift = g(r)``;
-    ``g`` is None on the torus.  ``make`` keeps ``r``, and the geodesics
-    and the Dirichlet graph read ``g`` off their integer end lifts."""
+    ``g`` is None on the torus.  ``make`` keeps ``r``, and the geodesics,
+    the Klein planner and the Dirichlet graph read ``g`` off their integer
+    end lifts.  A lift in [0, scale)^n must come back as itself with the
+    identity, which lets ``make`` keep a reduced lift as it is."""
 
     __slots__ = ()
 
@@ -87,8 +91,20 @@ class FlatPoint(namedtuple("FlatPoint", "coords")):
 
     @classmethod
     def make(cls, values) -> "FlatPoint":
-        """Reduce any lift in the universal cover."""
-        d, (lift,) = integer_points((tuple(map(_frac, values)),))
+        """Reduce any lift in the universal cover.
+
+        A lift already in [0, 1)^n is its own reduction, since ``locate``
+        maps every lift in [0, scale)^n to itself by the identity: it keeps
+        its Fractions and builds none.  Any other lift goes through
+        ``locate`` on one integer scale.  The constructor still checks every
+        coordinate of either answer."""
+        coords = tuple(map(_frac, values))
+        for c in coords:
+            if not 0 <= c.numerator < c.denominator:
+                break
+        else:
+            return cls(coords)
+        d, (lift,) = integer_points((coords,))
         return cls(tuple(Fraction(c, d) for c in cls.locate(lift, d)[1]))
 
     @property

@@ -37,8 +37,11 @@ from .flat_torus import (
     FlatGeodesic,
     FlatPoint,
     PlannerResult,
+    _check_pair,
+    _end_lifts,
     _flat_geodesics,
     _loop_permutation,
+    _nearest_lifts,
 )
 from .metric_core import _frac
 
@@ -158,6 +161,12 @@ def klein_plan(x: KleinPoint, y: KleinPoint) -> PlannerResult:
     in lexicographic order, as ``torus_plan`` does ("up" or "right" by how
     the two lifts differ, "up_right" among four).
 
+    The choice is made on the sorted integer end lifts of
+    ``klein_geodesics(x, y)``, which all start from one base, so the
+    greatest displacement is the greatest end lift; only the chosen lift
+    becomes a :class:`FlatGeodesic`, checked against half a period by its
+    constructor and tagged by ``y.locate``.
+
     The three-geodesic pairs are the theta vertices, where the runs are
     ``a, a, 1 - a`` with ``3/8 <= a < 1/2``, so the longest run is the one
     lift on its own side.  Up to symmetry, put ``x`` at the origin and the
@@ -170,21 +179,24 @@ def klein_plan(x: KleinPoint, y: KleinPoint) -> PlannerResult:
     shift, so the third lift's run is the vertex's run from that
     neighbour, ``1 - a``.
     """
-    geos = klein_geodesics(x, y)
-    m = len(geos)
-    on_circle = x.coords[0] == 0
-    if m == 1:
-        return PlannerResult(0, 1, "unique", geos[0])
-    domain = m if on_circle else m - 1
+    _check_pair(x, y)
+    d, b, found = _nearest_lifts(x.coords, y.cosets(), y.periods)
+    ends = sorted(end for choices in found for end in _end_lifts(b, choices))
+    m = len(ends)
     if m == 3:
-        return PlannerResult(
-            domain, m, "minority_side", max(geos, key=lambda g: abs(g.displacement[0]))
-        )
-    if m == 4:
-        rule = "up_right"
+        rule, end = "minority_side", max(ends, key=lambda e: abs(e[0] - b[0]))
     else:
-        rule = "up" if geos[0].displacement[0] == geos[1].displacement[0] else "right"
-    return PlannerResult(domain, m, rule, max(geos, key=lambda g: g.displacement))
+        end = ends[-1]
+        if m == 1:
+            rule = "unique"
+        elif m == 4:
+            rule = "up_right"
+        else:
+            rule = "up" if ends[0][0] == ends[1][0] else "right"
+    domain = 0 if m == 1 else m if x.coords[0] == 0 else m - 1
+    displacement = tuple(Fraction(e - u, d) for e, u in zip(end, b))
+    geodesic = FlatGeodesic(x, displacement, y.locate(end, d)[0])
+    return PlannerResult(domain, m, rule, geodesic)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from geoplan.flat_torus import (
     torus_stratum,
 )
 from geoplan.klein_bottle import (
+    IDENTITY,
     DeckElement,
     KleinPoint,
     klein_cut_locus,
@@ -242,11 +243,15 @@ class TestFractionSharing:
         assert fractions_built(lambda: torus_geodesics(x, y)) <= 2 * n
 
     @pytest.mark.parametrize("n", [1, 4, 6])
-    def test_make_builds_one_fraction_per_coordinate(self, n):
-        # Exact Fractions pass through _frac as they are; only the reduced
-        # coordinates are new.
-        values = [F(7 * i + 3, 5) for i in range(n)]
-        assert fractions_built(lambda: TorusPoint.make(values)) == n
+    def test_make_keeps_a_reduced_lift_and_rebuilds_any_other(self, n):
+        # Exact Fractions pass through _frac as they are.  A lift in
+        # [0, 1)^n is kept, the caller's objects included; any other lift
+        # gets one new Fraction per coordinate.
+        reduced = [F(7 * i + 3, 5) % 1 for i in range(n)]
+        assert fractions_built(lambda: TorusPoint.make(reduced)) == 0
+        assert all(a is b for a, b in zip(TorusPoint.make(reduced).coords, reduced))
+        unreduced = [F(7 * i + 6, 5) for i in range(n)]
+        assert fractions_built(lambda: TorusPoint.make(unreduced)) == n
         lift = (F(-7, 3), F(9, 4))
         assert fractions_built(lambda: KleinPoint.make(lift)) == 2
 
@@ -560,6 +565,9 @@ def reference_klein_graph(x):
 #: A prime denominator whose squares and products pass 10^24.
 BIG = 10**12 + 39
 
+#: A denominator of 1,000 digits.
+HUGE = 10**999 + 7
+
 
 @st.composite
 def lift_coordinate(draw):
@@ -567,6 +575,16 @@ def lift_coordinate(draw):
     not, over a small denominator or over 10^12 + 39."""
     d = draw(st.one_of(st.integers(1, 24), st.just(BIG)))
     return F(draw(st.integers(-3 * d, 3 * d)), d)
+
+
+@st.composite
+def make_input(draw):
+    """A space (torus:1..6 or klein) and a lift for ``make``, reduced to
+    [0, 1)^n as often as not, so that both of its paths run."""
+    point = draw(st.sampled_from([TorusPoint, KleinPoint]))
+    n = 2 if point is KleinPoint else draw(st.integers(1, 6))
+    values = [draw(lift_coordinate()) for _ in range(n)]
+    return point, [c % 1 for c in values] if draw(st.booleans()) else values
 
 
 @st.composite
@@ -629,6 +647,20 @@ class TestLocate:
                     lift = tuple(c + k * s for c, k in zip(r, m))
                     assert TorusPoint.locate(lift, s) == (None, r)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([(TorusPoint, n, None) for n in range(1, 7)] + [(KleinPoint, 2, IDENTITY)]),
+        st.one_of(st.integers(1, 24), st.sampled_from([BIG, HUGE])),
+        st.data(),
+    )
+    def test_reduced_lift_is_its_own_reduction(self, space, scale, data):
+        """``make`` keeps a lift in [0, 1)^n as it is, which holds because
+        ``locate`` returns every lift in [0, scale)^n with the identity."""
+        point, n, identity = space
+        coordinate = st.one_of(st.integers(0, scale - 1), st.sampled_from([0, scale - 1]))
+        lift = tuple(data.draw(coordinate) for _ in range(n))
+        assert point.locate(lift, scale) == (identity, lift)
+
     def test_one_coset_reads_no_deck_element(self, monkeypatch):
         """The torus is its own lattice: its geodesics keep no deck element
         and never call ``locate``."""
@@ -650,6 +682,33 @@ class TestIntegerCoreMatchesTheFractionReference:
         d = F(lift[0]).denominator * F(lift[1]).denominator
         scaled = tuple(int(c * d) for c in lift)
         assert tuple(F(c, d) for c in g.apply_scaled(scaled, d)) == g.apply(lift)
+
+    @settings(max_examples=300, deadline=None)
+    @given(make_input())
+    @example((TorusPoint, [0]))
+    @example((TorusPoint, [1]))
+    @example((TorusPoint, [-1, F(-1), 3, F(4), 0, 1]))
+    @example((TorusPoint, [F(6, 7), F(HUGE - 1, HUGE), F(1, HUGE)]))
+    @example((TorusPoint, [F(-1, HUGE), F(2 * HUGE + 1, HUGE)]))
+    @example((KleinPoint, [0, 0]))
+    @example((KleinPoint, [1, 0]))
+    @example((KleinPoint, [-1, F(1, 3)]))
+    @example((KleinPoint, [F(3), -2]))
+    @example((KleinPoint, [F(1, 2), F(4, 5)]))
+    @example((KleinPoint, [F(HUGE - 1, HUGE), F(1, HUGE)]))
+    @example((KleinPoint, [F(-1, HUGE), F(HUGE + 1, HUGE)]))
+    def test_make_on_both_paths(self, case):
+        """``make`` against the Fraction references, on lifts it keeps and
+        on lifts it reduces: a reduced lift keeps the caller's Fractions."""
+        point, values = case
+        made = point.make(values)
+        if point is KleinPoint:
+            assert made.coords == reference_klein_make(values)
+        else:
+            assert made.coords == tuple(F(c) % 1 for c in values)
+        assert all(type(c) is F for c in made.coords)
+        if all(type(c) is F and 0 <= c < 1 for c in values):
+            assert all(a is b for a, b in zip(made.coords, values))
 
     @settings(max_examples=400, deadline=None)
     @given(reference_pair())

@@ -21,7 +21,7 @@ from geoplan.klein_bottle import (
     klein_plan,
     klein_stratum,
 )
-from geoplan import cutgraph
+from geoplan import cutgraph, klein_bottle
 from geoplan.flat_torus import PlannerResult, TorusPoint, _end_lifts, _nearest_lifts
 from geoplan.metric_core import dist_sq, integer_points
 from geoplan.strat_cover import klein_s4_poset, lower_bound, validate_poset
@@ -477,19 +477,36 @@ class TestPlanner:
             seen.add(res.domain)
         assert seen == {0, 1, 2, 3, 4}
 
+    #: One pair per domain, 0 to 4.
+    DOMAIN_PAIRS = [
+        ((F(1, 4), F(1, 4)), (F(1, 3), F(1, 4))),  # unique
+        ((H, H), (0, F(1, 4))),                    # two, off circle
+        ((0, H), (H, F(1, 4))),                    # two, on circle
+        ((H, H), (0, 0)),                          # four, off circle
+        ((0, H), (H, 0)),                          # four, on circle
+    ]
+
     def test_five_domains_exhaust_plans(self):
         assert set(range(5)) == {
-            klein_plan(
-                KleinPoint.make(x), KleinPoint.make(y)
-            ).domain
-            for x, y in [
-                ((F(1, 4), F(1, 4)), (F(1, 3), F(1, 4))),  # unique
-                ((H, H), (0, F(1, 4))),                    # two, off circle
-                ((0, H), (H, F(1, 4))),                    # two, on circle
-                ((H, H), (0, 0)),                          # four, off circle
-                ((0, H), (H, 0)),                          # four, on circle
-            ]
+            klein_plan(KleinPoint.make(x), KleinPoint.make(y)).domain
+            for x, y in self.DOMAIN_PAIRS
         }
+
+    def test_plans_without_listing_the_geodesics(self, monkeypatch):
+        """The planner chooses on the integer end lifts and builds only the
+        geodesic it answers with, never the list of all of them."""
+        pairs = [(KleinPoint.make(x), KleinPoint.make(y)) for x, y in self.DOMAIN_PAIRS]
+        x = KleinPoint.make((F(1, 3), F(1, 5)))
+        theta = [v.point for v in klein_cut_locus(x).vertices if v.multiplicity == 3]
+        pairs += [(x, KleinPoint.make(p)) for p in theta]
+        want = [klein_plan(x, y) for x, y in pairs]
+        assert [r.count for r in want] == [1, 2, 2, 4, 4, 3, 3]
+
+        def refuse(x, y):
+            raise AssertionError("_flat_geodesics called")
+
+        monkeypatch.setattr(klein_bottle, "_flat_geodesics", refuse)
+        assert [klein_plan(x, y) for x, y in pairs] == want
 
 
 def reference_klein_plan(x, y):

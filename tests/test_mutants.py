@@ -120,8 +120,15 @@ def unsorted_tied_cosets(monkeypatch):
 shortest_theta_run = source_mutant(
     klein_bottle,
     "klein_plan",
-    "max(geos, key=lambda g: abs(g.displacement[0]))",
-    "min(geos, key=lambda g: abs(g.displacement[0]))",
+    "max(ends, key=lambda e: abs(e[0] - b[0]))",
+    "min(ends, key=lambda e: abs(e[0] - b[0]))",
+)
+
+#: ``FlatPoint.make`` takes a coordinate equal to its period as reduced, so
+#: a lift with a coordinate 1 skips the reduction and the constructor
+#: refuses it.
+wide_make_shortcut = source_mutant(
+    flat_torus.FlatPoint, "make", "c.numerator < c.denominator", "c.numerator <= c.denominator"
 )
 
 
@@ -385,6 +392,18 @@ def without_errors(ending):
             lambda: verify.klein_planner_partition(0, 200),
             "theta choice is not the lift alone on its run",
             id="shortest-theta-run-klein-planner-partition",
+        ),
+        pytest.param(
+            wide_make_shortcut,
+            lambda: verify.torus_planner_partition(0, 200, 1),
+            "coordinate 1 not reduced to [0, 1)",
+            id="wide-make-shortcut-torus-planner-partition-n1",
+        ),
+        pytest.param(
+            wide_make_shortcut,
+            lambda: verify.klein_planner_partition(0, 200),
+            "coordinate 1 not reduced to [0, 1)",
+            id="wide-make-shortcut-klein-planner-partition",
         ),
     ],
 )
